@@ -337,11 +337,16 @@ impl PlanCache {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Look up the subplan for `set` under `ctx`, against the current
+    /// Look up the subplan for `set` under `ctx`, against the caller's
     /// catalog `epoch`. A stale entry (older epoch) is removed and
     /// reported as a miss; `local` receives the per-call accounting.
     /// Hits and clean misses resolve under the shard's read lock; only
     /// a stale entry escalates to the write lock for removal.
+    ///
+    /// The cache outlives catalog generations, so the caller may be a
+    /// reader still planning against an *older* generation than the
+    /// entry's: that is a plain miss — the entry stays for the readers
+    /// it is current for.
     pub(crate) fn lookup(
         &self,
         ctx: &CacheCtx,
@@ -361,12 +366,12 @@ impl PlanCache {
                     local.hits += 1;
                     return Some(Arc::clone(&slot.entry));
                 }
-                None => {
+                Some(slot) if slot.entry.epoch < epoch => {} // stale: escalate to the write lock
+                _ => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     local.misses += 1;
                     return None;
                 }
-                Some(_) => {} // stale: escalate to the write lock
             }
         }
         let mut guard = self.write_shard(shard);
@@ -379,7 +384,7 @@ impl PlanCache {
                 local.hits += 1;
                 Some(Arc::clone(&slot.entry))
             }
-            Some(_) => {
+            Some(slot) if slot.entry.epoch < epoch => {
                 guard.map.remove(&key);
                 self.stale.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -387,7 +392,7 @@ impl PlanCache {
                 local.misses += 1;
                 None
             }
-            None => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 local.misses += 1;
                 None
@@ -398,7 +403,9 @@ impl PlanCache {
     /// Insert (or refresh) the winner for `set`. At its shard's
     /// capacity, the least-recently-used quarter of that shard is
     /// evicted in one batch — LRU-ish: strict recency order inside the
-    /// batch, amortized O(1) per insert.
+    /// batch, amortized O(1) per insert. A plan costed under an older
+    /// epoch than the one already cached (a reader on a superseded
+    /// generation) is not stored.
     pub(crate) fn insert(
         &self,
         ctx: &CacheCtx,
@@ -410,6 +417,13 @@ impl PlanCache {
         let tick = self.next_tick();
         let capacity = self.shard_capacity.load(Ordering::Relaxed);
         let mut guard = self.write_shard(self.shard_of(&key));
+        if guard
+            .map
+            .get(&key)
+            .is_some_and(|slot| slot.entry.epoch > entry.epoch)
+        {
+            return;
+        }
         if guard.map.len() >= capacity && !guard.map.contains_key(&key) {
             let mut ages: Vec<(u64, CacheKey)> = guard
                 .map
@@ -754,6 +768,35 @@ mod tests {
         let global = cache.stats();
         assert_eq!(global.hits, 1);
         assert_eq!(global.stale, 1);
+    }
+
+    #[test]
+    fn readers_on_an_older_generation_neither_evict_nor_overwrite() {
+        let g = chain(&["A", "B"]);
+        let ctx = CacheCtx::for_graph(&g, Policy::Paper);
+        let cache = PlanCache::new();
+        let set = RelSet::full(2);
+        let mut local = CacheStats::default();
+        let at = |epoch, cost| {
+            Arc::new(CachedEntry {
+                plan: PhysPlan::scan("A"),
+                cost,
+                rows: 1.0,
+                base: None,
+                epoch,
+            })
+        };
+        cache.insert(&ctx, set, at(5, 5.0), &mut local);
+        // A reader still at epoch 4 misses without disturbing the entry
+        // and cannot replace it with its older plan.
+        assert!(cache.lookup(&ctx, set, 4, &mut local).is_none());
+        cache.insert(&ctx, set, at(4, 4.0), &mut local);
+        assert_eq!(local.stale, 0);
+        let hit = cache
+            .lookup(&ctx, set, 5, &mut local)
+            .expect("still cached");
+        assert!((hit.cost - 5.0).abs() < f64::EPSILON);
+        assert_eq!((local.hits, local.misses), (1, 1));
     }
 
     #[test]

@@ -88,9 +88,13 @@ impl TableInfo {
 /// cached plans remember the epoch they were costed under and are
 /// evicted lazily when it no longer matches — a stats change silently
 /// invalidates every plan without walking the cache.
-#[derive(Debug, Clone, Default)]
+///
+/// [`Clone`] copies the plan cache, so the two catalogs may diverge
+/// freely (epochs are only comparable along one lineage);
+/// [`Catalog::next_generation`] is the clone that keeps sharing it.
+#[derive(Debug, Default)]
 pub struct Catalog {
-    interner: Interner,
+    interner: Arc<Interner>,
     tables: Vec<TableInfo>,
     epoch: u64,
     /// Per-relation row-content versions, dense by [`RelId`]. Row
@@ -99,7 +103,16 @@ pub struct Catalog {
     /// *other* relations stay valid — the catalog epoch is reserved
     /// for structural/statistics changes of global scope.
     row_epochs: Vec<u64>,
-    plan_cache: PlanCache,
+    plan_cache: Arc<PlanCache>,
+}
+
+impl Clone for Catalog {
+    fn clone(&self) -> Catalog {
+        Catalog {
+            plan_cache: Arc::new(PlanCache::clone(&self.plan_cache)),
+            ..self.next_generation()
+        }
+    }
 }
 
 impl Catalog {
@@ -139,6 +152,27 @@ impl Catalog {
         cat
     }
 
+    /// A copy that **shares** this catalog's plan cache — for a
+    /// copy-on-write owner deriving the next generation of one lineage
+    /// (`fro::SharedDb`): the copy replaces this catalog for new
+    /// readers, while plans cached and counters bumped through either
+    /// land in the one cache. Statistics are copied (O(#tables)); names
+    /// are shared until one side registers a table.
+    ///
+    /// Never mutate both sides independently: an epoch identifies the
+    /// statistics a cached plan was costed under only along a single
+    /// line of descent. For catalogs that diverge, use [`Clone`].
+    #[must_use]
+    pub fn next_generation(&self) -> Catalog {
+        Catalog {
+            interner: Arc::clone(&self.interner),
+            tables: self.tables.clone(),
+            epoch: self.epoch,
+            row_epochs: self.row_epochs.clone(),
+            plan_cache: Arc::clone(&self.plan_cache),
+        }
+    }
+
     /// Register a table by hand (for synthetic what-if experiments).
     /// Re-registering a name replaces its statistics and indexes.
     pub fn add_table(&mut self, name: impl Into<String>, schema: Arc<Schema>, rows: u64) {
@@ -147,7 +181,7 @@ impl Catalog {
     }
 
     fn register(&mut self, name: &str, schema: Arc<Schema>, rows: u64) -> RelId {
-        let id = self.interner.register_relation(name, &schema);
+        let id = Arc::make_mut(&mut self.interner).register_relation(name, &schema);
         let info = TableInfo::new(schema, rows);
         if id.index() == self.tables.len() {
             self.tables.push(info);
@@ -603,6 +637,36 @@ mod tests {
         assert!(!cat.set_rows_quiet("missing", 1));
         cat.bump_row_epoch("missing");
         assert_eq!(cat.epoch(), e);
+    }
+
+    #[test]
+    fn next_generation_shares_the_plan_cache_and_clone_does_not() {
+        let cat = Catalog::from_storage(&storage());
+        let q = fro_algebra::Query::rel("R");
+        let plan = |c: &Catalog| crate::optimize(&q, c, crate::Policy::Paper).unwrap();
+
+        let mut next = cat.next_generation();
+        let lookups = |s: CacheStats| s.hits + s.misses;
+        let before = lookups(cat.cache_stats());
+        let _ = plan(&next);
+        assert!(
+            lookups(cat.cache_stats()) > before,
+            "one cache, two handles"
+        );
+        assert_eq!(cat.cache_stats(), next.cache_stats());
+        // Statistics and names are the successor's own.
+        next.add_table("S", Arc::new(Schema::of_relation("S", &["k"])), 5);
+        assert!(cat.table("S").is_none() && cat.rel_id("S").is_none());
+        assert!(next.epoch() > cat.epoch());
+
+        // A clone may diverge: same epoch number, different statistics,
+        // so it must not see (or feed) the original's cache.
+        let mut fork = cat.clone();
+        fork.set_rows_quiet("R", 1_000_000);
+        let shared_before = cat.cache_stats();
+        let _ = plan(&fork);
+        assert_eq!(cat.cache_stats(), shared_before);
+        assert!(lookups(fork.cache_stats()) > lookups(shared_before));
     }
 
     #[test]

@@ -66,4 +66,4 @@ pub use delta::{BuildSidePool, DeltaPlan, RowDelta, SideIndex, SideKey};
 pub use engine::{execute, execute_with, explain_analyze, explain_analyze_with, ExecError};
 pub use plan::{JoinKind, PhysPlan, ReducePass};
 pub use stats::{ExecStats, PartitionStats};
-pub use storage::{Storage, Table, SHARD_SIZE};
+pub use storage::{Storage, Table};

@@ -1,14 +1,13 @@
-//! In-memory storage: tables plus their hash indexes, resolved through
-//! dense `RelId`-indexed **shards**.
+//! In-memory storage: tables plus their hash indexes, held as one
+//! `RelId`-dense vector of [`Arc`]-shared tables.
 //!
-//! Tables live in fixed-size shards of [`SHARD_SIZE`] consecutive
-//! [`RelId`]s: shard `i` holds ids `[i·SHARD_SIZE, (i+1)·SHARD_SIZE)`.
-//! An id lookup is still two bounds-checked array reads (shard, slot) —
-//! no hashing, no string compare — while [`Storage::shards`] exposes
-//! the id-range decomposition so bulk passes (statistics refresh,
-//! catalog scans, parallel loaders) can claim disjoint contiguous id
-//! ranges without coordinating. Growing a new shard never moves
-//! existing tables, unlike a reallocating flat vector.
+//! An id lookup is one bounds-checked array read — no hashing, no
+//! string compare. Each slot is an `Arc<Table>`, so cloning a
+//! [`Storage`] copies pointers, never rows: a copy-on-write owner
+//! (`fro::SharedDb`) derives its next generation from the current one
+//! for O(#tables) and only the table a mutation touches is ever copied
+//! ([`Arc::make_mut`]) — or swapped for a recycled copy
+//! ([`Storage::swap_table`]).
 //!
 //! Names are interned exactly once, at [`Storage::insert`]; every later
 //! lookup is an array index. Names legitimately enter at registration
@@ -24,7 +23,8 @@
 use crate::engine::ExecError;
 use crate::index::HashIndex;
 use fro_algebra::{Attr, ColumnSet, Database, Interner, RelId, Relation, Tuple, Value};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A stored base table: the relation, its columnar mirror, and any
 /// indexes built on it.
@@ -41,8 +41,8 @@ pub struct Table {
     rel: Relation,
     columns: ColumnSet,
     indexes: Vec<HashIndex>,
-    /// Append-acceleration state: an exact row set (novelty checks
-    /// under set semantics) plus one value set per column (exact
+    /// Append-acceleration state: a row-hash → row-id index (novelty
+    /// checks under set semantics) plus one value set per column (exact
     /// distinct counts), built O(base) on the first append and
     /// maintained O(|delta|) afterwards. `None` until a table sees its
     /// first append; dropped whenever the table is replaced wholesale.
@@ -51,23 +51,134 @@ pub struct Table {
 
 #[derive(Debug, Clone)]
 struct AppendState {
-    row_set: HashSet<Tuple>,
-    value_sets: Vec<HashSet<Value>>,
+    rows: RowIndex,
+    value_sets: Vec<ValueSet>,
 }
 
 impl AppendState {
-    fn over(rel: &Relation) -> AppendState {
-        let mut row_set = HashSet::with_capacity(rel.len());
-        let mut value_sets = vec![HashSet::new(); rel.schema().len()];
-        for t in rel.rows() {
+    /// Index `rel`, whose per-column distinct counts `columns` already
+    /// knows — so every set is allocated once, at its final size.
+    fn over(rel: &Relation, columns: &ColumnSet) -> AppendState {
+        let mut rows = RowIndex::with_capacity(rel.len());
+        let mut value_sets: Vec<ValueSet> = (0..rel.schema().len())
+            .map(|c| ValueSet::with_capacity(columns.column(c).distinct()))
+            .collect();
+        for (id, t) in rel.rows().iter().enumerate() {
             for (c, set) in value_sets.iter_mut().enumerate() {
-                set.insert(t.get(c).clone());
+                set.insert(t.get(c));
             }
-            row_set.insert(t.clone());
+            rows.insert_if_novel(t, id, |i| &rel.rows()[i]);
         }
-        AppendState {
-            row_set,
-            value_sets,
+        AppendState { rows, value_sets }
+    }
+}
+
+/// The distinct values of one column (null counts as one). A column
+/// that has only ever held integers and nulls — keys, mostly — keeps
+/// bare `i64`s, a third of a [`Value`] each; the first other value
+/// widens the set for good.
+#[derive(Debug, Clone)]
+enum ValueSet {
+    Ints { ints: HashSet<i64>, null: bool },
+    Any(HashSet<Value>),
+}
+
+impl ValueSet {
+    fn with_capacity(distinct: u64) -> ValueSet {
+        ValueSet::Ints {
+            ints: HashSet::with_capacity(usize::try_from(distinct).unwrap_or(0)),
+            null: false,
+        }
+    }
+
+    fn insert(&mut self, v: &Value) {
+        match (&mut *self, v) {
+            (ValueSet::Ints { ints, .. }, Value::Int(i)) => {
+                ints.insert(*i);
+            }
+            (ValueSet::Ints { null, .. }, Value::Null) => *null = true,
+            (ValueSet::Any(set), v) => {
+                set.insert(v.clone());
+            }
+            (ValueSet::Ints { ints, null }, v) => {
+                let mut set = HashSet::with_capacity(ints.capacity());
+                set.extend(ints.drain().map(Value::Int));
+                if *null {
+                    set.insert(Value::Null);
+                }
+                set.insert(v.clone());
+                *self = ValueSet::Any(set);
+            }
+        }
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            ValueSet::Ints { ints, null } => ints.len() as u64 + u64::from(*null),
+            ValueSet::Any(set) => set.len() as u64,
+        }
+    }
+}
+
+/// Which stored rows exist, without a second copy of them: row hash →
+/// row id, every candidate rechecked against the row it names. The
+/// rows themselves stay where the executors scan them.
+#[derive(Debug, Clone, Default)]
+struct RowIndex {
+    /// The first row id stored under each hash. Hashes come from the
+    /// map's own randomly keyed hasher.
+    first: HashMap<u64, usize>,
+    /// `(hash, row id)` of rows whose hash was already taken by a
+    /// *different* row — 64-bit collisions, so almost always empty.
+    collided: Vec<(u64, usize)>,
+}
+
+impl RowIndex {
+    fn with_capacity(rows: usize) -> RowIndex {
+        RowIndex {
+            first: HashMap::with_capacity(rows),
+            collided: Vec::new(),
+        }
+    }
+
+    /// Record `t` as row `id` unless an equal row is already indexed;
+    /// `row_at` resolves an indexed id to its row. Returns whether `t`
+    /// was novel.
+    fn insert_if_novel<'a>(
+        &mut self,
+        t: &Tuple,
+        id: usize,
+        row_at: impl Fn(usize) -> &'a Tuple,
+    ) -> bool {
+        use std::hash::BuildHasher;
+        let h = self.first.hasher().hash_one(t);
+        self.insert_hashed(h, t, id, row_at)
+    }
+
+    /// [`RowIndex::insert_if_novel`] with the hash already computed.
+    fn insert_hashed<'a>(
+        &mut self,
+        h: u64,
+        t: &Tuple,
+        id: usize,
+        row_at: impl Fn(usize) -> &'a Tuple,
+    ) -> bool {
+        match self.first.get(&h) {
+            None => {
+                self.first.insert(h, id);
+                true
+            }
+            Some(&seen) => {
+                let known = row_at(seen) == t
+                    || self
+                        .collided
+                        .iter()
+                        .any(|&(ch, cid)| ch == h && row_at(cid) == t);
+                if !known {
+                    self.collided.push((h, id));
+                }
+                !known
+            }
         }
     }
 }
@@ -94,19 +205,31 @@ impl Table {
     /// to a full rebuild only when a value cannot join its column's
     /// existing layout (new type, or a string the sealed dictionary
     /// has never seen).
-    fn append_novel(&mut self, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
+    ///
+    /// Appending the returned suffixes, in order, to a copy of the
+    /// table as it was stores the same rows in the same order — which
+    /// is what lets a lagging copy be caught up instead of re-cloned.
+    pub fn append_rows(&mut self, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
         let arity = self.rel.schema().len();
         if rows.iter().any(|t| t.arity() != arity) {
             return None;
         }
         let state = self
             .append_state
-            .get_or_insert_with(|| AppendState::over(&self.rel));
-        let mut novel = Vec::new();
+            .get_or_insert_with(|| AppendState::over(&self.rel, &self.columns));
+        let old_len = self.rel.len();
+        let stored = self.rel.rows();
+        let mut novel: Vec<Tuple> = Vec::new();
         for t in rows {
-            if state.row_set.insert(t.clone()) {
+            // Ids at or past `old_len` name rows accepted earlier in
+            // this batch, not yet moved into the relation.
+            let row_at = |i: usize| stored.get(i).unwrap_or_else(|| &novel[i - old_len]);
+            if state
+                .rows
+                .insert_if_novel(&t, old_len + novel.len(), row_at)
+            {
                 for (c, set) in state.value_sets.iter_mut().enumerate() {
-                    set.insert(t.get(c).clone());
+                    set.insert(t.get(c));
                 }
                 novel.push(t);
             }
@@ -114,8 +237,7 @@ impl Table {
         if novel.is_empty() {
             return Some(novel);
         }
-        let distinct: Vec<u64> = state.value_sets.iter().map(|s| s.len() as u64).collect();
-        let old_len = self.rel.len();
+        let distinct: Vec<u64> = state.value_sets.iter().map(ValueSet::len).collect();
         self.rel.extend_distinct(novel.clone());
         if !self.columns.append_rows(&novel, &distinct) {
             self.columns = ColumnSet::build(&self.rel);
@@ -183,23 +305,14 @@ impl Table {
     }
 }
 
-/// Id-range width of one storage shard: [`SHARD_SIZE`] consecutive
-/// [`RelId`]s per shard, split off the id by shift/mask.
-const SHARD_BITS: u32 = 4;
-/// Tables per shard (`1 << SHARD_BITS`).
-pub const SHARD_SIZE: usize = 1 << SHARD_BITS;
-const SHARD_MASK: usize = SHARD_SIZE - 1;
-
-/// A set of tables, stored densely by [`RelId`] across fixed-size
-/// shards, with an interner owning the name mapping.
+/// A set of tables, stored densely by [`RelId`], with an interner
+/// owning the name mapping. Cloning shares every table (and the
+/// interner) by pointer; a mutation copies only what it touches.
 #[derive(Debug, Clone, Default)]
 pub struct Storage {
-    interner: Interner,
-    /// `shards[s][i]` is the table with `RelId` `s * SHARD_SIZE + i`.
-    /// All shards but the last are exactly `SHARD_SIZE` long.
-    shards: Vec<Vec<Table>>,
-    /// Total registered tables (dense: ids `0..n_tables` are all live).
-    n_tables: usize,
+    interner: Arc<Interner>,
+    /// `tables[i]` is the table with `RelId` `i` (ids are dense).
+    tables: Vec<Arc<Table>>,
     epoch: u64,
 }
 
@@ -232,25 +345,21 @@ impl Storage {
     }
 
     /// Register a table: interns the name (once) and places the table
-    /// in the dense slot its [`RelId`] names — growing a fresh shard
-    /// when the last one is full. Re-inserting a name replaces the
-    /// table under the same id. Existing tables never move.
+    /// in the dense slot its [`RelId`] names. Re-inserting a name
+    /// replaces the table under the same id; clones of this storage
+    /// made earlier keep the table they had.
     pub fn insert(&mut self, name: impl Into<String>, rel: Relation) -> &mut Table {
         let name = name.into();
-        let id = self.interner.register_relation(&name, rel.schema());
+        let id = Arc::make_mut(&mut self.interner).register_relation(&name, rel.schema());
         let i = id.index();
-        let table = Table::new(rel);
-        if i == self.n_tables {
-            if i >> SHARD_BITS == self.shards.len() {
-                self.shards.push(Vec::with_capacity(SHARD_SIZE));
-            }
-            self.shards[i >> SHARD_BITS].push(table);
-            self.n_tables += 1;
+        let table = Arc::new(Table::new(rel));
+        if i == self.tables.len() {
+            self.tables.push(table);
         } else {
-            self.shards[i >> SHARD_BITS][i & SHARD_MASK] = table;
+            self.tables[i] = table;
         }
         self.epoch += 1;
-        &mut self.shards[i >> SHARD_BITS][i & SHARD_MASK]
+        Arc::get_mut(&mut self.tables[i]).expect("a table just created has no other holder")
     }
 
     /// Append `rows` to `name`'s table in place, returning the novel
@@ -258,19 +367,41 @@ impl Storage {
     /// result can be empty) or `None` when the table is unknown or a
     /// row's arity doesn't fit its scheme. Unlike [`Storage::insert`],
     /// nothing is rebuilt: the columnar mirror, indexes, and exact
-    /// per-column distinct counts are all maintained O(|delta|). Bumps
-    /// the epoch only when something was stored.
+    /// per-column distinct counts are all maintained O(|delta|) — after
+    /// one copy of the table if a clone of this storage still shares
+    /// it. Bumps the epoch only when something was stored.
     pub fn append_rows(&mut self, name: &str, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
-        let i = self.interner.rel_id(name)?.index();
-        let table = self
-            .shards
-            .get_mut(i >> SHARD_BITS)
-            .and_then(|s| s.get_mut(i & SHARD_MASK))?;
-        let novel = table.append_novel(rows)?;
+        let novel = self.table_mut(name)?.append_rows(rows)?;
         if !novel.is_empty() {
             self.epoch += 1;
         }
         Some(novel)
+    }
+
+    /// The shared handle of a table — what a clone of this storage
+    /// holds for the same id until one of the two replaces or mutates
+    /// it.
+    #[must_use]
+    pub fn table_arc(&self, id: RelId) -> Option<&Arc<Table>> {
+        self.tables.get(id.index())
+    }
+
+    /// Put `table` in `id`'s slot, returning the handle it displaces
+    /// (`None`, dropping `table`, when the id is unknown). The caller
+    /// vouches that `table` holds the scheme registered for `id` — this
+    /// is the door a copy-on-write owner publishes a caught-up copy
+    /// through. Bumps the epoch.
+    pub fn swap_table(&mut self, id: RelId, table: Arc<Table>) -> Option<Arc<Table>> {
+        let slot = self.tables.get_mut(id.index())?;
+        self.epoch += 1;
+        Some(std::mem::replace(slot, table))
+    }
+
+    /// Mutable access to a table by name, copying it first when a
+    /// clone of this storage still shares it.
+    fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+        let i = self.interner.rel_id(name)?.index();
+        self.tables.get_mut(i).map(Arc::make_mut)
     }
 
     /// The data epoch: incremented by every table insert or index
@@ -293,32 +424,17 @@ impl Storage {
         self.interner.rel_id(name)
     }
 
-    /// Look up a table by dense id — the hot path: two bounds-checked
-    /// array reads (shard, slot), no hashing, no string compare.
+    /// Look up a table by dense id — the hot path: one bounds-checked
+    /// array read, no hashing, no string compare.
     #[must_use]
     pub fn get_by_id(&self, id: RelId) -> Option<&Table> {
-        let i = id.index();
-        self.shards
-            .get(i >> SHARD_BITS)
-            .and_then(|s| s.get(i & SHARD_MASK))
+        self.table_arc(id).map(|t| &**t)
     }
 
     /// Number of registered tables (dense ids `0..n_tables()`).
     #[must_use]
     pub fn n_tables(&self) -> usize {
-        self.n_tables
-    }
-
-    /// The id-range shards: `(first_id, tables)` pairs where `tables[i]`
-    /// has id `first_id + i`. Shards partition `0..n_tables()` into
-    /// contiguous runs of at most [`SHARD_SIZE`] ids, so bulk passes
-    /// can fan out one worker per shard and cover every table exactly
-    /// once with no coordination beyond the shard index.
-    pub fn shards(&self) -> impl Iterator<Item = (RelId, &[Table])> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, tables)| (RelId::from_index(s << SHARD_BITS), tables.as_slice()))
+        self.tables.len()
     }
 
     /// Name-keyed table read, always available inside the crate (the
@@ -365,23 +481,12 @@ impl Storage {
     #[doc(hidden)]
     #[must_use]
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
-        let i = self.interner.rel_id(name)?.index();
-        self.shards
-            .get_mut(i >> SHARD_BITS)
-            .and_then(|s| s.get_mut(i & SHARD_MASK))
+        self.table_mut(name)
     }
 
     /// Create an index on `rel_name(attrs…)`; `false` if missing.
     pub fn create_index(&mut self, rel_name: &str, attrs: &[Attr]) -> bool {
-        let Some(id) = self.interner.rel_id(rel_name) else {
-            return false;
-        };
-        let i = id.index();
-        let Some(t) = self
-            .shards
-            .get_mut(i >> SHARD_BITS)
-            .and_then(|s| s.get_mut(i & SHARD_MASK))
-        else {
+        let Some(t) = self.table_mut(rel_name) else {
             return false;
         };
         let built = t.create_index(attrs);
@@ -394,7 +499,7 @@ impl Storage {
     /// Iterate `(name, table)` pairs in name order (deterministic
     /// regardless of insertion order).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Table)> {
-        let mut ids: Vec<RelId> = (0..self.n_tables).map(RelId::from_index).collect();
+        let mut ids: Vec<RelId> = (0..self.tables.len()).map(RelId::from_index).collect();
         ids.sort_by_key(|&id| self.interner.rel_name(id));
         ids.into_iter().map(|id| {
             let t = self.get_by_id(id).expect("dense id within n_tables");
@@ -439,9 +544,9 @@ mod tests {
     }
 
     #[test]
-    fn sharding_keeps_ids_dense_across_many_tables() {
+    fn ids_stay_dense_and_replacement_stays_in_place() {
         let mut s = Storage::new();
-        let n = SHARD_SIZE * 3 + 5; // several full shards plus a partial
+        let n = 53;
         for i in 0..n {
             s.insert(
                 format!("T{i:03}"),
@@ -449,43 +554,134 @@ mod tests {
             );
         }
         assert_eq!(s.n_tables(), n);
-        assert_eq!(s.shards().count(), 4);
-        // Every id resolves, and shards partition the id space in order.
-        let mut seen = 0usize;
-        for (first, tables) in s.shards() {
-            assert_eq!(first.index(), seen);
-            assert!(tables.len() <= SHARD_SIZE);
-            for (off, t) in tables.iter().enumerate() {
-                let id = RelId::from_index(first.index() + off);
-                let via_id = s.get_by_id(id).unwrap();
-                assert_eq!(via_id.len(), t.len());
-            }
-            seen += tables.len();
+        // Every id resolves to the table registered under it.
+        for i in 0..n {
+            let id = s.rel_id(&format!("T{i:03}")).unwrap();
+            assert_eq!(id.index(), i);
+            let row = &s.get_by_id(id).unwrap().relation().rows()[0];
+            assert_eq!(row.get(0), &Value::Int(i as i64));
         }
-        assert_eq!(seen, n);
         // Name-ordered iteration still covers everything exactly once.
         assert_eq!(s.iter().count(), n);
         // Replacement stays in place: same id, new contents, no growth.
+        let id = s.rel_id("T001").unwrap();
         s.insert(
             "T001",
             Relation::from_ints("T001", &["a"], &[&[7], &[8], &[9]]),
         );
         assert_eq!(s.n_tables(), n);
+        assert_eq!(s.rel_id("T001"), Some(id));
         assert_eq!(s.get("T001").unwrap().len(), 3);
+        let late = "T052";
+        assert!(s.create_index(late, &[Attr::parse("T052.a")]));
+        assert!(s.get(late).unwrap().index_on(&[0]).is_some());
     }
 
     #[test]
-    fn indexes_work_on_tables_beyond_first_shard() {
+    fn clones_share_tables_until_one_side_writes() {
         let mut s = Storage::new();
-        for i in 0..(SHARD_SIZE + 2) {
-            s.insert(
-                format!("T{i:03}"),
-                Relation::from_ints(&format!("T{i:03}"), &["k"], &[&[1], &[2]]),
-            );
+        s.insert("R", Relation::from_ints("R", &["k"], &[&[1], &[2]]));
+        s.insert("S", Relation::from_ints("S", &["k"], &[&[7]]));
+        let (r, other) = (s.rel_id("R").unwrap(), s.rel_id("S").unwrap());
+        let frozen = s.clone();
+        assert!(Arc::ptr_eq(
+            s.table_arc(r).unwrap(),
+            frozen.table_arc(r).unwrap()
+        ));
+        // The write copies R for the writer; the clone keeps what it had
+        // and S is still one table.
+        let novel = s
+            .append_rows("R", vec![Tuple::new(vec![Value::Int(3)])])
+            .unwrap();
+        assert_eq!(novel.len(), 1);
+        assert_eq!(s.get("R").unwrap().len(), 3);
+        assert_eq!(frozen.get("R").unwrap().len(), 2);
+        assert!(!Arc::ptr_eq(
+            s.table_arc(r).unwrap(),
+            frozen.table_arc(r).unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            s.table_arc(other).unwrap(),
+            frozen.table_arc(other).unwrap()
+        ));
+        // A name registered after the clone is unknown to it.
+        s.insert("T", Relation::from_ints("T", &["k"], &[&[1]]));
+        assert!(frozen.rel_id("T").is_none());
+    }
+
+    #[test]
+    fn swap_table_publishes_a_caught_up_copy() {
+        let mut s = Storage::new();
+        s.insert("R", Relation::from_ints("R", &["k"], &[&[1]]));
+        let id = s.rel_id("R").unwrap();
+        // A lagging copy replays the novel suffix and lands on the same
+        // rows in the same order.
+        let mut lagging = Table::clone(s.table_arc(id).unwrap());
+        let novel = s
+            .append_rows(
+                "R",
+                vec![
+                    Tuple::new(vec![Value::Int(1)]),
+                    Tuple::new(vec![Value::Int(5)]),
+                ],
+            )
+            .unwrap();
+        assert_eq!(lagging.append_rows(novel.clone()), Some(novel));
+        assert_eq!(lagging.relation(), s.get("R").unwrap().relation());
+        let e = s.epoch();
+        let displaced = s.swap_table(id, Arc::new(lagging)).unwrap();
+        assert_eq!(displaced.len(), 2);
+        assert!(s.epoch() > e);
+        assert!(s.swap_table(RelId::from_index(9), displaced).is_none());
+    }
+
+    #[test]
+    fn row_index_rechecks_rows_on_hash_collisions() {
+        let rows: Vec<Tuple> = (0..3).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
+        let mut ix = RowIndex::default();
+        // Three different rows forced under one hash: each is novel
+        // once, and known afterwards.
+        for (id, t) in rows.iter().enumerate() {
+            assert!(ix.insert_hashed(42, t, id, |i| &rows[i]));
         }
-        let late = format!("T{:03}", SHARD_SIZE + 1);
-        assert!(s.create_index(&late, &[Attr::parse(&format!("{late}.k"))]));
-        assert!(s.get(&late).unwrap().index_on(&[0]).is_some());
+        for t in &rows {
+            assert!(!ix.insert_hashed(42, t, 9, |i| &rows[i]));
+        }
+        assert_eq!(ix.first.len(), 1);
+        assert_eq!(ix.collided.len(), 2);
+    }
+
+    #[test]
+    fn value_set_counts_like_a_set_of_values_across_widening() {
+        let values = [
+            Value::Int(1),
+            Value::Null,
+            Value::Int(1),
+            Value::Int(2),
+            Value::str("x"),
+            Value::Int(2),
+            Value::Null,
+            Value::Bool(true),
+        ];
+        let mut set = ValueSet::with_capacity(2);
+        let mut reference: HashSet<Value> = HashSet::new();
+        for v in &values {
+            set.insert(v);
+            reference.insert(v.clone());
+            assert_eq!(set.len(), reference.len() as u64, "after {v:?}");
+        }
+        assert!(matches!(set, ValueSet::Any(_)));
+    }
+
+    #[test]
+    fn append_absorbs_duplicates_inside_one_batch() {
+        let mut t = Table::new(Relation::from_ints("R", &["k"], &[&[1]]));
+        let row = |k| Tuple::new(vec![Value::Int(k)]);
+        let novel = t
+            .append_rows(vec![row(2), row(1), row(2), row(3), row(3)])
+            .unwrap();
+        assert_eq!(novel, vec![row(2), row(3)]);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]

@@ -79,7 +79,7 @@ mod standing;
 pub use error::FroError;
 pub use server::{Client, Server, ServerOptions};
 pub use session::{CatalogRef, Prepared, Session, StorageRef};
-pub use shared::{DbState, SharedDb};
+pub use shared::{AppendPaths, DbState, SharedDb};
 pub use standing::{Registered, StandingCounters, StandingId, StandingInfo};
 
 /// One-stop imports for applications.

@@ -22,7 +22,7 @@
 //! [`Prepared::run`] executes against the snapshot's storage.
 
 use crate::error::FroError;
-use crate::shared::{register_stats, DbState, SharedDb};
+use crate::shared::{insert_with_stats, DbState, SharedDb};
 use crate::standing::{Registered, StandingCounters, StandingId};
 use fro_algebra::{Attr, Query, Relation, Tuple};
 use fro_core::optimizer::{optimize_with_reduce, CacheLoad, CacheStats, Optimized};
@@ -467,8 +467,7 @@ impl Session {
                     .and_then(|id| storage.get_by_id(id))
                     .is_some_and(|table| table.relation() == rel);
                 if !stored {
-                    register_stats(catalog, name, rel);
-                    storage.insert(name, rel.clone());
+                    insert_with_stats(catalog, storage, name, rel.clone());
                 }
             }
         });

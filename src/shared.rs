@@ -3,13 +3,29 @@
 //! A [`SharedDb`] owns the catalog (statistics, epoch, plan cache) and
 //! the storage behind one copy-on-write cell: readers grab an
 //! [`Arc`]-shared [`DbState`] snapshot and work against it lock-free,
-//! while writers clone-and-swap under a short write lock
-//! ([`SharedDb::mutate`]). An in-flight reader therefore never
-//! observes a torn catalog — it either sees the whole pre-mutation
-//! generation or the whole post-mutation one, and the catalog epoch
-//! inside each generation keeps the plan cache honest exactly as it
-//! does single-threaded: a statistics change bumps the epoch, so a
-//! plan costed under old statistics is never served against new ones.
+//! while writers derive the next generation and swap it in under a
+//! short write lock ([`SharedDb::mutate`]). An in-flight reader
+//! therefore never observes a torn catalog — it either sees the whole
+//! pre-mutation generation or the whole post-mutation one, and the
+//! catalog epoch inside each generation keeps the plan cache honest
+//! exactly as it does single-threaded: a statistics change bumps the
+//! epoch, so a plan costed under old statistics is never served
+//! against new ones.
+//!
+//! ## What a new generation costs
+//!
+//! Generations share everything a mutation does not touch: every table
+//! sits behind its own [`Arc`], and all generations of one `SharedDb`
+//! plan through one plan cache, so deriving a generation is a vector of
+//! pointer bumps plus the O(#tables) statistics. Only the table being
+//! written needs a copy no reader holds, and row appends — the write
+//! that runs beside readers all day — do not make one each time: the
+//! copy the previous append retired is kept with the rows it lags by,
+//! and once its readers are gone the next append takes it back, replays
+//! the lag and its own rows in place, and publishes it (left-right
+//! style). A table is cloned only when it has no retired copy yet, or a
+//! reader still holds it — so a long-lived reader costs one table copy,
+//! not one per write. [`SharedDb::append_paths`] counts the three ways.
 //!
 //! Cheap per-connection [`Session`] handles ([`SharedDb::session`])
 //! carry only policy + execution config and all share this state — and
@@ -21,13 +37,17 @@
 //! [`Session`]: crate::Session
 
 use crate::standing::{self, Registry};
-use fro_algebra::{Attr, Relation, Tuple};
+use fro_algebra::{Attr, RelId, Relation, Tuple};
 use fro_core::Catalog;
-use fro_exec::{ExecStats, RowDelta, Storage};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use fro_exec::{ExecStats, RowDelta, Storage, Table};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 
 /// One immutable generation of the database: catalog + storage,
 /// derived together so ids, statistics and stored rows always agree.
+///
+/// [`Clone`] yields an independent database (its own plan cache; the
+/// tables are shared until either side writes one).
 #[derive(Debug, Clone, Default)]
 pub struct DbState {
     catalog: Catalog,
@@ -46,13 +66,183 @@ impl DbState {
     pub fn storage(&self) -> &Storage {
         &self.storage
     }
+
+    /// The generation that will replace this one: every table and the
+    /// plan cache shared, statistics copied.
+    fn next_generation(&self) -> DbState {
+        DbState {
+            catalog: self.catalog.next_generation(),
+            storage: self.storage.clone(),
+        }
+    }
+}
+
+/// How the row appends of one [`SharedDb`] reached storage (only
+/// appends that stored at least one row are counted).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppendPaths {
+    /// No reader held the table: extended where it stood.
+    pub in_place: u64,
+    /// A reader held the table and the copy retired by an earlier
+    /// append was free again: caught up and published, no table copy.
+    pub recycled: u64,
+    /// A reader held the table and no retired copy was free: the table
+    /// was cloned first.
+    pub copied: u64,
+}
+
+/// A table copy an append retired, kept to be written again.
+#[derive(Debug)]
+struct Spare {
+    /// The table as of some earlier generation. Readers of that
+    /// generation may still hold it; it is written only once they are
+    /// gone ([`Arc::get_mut`]).
+    table: Arc<Table>,
+    /// The rows stored since, in stored order: appending them brings
+    /// `table` level with the current generation's.
+    lag: Vec<Tuple>,
+}
+
+impl Spare {
+    /// The copy brought level with the table it lags, or `None` while a
+    /// reader still holds it.
+    fn caught_up(mut self) -> Option<Arc<Table>> {
+        Arc::get_mut(&mut self.table)?
+            .append_rows(self.lag)
+            .expect("lag rows were stored under this table's scheme");
+        Some(self.table)
+    }
+}
+
+/// What the state lock guards: the published generation and the
+/// writer-side leftovers of earlier ones.
+#[derive(Debug, Default)]
+struct Generations {
+    current: Arc<DbState>,
+    /// At most one retired copy per table, dropped by any write to the
+    /// table other than a row append.
+    spares: HashMap<RelId, Spare>,
+    paths: AppendPaths,
+}
+
+impl Generations {
+    /// The state to mutate: the current generation itself when no
+    /// reader holds it, else its successor — installed right away,
+    /// which readers cannot see before the write lock is released.
+    fn writable(&mut self) -> &mut DbState {
+        if Arc::get_mut(&mut self.current).is_none() {
+            self.current = Arc::new(self.current.next_generation());
+        }
+        Arc::get_mut(&mut self.current).expect("unshared: checked or created just above")
+    }
+
+    /// Keep `spare` for `id` while catching it up is no more work than
+    /// the clone it saves (lag rows ≤ its rows); drop it otherwise.
+    fn keep_spare(&mut self, id: RelId, spare: Spare) {
+        if spare.lag.len() <= spare.table.len() {
+            self.spares.insert(id, spare);
+        }
+    }
+
+    /// Store `rows` in `name`'s table, refresh its statistics and bump
+    /// its row epoch; returns the novel rows (`None`: unknown table or
+    /// a row off its scheme). Costs O(|rows|) plus, when readers hold
+    /// the current generation, O(#tables) — except for the one table
+    /// clone described in the module docs.
+    fn append(&mut self, name: &str, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
+        let id = self.current.storage.rel_id(name)?;
+        let held = self.current.storage.table_arc(id)?;
+        let arity = held.relation().schema().len();
+        if rows.iter().any(|t| t.arity() != arity) {
+            return None;
+        }
+        // Under the write lock, a count of one means the current
+        // generation is the table's only holder; if no reader holds
+        // that either, nobody can be reading the table.
+        let table_unshared = Arc::strong_count(held) == 1;
+        let (novel, retired) = if table_unshared && Arc::get_mut(&mut self.current).is_some() {
+            let novel = self.writable().storage.append_rows(name, rows)?;
+            if novel.is_empty() {
+                return Some(novel);
+            }
+            self.paths.in_place += 1;
+            (novel, None)
+        } else {
+            let recycled = self.spares.remove(&id).and_then(Spare::caught_up);
+            let was_recycled = recycled.is_some();
+            let mut copy = match recycled {
+                Some(copy) => copy,
+                None => Arc::new(Table::clone(self.current.storage.table_arc(id)?)),
+            };
+            let novel = Arc::get_mut(&mut copy)
+                .expect("a caught-up or fresh copy has no other holder")
+                .append_rows(rows)?;
+            if novel.is_empty() {
+                // Nothing to publish; the copy is level with the
+                // current table and ready for the next append.
+                let level = Spare {
+                    table: copy,
+                    lag: Vec::new(),
+                };
+                self.keep_spare(id, level);
+                return Some(novel);
+            }
+            if was_recycled {
+                self.paths.recycled += 1;
+            } else {
+                self.paths.copied += 1;
+            }
+            (novel, self.writable().storage.swap_table(id, copy))
+        };
+        let state = self.writable();
+        let table = state.storage.get_by_id(id)?;
+        refresh_stats_quiet(&mut state.catalog, name, table);
+        state.catalog.bump_row_epoch(name);
+        let spare = match retired {
+            Some(table) => Some(Spare {
+                table,
+                lag: novel.clone(),
+            }),
+            None => self.spares.remove(&id).map(|mut spare| {
+                spare.lag.extend(novel.iter().cloned());
+                spare
+            }),
+        };
+        if let Some(spare) = spare {
+            self.keep_spare(id, spare);
+        }
+        Some(novel)
+    }
+
+    /// Remove `rows` from `name`'s table (rebuilding it from the
+    /// survivors), refresh its statistics and bump its row epoch;
+    /// returns the rows actually removed (`None`: unknown table).
+    fn delete(&mut self, name: &str, rows: &[Tuple]) -> Option<Vec<Tuple>> {
+        let id = self.current.storage.rel_id(name)?;
+        let old = self.current.storage.get_by_id(id)?.relation();
+        let doomed: std::collections::HashSet<&Tuple> = rows.iter().collect();
+        let (removed, kept): (Vec<Tuple>, Vec<Tuple>) =
+            old.rows().iter().cloned().partition(|t| doomed.contains(t));
+        if removed.is_empty() {
+            return Some(removed);
+        }
+        // The survivors were already distinct; their order is the
+        // stored order, so the relation round-trips bit-identically.
+        let rel = Relation::from_distinct_rows(old.schema().clone(), kept);
+        self.spares.remove(&id);
+        let state = self.writable();
+        let table = state.storage.insert(name, rel);
+        refresh_stats_quiet(&mut state.catalog, name, table);
+        state.catalog.bump_row_epoch(name);
+        Some(removed)
+    }
 }
 
 /// The shared, concurrently-usable database: a copy-on-write
 /// [`DbState`] cell. See the module docs for the consistency story.
 #[derive(Debug, Default)]
 pub struct SharedDb {
-    state: RwLock<Arc<DbState>>,
+    state: RwLock<Generations>,
     /// Standing-query views and their maintenance machinery. Lock
     /// order: `standing` strictly before `state` — mutation front
     /// doors hold the registry lock around the whole
@@ -72,11 +262,15 @@ impl SharedDb {
     /// with exact statistics ([`Catalog::from_storage`]).
     #[must_use]
     pub fn from_storage(storage: Storage) -> Arc<SharedDb> {
+        let current = Arc::new(DbState {
+            catalog: Catalog::from_storage(&storage),
+            storage,
+        });
         Arc::new(SharedDb {
-            state: RwLock::new(Arc::new(DbState {
-                catalog: Catalog::from_storage(&storage),
-                storage,
-            })),
+            state: RwLock::new(Generations {
+                current,
+                ..Generations::default()
+            }),
             standing: Mutex::default(),
         })
     }
@@ -86,7 +280,12 @@ impl SharedDb {
     /// produce new generations, they never alter this one.
     #[must_use]
     pub fn snapshot(&self) -> Arc<DbState> {
-        Arc::clone(&self.state.read().expect("shared db lock never poisoned"))
+        let guard = self.state.read().expect("shared db lock never poisoned");
+        Arc::clone(&guard.current)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Generations> {
+        self.state.write().expect("shared db lock never poisoned")
     }
 
     /// Run a mutation against catalog and storage atomically,
@@ -97,11 +296,11 @@ impl SharedDb {
     /// The closure runs under the write lock — keep it short and never
     /// call back into this [`SharedDb`] from inside it.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Catalog, &mut Storage) -> R) -> R {
-        let mut guard = self.state.write().expect("shared db lock never poisoned");
-        // Clone-on-write: outstanding snapshot holders keep the old
-        // generation; we mutate a fresh copy (or in place when nobody
-        // else holds the Arc) and publish it on unlock.
-        let state = Arc::make_mut(&mut guard);
+        let mut guard = self.write();
+        // `f` may replace any table, which would leave that table's
+        // retired copy lagging behind rows that no longer exist.
+        guard.spares.clear();
+        let state = guard.writable();
         f(&mut state.catalog, &mut state.storage)
     }
 
@@ -114,15 +313,26 @@ impl SharedDb {
         crate::Session::connect(self)
     }
 
+    /// How this database's row appends reached storage so far.
+    #[must_use]
+    pub fn append_paths(&self) -> AppendPaths {
+        self.state
+            .read()
+            .expect("shared db lock never poisoned")
+            .paths
+    }
+
     /// Load (or replace) a table: stores the relation and registers
     /// exact statistics — row count and per-column distinct counts —
     /// in the catalog, bumping the epoch.
     pub fn insert_table(&self, name: impl Into<String>, rel: Relation) {
         let name = name.into();
-        self.mutate(|catalog, storage| {
-            register_stats(catalog, &name, &rel);
-            storage.insert(name, rel);
-        });
+        let mut guard = self.write();
+        if let Some(id) = guard.current.storage.rel_id(&name) {
+            guard.spares.remove(&id);
+        }
+        let state = guard.writable();
+        insert_with_stats(&mut state.catalog, &mut state.storage, &name, rel);
     }
 
     /// Append rows to an existing table, republishing it with
@@ -143,27 +353,16 @@ impl SharedDb {
     /// triggered, so session handles can attribute their share.
     pub(crate) fn append_rows_traced(&self, name: &str, rows: Vec<Tuple>) -> (bool, ExecStats) {
         let mut reg = self.standing_lock();
-        let delta = self.mutate(|catalog, storage| {
-            // O(|delta|) storage path: the table's row store, columnar
-            // mirror, indexes, and exact distinct counts are extended
-            // in place — no rebuild, no re-dedup of the base.
-            let novel = storage.append_rows(name, rows)?;
-            if novel.is_empty() {
-                // Every row was a duplicate: nothing changed, keep the
-                // generation (and every epoch) as it is.
-                return Some(RowDelta::default());
-            }
-            let table = storage
-                .rel_id(name)
-                .and_then(|id| storage.get_by_id(id))
-                .expect("table exists: rows were just appended to it");
-            refresh_stats_quiet(catalog, name, table);
-            catalog.bump_row_epoch(name);
-            Some(RowDelta::from_inserts(novel))
-        });
-        match delta {
+        // O(|delta|) storage path: the table's row store, columnar
+        // mirror, indexes, and exact distinct counts are extended in
+        // place — no rebuild, no re-dedup of the base. When every row
+        // was a duplicate nothing changed, and the generation (and
+        // every epoch) stays as it is.
+        let novel = self.write().append(name, rows);
+        match novel {
             None => (false, ExecStats::new()),
-            Some(d) => {
+            Some(novel) => {
+                let d = RowDelta::from_inserts(novel);
                 let stats = standing::apply_base_delta(&mut reg, &self.snapshot(), name, &d);
                 (true, stats)
             }
@@ -185,26 +384,11 @@ impl SharedDb {
     /// triggered.
     pub(crate) fn delete_rows_traced(&self, name: &str, rows: &[Tuple]) -> (bool, ExecStats) {
         let mut reg = self.standing_lock();
-        let delta = self.mutate(|catalog, storage| {
-            let table = storage.rel_id(name).and_then(|id| storage.get_by_id(id))?;
-            let old = table.relation();
-            let doomed: std::collections::HashSet<&Tuple> = rows.iter().collect();
-            let (removed, kept): (Vec<Tuple>, Vec<Tuple>) =
-                old.rows().iter().cloned().partition(|t| doomed.contains(t));
-            if removed.is_empty() {
-                return Some(RowDelta::default());
-            }
-            // The survivors were already distinct; their order is the
-            // stored order, so the relation round-trips bit-identically.
-            let rel = Relation::from_distinct_rows(old.schema().clone(), kept);
-            let table = storage.insert(name, rel);
-            refresh_stats_quiet(catalog, name, table);
-            catalog.bump_row_epoch(name);
-            Some(RowDelta::from_deletes(removed))
-        });
-        match delta {
+        let removed = self.write().delete(name, rows);
+        match removed {
             None => (false, ExecStats::new()),
-            Some(d) => {
+            Some(removed) => {
+                let d = RowDelta::from_deletes(removed);
                 let stats = standing::apply_base_delta(&mut reg, &self.snapshot(), name, &d);
                 (true, stats)
             }
@@ -224,30 +408,43 @@ impl SharedDb {
     /// to the catalog. Returns `false` (doing nothing) when the table
     /// or an attribute is unknown.
     pub fn create_index(&self, rel: &str, attrs: &[Attr]) -> bool {
-        self.mutate(|catalog, storage| {
-            let built = storage.create_index(rel, attrs);
-            if built {
-                catalog.add_index(rel, attrs);
-            }
-            built
-        })
+        let mut guard = self.write();
+        let Some(id) = guard.current.storage.rel_id(rel) else {
+            return false;
+        };
+        // A retired copy would lack the index.
+        guard.spares.remove(&id);
+        let state = guard.writable();
+        let built = state.storage.create_index(rel, attrs);
+        if built {
+            state.catalog.add_index(rel, attrs);
+        }
+        built
     }
 
     /// Override a column's distinct count (what-if statistics). Bumps
     /// the catalog epoch, so cached plans costed under the old
     /// statistics are invalidated automatically.
     pub fn set_distinct(&self, attr: &Attr, distinct: u64) {
-        self.mutate(|catalog, _| catalog.set_distinct(attr, distinct));
+        self.write().writable().catalog.set_distinct(attr, distinct);
     }
 }
 
-/// Register exact statistics for one relation: row count plus true
-/// per-column distinct counts.
-pub(crate) fn register_stats(catalog: &mut Catalog, name: &str, rel: &Relation) {
-    catalog.add_table(name, rel.schema().clone(), rel.len() as u64);
-    for (c, a) in rel.schema().attrs().iter().enumerate() {
-        let distinct: std::collections::HashSet<_> = rel.rows().iter().map(|t| t.get(c)).collect();
-        catalog.set_distinct(a, distinct.len() as u64);
+/// Store `rel` as table `name` and register its exact statistics —
+/// row count plus true per-column distinct counts, read off the
+/// columnar mirror the table was just built with (null counts as one
+/// distinct value). Bumps the catalog epoch.
+pub(crate) fn insert_with_stats(
+    catalog: &mut Catalog,
+    storage: &mut Storage,
+    name: &str,
+    rel: Relation,
+) {
+    let table = storage.insert(name, rel);
+    let schema = table.relation().schema().clone();
+    catalog.add_table(name, schema.clone(), table.len() as u64);
+    for (c, a) in schema.attrs().iter().enumerate() {
+        catalog.set_distinct(a, table.columns().column(c).distinct());
     }
 }
 
@@ -256,10 +453,10 @@ pub(crate) fn register_stats(catalog: &mut Catalog, name: &str, rel: &Relation) 
 /// row-epoch granularity instead ([`Catalog::bump_row_epoch`]).
 ///
 /// Reads the exact distinct counts the table's columnar mirror already
-/// maintains (same null-counts-as-one convention as
-/// [`register_stats`]), so refreshing statistics is O(columns), not
-/// O(rows) — which is what keeps the whole append path O(|delta|).
-fn refresh_stats_quiet(catalog: &mut Catalog, name: &str, table: &fro_exec::Table) {
+/// maintains, like [`insert_with_stats`], so refreshing statistics is
+/// O(columns), not O(rows) — which is what keeps the whole append path
+/// O(|delta|).
+fn refresh_stats_quiet(catalog: &mut Catalog, name: &str, table: &Table) {
     catalog.set_rows_quiet(name, table.len() as u64);
     for (c, a) in table.relation().schema().attrs().iter().enumerate() {
         catalog.set_distinct_quiet(a, table.columns().column(c).distinct());
@@ -315,13 +512,215 @@ mod tests {
         db.mutate(|catalog, storage| {
             let a = Relation::from_ints("A", &["x"], &[&[2], &[3]]);
             let b = Relation::from_ints("B", &["y"], &[&[2], &[3]]);
-            register_stats(catalog, "A", &a);
-            register_stats(catalog, "B", &b);
-            storage.insert("A", a);
-            storage.insert("B", b);
+            insert_with_stats(catalog, storage, "A", a);
+            insert_with_stats(catalog, storage, "B", b);
         });
         let s = db.snapshot();
         assert_eq!(s.catalog().table("A").unwrap().rows, 2);
         assert_eq!(s.catalog().table("B").unwrap().rows, 2);
+    }
+
+    /// A table big enough that a retired copy of it is worth keeping
+    /// (lag rows ≤ its rows).
+    fn wide(name: &str, col: &str, rows: i64) -> Relation {
+        let rows: Vec<Vec<i64>> = (0..rows).map(|v| vec![v]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        Relation::from_ints(name, &[col], &refs)
+    }
+
+    fn ints(values: &[i64]) -> Vec<Tuple> {
+        values
+            .iter()
+            .map(|v| Tuple::new(vec![Value::Int(*v)]))
+            .collect()
+    }
+
+    fn rows_of(state: &DbState, name: &str) -> Vec<Tuple> {
+        let id = state.storage().rel_id(name).unwrap();
+        let table = state.storage().get_by_id(id).unwrap();
+        table.relation().rows().to_vec()
+    }
+
+    #[test]
+    fn pinned_appends_share_other_tables_and_recycle_the_retired_copy() {
+        let db = SharedDb::new();
+        for (name, col) in [("A", "x"), ("F", "y"), ("Z", "z")] {
+            db.insert_table(name, wide(name, col, 20));
+        }
+        let pin = db.snapshot();
+        assert!(db.append_rows("F", ints(&[100, 101])));
+        let next = db.snapshot();
+        // Only F was copied: every other table is the same allocation
+        // in both generations.
+        for name in ["A", "Z"] {
+            let id = pin.storage().rel_id(name).unwrap();
+            assert!(std::ptr::eq(
+                pin.storage().get_by_id(id).unwrap(),
+                next.storage().get_by_id(id).unwrap()
+            ));
+        }
+        assert_eq!(rows_of(&pin, "F").len(), 20);
+        assert_eq!(rows_of(&next, "F").len(), 22);
+        assert_eq!(
+            db.append_paths(),
+            AppendPaths {
+                in_place: 0,
+                recycled: 0,
+                copied: 1
+            }
+        );
+        // The reader moves on; the next pinned append takes the retired
+        // copy back instead of cloning.
+        drop(pin);
+        assert!(db.append_rows("F", ints(&[102, 100])));
+        assert_eq!(
+            db.append_paths(),
+            AppendPaths {
+                in_place: 0,
+                recycled: 1,
+                copied: 1
+            }
+        );
+        assert_eq!(
+            rows_of(&next, "F").len(),
+            22,
+            "the pinned reader is undisturbed"
+        );
+        drop(next);
+        let s = db.snapshot();
+        let mut expected = wide("F", "y", 20).rows().to_vec();
+        expected.extend(ints(&[100, 101, 102]));
+        assert_eq!(
+            rows_of(&s, "F"),
+            expected,
+            "stored order as if appended in place"
+        );
+        assert_eq!(s.catalog().table("F").unwrap().rows, 23);
+        assert_eq!(s.catalog().distinct_of(&Attr::parse("F.y")), 23);
+    }
+
+    #[test]
+    fn a_reader_that_never_leaves_costs_one_table_copy() {
+        let db = SharedDb::new();
+        db.insert_table("F", wide("F", "y", 20));
+        let forever = db.snapshot();
+        for v in 0..6 {
+            assert!(db.append_rows("F", ints(&[100 + v])));
+        }
+        // The first append copied F away from the reader; with nobody
+        // on the later generations, the rest extended that copy.
+        assert_eq!(
+            db.append_paths(),
+            AppendPaths {
+                in_place: 5,
+                recycled: 0,
+                copied: 1
+            }
+        );
+        assert_eq!(rows_of(&forever, "F").len(), 20);
+        assert_eq!(rows_of(&db.snapshot(), "F").len(), 26);
+    }
+
+    #[test]
+    fn unpinned_appends_lengthen_the_lag_a_later_recycle_replays() {
+        let db = SharedDb::new();
+        db.insert_table("F", wide("F", "y", 20));
+        let pin = db.snapshot();
+        assert!(db.append_rows("F", ints(&[100])));
+        drop(pin);
+        // In place: the retired copy now lags by two batches.
+        assert!(db.append_rows("F", ints(&[101, 102])));
+        let pin = db.snapshot();
+        assert!(db.append_rows("F", ints(&[103])));
+        assert_eq!(
+            db.append_paths(),
+            AppendPaths {
+                in_place: 1,
+                recycled: 1,
+                copied: 1
+            }
+        );
+        drop(pin);
+        let mut expected = wide("F", "y", 20).rows().to_vec();
+        expected.extend(ints(&[100, 101, 102, 103]));
+        assert_eq!(rows_of(&db.snapshot(), "F"), expected);
+    }
+
+    #[test]
+    fn other_writes_to_the_table_drop_its_retired_copy() {
+        type Write = fn(&SharedDb);
+        let writes: [(&str, Write); 4] = [
+            ("delete", |db| assert!(db.delete_rows("F", &ints(&[3])))),
+            ("replace", |db| db.insert_table("F", wide("F", "y", 30))),
+            ("index", |db| {
+                assert!(db.create_index("F", &[Attr::parse("F.y")]))
+            }),
+            ("mutate", |db| {
+                db.mutate(|_, storage| {
+                    storage.insert("G", wide("G", "g", 1));
+                });
+            }),
+        ];
+        for (what, write) in writes {
+            let db = SharedDb::new();
+            db.insert_table("F", wide("F", "y", 20));
+            let pin = db.snapshot();
+            assert!(db.append_rows("F", ints(&[100])));
+            drop(pin);
+            write(&db);
+            let pin = db.snapshot();
+            let before = rows_of(&pin, "F");
+            assert!(db.append_rows("F", ints(&[101])));
+            assert_eq!(db.append_paths().recycled, 0, "{what}");
+            assert_eq!(db.append_paths().copied, 2, "{what}");
+            // The append landed on what the write left, not on a copy
+            // from before it.
+            let mut expected = before;
+            expected.extend(ints(&[101]));
+            assert_eq!(rows_of(&db.snapshot(), "F"), expected, "{what}");
+            let indexed = |state: &DbState| {
+                let id = state.storage().rel_id("F").unwrap();
+                state.storage().get_by_id(id).unwrap().indexes().len()
+            };
+            assert_eq!(indexed(&db.snapshot()), indexed(&pin), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_table_is_not_worth_a_retired_copy() {
+        let db = SharedDb::new();
+        db.insert_table("F", wide("F", "y", 2));
+        for round in 0..2 {
+            let pin = db.snapshot();
+            let batch: Vec<i64> = (0..8).map(|v| 100 + round * 8 + v).collect();
+            assert!(db.append_rows("F", ints(&batch)));
+            drop(pin);
+        }
+        // Catching a 2-row copy up by 8 rows is no cheaper than
+        // cloning, so the first append kept none; the second (8 rows
+        // behind 10) did.
+        assert_eq!(db.append_paths().copied, 2);
+        let pin = db.snapshot();
+        assert!(db.append_rows("F", ints(&[900])));
+        assert_eq!(db.append_paths().recycled, 1);
+        drop(pin);
+        assert_eq!(rows_of(&db.snapshot(), "F").len(), 19);
+    }
+
+    #[test]
+    fn a_pinned_append_of_known_rows_keeps_the_generation() {
+        let db = SharedDb::new();
+        db.insert_table("F", wide("F", "y", 20));
+        let pin = db.snapshot();
+        assert!(db.append_rows("F", ints(&[3, 4])));
+        assert!(Arc::ptr_eq(&pin, &db.snapshot()), "nothing was published");
+        assert_eq!(db.append_paths(), AppendPaths::default());
+        // A row off the scheme is refused before anything is copied.
+        assert!(!db.append_rows("F", vec![Tuple::new(vec![Value::Int(1), Value::Int(2)])]));
+        assert!(Arc::ptr_eq(&pin, &db.snapshot()));
+        // The copy made to find that out is the next append's.
+        assert!(db.append_rows("F", ints(&[100])));
+        assert_eq!(db.append_paths().recycled, 1);
+        assert_eq!(db.append_paths().copied, 0);
     }
 }

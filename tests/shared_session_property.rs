@@ -13,11 +13,21 @@
 //!   of the per-generation expected results, never a mix;
 //! * epoch bumps invalidate across threads — after a statistics
 //!   change, no thread's next prepare is served the stale plan;
-//! * per-session cache counters merge sanely: with a quiescent
-//!   catalog, the sum over handles equals the shared cumulative stats.
+//! * per-session cache counters merge sanely: the sum over handles
+//!   equals the shared cumulative stats — also for plans made on a
+//!   generation that a mutation has since replaced;
+//! * pinned readers are undisturbed: a snapshot or `Prepared` held
+//!   across 1, 2 or 5 later appends/deletes to the same table (one
+//!   held forever) re-reads bit-identically what it read when it
+//!   pinned, while the final state equals a single-threaded replay —
+//!   under one writer and under several.
 
+mod common;
+
+use common::{read_tables, Pinned};
 use fro::prelude::*;
-use fro_algebra::{Pred, Query, Relation};
+use fro_algebra::{Pred, Query, Relation, Tuple, Value};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -255,4 +265,187 @@ fn epoch_bumps_invalidate_across_threads() {
         }
     }
     assert!(replans >= 1, "at least the first thread re-plans");
+}
+
+#[test]
+fn counters_sum_exactly_across_a_mutation() {
+    let db = SharedDb::new();
+    chain_tables(&db, 0);
+    let (a, b) = (db.session(), db.session());
+    let _ = a.prepare(&chain_query(0)).unwrap();
+    // `old` pins the generation the mutation below replaces; planning
+    // through it afterwards must still land in the one shared cache.
+    let old = a.catalog();
+    assert!(db.append_rows("R3", vec![Tuple::new(vec![Value::Int(77)])]));
+    let on_old = optimize(&chain_query(1), &old, Policy::Paper).unwrap();
+    assert!(on_old.cache.hits + on_old.cache.misses > 0);
+    let _ = b.prepare(&chain_query(2)).unwrap();
+
+    let total = b.cache_stats();
+    let mut sum = on_old.cache;
+    sum.merge(&a.local_cache_stats());
+    sum.merge(&b.local_cache_stats());
+    assert_eq!(total.hits, sum.hits);
+    assert_eq!(total.misses, sum.misses);
+    assert_eq!(total.stale, sum.stale);
+}
+
+fn ints(values: impl IntoIterator<Item = i64>) -> Vec<Tuple> {
+    values
+        .into_iter()
+        .map(|v| Tuple::new(vec![Value::Int(v)]))
+        .collect()
+}
+
+/// Step `i` of the single-writer script: mostly appends to `R2` (some
+/// rows duplicating stored ones), now and then a delete of rows an
+/// earlier step appended, or an append to another table.
+fn scripted_step(db: &SharedDb, i: i64) {
+    match i % 7 {
+        3 => assert!(db.delete_rows("R2", &ints([100 + (i - 2) * 4, 100 + (i - 3) * 4 + 1]))),
+        5 => assert!(db.append_rows("R3", ints([200 + i]))),
+        _ => assert!(db.append_rows("R2", ints([100 + i * 4, 100 + i * 4 + 1, 3, 100 + i * 4]))),
+    }
+}
+
+fn assert_same_state(a: &SharedDb, b: &SharedDb, ctx: &str) {
+    let (a, b) = (a.snapshot(), b.snapshot());
+    assert_eq!(read_tables(&a), read_tables(&b), "{ctx}: rows");
+    for name in ["R1", "R2", "R3"] {
+        let (ta, tb) = (
+            a.catalog().table(name).unwrap(),
+            b.catalog().table(name).unwrap(),
+        );
+        assert_eq!(ta.rows, tb.rows, "{ctx}: {name} row count");
+        for attr in ta.schema.attrs() {
+            assert_eq!(ta.distinct_of(attr), tb.distinct_of(attr), "{ctx}: {attr}");
+        }
+    }
+}
+
+#[test]
+fn pinned_readers_reread_identically_while_one_writer_moves_on() {
+    const STEPS: i64 = 60;
+    // The same script with no reader in sight.
+    let replay = SharedDb::new();
+    chain_tables(&replay, 6);
+    for i in 0..STEPS {
+        scripted_step(&replay, i);
+    }
+
+    let db = SharedDb::new();
+    chain_tables(&db, 6);
+    let session = db.session();
+    let forever = Pinned::pin(&session, &chain_query(0));
+    let mut held: VecDeque<(i64, Pinned)> = VecDeque::new();
+    for i in 0..STEPS {
+        // Held across the next 1, 2 or 5 writes.
+        held.push_back((
+            i + [1, 2, 5][i as usize % 3],
+            Pinned::pin(&session, &chain_query(0)),
+        ));
+        scripted_step(&db, i);
+        forever.assert_unchanged(&format!("forever pin after step {i}"));
+        for (until, pin) in &held {
+            pin.assert_unchanged(&format!("pin due at {until} after step {i}"));
+        }
+        held.retain(|(until, _)| *until > i + 1);
+    }
+    assert_same_state(&db, &replay, "pinned run vs replay");
+    let fresh = session.prepare(&chain_query(0)).unwrap().run().unwrap();
+    let replayed = replay.session().prepare(&chain_query(0)).unwrap();
+    assert_eq!(fresh, replayed.run().unwrap());
+    // Every append ran beside a reader; some found the copy the
+    // previous one retired free again, some found a pin still on it.
+    let paths = db.append_paths();
+    assert_eq!(paths.in_place, 0, "{paths:?}");
+    assert!(paths.recycled > 0 && paths.copied > 0, "{paths:?}");
+}
+
+#[test]
+fn pinned_readers_reread_identically_under_several_writers() {
+    const WRITERS: usize = 4;
+    const APPENDS: usize = 15;
+    let db = SharedDb::new();
+    chain_tables(&db, 6);
+    let forever = Pinned::pin(&db.session(), &chain_query(0));
+    let barrier = Arc::new(Barrier::new(WRITERS));
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let db = Arc::clone(&db);
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || {
+                let session = db.session();
+                let mut held: VecDeque<(usize, Pinned)> = VecDeque::new();
+                barrier.wait();
+                for i in 0..APPENDS {
+                    held.push_back((
+                        i + [1, 2, 5][(t + i) % 3],
+                        Pinned::pin(&session, &chain_query(0)),
+                    ));
+                    // Unique per (writer, step); every third write also
+                    // retracts this writer's previous row.
+                    let v = (1_000 * (t + 1) + i) as i64;
+                    assert!(session.append_rows("R2", ints([v])));
+                    if i % 3 == 2 {
+                        assert!(session.delete_rows("R2", &ints([v - 1])));
+                    }
+                    for (until, pin) in &held {
+                        pin.assert_unchanged(&format!("writer {t} pin due at {until}, step {i}"));
+                    }
+                    held.retain(|(until, _)| *until > i + 1);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    forever.assert_unchanged("forever pin after all writers");
+
+    // Single-threaded replay of the same writes, writer by writer: the
+    // stored order differs, the stored set and the statistics do not.
+    let replay = SharedDb::new();
+    chain_tables(&replay, 6);
+    for t in 0..WRITERS {
+        for i in 0..APPENDS {
+            let v = (1_000 * (t + 1) + i) as i64;
+            assert!(replay.append_rows("R2", ints([v])));
+            if i % 3 == 2 {
+                assert!(replay.delete_rows("R2", &ints([v - 1])));
+            }
+        }
+    }
+    let as_set = |db: &SharedDb| -> BTreeSet<Tuple> {
+        let state = db.snapshot();
+        let id = state.storage().rel_id("R2").unwrap();
+        let table = state.storage().get_by_id(id).unwrap();
+        table.relation().rows().iter().cloned().collect()
+    };
+    assert_eq!(as_set(&db), as_set(&replay));
+    let (a, b) = (db.snapshot(), replay.snapshot());
+    let (ta, tb) = (
+        a.catalog().table("R2").unwrap(),
+        b.catalog().table("R2").unwrap(),
+    );
+    assert_eq!(ta.rows, tb.rows);
+    assert_eq!(ta.rows as usize, as_set(&db).len());
+    assert_eq!(
+        ta.distinct_of(&fro_algebra::Attr::parse("R2.k2")),
+        tb.distinct_of(&fro_algebra::Attr::parse("R2.k2"))
+    );
+    let out = |db: &Arc<SharedDb>| {
+        db.session()
+            .prepare(&chain_query(0))
+            .unwrap()
+            .run()
+            .unwrap()
+    };
+    assert!(out(&db).set_eq(&out(&replay)));
+    let paths = db.append_paths();
+    assert_eq!(
+        paths.in_place + paths.recycled + paths.copied,
+        (WRITERS * APPENDS) as u64,
+        "{paths:?}"
+    );
 }

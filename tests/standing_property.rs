@@ -15,11 +15,18 @@
 //!   query graph) share a single materialized view;
 //! * maintenance counters attribute exactly: with all mutations driven
 //!   through session handles, the per-handle sums equal the shared
-//!   totals, and the work per append is O(delta), not O(base).
+//!   totals, and the work per append is O(delta), not O(base);
+//! * readers pinned across 1, 2 or 5 later appends/deletes to the same
+//!   table (one forever) re-read bit-identically, while every view —
+//!   after each step and at the end, under one writer and several —
+//!   equals the one a reader-free single-threaded replay maintains.
 
+mod common;
+
+use common::{read_tables, Pinned};
 use fro::prelude::*;
 use fro_algebra::{Pred, Query, Relation, Tuple, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -361,4 +368,146 @@ fn maintenance_work_is_proportional_to_the_delta_not_the_base() {
         after.views_refreshed, before.views_refreshed,
         "the append was absorbed incrementally, not by re-running"
     );
+}
+
+/// A seeded append (two or three rows, one of them maybe stored
+/// already) or delete (a row an earlier append stored) on `L` or `R`.
+fn random_mutation(session: &Session, rng: &mut Lcg, appended: &mut [Vec<Tuple>; 2], pay: i64) {
+    let slot = rng.below(2) as usize;
+    let table = ["L", "R"][slot];
+    if rng.below(4) == 0 && !appended[slot].is_empty() {
+        let at = rng.below(appended[slot].len() as u64) as usize;
+        let victim = appended[slot].remove(at);
+        assert!(session.delete_rows(table, &[victim]));
+        return;
+    }
+    let mut batch = vec![
+        int_row(&[rng.below(10) as i64, pay]),
+        int_row(&[rng.below(10) as i64, pay + 1]),
+    ];
+    appended[slot].extend(batch.iter().cloned());
+    if let Some(t) = appended[slot].first() {
+        batch.push(t.clone());
+    }
+    assert!(session.append_rows(table, batch));
+}
+
+#[test]
+fn views_under_pinned_readers_equal_a_reader_free_replay() {
+    for (kind, kind_name) in KINDS.iter().enumerate() {
+        let q = joined(kind);
+        // Two databases run one script; only the first has readers.
+        let side = || {
+            let session = SharedDb::new().session();
+            let mut rng = Lcg::new(0xA7 + kind as u64);
+            seed_tables(&session, &mut rng, 16);
+            let id = session.register_standing(&q).unwrap().id;
+            (session, id, rng, [Vec::new(), Vec::new()])
+        };
+        let (pinned, view, mut rng, mut appended) = side();
+        let (replay, replay_view, mut replay_rng, mut replayed) = side();
+
+        let forever = Pinned::pin(&pinned, &q);
+        let mut held: VecDeque<(usize, Pinned)> = VecDeque::new();
+        for step in 0..45 {
+            held.push_back((step + [1, 2, 5][step % 3], Pinned::pin(&pinned, &q)));
+            let pay = 1_000 + 2 * step as i64;
+            random_mutation(&pinned, &mut rng, &mut appended, pay);
+            random_mutation(&replay, &mut replay_rng, &mut replayed, pay);
+
+            forever.assert_unchanged(&format!("{kind_name}: forever pin, step {step}"));
+            for (until, pin) in &held {
+                pin.assert_unchanged(&format!("{kind_name}: pin due at {until}, step {step}"));
+            }
+            held.retain(|(until, _)| *until > step + 1);
+
+            let (got, _) = pinned.poll_standing(view).unwrap();
+            let (want, _) = replay.poll_standing(replay_view).unwrap();
+            assert_eq!(got, want, "{kind_name}: view vs replay at step {step}");
+            let cold = pinned.prepare(&q).unwrap().run().unwrap();
+            assert_eq!(
+                got,
+                canonical(&cold),
+                "{kind_name}: view vs cold at step {step}"
+            );
+        }
+        assert_eq!(
+            read_tables(&pinned.shared().snapshot()),
+            read_tables(&replay.shared().snapshot()),
+            "{kind_name}: final tables"
+        );
+        // No mutation forced a view to re-execute on either side.
+        assert_eq!(pinned.maintenance_stats().views_refreshed, 1, "{kind_name}");
+        let paths = pinned.shared().append_paths();
+        assert_eq!(paths.in_place, 0, "{kind_name}: {paths:?}");
+        assert!(paths.recycled > 0, "{kind_name}: {paths:?}");
+    }
+}
+
+#[test]
+fn views_converge_under_several_writers_with_pinned_readers() {
+    for writers in [2usize, 4] {
+        let q = joined(1); // left outer: padding makes divergence loud
+        let rows_of = |t: usize| -> Vec<Tuple> {
+            (0..12)
+                .map(|i| int_row(&[((t + i) % 9) as i64, (10_000 + t * 1_000 + i) as i64]))
+                .collect()
+        };
+        let db = SharedDb::new();
+        let setup = db.session();
+        seed_tables(&setup, &mut Lcg::new(writers as u64), 16);
+        let view = setup.register_standing(&q).unwrap().id;
+        let forever = Pinned::pin(&setup, &q);
+
+        let barrier = Arc::new(Barrier::new(writers));
+        let handles: Vec<_> = (0..writers)
+            .map(|t| {
+                let (db, barrier, q) = (Arc::clone(&db), Arc::clone(&barrier), q.clone());
+                let rows = rows_of(t);
+                thread::spawn(move || {
+                    let session = db.session();
+                    let mut held: VecDeque<(usize, Pinned)> = VecDeque::new();
+                    barrier.wait();
+                    for (i, row) in rows.iter().enumerate() {
+                        held.push_back((i + [1, 2, 5][(t + i) % 3], Pinned::pin(&session, &q)));
+                        // All writers append to the same table; every
+                        // fourth write retracts the writer's last row.
+                        assert!(session.append_rows("R", vec![row.clone()]));
+                        if i % 4 == 3 {
+                            assert!(session.delete_rows("R", &[rows[i - 1].clone()]));
+                        }
+                        for (until, pin) in &held {
+                            pin.assert_unchanged(&format!(
+                                "writer {t}: pin due at {until}, step {i}"
+                            ));
+                        }
+                        held.retain(|(until, _)| *until > i + 1);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        forever.assert_unchanged("forever pin after all writers");
+
+        // Single-threaded, reader-free replay of the same writes.
+        let replay = SharedDb::new().session();
+        seed_tables(&replay, &mut Lcg::new(writers as u64), 16);
+        let replay_view = replay.register_standing(&q).unwrap().id;
+        for t in 0..writers {
+            let rows = rows_of(t);
+            for (i, row) in rows.iter().enumerate() {
+                assert!(replay.append_rows("R", vec![row.clone()]));
+                if i % 4 == 3 {
+                    assert!(replay.delete_rows("R", &[rows[i - 1].clone()]));
+                }
+            }
+        }
+        let (got, _) = setup.poll_standing(view).unwrap();
+        let (want, _) = replay.poll_standing(replay_view).unwrap();
+        assert_eq!(got, want, "{writers} writers: view vs replay");
+        let cold = setup.prepare(&q).unwrap().run().unwrap();
+        assert_eq!(got, canonical(&cold), "{writers} writers: view vs cold");
+    }
 }
