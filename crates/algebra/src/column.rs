@@ -32,7 +32,7 @@
 
 use crate::ops::{BoundPred, BoundScalar};
 use crate::predicate::CmpOp;
-use crate::relation::Relation;
+use crate::relation::{remove_at, survivors_behind, Relation};
 use crate::truth::Truth;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -101,6 +101,25 @@ impl Bitmap {
     pub fn grow(&mut self, add: usize) {
         self.len += add;
         self.words.resize(self.len.div_ceil(64), 0);
+    }
+
+    /// Drop the bits at positions `ids` (ascending, distinct, in
+    /// range), closing the gaps: the bits behind each move down.
+    /// Touches nothing before `ids[0]`.
+    pub fn remove_bits(&mut self, ids: &[usize]) {
+        let mut kept = ids.first().copied().unwrap_or(self.len);
+        for i in survivors_behind(ids, self.len) {
+            let bit = 1u64 << (kept % 64);
+            if self.get(i) {
+                self.words[kept / 64] |= bit;
+            } else {
+                self.words[kept / 64] &= !bit;
+            }
+            kept += 1;
+        }
+        self.len = kept;
+        self.words.truncate(kept.div_ceil(64));
+        self.mask_tail();
     }
 
     /// Set bit `i`.
@@ -392,6 +411,69 @@ impl Column {
         &self.validity
     }
 
+    /// Min and max of `key` over the non-null rows in `lo..hi`.
+    fn min_max_by<K: Ord + Copy>(
+        &self,
+        lo: usize,
+        hi: usize,
+        key: impl Fn(usize) -> K,
+    ) -> Option<(K, K)> {
+        let mut acc: Option<(K, K)> = None;
+        self.validity.for_each_one_in(lo, hi, |i| {
+            let k = key(i);
+            acc = Some(acc.map_or((k, k), |(min, max)| (min.min(k), max.max(k))));
+        });
+        acc
+    }
+
+    /// Recompute the zone metadata from zone `from_zone` to the end of
+    /// a column now `rows` long, reading the typed vector; strings
+    /// compare by their rank in the sealed `dict`, which is their
+    /// order as values.
+    fn rezone(&mut self, dict: &Dictionary, from_zone: usize, rows: usize) {
+        self.zones.truncate(from_zone);
+        let mut lo = from_zone * ZONE_ROWS;
+        while lo < rows {
+            let hi = (lo + ZONE_ROWS).min(rows);
+            let min_max = match &self.data {
+                ColData::Int(xs) => self
+                    .min_max_by(lo, hi, |i| xs[i])
+                    .map(|(a, b)| (Value::Int(a), Value::Int(b))),
+                ColData::Bool(xs) => self
+                    .min_max_by(lo, hi, |i| xs[i])
+                    .map(|(a, b)| (Value::Bool(a), Value::Bool(b))),
+                ColData::Str(xs) => self
+                    .min_max_by(lo, hi, |i| (dict.rank(xs[i]), xs[i]))
+                    .map(|((_, a), (_, b))| (dict.value(a).clone(), dict.value(b).clone())),
+                ColData::Mixed(xs) => self
+                    .min_max_by(lo, hi, |i| &xs[i])
+                    .map(|(a, b)| (a.clone(), b.clone())),
+            };
+            let nulls = (hi - lo) - self.validity.count_ones_range(lo, hi);
+            self.zones.push(Zone { min_max, nulls });
+            lo = hi;
+        }
+    }
+
+    /// Drop the rows at `ids` (ascending, distinct) from this column's
+    /// vector and validity, leaving `rows` rows, and recompute the
+    /// zones the removal reached: the one holding `ids[0]` and, since
+    /// every later row moved down, all behind it.
+    fn delete(&mut self, ids: &[usize], rows: usize, dict: &Dictionary) {
+        let Some(&first) = ids.first() else {
+            return;
+        };
+        self.null_count -= ids.iter().filter(|&&i| !self.validity.get(i)).count();
+        match &mut self.data {
+            ColData::Int(xs) => remove_at(xs, ids),
+            ColData::Bool(xs) => remove_at(xs, ids),
+            ColData::Str(xs) => remove_at(xs, ids),
+            ColData::Mixed(xs) => remove_at(xs, ids),
+        }
+        self.validity.remove_bits(ids);
+        self.rezone(dict, first / ZONE_ROWS, rows);
+    }
+
     /// Push the values of `rows` at column `c` onto this column's
     /// vectors, starting at row id `old_rows`. Values were already
     /// validated against the layout by [`ColumnSet::append_rows`]. The
@@ -546,11 +628,14 @@ impl ColumnSet {
         let n = rel.len();
         let width = rel.schema().len();
         let mut dict = Dictionary::default();
-        let mut cols = Vec::with_capacity(width);
-        for c in 0..width {
-            cols.push(ColumnSet::build_column(rel, c, &mut dict));
-        }
+        let mut cols: Vec<Column> = (0..width)
+            .map(|c| ColumnSet::build_column(rel, c, &mut dict))
+            .collect();
+        // Zones last: string min/max reads the ranks sealing assigns.
         dict.seal();
+        for col in &mut cols {
+            col.rezone(&dict, 0, n);
+        }
         ColumnSet {
             rows: n,
             dict,
@@ -558,6 +643,8 @@ impl ColumnSet {
         }
     }
 
+    /// Column `c` of `rel`, all but its zones — [`ColumnSet::build`]
+    /// fills those in once the dictionary is sealed.
     fn build_column(rel: &Relation, c: usize, dict: &mut Dictionary) -> Column {
         #[derive(Clone, Copy, PartialEq)]
         enum Kind {
@@ -641,33 +728,6 @@ impl ColumnSet {
             }
         };
 
-        // Zone metadata pass: min/max over non-null values plus a null
-        // count per ZONE_ROWS chunk.
-        let mut zones = Vec::with_capacity(n.div_ceil(ZONE_ROWS));
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + ZONE_ROWS).min(n);
-            let mut min_max: Option<(Value, Value)> = None;
-            let mut nulls = 0usize;
-            for t in &rel.rows()[lo..hi] {
-                let v = t.get(c);
-                if v.is_null() {
-                    nulls += 1;
-                    continue;
-                }
-                min_max = Some(match min_max {
-                    None => (v.clone(), v.clone()),
-                    Some((zmin, zmax)) => {
-                        let zmin = if *v < zmin { v.clone() } else { zmin };
-                        let zmax = if *v > zmax { v.clone() } else { zmax };
-                        (zmin, zmax)
-                    }
-                });
-            }
-            zones.push(Zone { min_max, nulls });
-            lo = hi;
-        }
-
         // Exact distinct count with the catalog's convention: null, if
         // present, counts as one value.
         let distinct = rel
@@ -682,7 +742,28 @@ impl ColumnSet {
             validity,
             null_count,
             distinct,
-            zones,
+            zones: Vec::new(),
+        }
+    }
+
+    /// Remove the rows at positions `ids` (ascending, distinct, in
+    /// range) in place — the layout-maintenance path behind base-table
+    /// deletes, the mirror image of [`ColumnSet::append_rows`]. Every
+    /// column compacts its typed vector and validity bitmap, adjusts
+    /// its null count and recomputes its zones from the first one
+    /// touched; `distinct` supplies the new exact distinct counts.
+    /// Costs the rows from `ids[0]` on. Unlike an append, a delete
+    /// always fits the layout: a column keeps its type even if the
+    /// values that widened it are gone, and the sealed dictionary keeps
+    /// the strings no row uses any more (their codes stay valid, their
+    /// ranks stay consistent with string order), so readers see what a
+    /// rebuild over the survivors would show them.
+    pub fn delete_rows(&mut self, ids: &[usize], distinct: &[u64]) {
+        debug_assert_eq!(distinct.len(), self.cols.len());
+        self.rows -= ids.len();
+        for (col, &d) in self.cols.iter_mut().zip(distinct) {
+            col.delete(ids, self.rows, &self.dict);
+            col.distinct = d;
         }
     }
 
@@ -1201,26 +1282,26 @@ mod tests {
             Relation::from_distinct_rows(full.schema().clone(), full.rows()[..split].to_vec());
         let mut cs = ColumnSet::build(&prefix);
         let suffix: Vec<Tuple> = full.rows()[split..].to_vec();
-        let distinct: Vec<u64> = (0..full.schema().len())
-            .map(|c| {
-                full.rows()
-                    .iter()
-                    .map(|t| t.get(c))
-                    .collect::<HashSet<_>>()
-                    .len() as u64
-            })
-            .collect();
+        let distinct = distinct_counts(&full);
         assert!(
             cs.append_rows(&suffix, &distinct),
             "suffix values all fit the prefix layout"
         );
-        let rebuilt = ColumnSet::build(&full);
+        assert_reads_like_a_rebuild(&cs, &full);
+    }
+
+    /// Everything a reader can ask of `cs` answers as a mirror built
+    /// from scratch over `rel` would: cells, validity, null and
+    /// distinct counts, every zone, the predicate kernel (zones
+    /// included) and key hashes.
+    fn assert_reads_like_a_rebuild(cs: &ColumnSet, rel: &Relation) {
+        let rebuilt = ColumnSet::build(rel);
         assert_eq!(cs.rows(), rebuilt.rows());
         for c in 0..cs.width() {
             let (a, b) = (cs.column(c), rebuilt.column(c));
             assert_eq!(a.null_count(), b.null_count(), "col {c}");
             assert_eq!(a.distinct(), b.distinct(), "col {c}");
-            assert_eq!(a.min_max(), b.min_max(), "col {c}");
+            assert_eq!(a.validity(), b.validity(), "col {c}");
             assert_eq!(a.zones().len(), b.zones().len(), "col {c}");
             for (z, (za, zb)) in a.zones().iter().zip(b.zones()).enumerate() {
                 assert_eq!(za.min_max(), zb.min_max(), "col {c} zone {z}");
@@ -1228,13 +1309,64 @@ mod tests {
             }
             for r in 0..cs.rows() {
                 assert_eq!(cs.value_at(r, c), rebuilt.value_at(r, c), "cell {r},{c}");
+                assert_eq!(cs.hash_key_at(&[c], r), rebuilt.hash_key_at(&[c], r));
             }
         }
-        // The predicate kernel over the appended mirror matches the
-        // row-at-a-time oracle, zones included.
         for p in pred_suite() {
-            assert_mask_matches(&full, &cs, &p);
+            assert_mask_matches(rel, cs, &p);
         }
+    }
+
+    fn distinct_counts(rel: &Relation) -> Vec<u64> {
+        (0..rel.schema().len())
+            .map(|c| {
+                rel.rows()
+                    .iter()
+                    .map(|t| t.get(c))
+                    .collect::<HashSet<_>>()
+                    .len() as u64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn delete_rows_matches_full_rebuild() {
+        // Each round removes rows in place and compares with a mirror
+        // built over the survivors.
+        let mut rel = mixed_relation(4000, 5);
+        let mut cs = ColumnSet::build(&rel);
+        assert!(cs.column(0).zones().len() >= 3);
+        type Pick = fn(usize) -> Vec<usize>;
+        let rounds: [Pick; 5] = [
+            |n| vec![n - 1],                             // the last row
+            |n| (0..n).filter(|i| i % 7 == 3).collect(), // some of every zone
+            |_| (1024..1400).collect(),                  // deep in one zone
+            |_| vec![0, 1, 2, 700],                      // the front
+            |n| (100..n - 50).collect(),                 // down to one short zone
+        ];
+        for (round, pick) in rounds.iter().enumerate() {
+            let ids = pick(rel.len());
+            rel.remove_rows_at(&ids);
+            cs.delete_rows(&ids, &distinct_counts(&rel));
+            assert_reads_like_a_rebuild(&cs, &rel);
+            assert!(!rel.is_empty(), "round {round} leaves rows to compare");
+        }
+        assert_eq!(cs.column(0).zones().len(), 1);
+        // Appends land on the compacted layout like on a fresh one.
+        let more = mixed_relation(4000, 5).rows()[..1500].to_vec();
+        let more: Vec<Tuple> = more
+            .into_iter()
+            .filter(|t| !rel.rows().contains(t))
+            .collect();
+        rel.extend_distinct(more.clone());
+        assert!(cs.append_rows(&more, &distinct_counts(&rel)));
+        assert_reads_like_a_rebuild(&cs, &rel);
+        // Emptied: no rows, no zones.
+        let all: Vec<usize> = (0..rel.len()).collect();
+        rel.remove_rows_at(&all);
+        cs.delete_rows(&all, &distinct_counts(&rel));
+        assert_reads_like_a_rebuild(&cs, &rel);
+        assert!(cs.column(0).zones().is_empty());
     }
 
     #[test]

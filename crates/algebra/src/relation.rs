@@ -16,20 +16,24 @@ use std::sync::Arc;
 /// definitions require them — [`Relation::insert`] deduplicates, and
 /// [`Relation::set_eq`] compares canonicalized sorted sets after
 /// padding both sides to the union scheme.
+///
+/// The rows sit behind an [`Arc`], so [`Clone`] is a pointer bump: a
+/// scan result, an exported [`crate::Database`] and a polled view all
+/// share the stored rows. Every mutator goes through
+/// [`Arc::make_mut`], which writes in place while this relation is the
+/// rows' only holder and copies them once, first, while a clone still
+/// reads them — a clone never sees a later write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     schema: SchemaRef,
-    rows: Vec<Tuple>,
+    rows: Arc<Vec<Tuple>>,
 }
 
 impl Relation {
     /// An empty relation on the given scheme.
     #[must_use]
     pub fn empty(schema: SchemaRef) -> Relation {
-        Relation {
-            schema,
-            rows: Vec::new(),
-        }
+        Relation::from_distinct_rows(schema, Vec::new())
     }
 
     /// Build a relation from a scheme and rows, deduplicating (hash
@@ -53,7 +57,7 @@ impl Relation {
                 kept.push(r);
             }
         }
-        Ok(Relation { schema, rows: kept })
+        Ok(Relation::from_distinct_rows(schema, kept))
     }
 
     /// Convenience: a ground relation of integers.
@@ -127,7 +131,7 @@ impl Relation {
             },
             "extend_distinct rows must be distinct"
         );
-        self.rows.extend(rows);
+        Arc::make_mut(&mut self.rows).extend(rows);
     }
 
     /// Insert a tuple (set semantics: duplicates are dropped).
@@ -144,13 +148,84 @@ impl Relation {
         if self.rows.contains(&t) {
             return Ok(false);
         }
-        self.rows.push(t);
+        Arc::make_mut(&mut self.rows).push(t);
         Ok(true)
     }
 
     /// Insert a tuple, panicking on arity mismatch (builder use).
     pub fn insert(&mut self, t: Tuple) -> bool {
         self.try_insert(t).expect("tuple arity matches schema")
+    }
+
+    /// Whether a clone of this relation still reads the same rows — in
+    /// which case the next mutation copies them first.
+    #[must_use]
+    pub fn rows_are_shared(&self) -> bool {
+        Arc::strong_count(&self.rows) > 1
+    }
+
+    /// Take out the rows at positions `ids` (ascending, distinct, in
+    /// range), closing the gaps where they stood: the survivors keep
+    /// their stored order. Returns the removed rows in stored order.
+    /// Costs the rows from `ids[0]` on, not the relation.
+    pub fn remove_rows_at(&mut self, ids: &[usize]) -> Vec<Tuple> {
+        let rows = Arc::make_mut(&mut self.rows);
+        // An empty tuple owns no heap memory, so taking a row out
+        // allocates nothing.
+        let removed = ids
+            .iter()
+            .map(|&i| std::mem::replace(&mut rows[i], Tuple::nulls(0)))
+            .collect();
+        remove_at(rows, ids);
+        removed
+    }
+
+    /// For a relation whose rows are kept in [`Tuple`] order: remove
+    /// `deletes` and add `inserts` where that order puts them, in
+    /// place. Both lists are in `Tuple` order; every delete is a stored
+    /// row and no insert is (checked in debug builds only, like
+    /// [`Relation::extend_distinct`]). Each row is located by binary
+    /// search and only the rows behind the first change move, so
+    /// nothing is allocated per row and most rows are never compared.
+    pub fn merge_sorted(&mut self, inserts: Vec<Tuple>, deletes: &[Tuple]) {
+        debug_assert!(
+            inserts.iter().all(|t| t.arity() == self.schema.len()),
+            "merge_sorted rows must match schema arity"
+        );
+        debug_assert!(
+            inserts.windows(2).all(|w| w[0] < w[1]) && deletes.windows(2).all(|w| w[0] < w[1]),
+            "merge_sorted takes strictly ascending lists"
+        );
+        let rows = Arc::make_mut(&mut self.rows);
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows in Tuple order");
+        if !deletes.is_empty() {
+            let mut from = 0;
+            let ids: Vec<usize> = deletes
+                .iter()
+                .map(|d| {
+                    from += rows[from..].partition_point(|t| t < d);
+                    debug_assert!(rows.get(from) == Some(d), "deleted row is stored");
+                    from
+                })
+                .collect();
+            remove_at(rows, &ids);
+        }
+        // Open a gap of `inserts.len()` at the end and walk it towards
+        // the front: each insert, largest first, sends the rows above
+        // it across the gap and takes the gap's last slot.
+        let mut above = rows.len();
+        let mut gap = inserts.len();
+        rows.resize_with(above + gap, || Tuple::nulls(0));
+        for t in inserts.into_iter().rev() {
+            let at = rows[..above].partition_point(|r| *r < t);
+            debug_assert!(rows[..above].get(at) != Some(&t), "inserted row is novel");
+            for i in (at..above).rev() {
+                rows.swap(i, i + gap);
+            }
+            gap -= 1;
+            rows[at + gap] = t;
+            above = at;
+        }
     }
 
     /// Build a relation from rows the caller guarantees are distinct
@@ -168,7 +243,10 @@ impl Relation {
             rows.len(),
             "rows passed to from_distinct_rows must be distinct"
         );
-        Relation { schema, rows }
+        Relation {
+            schema,
+            rows: Arc::new(rows),
+        }
     }
 
     /// The canonical form: attributes sorted, rows sorted and
@@ -182,7 +260,7 @@ impl Relation {
         rows.dedup();
         Relation {
             schema: Arc::new(canon_schema),
-            rows,
+            rows: Arc::new(rows),
         }
     }
 
@@ -207,14 +285,16 @@ impl Relation {
         let rows = self.rows.iter().map(|t| t.pad(&self.schema, to)).collect();
         Relation {
             schema: to_ref,
-            rows,
+            rows: Arc::new(rows),
         }
     }
 
     /// The set of rows as a `BTreeSet` (canonical layout), for diffing.
     #[must_use]
     pub fn row_set(&self) -> BTreeSet<Tuple> {
-        self.canonical().rows.into_iter().collect()
+        Arc::unwrap_or_clone(self.canonical().rows)
+            .into_iter()
+            .collect()
     }
 
     /// Rename the ground-relation qualifier of every attribute
@@ -236,10 +316,31 @@ impl Relation {
     }
 }
 
+/// The positions from `ids[0]` up to `len` that are not in `ids`
+/// (ascending, distinct), in order — what moves down when the
+/// positions in `ids` are removed from a sequence of `len`.
+pub(crate) fn survivors_behind(ids: &[usize], len: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut doomed = ids.iter().copied().peekable();
+    let first = ids.first().copied().unwrap_or(len);
+    (first..len).filter(move |i| doomed.next_if_eq(i).is_none())
+}
+
+/// Drop the elements of `xs` at positions `ids` (ascending, distinct,
+/// in range), keeping the order of the rest; touches nothing before
+/// `ids[0]`.
+pub(crate) fn remove_at<T>(xs: &mut Vec<T>, ids: &[usize]) {
+    let mut kept = ids.first().copied().unwrap_or(xs.len());
+    for i in survivors_behind(ids, xs.len()) {
+        xs.swap(kept, i);
+        kept += 1;
+    }
+    xs.truncate(kept);
+}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
-        for row in &self.rows {
+        for row in self.rows.iter() {
             writeln!(f, "{row}")?;
         }
         Ok(())
@@ -325,6 +426,78 @@ mod tests {
         assert_eq!(r.len(), 4);
         assert_eq!(r.rows()[2], Tuple::new(vec![Value::Int(3)]));
         assert_eq!(r.rows()[3], Tuple::new(vec![Value::Int(4)]));
+    }
+
+    fn int_rows(values: &[i64]) -> Vec<Tuple> {
+        values
+            .iter()
+            .map(|&v| Tuple::new(vec![Value::Int(v)]))
+            .collect()
+    }
+
+    #[test]
+    fn clones_share_rows_until_one_side_writes() {
+        let mut r = Relation::from_ints("R", &["a"], &[&[1], &[2]]);
+        assert!(!r.rows_are_shared());
+        let held = r.clone();
+        assert!(r.rows_are_shared());
+        assert!(std::ptr::eq(r.rows().as_ptr(), held.rows().as_ptr()));
+        // The write copies first: the clone keeps reading what it read.
+        r.extend_distinct(int_rows(&[3]));
+        assert_eq!(held.rows(), int_rows(&[1, 2]));
+        assert_eq!(r.rows(), int_rows(&[1, 2, 3]));
+        assert!(!r.rows_are_shared() && !held.rows_are_shared());
+        // Unshared again, the next write happens where the rows stand.
+        let at = r.rows().as_ptr();
+        assert_eq!(r.remove_rows_at(&[1]), int_rows(&[2]));
+        assert!(std::ptr::eq(r.rows().as_ptr(), at));
+    }
+
+    #[test]
+    fn remove_rows_at_keeps_survivors_in_stored_order() {
+        let mut r = Relation::from_ints("R", &["a"], &[&[5], &[3], &[9], &[1], &[7]]);
+        assert_eq!(r.remove_rows_at(&[]), Vec::new());
+        assert_eq!(r.remove_rows_at(&[1, 3]), int_rows(&[3, 1]));
+        assert_eq!(r.rows(), int_rows(&[5, 9, 7]));
+        assert_eq!(r.remove_rows_at(&[0, 1, 2]), int_rows(&[5, 9, 7]));
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn merge_sorted_matches_an_ordered_set() {
+        // A deterministic walk over inserts and deletes of every size
+        // and position, including both ends and an emptied relation.
+        let mut model: BTreeSet<i64> = (0..40).map(|v| v * 3).collect();
+        let mut r = Relation::from_ints("R", &["a"], &[]);
+        r.merge_sorted(int_rows(&model.iter().copied().collect::<Vec<_>>()), &[]);
+        let mut x = 7u64;
+        for round in 0..60 {
+            let mut next = |n: u64| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) % n
+            };
+            let deletes: BTreeSet<i64> = model
+                .iter()
+                .copied()
+                .filter(|_| next(4) == 0 || round % 20 == 19)
+                .collect();
+            let inserts: BTreeSet<i64> = (0..next(12))
+                .map(|_| next(140) as i64 - 10)
+                .filter(|v| !model.contains(v))
+                .collect();
+            for v in &deletes {
+                model.remove(v);
+            }
+            model.extend(&inserts);
+            r.merge_sorted(
+                int_rows(&inserts.into_iter().collect::<Vec<_>>()),
+                &int_rows(&deletes.into_iter().collect::<Vec<_>>()),
+            );
+            let want: Vec<i64> = model.iter().copied().collect();
+            assert_eq!(r.rows(), int_rows(&want), "round {round}");
+        }
     }
 
     #[test]

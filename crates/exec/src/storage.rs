@@ -21,9 +21,10 @@
 //! (and therefore the catalog's plan cache) is out of date.
 
 use crate::engine::ExecError;
-use crate::index::HashIndex;
+use crate::index::{renumbered, HashIndex};
 use fro_algebra::{Attr, ColumnSet, Database, Interner, RelId, Relation, Tuple, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A stored base table: the relation, its columnar mirror, and any
@@ -34,21 +35,36 @@ use std::sync::Arc;
 /// vectors for predicate scans, hash builds, and statistics, while
 /// output assembly still clones `Tuple`s from the row store — which is
 /// what keeps columnar execution bit-identical to the row-major paths.
-/// Appends maintain the mirror and any indexes in place (O(|delta|))
-/// instead of rebuilding them.
+/// Row writes maintain all of it where it stands instead of rebuilding:
+/// [`Table::append_rows`] extends the row store, the mirror and every
+/// index for O(|delta|); [`Table::delete_rows`] takes rows out of all
+/// three, the survivors keeping their stored order, for one pass over
+/// the row ids (no row is copied, hashed or re-interned). Either way a
+/// reader sees what [`Table::new`] over the resulting rows would show,
+/// and replaying the same writes, in order, on a copy of the table as
+/// it was lands on the same rows in the same order — which is what lets
+/// a lagging copy be caught up instead of re-cloned.
+///
+/// [`Clone`] shares the row store with the original (a pointer bump,
+/// see [`Relation`]) and copies the rest; the first write to either
+/// side then copies the rows it is about to change.
 #[derive(Debug, Clone)]
 pub struct Table {
     rel: Relation,
     columns: ColumnSet,
     indexes: Vec<HashIndex>,
-    /// Append-acceleration state: a row-hash → row-id index (novelty
-    /// checks under set semantics) plus one value set per column (exact
-    /// distinct counts), built O(base) on the first append and
-    /// maintained O(|delta|) afterwards. `None` until a table sees its
-    /// first append; dropped whenever the table is replaced wholesale.
+    /// What row writes need beyond the table itself. `None` until the
+    /// table sees its first append or delete; dropped whenever the
+    /// table is replaced wholesale.
     append_state: Option<AppendState>,
 }
 
+/// Write-acceleration state of one table: a row-hash → row-id index
+/// (novelty checks under set semantics, and where a row to delete
+/// stands) plus one counted value set per column (exact distinct
+/// counts under appends *and* deletes). Built O(base) by the first
+/// write; appends then maintain it O(|delta|), deletes with one
+/// renumbering pass over the row index.
 #[derive(Debug, Clone)]
 struct AppendState {
     rows: RowIndex,
@@ -73,48 +89,73 @@ impl AppendState {
     }
 }
 
-/// The distinct values of one column (null counts as one). A column
-/// that has only ever held integers and nulls — keys, mostly — keeps
-/// bare `i64`s, a third of a [`Value`] each; the first other value
-/// widens the set for good.
+/// The distinct values of one column (null counts as one), each with
+/// the number of rows holding it — the multiplicity is what keeps the
+/// distinct count exact when rows leave: a value stops counting when
+/// its last row does. A column that has only ever held integers and
+/// nulls — keys, mostly — keeps bare `i64`s, half a [`Value`] entry
+/// each; the first other value widens the set for good.
 #[derive(Debug, Clone)]
 enum ValueSet {
-    Ints { ints: HashSet<i64>, null: bool },
-    Any(HashSet<Value>),
+    Ints {
+        ints: HashMap<i64, usize>,
+        nulls: usize,
+    },
+    Any(HashMap<Value, usize>),
 }
 
 impl ValueSet {
     fn with_capacity(distinct: u64) -> ValueSet {
         ValueSet::Ints {
-            ints: HashSet::with_capacity(usize::try_from(distinct).unwrap_or(0)),
-            null: false,
+            ints: HashMap::with_capacity(usize::try_from(distinct).unwrap_or(0)),
+            nulls: 0,
         }
     }
 
+    /// Count one more row holding `v`.
     fn insert(&mut self, v: &Value) {
         match (&mut *self, v) {
-            (ValueSet::Ints { ints, .. }, Value::Int(i)) => {
-                ints.insert(*i);
-            }
-            (ValueSet::Ints { null, .. }, Value::Null) => *null = true,
-            (ValueSet::Any(set), v) => {
-                set.insert(v.clone());
-            }
-            (ValueSet::Ints { ints, null }, v) => {
-                let mut set = HashSet::with_capacity(ints.capacity());
-                set.extend(ints.drain().map(Value::Int));
-                if *null {
-                    set.insert(Value::Null);
+            (ValueSet::Ints { ints, .. }, Value::Int(i)) => *ints.entry(*i).or_default() += 1,
+            (ValueSet::Ints { nulls, .. }, Value::Null) => *nulls += 1,
+            (ValueSet::Any(set), v) => match set.get_mut(v) {
+                Some(n) => *n += 1,
+                None => {
+                    set.insert(v.clone(), 1);
                 }
-                set.insert(v.clone());
+            },
+            (ValueSet::Ints { ints, nulls }, v) => {
+                let mut set = HashMap::with_capacity(ints.capacity());
+                set.extend(ints.drain().map(|(i, n)| (Value::Int(i), n)));
+                if *nulls > 0 {
+                    set.insert(Value::Null, *nulls);
+                }
+                set.insert(v.clone(), 1);
                 *self = ValueSet::Any(set);
             }
         }
     }
 
+    /// Count one row fewer holding `v`, which a stored row does hold.
+    fn remove(&mut self, v: &Value) {
+        fn release<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, usize>, k: &K) {
+            if let Some(n) = counts.get_mut(k) {
+                *n -= 1;
+                if *n == 0 {
+                    counts.remove(k);
+                }
+            }
+        }
+        match (self, v) {
+            (ValueSet::Ints { ints, .. }, Value::Int(i)) => release(ints, i),
+            (ValueSet::Ints { nulls, .. }, Value::Null) => *nulls -= 1,
+            (ValueSet::Ints { .. }, _) => unreachable!("a stored non-integer widened the set"),
+            (ValueSet::Any(set), v) => release(set, v),
+        }
+    }
+
     fn len(&self) -> u64 {
         match self {
-            ValueSet::Ints { ints, null } => ints.len() as u64 + u64::from(*null),
+            ValueSet::Ints { ints, nulls } => ints.len() as u64 + u64::from(*nulls > 0),
             ValueSet::Any(set) => set.len() as u64,
         }
     }
@@ -141,6 +182,11 @@ impl RowIndex {
         }
     }
 
+    fn hash(&self, t: &Tuple) -> u64 {
+        use std::hash::BuildHasher;
+        self.first.hasher().hash_one(t)
+    }
+
     /// Record `t` as row `id` unless an equal row is already indexed;
     /// `row_at` resolves an indexed id to its row. Returns whether `t`
     /// was novel.
@@ -150,9 +196,7 @@ impl RowIndex {
         id: usize,
         row_at: impl Fn(usize) -> &'a Tuple,
     ) -> bool {
-        use std::hash::BuildHasher;
-        let h = self.first.hasher().hash_one(t);
-        self.insert_hashed(h, t, id, row_at)
+        self.insert_hashed(self.hash(t), t, id, row_at)
     }
 
     /// [`RowIndex::insert_if_novel`] with the hash already computed.
@@ -163,22 +207,63 @@ impl RowIndex {
         id: usize,
         row_at: impl Fn(usize) -> &'a Tuple,
     ) -> bool {
-        match self.first.get(&h) {
-            None => {
-                self.first.insert(h, id);
-                true
+        if self.find_hashed(h, t, row_at).is_some() {
+            return false;
+        }
+        match self.first.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
             }
-            Some(&seen) => {
-                let known = row_at(seen) == t
-                    || self
-                        .collided
-                        .iter()
-                        .any(|&(ch, cid)| ch == h && row_at(cid) == t);
-                if !known {
-                    self.collided.push((h, id));
-                }
-                !known
-            }
+            Entry::Occupied(_) => self.collided.push((h, id)),
+        }
+        true
+    }
+
+    /// The id of the indexed row equal to `t`, if there is one.
+    fn find<'a>(&self, t: &Tuple, row_at: impl Fn(usize) -> &'a Tuple) -> Option<usize> {
+        self.find_hashed(self.hash(t), t, row_at)
+    }
+
+    /// [`RowIndex::find`] with the hash already computed.
+    fn find_hashed<'a>(
+        &self,
+        h: u64,
+        t: &Tuple,
+        row_at: impl Fn(usize) -> &'a Tuple,
+    ) -> Option<usize> {
+        let &first = self.first.get(&h)?;
+        if row_at(first) == t {
+            return Some(first);
+        }
+        self.collided
+            .iter()
+            .find(|&&(ch, cid)| ch == h && row_at(cid) == t)
+            .map(|&(_, cid)| cid)
+    }
+
+    /// Forget the rows that stood at `ids` (ascending; `removed[i]` is
+    /// the row that was at `ids[i]`) and renumber the rows behind them.
+    fn remove(&mut self, ids: &[usize], removed: &[Tuple]) {
+        for (&id, t) in ids.iter().zip(removed) {
+            self.forget_hashed(self.hash(t), id);
+        }
+        let collided = self.collided.iter_mut().map(|(_, id)| id);
+        for id in self.first.values_mut().chain(collided) {
+            *id = renumbered(*id, ids);
+        }
+    }
+
+    /// Forget row `id`, indexed under hash `h`. If it was the first
+    /// row under its hash, a row that collided with it takes its
+    /// place: lookups start from `first`.
+    fn forget_hashed(&mut self, h: u64, id: usize) {
+        if self.first.get(&h) != Some(&id) {
+            self.collided.retain(|&entry| entry != (h, id));
+        } else if let Some(at) = self.collided.iter().position(|&(ch, _)| ch == h) {
+            let (_, heir) = self.collided.remove(at);
+            self.first.insert(h, heir);
+        } else {
+            self.first.remove(&h);
         }
     }
 }
@@ -214,6 +299,9 @@ impl Table {
         if rows.iter().any(|t| t.arity() != arity) {
             return None;
         }
+        if rows.is_empty() {
+            return Some(rows);
+        }
         let state = self
             .append_state
             .get_or_insert_with(|| AppendState::over(&self.rel, &self.columns));
@@ -246,6 +334,48 @@ impl Table {
             ix.insert_rows(&self.rel, old_len);
         }
         Some(novel)
+    }
+
+    /// Remove the stored rows equal to one of `rows` (the rest of
+    /// `rows` is ignored), returning them in stored order. The
+    /// survivors stay where they stand, in stored order, and everything
+    /// beside them is maintained in place: the rows are found through
+    /// the row index (no scan), which is then renumbered; the columnar
+    /// mirror compacts its vectors and recomputes the zones from the
+    /// first one touched; every index drops and renumbers its
+    /// postings; the distinct counts stay exact. One pass over the row
+    /// ids, no row copied — and no layout can break, so unlike an
+    /// append there is no rebuild to fall back to.
+    pub fn delete_rows(&mut self, rows: &[Tuple]) -> Vec<Tuple> {
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        let state = self
+            .append_state
+            .get_or_insert_with(|| AppendState::over(&self.rel, &self.columns));
+        let stored = self.rel.rows();
+        let mut ids: Vec<usize> = rows
+            .iter()
+            .filter_map(|t| state.rows.find(t, |i| &stored[i]))
+            .collect();
+        if ids.is_empty() {
+            return Vec::new();
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let removed = self.rel.remove_rows_at(&ids);
+        state.rows.remove(&ids, &removed);
+        for t in &removed {
+            for (c, set) in state.value_sets.iter_mut().enumerate() {
+                set.remove(t.get(c));
+            }
+        }
+        let distinct: Vec<u64> = state.value_sets.iter().map(ValueSet::len).collect();
+        self.columns.delete_rows(&ids, &distinct);
+        for ix in &mut self.indexes {
+            ix.remove_rows(&ids, &removed);
+        }
+        removed
     }
 
     /// The underlying relation.
@@ -376,6 +506,21 @@ impl Storage {
             self.epoch += 1;
         }
         Some(novel)
+    }
+
+    /// Remove from `name`'s table, in place, the rows equal to one of
+    /// `rows`, returning them in stored order (`None` when the table is
+    /// unknown; rows the table does not hold are ignored). The mirror
+    /// image of [`Storage::append_rows`]: nothing is rebuilt
+    /// ([`Table::delete_rows`]), the table is copied first only if a
+    /// clone of this storage still shares it, and the epoch moves only
+    /// when something was removed.
+    pub fn delete_rows(&mut self, name: &str, rows: &[Tuple]) -> Option<Vec<Tuple>> {
+        let removed = self.table_mut(name)?.delete_rows(rows);
+        if !removed.is_empty() {
+            self.epoch += 1;
+        }
+        Some(removed)
     }
 
     /// The shared handle of a table — what a clone of this storage
@@ -511,6 +656,9 @@ impl Storage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::RowDelta;
+    use fro_algebra::ops::{BoundPred, BoundScalar};
+    use fro_algebra::{CmpOp, ZONE_ROWS};
 
     #[test]
     fn roundtrip_database() {
@@ -637,9 +785,9 @@ mod tests {
 
     #[test]
     fn row_index_rechecks_rows_on_hash_collisions() {
-        let rows: Vec<Tuple> = (0..3).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
+        let rows: Vec<Tuple> = (0..4).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
         let mut ix = RowIndex::default();
-        // Three different rows forced under one hash: each is novel
+        // Four different rows forced under one hash: each is novel
         // once, and known afterwards.
         for (id, t) in rows.iter().enumerate() {
             assert!(ix.insert_hashed(42, t, id, |i| &rows[i]));
@@ -648,11 +796,24 @@ mod tests {
             assert!(!ix.insert_hashed(42, t, 9, |i| &rows[i]));
         }
         assert_eq!(ix.first.len(), 1);
-        assert_eq!(ix.collided.len(), 2);
+        assert_eq!(ix.collided.len(), 3);
+        // Forgetting the row the hash led to promotes one it collided
+        // with, so the others are still found; forgetting a collided
+        // row leaves the rest alone.
+        ix.forget_hashed(42, 0);
+        ix.forget_hashed(42, 2);
+        let found = |ix: &RowIndex, id: usize| ix.find_hashed(42, &rows[id], |i| &rows[i]);
+        assert_eq!(
+            [0, 1, 2, 3].map(|id| found(&ix, id)),
+            [None, Some(1), None, Some(3)]
+        );
+        ix.forget_hashed(42, 1);
+        ix.forget_hashed(42, 3);
+        assert!(ix.first.is_empty() && ix.collided.is_empty());
     }
 
     #[test]
-    fn value_set_counts_like_a_set_of_values_across_widening() {
+    fn value_set_counts_like_a_bag_of_values_across_widening() {
         let values = [
             Value::Int(1),
             Value::Null,
@@ -663,14 +824,28 @@ mod tests {
             Value::Null,
             Value::Bool(true),
         ];
-        let mut set = ValueSet::with_capacity(2);
-        let mut reference: HashSet<Value> = HashSet::new();
-        for v in &values {
-            set.insert(v);
-            reference.insert(v.clone());
-            assert_eq!(set.len(), reference.len() as u64, "after {v:?}");
+        // Once over integers and nulls only, once across the widening.
+        for upto in [4, values.len()] {
+            let mut set = ValueSet::with_capacity(2);
+            let mut reference: HashMap<Value, usize> = HashMap::new();
+            for v in &values[..upto] {
+                set.insert(v);
+                *reference.entry(v.clone()).or_default() += 1;
+                assert_eq!(set.len(), reference.len() as u64, "after {v:?}");
+            }
+            assert_eq!(matches!(set, ValueSet::Any(_)), upto > 4);
+            // A value stops counting when its last holder leaves.
+            for v in &values[..upto] {
+                set.remove(v);
+                let n = reference.get_mut(v).unwrap();
+                *n -= 1;
+                if *n == 0 {
+                    reference.remove(v);
+                }
+                assert_eq!(set.len(), reference.len() as u64, "without {v:?}");
+            }
+            assert_eq!(set.len(), 0);
         }
-        assert!(matches!(set, ValueSet::Any(_)));
     }
 
     #[test]
@@ -771,5 +946,256 @@ mod tests {
         assert!(!s.create_index("R", &[Attr::parse("R.zzz")]));
         assert!(!s.create_index("Q", &[Attr::parse("Q.k")]));
         assert_eq!(s.epoch(), e2);
+    }
+
+    /// Deterministic generator for the write schedules below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    const COLS: [&str; 6] = ["i", "s", "n", "b", "m", "w"];
+
+    /// One row over an int, a string, an all-null, a bool and a mixed
+    /// column plus `w`, which holds the row's serial number — so rows
+    /// are distinct — as an integer or, once `wide`, sometimes as a
+    /// string. `wide` rows also bring strings the first rows did not
+    /// have: both break the typed layout an append extends in place.
+    fn gen_row(rng: &mut Lcg, serial: i64, wide: bool) -> Tuple {
+        let nullable = |rng: &mut Lcg, one_in: u64, v: Value| match rng.below(one_in) {
+            0 => Value::Null,
+            _ => v,
+        };
+        let i = Value::Int(rng.below(12) as i64);
+        let s = Value::str(format!("s{}", rng.below(if wide { 9 } else { 6 })));
+        let b = Value::Bool(rng.below(2) == 1);
+        let m = match rng.below(3) {
+            0 => Value::Int(rng.below(5) as i64),
+            1 => Value::str(format!("m{}", rng.below(3))),
+            _ => Value::Bool(rng.below(2) == 0),
+        };
+        let w = if wide && rng.below(10) == 0 {
+            Value::str(format!("w{serial}"))
+        } else {
+            Value::Int(serial)
+        };
+        Tuple::new(vec![
+            nullable(rng, 8, i),
+            nullable(rng, 6, s),
+            Value::Null,
+            nullable(rng, 5, b),
+            nullable(rng, 4, m),
+            w,
+        ])
+    }
+
+    /// Column-vs-literal on every layout (in range, out of range,
+    /// absent string, null, cross-type), column-vs-column, null tests
+    /// and connectives — the shapes of `column.rs`'s own suite.
+    fn pred_suite() -> Vec<BoundPred> {
+        use BoundPred as P;
+        use BoundScalar::{Col, Lit};
+        use CmpOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        let cmp = |op, l, r| P::Cmp(op, l, r);
+        vec![
+            cmp(Ge, Col(0), Lit(Value::Int(3))),
+            cmp(Eq, Col(0), Lit(Value::Int(5))),
+            cmp(Lt, Lit(Value::Int(2)), Col(0)),
+            cmp(Eq, Col(1), Lit(Value::str("s2"))),
+            cmp(Gt, Col(1), Lit(Value::str("s4"))),
+            cmp(Eq, Col(1), Lit(Value::str("absent"))),
+            cmp(Eq, Col(2), Lit(Value::Int(1))),
+            P::IsNull(Col(2)),
+            cmp(Eq, Col(3), Lit(Value::Bool(true))),
+            cmp(Ne, Col(4), Lit(Value::Int(2))),
+            cmp(Le, Col(4), Lit(Value::str("m1"))),
+            cmp(Eq, Col(0), Lit(Value::Null)),
+            cmp(Gt, Col(0), Lit(Value::str("zz"))),
+            cmp(Lt, Col(1), Lit(Value::Bool(false))),
+            cmp(Ge, Col(5), Lit(Value::Int(1024))),
+            cmp(Lt, Col(5), Lit(Value::str("w"))),
+            cmp(Eq, Col(0), Col(4)),
+            cmp(Le, Col(0), Col(5)),
+            cmp(Gt, Col(1), Col(4)),
+            P::Not(Box::new(P::Or(
+                Box::new(P::IsNull(Col(1))),
+                Box::new(cmp(Lt, Col(0), Col(4))),
+            ))),
+            P::And(
+                Box::new(cmp(Ge, Col(5), Lit(Value::Int(1100)))),
+                Box::new(cmp(Eq, Col(3), Lit(Value::Bool(false)))),
+            ),
+        ]
+    }
+
+    /// Everything a reader can ask of `table` answers as
+    /// `Table::new(rows)` plus the same `create_index` calls would:
+    /// rows and stored order, the mirror (cells, validity, null and
+    /// distinct counts, every zone, predicate masks and zone skips, key
+    /// hashes), every index lookup, and which rows of `probe` a
+    /// re-append finds novel.
+    fn assert_reads_like_a_rebuild(
+        table: &Table,
+        rows: &[Tuple],
+        indexes: &[Vec<Attr>],
+        probe: &[Tuple],
+        what: &str,
+    ) {
+        assert_eq!(table.relation().rows(), rows, "{what}: rows");
+        let schema = table.relation().schema().clone();
+        let mut rebuilt = Table::new(Relation::from_distinct_rows(schema, rows.to_vec()));
+        for attrs in indexes {
+            assert!(rebuilt.create_index(attrs));
+        }
+        let (a, b) = (table.columns(), rebuilt.columns());
+        assert_eq!(a.rows(), b.rows(), "{what}");
+        for c in 0..a.width() {
+            let (ca, cb) = (a.column(c), b.column(c));
+            assert_eq!(ca.null_count(), cb.null_count(), "{what}: col {c}");
+            assert_eq!(ca.distinct(), cb.distinct(), "{what}: col {c}");
+            assert_eq!(ca.validity(), cb.validity(), "{what}: col {c}");
+            assert_eq!(ca.zones().len(), cb.zones().len(), "{what}: col {c}");
+            for (z, (za, zb)) in ca.zones().iter().zip(cb.zones()).enumerate() {
+                assert_eq!(za.min_max(), zb.min_max(), "{what}: col {c} zone {z}");
+                assert_eq!(za.nulls(), zb.nulls(), "{what}: col {c} zone {z}");
+            }
+            for r in 0..a.rows() {
+                assert_eq!(a.value_at(r, c), b.value_at(r, c), "{what}: cell {r},{c}");
+                let keys = [c, (c + 1) % a.width()];
+                assert_eq!(a.hash_key_at(&keys, r), b.hash_key_at(&keys, r));
+            }
+        }
+        for p in pred_suite() {
+            let (mut sa, mut sb) = (0, 0);
+            let (ma, mb) = (a.eval_pred(&p, &mut sa), b.eval_pred(&p, &mut sb));
+            assert_eq!(ma.trues(), mb.trues(), "{what}: {p:?}");
+            assert_eq!(ma.falses(), mb.falses(), "{what}: {p:?}");
+            assert_eq!(sa, sb, "{what}: zones skipped by {p:?}");
+        }
+        assert_eq!(table.indexes().len(), indexes.len(), "{what}");
+        for (ia, ib) in table.indexes().iter().zip(rebuilt.indexes()) {
+            assert_eq!(ia.key_cols(), ib.key_cols(), "{what}");
+            assert_eq!(ia.distinct_keys(), ib.distinct_keys(), "{what}");
+            for t in rows.iter().chain(probe) {
+                let key: Vec<Value> = ia.key_cols().iter().map(|&c| t.get(c).clone()).collect();
+                assert_eq!(ia.lookup(&key), ib.lookup(&key), "{what}: key {key:?}");
+            }
+        }
+        let novel = table.clone().append_rows(probe.to_vec());
+        assert_eq!(
+            novel,
+            rebuilt.append_rows(probe.to_vec()),
+            "{what}: novelty"
+        );
+    }
+
+    #[test]
+    fn in_place_writes_read_like_a_rebuild_and_replay_onto_a_lagging_copy() {
+        let attr = |c: usize| Attr::new("T", COLS[c]);
+        let index_sets: [Vec<Vec<Attr>>; 3] = [
+            vec![],
+            vec![vec![attr(0)]],
+            vec![vec![attr(0)], vec![attr(1), attr(3)]],
+        ];
+        for (case, indexes) in index_sets.iter().enumerate() {
+            let mut rng = Lcg(0xD1CE + case as u64);
+            let mut serial = 0i64;
+            let mut fresh = |rng: &mut Lcg, wide: bool| {
+                serial += 1;
+                gen_row(rng, serial, wide)
+            };
+            // Just under one zone, so the first appends cross into a
+            // second; two cases start with an append, one with a delete.
+            let mut model: Vec<Tuple> = (0..1010).map(|_| fresh(&mut rng, false)).collect();
+            let schema = Relation::from_values("T", &COLS, vec![]).schema().clone();
+            let mut table = Table::new(Relation::from_distinct_rows(schema, model.clone()));
+            for attrs in indexes {
+                assert!(table.create_index(attrs));
+            }
+            let mut lagging = table.clone();
+            let mut lag: Vec<RowDelta> = Vec::new();
+            let mut gone: Vec<Tuple> = Vec::new();
+            for step in 0..36 {
+                let what = format!("case {case} step {step}");
+                let wide = step >= 12;
+                let pick = if step == 0 {
+                    5 * case as u64
+                } else {
+                    rng.below(10)
+                };
+                if pick < 5 {
+                    // New rows, rows already stored, a row twice.
+                    let mut batch: Vec<Tuple> =
+                        (0..=rng.below(40)).map(|_| fresh(&mut rng, wide)).collect();
+                    batch.push(model[rng.below(model.len() as u64) as usize].clone());
+                    batch.push(batch[0].clone());
+                    batch.extend(gone.pop());
+                    let mut novel = Vec::new();
+                    for t in batch.iter() {
+                        if !model.contains(t) && !novel.contains(t) {
+                            novel.push(t.clone());
+                        }
+                    }
+                    assert_eq!(table.append_rows(batch), Some(novel.clone()), "{what}");
+                    model.extend(novel.iter().cloned());
+                    lag.push(RowDelta::from_inserts(novel));
+                } else {
+                    let doomed_ids: Vec<usize> = match pick {
+                        // Scattered rows.
+                        5..=7 => (0..=rng.below(30))
+                            .map(|_| rng.below(model.len() as u64) as usize)
+                            .collect(),
+                        // Everything past the first zone: a zone (or
+                        // two) empties.
+                        8 => (ZONE_ROWS.min(model.len() - 1)..model.len()).collect(),
+                        // A run across the zone boundary.
+                        _ => (1000..1050.min(model.len())).collect(),
+                    };
+                    // Stored rows (some named twice) and one that is
+                    // not stored.
+                    let mut doomed: Vec<Tuple> =
+                        doomed_ids.iter().map(|&i| model[i].clone()).collect();
+                    doomed.push(fresh(&mut rng, wide));
+                    let (removed, kept): (Vec<Tuple>, Vec<Tuple>) =
+                        model.iter().cloned().partition(|t| doomed.contains(t));
+                    assert_eq!(table.delete_rows(&doomed), removed, "{what}");
+                    model = kept;
+                    gone.extend(removed.iter().take(3).cloned());
+                    lag.push(RowDelta::from_deletes(removed));
+                }
+                let mut probe: Vec<Tuple> = gone.iter().rev().take(2).cloned().collect();
+                probe.push(model[model.len() / 2].clone());
+                probe.push(fresh(&mut rng, wide));
+                assert_reads_like_a_rebuild(&table, &model, indexes, &probe, &what);
+                // Every dozen steps the copy left behind replays what
+                // it missed — appends and deletes mixed — and must
+                // land on the same table.
+                if step % 12 == 11 {
+                    for delta in lag.drain(..) {
+                        assert_eq!(lagging.delete_rows(&delta.deletes), delta.deletes, "{what}");
+                        assert_eq!(
+                            lagging.append_rows(delta.inserts.clone()),
+                            Some(delta.inserts),
+                            "{what}"
+                        );
+                    }
+                    assert_reads_like_a_rebuild(&lagging, &model, indexes, &probe, &what);
+                }
+            }
+            assert!(
+                matches!(
+                    table.append_state.as_ref().unwrap().value_sets[5],
+                    ValueSet::Any(_)
+                ),
+                "case {case}: the serial column widened"
+            );
+        }
     }
 }

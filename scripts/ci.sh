@@ -61,26 +61,33 @@ echo "== standing-query maintenance properties =="
 # a failure names itself).
 cargo test -q --test standing_property
 
-echo "== pinned-append allocation gate (loadgen: ingest_pinned, traced) =="
-# A pinned append must not copy the database: the traced run's bytes
-# allocated per pinned append are an allocator count that repeats
-# exactly (no timing in it), gated at a fixed ceiling. The ceiling
-# leaves room for what the cycle legitimately allocates (347 KB): one
-# copy of the fact table after the cycle's delete, averaged over its 8
-# appends, plus the O(delta) view maintenance. Copying every table on
-# every pinned append reads 2.9 MB.
-PINNED_ALLOC_CEILING=400000
+echo "== write-path allocation gates (loadgen: ingest_pinned, traced) =="
+# Neither a pinned append, nor a poll, nor a delete may copy a table or
+# a view: the traced run's allocator counts repeat exactly (no timing
+# in them), so each is gated at a fixed ceiling just above what the
+# cycle legitimately allocates — bytes per pinned append (84 130 B: the
+# O(delta) view maintenance and the O(#tables) generation; a table copy
+# per cycle reads 347 KB, a database copy per append 2.9 MB) and
+# allocations per op (615; a per-poll view copy or a per-delete table
+# rebuild reads 5 299).
+PINNED_ALLOC_CEILING=95000
+ALLOCS_PER_OP_CEILING=700
 pinned_run="$(bash benches/loadgen/run.sh --workload ingest_pinned --seed 1 --seconds 3 --trace 1 | tail -n 1)"
 if ! grep -q '"correct": true' <<<"$pinned_run"; then
   echo "ERROR: loadgen ingest_pinned reported wrong results" >&2
   exit 1
 fi
-pinned_alloc="$(sed -n 's/.*"shared.pinned_alloc_bytes_per_append": {"value": \([0-9.]*\).*/\1/p' <<<"$pinned_run")"
-if ! awk -v got="$pinned_alloc" -v max="$PINNED_ALLOC_CEILING" 'BEGIN { exit !(got != "" && got + 0 <= max) }'; then
-  echo "ERROR: shared.pinned_alloc_bytes_per_append = '${pinned_alloc}' B, ceiling ${PINNED_ALLOC_CEILING} B" >&2
-  exit 1
-fi
-echo "shared.pinned_alloc_bytes_per_append = ${pinned_alloc} B (ceiling ${PINNED_ALLOC_CEILING} B)"
+gate_count() { # <metric> <unit> <ceiling>
+  local got
+  got="$(sed -n "s/.*\"$1\": {\"value\": \([0-9.]*\).*/\1/p" <<<"$pinned_run")"
+  if ! awk -v got="$got" -v max="$3" 'BEGIN { exit !(got != "" && got + 0 <= max) }'; then
+    echo "ERROR: $1 = '${got}' $2, ceiling $3 $2" >&2
+    exit 1
+  fi
+  echo "$1 = ${got} $2 (ceiling $3 $2)"
+}
+gate_count shared.pinned_alloc_bytes_per_append B "$PINNED_ALLOC_CEILING"
+gate_count proc.allocs_per_op allocations "$ALLOCS_PER_OP_CEILING"
 
 echo "== EXPLAIN corpus gate =="
 scripts/explain_corpus.sh --check

@@ -566,7 +566,7 @@ impl Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fro_algebra::Pred;
+    use fro_algebra::{Pred, Value};
     use fro_lang::model::paper_world;
 
     fn algebra_session() -> Session {
@@ -608,6 +608,45 @@ mod tests {
             assert_eq!(c, w);
             cold.explain()
         });
+    }
+
+    #[test]
+    fn deletes_keep_the_indexes_the_catalog_advertises() {
+        // The catalog goes on advertising R's index after a delete, so
+        // the planner goes on choosing IndexJoin: storage must still
+        // have the index, with its postings renumbered.
+        let s = Session::new();
+        let r: Vec<Vec<i64>> = (0..40).map(|k| vec![k, k * 10]).collect();
+        let r: Vec<&[i64]> = r.iter().map(Vec::as_slice).collect();
+        s.insert_table("R", Relation::from_ints("R", &["k", "v"], &r));
+        s.insert_table("S", Relation::from_ints("S", &["k"], &[&[7], &[30]]));
+        assert!(s.create_index("R", &[Attr::parse("R.k")]));
+        let q = Query::rel("S").join(Query::rel("R"), Pred::eq_attr("S.k", "R.k"));
+        let indexes = |s: &Session| {
+            let state = s.shared().snapshot();
+            let id = state.storage().rel_id("R").unwrap();
+            state.storage().get_by_id(id).unwrap().indexes().len()
+        };
+        let ints = |vs: &[i64]| Tuple::new(vs.iter().map(|&v| Value::Int(v)).collect());
+        let run = |s: &Session| {
+            let prepared = s.prepare(&q).unwrap();
+            assert!(prepared.plan().explain().contains("IndexJoin"));
+            prepared.run().map(|out| out.rows().to_vec())
+        };
+        assert_eq!(run(&s).unwrap().len(), 2);
+        // A row in front of both matches goes: same answer, found at
+        // the rows' new positions.
+        assert!(s.delete_rows("R", &[ints(&[3, 30])]));
+        assert_eq!(indexes(&s), 1);
+        let mut out = run(&s).unwrap();
+        out.sort();
+        assert_eq!(out, vec![ints(&[7, 7, 70]), ints(&[30, 30, 300])]);
+        // A matched row goes, beside a reader this time.
+        let pin = s.shared().snapshot();
+        assert!(s.delete_rows("R", &[ints(&[7, 70])]));
+        drop(pin);
+        assert_eq!(indexes(&s), 1);
+        assert_eq!(run(&s).unwrap().len(), 1);
     }
 
     #[test]

@@ -18,14 +18,17 @@
 //! sits behind its own [`Arc`], and all generations of one `SharedDb`
 //! plan through one plan cache, so deriving a generation is a vector of
 //! pointer bumps plus the O(#tables) statistics. Only the table being
-//! written needs a copy no reader holds, and row appends — the write
-//! that runs beside readers all day — do not make one each time: the
-//! copy the previous append retired is kept with the rows it lags by,
-//! and once its readers are gone the next append takes it back, replays
-//! the lag and its own rows in place, and publishes it (left-right
-//! style). A table is cloned only when it has no retired copy yet, or a
-//! reader still holds it — so a long-lived reader costs one table copy,
-//! not one per write. [`SharedDb::append_paths`] counts the three ways.
+//! written needs a copy no reader holds, and row writes — the appends
+//! and deletes that run beside readers all day — do not make one each
+//! time: the copy the previous write retired is kept with the log of
+//! row deltas it lags by, and once its readers are gone the next write
+//! takes it back, replays the log and its own delta in place, and
+//! publishes it (left-right style). A table is cloned only when it has
+//! no retired copy yet, or a reader still holds it — so a long-lived
+//! reader costs one table copy, not one per write. Appends and deletes
+//! go through the same three arms ([`SharedDb::append_paths`] counts
+//! them) and neither rebuilds anything: a delete takes the rows out of
+//! the table where they stand ([`fro_exec::Table::delete_rows`]).
 //!
 //! Cheap per-connection [`Session`] handles ([`SharedDb::session`])
 //! carry only policy + execution config and all share this state — and
@@ -77,40 +80,88 @@ impl DbState {
     }
 }
 
-/// How the row appends of one [`SharedDb`] reached storage (only
-/// appends that stored at least one row are counted).
+/// How the row writes of one [`SharedDb`] reached storage: appends in
+/// the first three counters, deletes in the last three (only writes
+/// that stored or removed at least one row are counted).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppendPaths {
     /// No reader held the table: extended where it stood.
     pub in_place: u64,
     /// A reader held the table and the copy retired by an earlier
-    /// append was free again: caught up and published, no table copy.
+    /// write was free again: caught up and published, no table copy.
     pub recycled: u64,
     /// A reader held the table and no retired copy was free: the table
     /// was cloned first.
     pub copied: u64,
+    /// Deletes with no reader on the table: rows removed where they
+    /// stood.
+    pub deleted_in_place: u64,
+    /// Deletes beside a reader that took the retired copy back.
+    pub deleted_recycled: u64,
+    /// Deletes beside a reader that had to clone the table first.
+    pub deleted_copied: u64,
 }
 
-/// A table copy an append retired, kept to be written again.
+/// The three ways a row write reaches storage ([`AppendPaths`]).
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    InPlace,
+    Recycled,
+    Copied,
+}
+
+impl AppendPaths {
+    /// Count one write that went through `arm`; `done` is what it
+    /// changed.
+    fn count(&mut self, done: &RowDelta, arm: Arm) {
+        let counter = match (done.inserts.is_empty(), arm) {
+            (false, Arm::InPlace) => &mut self.in_place,
+            (false, Arm::Recycled) => &mut self.recycled,
+            (false, Arm::Copied) => &mut self.copied,
+            (true, Arm::InPlace) => &mut self.deleted_in_place,
+            (true, Arm::Recycled) => &mut self.deleted_recycled,
+            (true, Arm::Copied) => &mut self.deleted_copied,
+        };
+        *counter += 1;
+    }
+}
+
+/// Apply `delta` to `table` — its deletes leave, then its inserts
+/// arrive — and return what that changed: the rows actually removed
+/// and the novel rows actually stored, each in stored order (`None`:
+/// an insert off the table's scheme). Replaying the returned deltas, in
+/// order, on a copy of the table as it was reproduces the table.
+fn apply(table: &mut Table, delta: RowDelta) -> Option<RowDelta> {
+    let deletes = table.delete_rows(&delta.deletes);
+    let inserts = table.append_rows(delta.inserts)?;
+    Some(RowDelta { inserts, deletes })
+}
+
+/// A table copy a row write retired, kept to be written again.
 #[derive(Debug)]
 struct Spare {
     /// The table as of some earlier generation. Readers of that
     /// generation may still hold it; it is written only once they are
     /// gone ([`Arc::get_mut`]).
     table: Arc<Table>,
-    /// The rows stored since, in stored order: appending them brings
+    /// What was written since, in order: replaying the log brings
     /// `table` level with the current generation's.
-    lag: Vec<Tuple>,
+    lag: Vec<RowDelta>,
 }
 
 impl Spare {
     /// The copy brought level with the table it lags, or `None` while a
     /// reader still holds it.
     fn caught_up(mut self) -> Option<Arc<Table>> {
-        Arc::get_mut(&mut self.table)?
-            .append_rows(self.lag)
-            .expect("lag rows were stored under this table's scheme");
+        let table = Arc::get_mut(&mut self.table)?;
+        for delta in self.lag {
+            apply(table, delta).expect("lag rows were stored under this table's scheme");
+        }
         Some(self.table)
+    }
+
+    fn lag_rows(&self) -> usize {
+        self.lag.iter().map(RowDelta::len).sum()
     }
 }
 
@@ -120,7 +171,7 @@ impl Spare {
 struct Generations {
     current: Arc<DbState>,
     /// At most one retired copy per table, dropped by any write to the
-    /// table other than a row append.
+    /// table other than a row append or delete.
     spares: HashMap<RelId, Spare>,
     paths: AppendPaths,
 }
@@ -139,60 +190,64 @@ impl Generations {
     /// Keep `spare` for `id` while catching it up is no more work than
     /// the clone it saves (lag rows ≤ its rows); drop it otherwise.
     fn keep_spare(&mut self, id: RelId, spare: Spare) {
-        if spare.lag.len() <= spare.table.len() {
+        if spare.lag_rows() <= spare.table.len() {
             self.spares.insert(id, spare);
         }
     }
 
-    /// Store `rows` in `name`'s table, refresh its statistics and bump
-    /// its row epoch; returns the novel rows (`None`: unknown table or
-    /// a row off its scheme). Costs O(|rows|) plus, when readers hold
-    /// the current generation, O(#tables) — except for the one table
-    /// clone described in the module docs.
-    fn append(&mut self, name: &str, rows: Vec<Tuple>) -> Option<Vec<Tuple>> {
+    /// Apply `delta` to `name`'s table — store its inserts, remove its
+    /// deletes — refresh the table's statistics and bump its row epoch;
+    /// returns what changed: the novel rows stored and the rows
+    /// actually removed (`None`: unknown table or an insert off its
+    /// scheme). Costs O(|delta|) for an append and one pass over the
+    /// table's row ids for a delete, plus, when readers hold the
+    /// current generation, O(#tables) — except for the one table clone
+    /// described in the module docs.
+    fn write(&mut self, name: &str, delta: RowDelta) -> Option<RowDelta> {
         let id = self.current.storage.rel_id(name)?;
         let held = self.current.storage.table_arc(id)?;
         let arity = held.relation().schema().len();
-        if rows.iter().any(|t| t.arity() != arity) {
+        if delta.inserts.iter().any(|t| t.arity() != arity) {
             return None;
         }
         // Under the write lock, a count of one means the current
         // generation is the table's only holder; if no reader holds
         // that either, nobody can be reading the table.
         let table_unshared = Arc::strong_count(held) == 1;
-        let (novel, retired) = if table_unshared && Arc::get_mut(&mut self.current).is_some() {
-            let novel = self.writable().storage.append_rows(name, rows)?;
-            if novel.is_empty() {
-                return Some(novel);
+        let (done, retired) = if table_unshared && Arc::get_mut(&mut self.current).is_some() {
+            let storage = &mut self.writable().storage;
+            let deletes = storage.delete_rows(name, &delta.deletes)?;
+            let inserts = storage.append_rows(name, delta.inserts)?;
+            let done = RowDelta { inserts, deletes };
+            if done.is_empty() {
+                return Some(done);
             }
-            self.paths.in_place += 1;
-            (novel, None)
+            self.paths.count(&done, Arm::InPlace);
+            (done, None)
         } else {
             let recycled = self.spares.remove(&id).and_then(Spare::caught_up);
-            let was_recycled = recycled.is_some();
+            let arm = match recycled {
+                Some(_) => Arm::Recycled,
+                None => Arm::Copied,
+            };
             let mut copy = match recycled {
                 Some(copy) => copy,
                 None => Arc::new(Table::clone(self.current.storage.table_arc(id)?)),
             };
-            let novel = Arc::get_mut(&mut copy)
-                .expect("a caught-up or fresh copy has no other holder")
-                .append_rows(rows)?;
-            if novel.is_empty() {
+            let table = Arc::get_mut(&mut copy).expect("a caught-up or fresh copy has no holder");
+            let done = apply(table, delta)?;
+            if done.is_empty() {
                 // Nothing to publish; the copy is level with the
-                // current table and ready for the next append.
+                // current table and ready for the next write.
                 let level = Spare {
                     table: copy,
                     lag: Vec::new(),
                 };
                 self.keep_spare(id, level);
-                return Some(novel);
+                return Some(done);
             }
-            if was_recycled {
-                self.paths.recycled += 1;
-            } else {
-                self.paths.copied += 1;
-            }
-            (novel, self.writable().storage.swap_table(id, copy))
+            self.paths.count(&done, arm);
+            (done, self.writable().storage.swap_table(id, copy))
         };
         let state = self.writable();
         let table = state.storage.get_by_id(id)?;
@@ -201,40 +256,17 @@ impl Generations {
         let spare = match retired {
             Some(table) => Some(Spare {
                 table,
-                lag: novel.clone(),
+                lag: vec![done.clone()],
             }),
             None => self.spares.remove(&id).map(|mut spare| {
-                spare.lag.extend(novel.iter().cloned());
+                spare.lag.push(done.clone());
                 spare
             }),
         };
         if let Some(spare) = spare {
             self.keep_spare(id, spare);
         }
-        Some(novel)
-    }
-
-    /// Remove `rows` from `name`'s table (rebuilding it from the
-    /// survivors), refresh its statistics and bump its row epoch;
-    /// returns the rows actually removed (`None`: unknown table).
-    fn delete(&mut self, name: &str, rows: &[Tuple]) -> Option<Vec<Tuple>> {
-        let id = self.current.storage.rel_id(name)?;
-        let old = self.current.storage.get_by_id(id)?.relation();
-        let doomed: std::collections::HashSet<&Tuple> = rows.iter().collect();
-        let (removed, kept): (Vec<Tuple>, Vec<Tuple>) =
-            old.rows().iter().cloned().partition(|t| doomed.contains(t));
-        if removed.is_empty() {
-            return Some(removed);
-        }
-        // The survivors were already distinct; their order is the
-        // stored order, so the relation round-trips bit-identically.
-        let rel = Relation::from_distinct_rows(old.schema().clone(), kept);
-        self.spares.remove(&id);
-        let state = self.writable();
-        let table = state.storage.insert(name, rel);
-        refresh_stats_quiet(&mut state.catalog, name, table);
-        state.catalog.bump_row_epoch(name);
-        Some(removed)
+        Some(done)
     }
 }
 
@@ -313,7 +345,8 @@ impl SharedDb {
         crate::Session::connect(self)
     }
 
-    /// How this database's row appends reached storage so far.
+    /// How this database's row appends and deletes reached storage so
+    /// far.
     #[must_use]
     pub fn append_paths(&self) -> AppendPaths {
         self.state
@@ -358,12 +391,17 @@ impl SharedDb {
         // place — no rebuild, no re-dedup of the base. When every row
         // was a duplicate nothing changed, and the generation (and
         // every epoch) stays as it is.
-        let novel = self.write().append(name, rows);
-        match novel {
+        let done = self.write().write(name, RowDelta::from_inserts(rows));
+        self.fan_out(&mut reg, name, done)
+    }
+
+    /// Hand what a row write changed to the standing views on `name`
+    /// (`None`: the write was refused and there is nothing to hand on).
+    fn fan_out(&self, reg: &mut Registry, name: &str, done: Option<RowDelta>) -> (bool, ExecStats) {
+        match done {
             None => (false, ExecStats::new()),
-            Some(novel) => {
-                let d = RowDelta::from_inserts(novel);
-                let stats = standing::apply_base_delta(&mut reg, &self.snapshot(), name, &d);
+            Some(done) => {
+                let stats = standing::apply_base_delta(reg, &self.snapshot(), name, &done);
                 (true, stats)
             }
         }
@@ -384,15 +422,10 @@ impl SharedDb {
     /// triggered.
     pub(crate) fn delete_rows_traced(&self, name: &str, rows: &[Tuple]) -> (bool, ExecStats) {
         let mut reg = self.standing_lock();
-        let removed = self.write().delete(name, rows);
-        match removed {
-            None => (false, ExecStats::new()),
-            Some(removed) => {
-                let d = RowDelta::from_deletes(removed);
-                let stats = standing::apply_base_delta(&mut reg, &self.snapshot(), name, &d);
-                (true, stats)
-            }
-        }
+        let done = self
+            .write()
+            .write(name, RowDelta::from_deletes(rows.to_vec()));
+        self.fan_out(&mut reg, name, done)
     }
 
     /// The standing-query registry, for the maintenance code in
@@ -564,9 +597,8 @@ mod tests {
         assert_eq!(
             db.append_paths(),
             AppendPaths {
-                in_place: 0,
-                recycled: 0,
-                copied: 1
+                copied: 1,
+                ..AppendPaths::default()
             }
         );
         // The reader moves on; the next pinned append takes the retired
@@ -576,9 +608,9 @@ mod tests {
         assert_eq!(
             db.append_paths(),
             AppendPaths {
-                in_place: 0,
                 recycled: 1,
-                copied: 1
+                copied: 1,
+                ..AppendPaths::default()
             }
         );
         assert_eq!(
@@ -613,8 +645,8 @@ mod tests {
             db.append_paths(),
             AppendPaths {
                 in_place: 5,
-                recycled: 0,
-                copied: 1
+                copied: 1,
+                ..AppendPaths::default()
             }
         );
         assert_eq!(rows_of(&forever, "F").len(), 20);
@@ -637,7 +669,8 @@ mod tests {
             AppendPaths {
                 in_place: 1,
                 recycled: 1,
-                copied: 1
+                copied: 1,
+                ..AppendPaths::default()
             }
         );
         drop(pin);
@@ -649,8 +682,7 @@ mod tests {
     #[test]
     fn other_writes_to_the_table_drop_its_retired_copy() {
         type Write = fn(&SharedDb);
-        let writes: [(&str, Write); 4] = [
-            ("delete", |db| assert!(db.delete_rows("F", &ints(&[3])))),
+        let writes: [(&str, Write); 3] = [
             ("replace", |db| db.insert_table("F", wide("F", "y", 30))),
             ("index", |db| {
                 assert!(db.create_index("F", &[Attr::parse("F.y")]))
@@ -684,6 +716,67 @@ mod tests {
             };
             assert_eq!(indexed(&db.snapshot()), indexed(&pin), "{what}");
         }
+    }
+
+    #[test]
+    fn deletes_take_the_same_three_arms_and_keep_the_retired_copy() {
+        let db = SharedDb::new();
+        db.insert_table("F", wide("F", "y", 20));
+        assert!(db.create_index("F", &[Attr::parse("F.y")]));
+        // Beside a reader, no retired copy yet: the table is cloned.
+        let pin = db.snapshot();
+        assert!(db.delete_rows("F", &ints(&[3, 4, 77])));
+        assert_eq!(rows_of(&pin, "F").len(), 20, "the reader is undisturbed");
+        drop(pin);
+        // Beside a reader, the retired copy free again: it replays the
+        // delete it missed, then takes this one.
+        let pin = db.snapshot();
+        assert!(db.delete_rows("F", &ints(&[0])));
+        assert_eq!(rows_of(&pin, "F").len(), 18);
+        drop(pin);
+        // No reader: where the table stands. The retired copy now lags
+        // by a delete and an append.
+        assert!(db.delete_rows("F", &ints(&[19])));
+        assert!(db.append_rows("F", ints(&[100, 3])));
+        // The next pinned append still recycles it.
+        let pin = db.snapshot();
+        assert!(db.append_rows("F", ints(&[101])));
+        drop(pin);
+        assert_eq!(
+            db.append_paths(),
+            AppendPaths {
+                in_place: 1,
+                recycled: 1,
+                copied: 0,
+                deleted_in_place: 1,
+                deleted_recycled: 1,
+                deleted_copied: 1,
+            }
+        );
+        let s = db.snapshot();
+        let mut expected: Vec<Tuple> =
+            ints(&(1..19).filter(|v| ![3, 4].contains(v)).collect::<Vec<_>>());
+        expected.extend(ints(&[100, 3, 101]));
+        assert_eq!(
+            rows_of(&s, "F"),
+            expected,
+            "stored order as if written in place"
+        );
+        assert_eq!(s.catalog().table("F").unwrap().rows, 19);
+        assert_eq!(s.catalog().distinct_of(&Attr::parse("F.y")), 19);
+        // The index came through every arm, renumbered.
+        let id = s.storage().rel_id("F").unwrap();
+        let index = &s.storage().get_by_id(id).unwrap().indexes()[0];
+        assert_eq!(index.lookup(&[Value::Int(101)]), &[18]);
+        assert_eq!(index.lookup(&[Value::Int(5)]), &[2]);
+        assert!(index.lookup(&[Value::Int(4)]).is_empty());
+        // Deleting rows the table does not hold publishes nothing.
+        let before = db.snapshot();
+        assert!(db.delete_rows("F", &ints(&[4, 555])));
+        assert!(!db.delete_rows("missing", &[]));
+        drop(s);
+        assert!(Arc::ptr_eq(&before, &db.snapshot()));
+        assert_eq!(db.append_paths().deleted_copied, 1);
     }
 
     #[test]

@@ -1,13 +1,29 @@
 //! Standing queries: register once, maintain forever.
 //!
 //! A standing query is planned a single time and materialized into a
-//! [`StandingView`]: the result rows plus the per-join state the delta
-//! algebra needs (hash build sides, outerjoin match counters — see
+//! view: the result rows plus the per-join state the delta algebra
+//! needs (hash build sides, outerjoin match counters — see
 //! [`fro_exec::DeltaPlan`]). Afterwards every mutation that goes
 //! through the [`SharedDb`] front door ([`SharedDb::append_rows`],
 //! [`SharedDb::delete_rows`]) propagates a typed [`RowDelta`] through
-//! the view's plan instead of re-executing it, so a poll touches
+//! the view's plan instead of re-executing it, so maintenance touches
 //! O(|delta|) rows, not O(|base|).
+//!
+//! ## What a poll costs
+//!
+//! Theorem 1 lands every alpha-equivalent registration on one view, so
+//! one view is read by many pollers. A view therefore keeps one
+//! *rendering* — its rows as a [`Relation`] in [`Tuple`] order, the
+//! order polls serve — and every poll returns a clone of it, which
+//! shares the rows (a pointer bump). Mutations do not touch the
+//! rendering: they push the view's delta onto a pending log, and the
+//! next poll merges the log in first. So a poll of an unchanged view is
+//! O(1); a poll after changes locates each changed row by binary search
+//! and moves the rows behind the first change, allocating nothing per
+//! row; and only if an earlier poll's result is still held somewhere
+//! does the merge copy the rows first (once — the holder keeps what it
+//! read, the view writes the copy in place from then on).
+//! [`StandingCounters`] counts the three.
 //!
 //! ## Keying (Theorem 1 at registration time)
 //!
@@ -125,22 +141,82 @@ pub struct StandingCounters {
     pub extension_reuses: u64,
     /// Leaf build sides cloned from the shared pool instead of rebuilt.
     pub build_sides_reused: u64,
+    /// Polls that found nothing to merge into the rendering: served as
+    /// it stood, O(1). (A poll that
+    /// had to refresh the view is counted in none of the three; it is
+    /// in `views_refreshed` of [`SharedDb::maintenance_stats`].)
+    pub polls_unchanged: u64,
+    /// Polls that first merged pending changes into the rendering
+    /// where it stood (no earlier result was still held).
+    pub polls_merged: u64,
+    /// Polls that had to copy the rendering before merging, because an
+    /// earlier poll's result was still held.
+    pub polls_copied: u64,
 }
 
 /// One maintained view: the plan it was registered with, the delta
-/// machinery (when the plan fits the delta algebra), the result rows in
-/// canonical order, and the epochs it has accounted for.
+/// machinery (when the plan fits the delta algebra), the served
+/// rendering with the changes not yet merged into it, and the epochs it
+/// has accounted for.
 #[derive(Debug)]
 struct View {
     graph: Option<QueryGraph>,
     plan: PhysPlan,
     delta: Option<DeltaPlan>,
-    rows: BTreeSet<Tuple>,
-    schema: SchemaRef,
+    /// The view's rows in [`Tuple`] order, as of the last poll or
+    /// refresh. Poll results are clones of it and share its rows; it is
+    /// written only by [`View::merge_pending`] and [`View::render`].
+    rendering: Relation,
+    /// The view deltas of the mutations since, concatenated in
+    /// publication order. Each was exact when pushed (inserts absent,
+    /// deletes present), so the rendering plus the net of this log is
+    /// the view.
+    pending: RowDelta,
     rels: BTreeSet<String>,
     subscribers: u64,
     base_epoch: u64,
     row_epochs: HashMap<String, u64>,
+}
+
+/// What [`View::merge_pending`] had to do.
+enum Merged {
+    Nothing,
+    InPlace,
+    AfterCopy,
+}
+
+impl View {
+    /// Replace the rendering with `rows` (any order, as an execution
+    /// returns them); nothing is pending afterwards.
+    fn render(&mut self, mut rows: Vec<Tuple>) {
+        rows.sort_unstable();
+        rows.dedup();
+        self.rendering = Relation::from_distinct_rows(self.rendering.schema().clone(), rows);
+        self.pending = RowDelta::default();
+    }
+
+    /// Bring the rendering up to date with everything pending, and say
+    /// how: nothing to do, merged where it stood, or copied first
+    /// because an earlier poll's result still shares its rows.
+    fn merge_pending(&mut self) -> Merged {
+        // Rows that came and went again since the last merge cancel.
+        let net = std::mem::take(&mut self.pending).normalize();
+        if net.is_empty() {
+            return Merged::Nothing;
+        }
+        let how = if self.rendering.rows_are_shared() {
+            Merged::AfterCopy
+        } else {
+            Merged::InPlace
+        };
+        self.rendering.merge_sorted(net.inserts, &net.deletes);
+        how
+    }
+
+    /// The view's exact cardinality, pending changes included.
+    fn len(&self) -> usize {
+        self.rendering.len() + self.pending.inserts.len() - self.pending.deletes.len()
+    }
 }
 
 /// `(signature, relation set, policy, plan fingerprint)` — the sharing
@@ -200,13 +276,6 @@ fn current_epochs(catalog: &Catalog, rels: &BTreeSet<String>) -> HashMap<String,
         .collect()
 }
 
-/// The bit-identical serving order: result rows sorted by [`Tuple`]'s
-/// total order under the view's schema. Polls return this rendering
-/// and the property suite compares re-executions against it.
-fn canonical_rows(schema: &SchemaRef, rows: &BTreeSet<Tuple>) -> Relation {
-    Relation::from_distinct_rows(schema.clone(), rows.iter().cloned().collect())
-}
-
 /// Whether `view` has accounted for every epoch the catalog currently
 /// shows for its relations.
 fn is_current(view: &View, catalog: &Catalog) -> bool {
@@ -231,7 +300,7 @@ fn refresh_view(
         Some(dp) => dp.initialize(state.storage(), pool, stats)?,
         None => execute(&view.plan, state.storage(), stats)?.rows().to_vec(),
     };
-    view.rows = rows.into_iter().collect();
+    view.render(rows);
     view.base_epoch = state.catalog().epoch();
     view.row_epochs = current_epochs(state.catalog(), &view.rels);
     Ok(())
@@ -241,10 +310,14 @@ fn refresh_view(
 /// Called by the mutation front doors *after* the new generation is
 /// published, still under the registry lock, with `state` the
 /// post-mutation snapshot. Views that are current except for this one
-/// row-epoch bump fold the delta in; views already behind (or whose
-/// plan is outside the delta algebra) stay behind and the next poll
-/// refreshes them. Returns the maintenance work done (also merged into
-/// the registry totals).
+/// row-epoch bump fold the delta in — into their join state now, into
+/// their rendering at the next poll: the view's own delta is only
+/// pushed onto its pending log, so this stays O(|delta|) however large
+/// the view (amortized: a log that outgrows the rendering is merged
+/// here, so an unpolled view's memory stays bounded). Views already
+/// behind (or whose plan is outside the delta
+/// algebra) stay behind and the next poll refreshes them. Returns the
+/// maintenance work done (also merged into the registry totals).
 pub(crate) fn apply_base_delta(
     reg: &mut Registry,
     state: &DbState,
@@ -282,11 +355,13 @@ pub(crate) fn apply_base_delta(
         match dp.apply(rel, delta, &mut stats) {
             Ok(out) => {
                 stats.delta_rows_out += out.len() as u64;
-                for t in &out.deletes {
-                    view.rows.remove(t);
-                }
-                for t in out.inserts {
-                    view.rows.insert(t);
+                view.pending.inserts.extend(out.inserts);
+                view.pending.deletes.extend(out.deletes);
+                // A view nobody polls must not grow a log forever: one
+                // that has outgrown the rendering is merged on the spot,
+                // which the rows logged since the last merge pay for.
+                if view.pending.len() > view.rendering.len() {
+                    view.merge_pending();
                 }
                 view.row_epochs.insert(rel.to_owned(), now);
                 done.merge(&stats);
@@ -381,20 +456,19 @@ impl SharedDb {
         let catalog = state.catalog();
         let id = reg.next_id;
         reg.next_id += 1;
-        reg.views.insert(
-            id,
-            View {
-                graph,
-                plan: optimized.plan.clone(),
-                delta,
-                rows: rows.into_iter().collect(),
-                schema,
-                rels: rels.clone(),
-                subscribers: 1,
-                base_epoch: catalog.epoch(),
-                row_epochs: current_epochs(catalog, &rels),
-            },
-        );
+        let mut view = View {
+            graph,
+            plan: optimized.plan.clone(),
+            delta,
+            rendering: Relation::empty(schema),
+            pending: RowDelta::default(),
+            rels: rels.clone(),
+            subscribers: 1,
+            base_epoch: catalog.epoch(),
+            row_epochs: current_epochs(catalog, &rels),
+        };
+        view.render(rows);
+        reg.views.insert(id, view);
         if let Some(k) = key {
             reg.by_key.insert(k, id);
         }
@@ -410,10 +484,13 @@ impl SharedDb {
     }
 
     /// Serve a standing view's current result: the maintained rows in
-    /// canonical order, refreshed from scratch first only if some
-    /// mutation path the delta machinery doesn't cover moved the
-    /// epochs. The returned [`ExecStats`] is the work *this poll* did —
-    /// all zero on the steady-state fast path.
+    /// canonical ([`Tuple`]) order, refreshed from scratch first only if
+    /// some mutation path the delta machinery doesn't cover moved the
+    /// epochs. The result shares its rows with the view (see the module
+    /// docs for what that makes a poll cost); holding on to it is safe
+    /// — it never changes — and costs the view one copy at its next
+    /// changed poll. The returned [`ExecStats`] is the work *this poll*
+    /// did — all zero on the steady-state fast path.
     ///
     /// # Errors
     /// [`FroError::UnknownStanding`] when no registration produced
@@ -426,14 +503,20 @@ impl SharedDb {
             return Err(FroError::UnknownStanding(id.0));
         };
         let mut stats = ExecStats::new();
-        if !is_current(view, state.catalog()) {
+        if is_current(view, state.catalog()) {
+            match view.merge_pending() {
+                Merged::Nothing => reg.counters.polls_unchanged += 1,
+                Merged::InPlace => reg.counters.polls_merged += 1,
+                Merged::AfterCopy => reg.counters.polls_copied += 1,
+            }
+        } else {
             if reg.pool_epoch != state.catalog().epoch() {
                 reg.pool.clear();
                 reg.pool_epoch = state.catalog().epoch();
             }
             refresh_view(view, &mut reg.pool, &state, &mut stats)?;
         }
-        let rel = canonical_rows(&view.schema, &view.rows);
+        let rel = view.rendering.clone();
         reg.totals.merge(&stats);
         Ok((rel, stats))
     }
@@ -444,7 +527,7 @@ impl SharedDb {
         let reg = self.standing_lock();
         reg.views.get(&id.0).map(|v| StandingInfo {
             subscribers: v.subscribers,
-            rows: v.rows.len(),
+            rows: v.len(),
             incremental: v.delta.is_some(),
             rels: v.rels.iter().cloned().collect(),
         })
@@ -512,8 +595,79 @@ mod tests {
         // Bit-identical to a cold re-execution served in the same
         // canonical order.
         let cold = s.prepare(&star_query()).unwrap().run().unwrap();
-        let sorted: BTreeSet<Tuple> = cold.rows().iter().cloned().collect();
-        assert_eq!(out2, canonical_rows(&cold.schema().clone(), &sorted));
+        let mut sorted = cold.rows().to_vec();
+        sorted.sort();
+        assert_eq!(
+            out2,
+            Relation::from_distinct_rows(cold.schema().clone(), sorted)
+        );
+    }
+
+    #[test]
+    fn polls_share_the_rendering_merge_in_place_or_copy_once() {
+        let s = star_session();
+        let reg = s.register_standing(&star_query()).unwrap();
+        let served = || {
+            let c = s.shared().standing_counters();
+            (c.polls_unchanged, c.polls_merged, c.polls_copied)
+        };
+        let rows_in_view = || s.shared().standing_info(reg.id).unwrap().rows;
+        let d2 = |k: i64| vec![Tuple::new(vec![Value::Int(k)])];
+        // Unchanged: two polls, one allocation.
+        let (a, _) = s.poll_standing(reg.id).unwrap();
+        let (b, _) = s.poll_standing(reg.id).unwrap();
+        assert!(std::ptr::eq(a.rows().as_ptr(), b.rows().as_ptr()));
+        assert_eq!(served(), (2, 0, 0));
+        drop((a, b));
+        // Changed with no result held: merged where the rendering
+        // stands. The row count is exact before the poll, too.
+        assert!(s.append_rows("D2", d2(20)));
+        assert_eq!(rows_in_view(), 2);
+        let (c, _) = s.poll_standing(reg.id).unwrap();
+        assert_eq!(c.len(), 2);
+        assert_eq!(served(), (2, 1, 0));
+        // Changed while `c` is held: the rendering is copied first and
+        // `c` keeps what it read.
+        assert!(s.append_rows("D1", vec![Tuple::new(vec![Value::Int(3)])]));
+        let (d, _) = s.poll_standing(reg.id).unwrap();
+        assert_eq!((c.len(), d.len()), (2, 3));
+        assert!(!std::ptr::eq(c.rows().as_ptr(), d.rows().as_ptr()));
+        assert_eq!(served(), (2, 1, 1));
+        drop(d);
+        // `c` is still held, but on the old rows: the view owns its copy
+        // now, so a held result costs one copy, not one per poll.
+        assert!(s.delete_rows("D2", &d2(20)));
+        let (e, _) = s.poll_standing(reg.id).unwrap();
+        assert_eq!((c.len(), e.len()), (2, 2));
+        assert_ne!(c, e);
+        assert_eq!(served(), (2, 2, 1));
+        // A row that came and went between two polls cancels: nothing
+        // to merge, the same allocation again.
+        assert!(s.append_rows("D2", d2(20)));
+        assert!(s.delete_rows("D2", &d2(20)));
+        assert_eq!(rows_in_view(), 2);
+        let (f, _) = s.poll_standing(reg.id).unwrap();
+        assert!(std::ptr::eq(e.rows().as_ptr(), f.rows().as_ptr()));
+        assert_eq!(served(), (3, 2, 1));
+        let cold = s.prepare(&star_query()).unwrap().run().unwrap();
+        assert!(f.set_eq(&cold));
+        assert_eq!(s.shared().maintenance_stats().views_refreshed, 1);
+    }
+
+    #[test]
+    fn an_unpolled_view_merges_its_log_once_it_outgrows_the_rendering() {
+        let s = star_session();
+        let reg = s.register_standing(&star_query()).unwrap();
+        let pending = || s.shared().standing_lock().views[&reg.id.0].pending.len();
+        // Nobody polls while (2, 20) joins and leaves the one-row view.
+        for round in 0..50 {
+            assert!(s.append_rows("D2", vec![Tuple::new(vec![Value::Int(20)])]));
+            assert!(s.delete_rows("D2", &[Tuple::new(vec![Value::Int(20)])]));
+            assert!(pending() <= 2, "round {round}: {} rows logged", pending());
+        }
+        assert_eq!(s.shared().standing_info(reg.id).unwrap().rows, 1);
+        let (out, stats) = s.poll_standing(reg.id).unwrap();
+        assert_eq!((out.len(), stats.views_refreshed), (1, 0));
     }
 
     #[test]

@@ -5,12 +5,17 @@ use fro::DbState;
 use fro_algebra::{Query, Relation};
 use std::sync::Arc;
 
-/// Every table of a generation, in name order.
+/// Every table of a generation, in name order — copied row by row: a
+/// `Relation::clone` shares the stored rows, and what a reader saw has
+/// to be kept apart from the storage it is later compared with.
 pub fn read_tables(state: &DbState) -> Vec<Relation> {
     state
         .storage()
         .iter()
-        .map(|(_, t)| t.relation().clone())
+        .map(|(_, t)| {
+            let rel = t.relation();
+            Relation::from_distinct_rows(rel.schema().clone(), rel.rows().to_vec())
+        })
         .collect()
 }
 

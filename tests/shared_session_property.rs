@@ -308,6 +308,23 @@ fn scripted_step(db: &SharedDb, i: i64) {
     }
 }
 
+/// The chain tables with a hash index on `R2.k2` — the table the
+/// pinned-reader schedules write — so every read below goes through an
+/// `IndexJoin` into it, and every write (in place, recycled or copied,
+/// append or delete) has to hand on a working index.
+fn indexed_chain_tables() -> Arc<SharedDb> {
+    let db = SharedDb::new();
+    chain_tables(&db, 6);
+    assert!(db.create_index("R2", &[fro_algebra::Attr::parse("R2.k2")]));
+    let plan = db.session().prepare(&chain_query(0)).unwrap();
+    assert!(
+        plan.plan().explain().contains("IndexJoin(inner) R2"),
+        "{}",
+        plan.plan().explain()
+    );
+    db
+}
+
 fn assert_same_state(a: &SharedDb, b: &SharedDb, ctx: &str) {
     let (a, b) = (a.snapshot(), b.snapshot());
     assert_eq!(read_tables(&a), read_tables(&b), "{ctx}: rows");
@@ -327,14 +344,12 @@ fn assert_same_state(a: &SharedDb, b: &SharedDb, ctx: &str) {
 fn pinned_readers_reread_identically_while_one_writer_moves_on() {
     const STEPS: i64 = 60;
     // The same script with no reader in sight.
-    let replay = SharedDb::new();
-    chain_tables(&replay, 6);
+    let replay = indexed_chain_tables();
     for i in 0..STEPS {
         scripted_step(&replay, i);
     }
 
-    let db = SharedDb::new();
-    chain_tables(&db, 6);
+    let db = indexed_chain_tables();
     let session = db.session();
     let forever = Pinned::pin(&session, &chain_query(0));
     let mut held: VecDeque<(i64, Pinned)> = VecDeque::new();
@@ -351,23 +366,44 @@ fn pinned_readers_reread_identically_while_one_writer_moves_on() {
         }
         held.retain(|(until, _)| *until > i + 1);
     }
-    assert_same_state(&db, &replay, "pinned run vs replay");
-    let fresh = session.prepare(&chain_query(0)).unwrap().run().unwrap();
-    let replayed = replay.session().prepare(&chain_query(0)).unwrap();
-    assert_eq!(fresh, replayed.run().unwrap());
-    // Every append ran beside a reader; some found the copy the
-    // previous one retired free again, some found a pin still on it.
+    let assert_same_reads = |ctx: &str| {
+        assert_same_state(&db, &replay, ctx);
+        let fresh = session.prepare(&chain_query(0)).unwrap().run().unwrap();
+        let replayed = replay.session().prepare(&chain_query(0)).unwrap();
+        assert_eq!(fresh, replayed.run().unwrap(), "{ctx}");
+    };
+    assert_same_reads("pinned run vs replay");
+    // Every write ran beside a reader; some found the copy the
+    // previous one retired free again, some found a pin still on it —
+    // appends and deletes alike.
     let paths = db.append_paths();
-    assert_eq!(paths.in_place, 0, "{paths:?}");
+    assert_eq!(paths.in_place + paths.deleted_in_place, 0, "{paths:?}");
     assert!(paths.recycled > 0 && paths.copied > 0, "{paths:?}");
+    assert!(
+        paths.deleted_recycled > 0 && paths.deleted_copied > 0,
+        "{paths:?}"
+    );
+    // With the short-lived readers gone the script goes on in place
+    // (the forever pin holds the first generation's tables, not these).
+    drop(held);
+    for i in STEPS..STEPS + 7 {
+        scripted_step(&db, i);
+        scripted_step(&replay, i);
+    }
+    forever.assert_unchanged("forever pin after the unpinned steps");
+    assert_same_reads("unpinned steps vs replay");
+    let paths = db.append_paths();
+    assert!(
+        paths.in_place > 0 && paths.deleted_in_place > 0,
+        "{paths:?}"
+    );
 }
 
 #[test]
 fn pinned_readers_reread_identically_under_several_writers() {
     const WRITERS: usize = 4;
     const APPENDS: usize = 15;
-    let db = SharedDb::new();
-    chain_tables(&db, 6);
+    let db = indexed_chain_tables();
     let forever = Pinned::pin(&db.session(), &chain_query(0));
     let barrier = Arc::new(Barrier::new(WRITERS));
     let handles: Vec<_> = (0..WRITERS)
@@ -405,8 +441,7 @@ fn pinned_readers_reread_identically_under_several_writers() {
 
     // Single-threaded replay of the same writes, writer by writer: the
     // stored order differs, the stored set and the statistics do not.
-    let replay = SharedDb::new();
-    chain_tables(&replay, 6);
+    let replay = indexed_chain_tables();
     for t in 0..WRITERS {
         for i in 0..APPENDS {
             let v = (1_000 * (t + 1) + i) as i64;
@@ -446,6 +481,11 @@ fn pinned_readers_reread_identically_under_several_writers() {
     assert_eq!(
         paths.in_place + paths.recycled + paths.copied,
         (WRITERS * APPENDS) as u64,
+        "{paths:?}"
+    );
+    assert_eq!(
+        paths.deleted_in_place + paths.deleted_recycled + paths.deleted_copied,
+        (WRITERS * APPENDS / 3) as u64,
         "{paths:?}"
     );
 }

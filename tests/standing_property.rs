@@ -19,7 +19,12 @@
 //! * readers pinned across 1, 2 or 5 later appends/deletes to the same
 //!   table (one forever) re-read bit-identically, while every view —
 //!   after each step and at the end, under one writer and several —
-//!   equals the one a reader-free single-threaded replay maintains.
+//!   equals the one a reader-free single-threaded replay maintains;
+//! * poll results share the view's rows, so results held across 1, 2
+//!   or 5 later appends/deletes (one forever) must go on reading what
+//!   they read when polled — on every join kind, across a 0→1→0
+//!   match-count round trip on the preserved side, and under several
+//!   writers — while each fresh poll equals the cold re-execution.
 
 mod common;
 
@@ -55,6 +60,25 @@ impl Lcg {
 fn canonical(rel: &Relation) -> Relation {
     let rows: BTreeSet<Tuple> = rel.rows().iter().cloned().collect();
     Relation::from_distinct_rows(rel.schema().clone(), rows.into_iter().collect())
+}
+
+/// A poll result kept by its caller, next to a row-by-row copy of what
+/// it read when it was polled (the result itself shares the view's
+/// rows; the copy shares nothing).
+struct HeldPoll {
+    result: Relation,
+    read: Vec<Tuple>,
+}
+
+impl HeldPoll {
+    fn hold(result: Relation) -> HeldPoll {
+        let read = result.rows().to_vec();
+        HeldPoll { result, read }
+    }
+
+    fn assert_unchanged(&self, ctx: &str) {
+        assert_eq!(self.result.rows(), self.read, "{ctx}: held poll result");
+    }
 }
 
 fn int_row(vals: &[i64]) -> Tuple {
@@ -177,13 +201,23 @@ fn outerjoin_null_rows_retract_when_the_last_match_dies() {
                 .count()
         };
 
-        let (view, _) = session.poll_standing(reg.id).unwrap();
+        // Every result polled below stays held to the end.
+        let mut held: Vec<HeldPoll> = Vec::new();
+        let mut poll = || {
+            let (view, _) = session.poll_standing(reg.id).unwrap();
+            let cold = session.prepare(&q).unwrap().run().unwrap();
+            assert_eq!(view, canonical(&cold), "kind {kind}: poll vs cold");
+            held.push(HeldPoll::hold(view.clone()));
+            view
+        };
+
+        let view = poll();
         // L.k=2 has no partner: exactly one null-padded row.
         assert_eq!(padded(&view), 1, "kind {kind}: baseline padding");
 
         // Kill L.k=1's only partner: its padded row must APPEAR…
         assert!(session.delete_rows("R", &[int_row(&[1, 91])]));
-        let (view, _) = session.poll_standing(reg.id).unwrap();
+        let view = poll();
         assert_eq!(
             padded(&view),
             2,
@@ -192,12 +226,28 @@ fn outerjoin_null_rows_retract_when_the_last_match_dies() {
 
         // …and a returning match must retract it again.
         assert!(session.append_rows("R", vec![int_row(&[1, 91])]));
-        let (view, _) = session.poll_standing(reg.id).unwrap();
+        let view = poll();
         assert_eq!(
             padded(&view),
             1,
             "kind {kind}: padding after match returned"
         );
+
+        // The other way round on the preserved row that never had a
+        // partner: L.k=2's match count goes 0→1 (padded row retracted)
+        // and back 1→0 (re-emitted).
+        assert!(session.append_rows("R", vec![int_row(&[2, 92])]));
+        let matched = poll();
+        assert_eq!(padded(&matched), 0, "kind {kind}: first match arrived");
+        assert!(session.delete_rows("R", &[int_row(&[2, 92])]));
+        let back = poll();
+        assert_eq!(padded(&back), 1, "kind {kind}: padded row re-emitted");
+        assert_eq!(back, view, "kind {kind}: round trip");
+
+        // Five results held across all of it: each reads what it read.
+        for (i, h) in held.iter().enumerate() {
+            h.assert_unchanged(&format!("kind {kind}: poll {i}"));
+        }
 
         // Each poll was served incrementally, never by re-running the
         // plan: only the registration itself counted as a refresh.
@@ -409,6 +459,10 @@ fn views_under_pinned_readers_equal_a_reader_free_replay() {
 
         let forever = Pinned::pin(&pinned, &q);
         let mut held: VecDeque<(usize, Pinned)> = VecDeque::new();
+        // Poll results are kept the same way: one forever, the others
+        // across the next 1, 2 or 5 mutations.
+        let first_poll = HeldPoll::hold(pinned.poll_standing(view).unwrap().0);
+        let mut held_polls: VecDeque<(usize, HeldPoll)> = VecDeque::new();
         for step in 0..45 {
             held.push_back((step + [1, 2, 5][step % 3], Pinned::pin(&pinned, &q)));
             let pay = 1_000 + 2 * step as i64;
@@ -430,7 +484,28 @@ fn views_under_pinned_readers_equal_a_reader_free_replay() {
                 canonical(&cold),
                 "{kind_name}: view vs cold at step {step}"
             );
+
+            first_poll.assert_unchanged(&format!("{kind_name}: first poll, step {step}"));
+            for (until, poll) in &held_polls {
+                poll.assert_unchanged(&format!("{kind_name}: poll due at {until}, step {step}"));
+            }
+            held_polls.retain(|(until, _)| *until > step + 1);
+            held_polls.push_back((step + 1 + [1, 2, 5][step % 3], HeldPoll::hold(got)));
         }
+        // The replay's results were dropped at once, so it merged every
+        // change in place; here some poll always found an earlier
+        // result still on the rendering and copied first.
+        let (here, there) = (
+            pinned.shared().standing_counters(),
+            replay.shared().standing_counters(),
+        );
+        assert_eq!(there.polls_copied, 0, "{kind_name}: {there:?}");
+        assert!(here.polls_copied > 0, "{kind_name}: {here:?}");
+        assert_eq!(
+            here.polls_copied + here.polls_merged,
+            there.polls_merged,
+            "{kind_name}: {here:?} vs {there:?}"
+        );
         assert_eq!(
             read_tables(&pinned.shared().snapshot()),
             read_tables(&replay.shared().snapshot()),
@@ -458,6 +533,7 @@ fn views_converge_under_several_writers_with_pinned_readers() {
         seed_tables(&setup, &mut Lcg::new(writers as u64), 16);
         let view = setup.register_standing(&q).unwrap().id;
         let forever = Pinned::pin(&setup, &q);
+        let first_poll = HeldPoll::hold(setup.poll_standing(view).unwrap().0);
 
         let barrier = Arc::new(Barrier::new(writers));
         let handles: Vec<_> = (0..writers)
@@ -467,9 +543,19 @@ fn views_converge_under_several_writers_with_pinned_readers() {
                 thread::spawn(move || {
                     let session = db.session();
                     let mut held: VecDeque<(usize, Pinned)> = VecDeque::new();
+                    let mut held_polls: VecDeque<(usize, HeldPoll)> = VecDeque::new();
                     barrier.wait();
                     for (i, row) in rows.iter().enumerate() {
-                        held.push_back((i + [1, 2, 5][(t + i) % 3], Pinned::pin(&session, &q)));
+                        let keep = i + [1, 2, 5][(t + i) % 3];
+                        held.push_back((keep, Pinned::pin(&session, &q)));
+                        // Other writers move the view on between this
+                        // poll and the checks below; the result may not.
+                        let (polled, _) = session.poll_standing(view).unwrap();
+                        assert!(
+                            polled.rows().windows(2).all(|w| w[0] < w[1]),
+                            "writer {t}, step {i}: canonical order"
+                        );
+                        held_polls.push_back((keep, HeldPoll::hold(polled)));
                         // All writers append to the same table; every
                         // fourth write retracts the writer's last row.
                         assert!(session.append_rows("R", vec![row.clone()]));
@@ -481,7 +567,13 @@ fn views_converge_under_several_writers_with_pinned_readers() {
                                 "writer {t}: pin due at {until}, step {i}"
                             ));
                         }
+                        for (until, poll) in &held_polls {
+                            poll.assert_unchanged(&format!(
+                                "writer {t}: poll due at {until}, step {i}"
+                            ));
+                        }
                         held.retain(|(until, _)| *until > i + 1);
+                        held_polls.retain(|(until, _)| *until > i + 1);
                     }
                 })
             })
@@ -490,6 +582,7 @@ fn views_converge_under_several_writers_with_pinned_readers() {
             h.join().unwrap();
         }
         forever.assert_unchanged("forever pin after all writers");
+        first_poll.assert_unchanged("first poll after all writers");
 
         // Single-threaded, reader-free replay of the same writes.
         let replay = SharedDb::new().session();
