@@ -23,11 +23,25 @@ use std::sync::Arc;
 /// [`Arc::make_mut`], which writes in place while this relation is the
 /// rows' only holder and copies them once, first, while a clone still
 /// reads them — a clone never sees a later write.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     schema: SchemaRef,
     rows: Arc<Vec<Tuple>>,
 }
+
+/// Same scheme, same rows in the same order. Two relations reading one
+/// allocation — a clone, a [`Relation::renamed`] copy, a stored table
+/// nobody wrote since it was loaded — are equal without a row being
+/// compared; spelled out here so that does not hang on how the standard
+/// library compares `Arc`s.
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.schema == other.schema
+            && (Arc::ptr_eq(&self.rows, &other.rows) || self.rows == other.rows)
+    }
+}
+
+impl Eq for Relation {}
 
 impl Relation {
     /// An empty relation on the given scheme.

@@ -14,6 +14,7 @@ pub mod cuts;
 pub mod dp;
 pub mod greedy;
 pub mod lower;
+pub mod place;
 pub mod plancache;
 pub mod reduce;
 pub mod stats;
@@ -32,6 +33,7 @@ pub use lower::lower;
 #[cfg(feature = "testing-oracles")]
 #[doc(hidden)]
 pub use lower::{lower_by_name, split_equi_by_name};
+pub use place::place_restriction;
 pub use plancache::{
     graph_signature, CacheCtx, CacheLoad, CacheStats, CachedEntry, GraphSignature, PlanCache,
 };

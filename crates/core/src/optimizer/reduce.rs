@@ -183,7 +183,7 @@ fn join_core_acyclic(g: &QueryGraph) -> bool {
 /// Does `plan`'s output schema contain every attribute in `keys`?
 /// Structural: tracks which relation attributes survive projections,
 /// aggregations, and the schema-halving join kinds.
-fn provides(plan: &PhysPlan, keys: &[Attr]) -> bool {
+pub(super) fn provides(plan: &PhysPlan, keys: &[Attr]) -> bool {
     keys.iter().all(|k| provides_attr(plan, k))
 }
 

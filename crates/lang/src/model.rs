@@ -2,7 +2,8 @@
 //!
 //! Tuples ("entities") have identity, repeating (set-valued) fields,
 //! and entity-valued fields. This module stores entity instances and
-//! materializes the *ground relations* the §5.2 translation needs:
+//! builds — once per model, shared by every alias, session and
+//! connection — the *ground relations* the §5.2 translation needs:
 //!
 //! * a base relation per alias, with a surrogate `@id` column, one
 //!   column per scalar field, and a surrogate `@Field` column per
@@ -16,6 +17,7 @@
 use crate::error::LangError;
 use fro_algebra::{Relation, Value};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Kinds of entity fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,11 +67,33 @@ pub struct Entity {
     pub values: BTreeMap<String, FieldValue>,
 }
 
-/// A database of entity types and instances.
+/// What a model holds: the declarations and the instances.
 #[derive(Debug, Clone, Default)]
-pub struct EntityDb {
+struct Model {
     types: BTreeMap<String, EntityType>,
     instances: BTreeMap<String, Vec<Entity>>,
+}
+
+/// The ground relations built so far, each under its type's own name:
+/// `(type, None)` is the base relation, `(type, Some(set field))` the
+/// unnest relation. Bounded by the model — an alias a client invents
+/// renames an entry, it never adds one.
+type GroundMemo = Vec<(String, Option<String>, Relation)>;
+
+/// A database of entity types and instances.
+///
+/// Copy-on-write: [`Clone`] is two pointer bumps, so every connection
+/// and session over one model reads the same entities, and
+/// [`EntityDb::declare`] / [`EntityDb::insert`] copy the model first
+/// only while a clone still reads it. Each ground relation is built
+/// once per model and handed out renamed ([`Relation::renamed`] shares
+/// the rows); clones share what is built, and a mutation gives the
+/// mutated side a fresh, empty memo — the other clones, and every
+/// relation already handed out, keep what they had.
+#[derive(Debug, Clone, Default)]
+pub struct EntityDb {
+    model: Arc<Model>,
+    ground: Arc<Mutex<GroundMemo>>,
 }
 
 impl EntityDb {
@@ -79,16 +103,24 @@ impl EntityDb {
         EntityDb::default()
     }
 
+    /// The model, about to change: unshared from any clone, and with no
+    /// ground relation built from what it held before.
+    fn model_mut(&mut self) -> &mut Model {
+        self.ground = Arc::default();
+        Arc::make_mut(&mut self.model)
+    }
+
     /// Declare an entity type.
     pub fn declare(&mut self, name: &str, fields: Vec<(&str, FieldType)>) -> &mut Self {
-        self.types.insert(
+        let model = self.model_mut();
+        model.types.insert(
             name.to_owned(),
             EntityType {
                 name: name.to_owned(),
                 fields: fields.into_iter().map(|(n, t)| (n.to_owned(), t)).collect(),
             },
         );
-        self.instances.entry(name.to_owned()).or_default();
+        model.instances.entry(name.to_owned()).or_default();
         self
     }
 
@@ -98,10 +130,14 @@ impl EntityDb {
     /// If the type was not declared.
     pub fn insert(&mut self, type_name: &str, values: Vec<(&str, FieldValue)>) -> u64 {
         assert!(
-            self.types.contains_key(type_name),
+            self.model.types.contains_key(type_name),
             "type `{type_name}` not declared"
         );
-        let list = self.instances.get_mut(type_name).expect("declared");
+        let list = self
+            .model_mut()
+            .instances
+            .get_mut(type_name)
+            .expect("declared");
         let id = list.len() as u64;
         list.push(Entity {
             id,
@@ -113,27 +149,57 @@ impl EntityDb {
     /// Look up a type.
     #[must_use]
     pub fn entity_type(&self, name: &str) -> Option<&EntityType> {
-        self.types.get(name)
+        self.model.types.get(name)
     }
 
     /// Instances of a type.
     #[must_use]
     pub fn instances(&self, name: &str) -> &[Entity] {
-        self.instances.get(name).map_or(&[], Vec::as_slice)
+        self.model.instances.get(name).map_or(&[], Vec::as_slice)
     }
 
-    /// Materialize the base ground relation of `type_name` under the
-    /// qualifier `alias`: columns `@id`, each scalar field, and `@F`
-    /// for each entity-valued field `F`. Set-valued fields have no
-    /// base column (they live in the derived relation).
+    /// The memoized ground relation of `(type_name, field)`, renamed to
+    /// `alias`; `build` runs the first time this model is asked for it.
+    fn ground(
+        &self,
+        type_name: &str,
+        field: Option<&str>,
+        alias: &str,
+        build: impl FnOnce() -> Relation,
+    ) -> Relation {
+        let mut memo = self
+            .ground
+            .lock()
+            .expect("building a ground relation never panics");
+        let found = memo
+            .iter()
+            .position(|(t, f, _)| t == type_name && f.as_deref() == field);
+        let at = found.unwrap_or_else(|| {
+            memo.push((type_name.to_owned(), field.map(str::to_owned), build()));
+            memo.len() - 1
+        });
+        let shared = memo[at].2.clone();
+        // The rename allocates a scheme; other sessions need not wait.
+        drop(memo);
+        shared.renamed(alias)
+    }
+
+    /// The base ground relation of `type_name` under the qualifier
+    /// `alias`: columns `@id`, each scalar field, and `@F` for each
+    /// entity-valued field `F`. Set-valued fields have no base column
+    /// (they live in the derived relation). Built once per model; every
+    /// alias of the type shares its rows.
     ///
     /// # Errors
     /// [`LangError::UnknownType`] when undeclared.
     pub fn base_relation(&self, type_name: &str, alias: &str) -> Result<Relation, LangError> {
         let ty = self
-            .types
-            .get(type_name)
+            .entity_type(type_name)
             .ok_or_else(|| LangError::UnknownType(type_name.to_owned()))?;
+        Ok(self.ground(type_name, None, alias, || self.build_base(ty)))
+    }
+
+    fn build_base(&self, ty: &EntityType) -> Relation {
         let mut cols: Vec<String> = vec!["@id".to_owned()];
         for (fname, ftype) in &ty.fields {
             match ftype {
@@ -144,7 +210,7 @@ impl EntityDb {
         }
         let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
         let mut rows = Vec::new();
-        for e in self.instances(type_name) {
+        for e in self.instances(&ty.name) {
             let mut row = Vec::with_capacity(cols.len());
             row.push(Value::Int(e.id as i64));
             for (fname, ftype) in &ty.fields {
@@ -162,13 +228,14 @@ impl EntityDb {
             }
             rows.push(row);
         }
-        Ok(Relation::from_values(alias, &col_refs, rows))
+        Relation::from_values(&ty.name, &col_refs, rows)
     }
 
-    /// Materialize the unnest relation for set field `field` of
-    /// `type_name`, under qualifier `alias`: columns `(@owner, field)`,
-    /// one row per set element (empty sets contribute no rows — the
-    /// outerjoin supplies their null).
+    /// The unnest relation for set field `field` of `type_name`, under
+    /// qualifier `alias`: columns `(@owner, field)`, one row per set
+    /// element (empty sets contribute no rows — the outerjoin supplies
+    /// their null). Built once per model, like
+    /// [`EntityDb::base_relation`].
     ///
     /// # Errors
     /// [`LangError`] for unknown types/fields or non-set fields.
@@ -179,8 +246,7 @@ impl EntityDb {
         alias: &str,
     ) -> Result<Relation, LangError> {
         let ty = self
-            .types
-            .get(type_name)
+            .entity_type(type_name)
             .ok_or_else(|| LangError::UnknownType(type_name.to_owned()))?;
         match ty.field(field) {
             Some(FieldType::SetValued) => {}
@@ -197,15 +263,17 @@ impl EntityDb {
                 })
             }
         }
-        let mut rows = Vec::new();
-        for e in self.instances(type_name) {
-            if let Some(FieldValue::Set(items)) = e.values.get(field) {
-                for v in items {
-                    rows.push(vec![Value::Int(e.id as i64), v.clone()]);
+        Ok(self.ground(type_name, Some(field), alias, || {
+            let mut rows = Vec::new();
+            for e in self.instances(type_name) {
+                if let Some(FieldValue::Set(items)) = e.values.get(field) {
+                    for v in items {
+                        rows.push(vec![Value::Int(e.id as i64), v.clone()]);
+                    }
                 }
             }
-        }
-        Ok(Relation::from_values(alias, &["@owner", field], rows))
+            Relation::from_values(type_name, &["@owner", field], rows)
+        }))
     }
 }
 
@@ -371,6 +439,82 @@ mod tests {
             db.unnest_relation("GHOST", "f", "x"),
             Err(LangError::UnknownType(_))
         ));
+    }
+
+    #[test]
+    fn clones_share_the_model_and_the_ground_relations_built_from_it() {
+        let db = paper_world();
+        let clone = db.clone();
+        assert!(std::ptr::eq(
+            db.instances("EMPLOYEE"),
+            clone.instances("EMPLOYEE")
+        ));
+        // Built once, whoever asks and under whatever alias — a link to
+        // EMPLOYEE reads the rows EMPLOYEE itself does.
+        let emp = db.base_relation("EMPLOYEE", "EMPLOYEE").unwrap();
+        let mgr = clone
+            .base_relation("EMPLOYEE", "DEPARTMENT_Manager")
+            .unwrap();
+        assert!(std::ptr::eq(emp.rows().as_ptr(), mgr.rows().as_ptr()));
+        assert!(mgr
+            .schema()
+            .contains(&Attr::new("DEPARTMENT_Manager", "@id")));
+        let kids = db.unnest_relation("EMPLOYEE", "ChildName", "E_Ch").unwrap();
+        let again = clone.unnest_relation("EMPLOYEE", "ChildName", "X").unwrap();
+        assert!(std::ptr::eq(kids.rows().as_ptr(), again.rows().as_ptr()));
+        // ... and equal to a build from scratch.
+        let mut fresh = paper_world();
+        fresh.declare("NOTE", vec![("Text", FieldType::Scalar)]);
+        assert_eq!(fresh.base_relation("EMPLOYEE", "EMPLOYEE").unwrap(), emp);
+        assert!(!std::ptr::eq(
+            fresh.instances("EMPLOYEE"),
+            db.instances("EMPLOYEE")
+        ));
+    }
+
+    #[test]
+    fn a_mutated_clone_leaves_the_original_alone_and_never_serves_a_stale_memo() {
+        let db = paper_world();
+        let emp = db.base_relation("EMPLOYEE", "EMPLOYEE").unwrap();
+        let kids = db.unnest_relation("EMPLOYEE", "ChildName", "K").unwrap();
+        let held = db.instances("EMPLOYEE");
+
+        let mut clone = db.clone();
+        clone.insert(
+            "EMPLOYEE",
+            vec![
+                ("Name", FieldValue::Scalar(Value::str("Dee"))),
+                ("ChildName", FieldValue::Set(vec![Value::str("Kai")])),
+            ],
+        );
+        clone.declare("NOTE", vec![("Text", FieldType::Scalar)]);
+
+        // The original: same entities where they stood, same memo, and
+        // what it handed out before still reads what it read.
+        assert!(std::ptr::eq(db.instances("EMPLOYEE"), held));
+        assert_eq!(db.instances("EMPLOYEE").len(), 3);
+        assert!(db.entity_type("NOTE").is_none());
+        let emp_again = db.base_relation("EMPLOYEE", "EMPLOYEE").unwrap();
+        assert!(std::ptr::eq(emp.rows().as_ptr(), emp_again.rows().as_ptr()));
+        assert_eq!((emp.len(), kids.len()), (3, 3));
+
+        // The clone: every ground relation rebuilt from what it holds
+        // now, including ones the shared memo had already built.
+        assert_eq!(clone.instances("EMPLOYEE").len(), 4);
+        let grown = clone.base_relation("EMPLOYEE", "EMPLOYEE").unwrap();
+        assert_eq!(grown.len(), 4);
+        assert_eq!(
+            clone
+                .unnest_relation("EMPLOYEE", "ChildName", "K")
+                .unwrap()
+                .len(),
+            4
+        );
+        assert_eq!(clone.base_relation("NOTE", "NOTE").unwrap().len(), 0);
+        // A second mutation of the now-unshared clone drops its memo too.
+        clone.insert("NOTE", vec![("Text", FieldValue::Scalar(Value::str("hi")))]);
+        assert_eq!(clone.base_relation("NOTE", "NOTE").unwrap().len(), 1);
+        assert_eq!(grown.len(), 4);
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! §5.2: expressing UnNest and Link with outerjoins.
 //!
-//! Each From-item step materializes a fresh derived relation and one
-//! directed outerjoin edge toward it:
+//! Each From-item step names a derived relation and adds one directed
+//! outerjoin edge toward it:
 //!
 //! * `A*F`  ⇒ relation `A_F(@owner, F)` and edge
 //!   `A → A_F` labeled `NestedIn ≡ (A.@id = A_F.@owner)`;
-//! * `A-->F` ⇒ relation `A_F` (a fresh copy of `F`'s target entity
-//!   type) and edge `A → A_F` labeled
+//! * `A-->F` ⇒ relation `A_F` (a copy of `F`'s target entity type under
+//!   a fresh qualifier) and edge `A → A_F` labeled
 //!   `LinkedTo ≡ (A.@F = A_F.@id)`.
 //!
+//! No rows are built here: every ground relation is the entity model's
+//! memoized one, renamed ([`EntityDb::base_relation`] /
+//! [`EntityDb::unnest_relation`]), so `TranslatedBlock::database` holds
+//! the whole world a block can reach at the cost of a schema per alias.
+//!
 //! Where-List equalities between base aliases become undirected join
-//! edges; literal comparisons become restrictions (applied after the
-//! block, per §4's "restrictions after all outerjoins" discipline —
-//! they only reference base aliases, which are never null-supplied).
+//! edges; literal and same-alias comparisons become restrictions, kept
+//! apart from the graph in `TranslatedBlock::restrictions`. They only
+//! reference base aliases, which are never null-supplied, so by §4 each
+//! may sit anywhere from above the block (where the reference
+//! `plan_query` puts it) down to its own relation's scan (where the
+//! session's optimizer puts it).
 //!
 //! The §5.3 observation is then checked, not assumed: the resulting
 //! graph must be nice with strong predicates, i.e. *freely
@@ -33,8 +41,8 @@ pub struct TranslatedBlock {
     pub graph: QueryGraph,
     /// Ground relations (bases and derived), keyed by alias.
     pub database: Database,
-    /// Post-block restrictions (literal comparisons and same-alias
-    /// conditions from the Where-List).
+    /// The block's restrictions (literal comparisons and same-alias
+    /// conditions from the Where-List), each over one base alias.
     pub restrictions: Vec<Pred>,
     /// The Theorem 1 analysis (always freely reorderable per §5.3).
     pub analysis: Analysis,

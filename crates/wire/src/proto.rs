@@ -152,7 +152,10 @@ pub enum Response {
 
 // ---------------------------------------------------------------- framing
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame. The writer is not flushed: a
+/// reply is several frames, and whoever writes the last one of a
+/// message flushes once, so a buffered point result leaves in one
+/// `send(2)`.
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidInput`] when the payload exceeds
@@ -166,8 +169,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     }
     let len = u32::try_from(payload.len()).expect("MAX_FRAME_BYTES fits u32");
     w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    w.write_all(payload)
 }
 
 /// Read one frame. Returns `Ok(None)` on a clean end-of-stream (EOF

@@ -157,6 +157,7 @@ fn serve_connection(
         if stop.load(Ordering::SeqCst) {
             break;
         }
+        let mut hang_up = false;
         match decode_request(&payload) {
             Ok(Request::Ping) => send(&mut writer, &Response::Pong)?,
             Ok(Request::Text(src)) => match run_text(session, &src) {
@@ -185,8 +186,13 @@ fn serve_connection(
                 // An undecodable request means the framing is no
                 // longer trustworthy: report and hang up.
                 send_error(&mut writer, &FroError::Wire(e))?;
-                break;
+                hang_up = true;
             }
+        }
+        // One flush per response, however many frames it took.
+        writer.flush()?;
+        if hang_up {
+            break;
         }
     }
     Ok(())
@@ -207,8 +213,7 @@ fn run_plan(session: &Session, blob: &[u8]) -> Result<(Relation, ExecStats), Fro
 fn send(writer: &mut BufWriter<TcpStream>, resp: &Response) -> io::Result<()> {
     let payload = encode_response(resp)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    write_frame(writer, &payload)?;
-    writer.flush()
+    write_frame(writer, &payload)
 }
 
 fn send_error(writer: &mut BufWriter<TcpStream>, e: &FroError) -> io::Result<()> {

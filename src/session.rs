@@ -25,7 +25,9 @@ use crate::error::FroError;
 use crate::shared::{insert_with_stats, DbState, SharedDb};
 use crate::standing::{Registered, StandingCounters, StandingId};
 use fro_algebra::{Attr, Query, Relation, Tuple};
-use fro_core::optimizer::{optimize_with_reduce, CacheLoad, CacheStats, Optimized};
+use fro_core::optimizer::{
+    optimize_with_reduce, place_restriction, CacheLoad, CacheStats, Optimized,
+};
 use fro_core::{Catalog, Policy, ReducePolicy};
 use fro_exec::{execute_with, ExecConfig, ExecStats, PhysPlan, Storage};
 use fro_lang::{parse, translate, EntityDb, LangError};
@@ -300,13 +302,15 @@ impl Session {
 
     /// Parse, translate and optimize a §5 UnNest/Link query block.
     ///
-    /// The block's ground relations (bases and derived) are synced
-    /// into the shared database only when their content actually
-    /// differs from what is stored, so repeating a query keeps the
-    /// epoch — and with it the plan cache — warm across every session.
-    /// Where-List restrictions are applied as filters above the
-    /// reordered join tree, exactly where the reference evaluator puts
-    /// them.
+    /// The block's ground relations (bases and derived) are the entity
+    /// model's own, built once and shared; they are synced into the
+    /// shared database only when what is stored differs, so repeating a
+    /// query keeps the epoch — and with it the plan cache — warm across
+    /// every session. The join tree is planned (and cached) without the
+    /// Where-List restrictions; each is then placed on the scan of the
+    /// base alias it reads ([`place_restriction`], §4), so a point query
+    /// starts from its restricted base and follows identifiers — the
+    /// same rows the reference evaluator gets by filtering on top.
     ///
     /// # Errors
     /// [`FroError::NoEntityModel`] without an entity model;
@@ -321,11 +325,12 @@ impl Session {
         })
     }
 
-    /// Parse/translate/optimize a §5 block and fold its Where-List
-    /// restrictions on top of the chosen plan — the same placement as
-    /// the reference evaluator's `plan_query`, so results coincide
-    /// tree by tree. Shared by [`Session::query`] and
-    /// [`Session::register_standing_src`].
+    /// Parse/translate/optimize a §5 block, then place each Where-List
+    /// restriction where §4 allows it to sit lowest — equivalent to the
+    /// reference evaluator's `plan_query`, which filters on top. The
+    /// plan cache sees only the unrestricted graph, so alpha-equivalent
+    /// phrasings and different literals share one entry. Shared by
+    /// [`Session::query`] and [`Session::register_standing_src`].
     fn optimize_src(&self, src: &str) -> Result<(Arc<DbState>, Optimized), FroError> {
         let edb = self.edb.as_ref().ok_or(FroError::NoEntityModel)?;
         let block = parse(src)?;
@@ -347,10 +352,7 @@ impl Session {
             suggested_partitions,
             reduction,
         } = optimized;
-        let plan = t.restrictions.iter().fold(plan, |p, r| PhysPlan::Filter {
-            input: Box::new(p),
-            pred: r.clone(),
-        });
+        let plan = t.restrictions.iter().fold(plan, place_restriction);
         for r in &t.restrictions {
             est_rows *= state.catalog().selectivity(r);
         }
@@ -448,6 +450,18 @@ impl Session {
     /// an untouched database keeps its epoch, so the plan cache stays
     /// warm across repeated queries from any session. Returns the
     /// generation to plan against.
+    ///
+    /// Storage keeps the relation it is given and the model hands out
+    /// the same rows every time, so for a table nobody wrote since it
+    /// was loaded the comparison is a scheme and a pointer; only a table
+    /// someone appended to, or one loaded from a different model, is
+    /// compared row by row (and then replaced).
+    ///
+    /// A table loaded here gets a hash index on its object identifier —
+    /// `@id` of a base relation, `@owner` of an unnest relation: the
+    /// column every `NestedIn`/`LinkedTo` outerjoin predicate equates,
+    /// so the optimizer can cost probing it against building a hash
+    /// table over the whole relation.
     fn sync_tables(&self, db: &fro_algebra::Database) -> Arc<DbState> {
         let state = self.db.snapshot();
         let synced = db.iter().all(|(name, rel)| {
@@ -468,6 +482,13 @@ impl Session {
                     .is_some_and(|table| table.relation() == rel);
                 if !stored {
                     insert_with_stats(catalog, storage, name, rel.clone());
+                    let mut attrs = rel.schema().attrs().iter();
+                    if let Some(identifier) = attrs.find(|a| matches!(a.name(), "@id" | "@owner")) {
+                        let key = [identifier.clone()];
+                        if storage.create_index(name, &key) {
+                            catalog.add_index(name, &key);
+                        }
+                    }
                 }
             }
         });
