@@ -5,8 +5,10 @@
 //! vector per attribute — `i64`s, dict-encoded strings (`u32` codes
 //! into a per-table [`Dictionary`]), bools, or a generic `Value`
 //! fallback for heterogeneous columns — each with a validity [`Bitmap`]
-//! for nulls, a null count, an exact distinct count, and per-zone
-//! min/max metadata ([`ZONE_ROWS`] rows per zone).
+//! for nulls, a null count, an exact distinct count, a bottom-k
+//! [`KeySketch`] of the distinct values (the optimizer's join-overlap
+//! statistic), and per-zone min/max metadata ([`ZONE_ROWS`] rows per
+//! zone).
 //!
 //! On top of the layout sit two kernels the execution engines call:
 //!
@@ -39,6 +41,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Rows per metadata zone: each column keeps min/max and a null count
 /// for every [`ZONE_ROWS`]-row chunk, the granularity at which the
@@ -337,6 +340,120 @@ impl Dictionary {
     }
 }
 
+/// Hashes a [`KeySketch`] keeps per column (≈ 2 KB).
+pub const SKETCH_K: usize = 256;
+
+/// A column re-sketches on delete once the distinct values deleted
+/// since its last exact sketch exceed `1/SKETCH_SLACK` of the distinct
+/// values left (see [`KeySketch`]).
+pub const SKETCH_SLACK: u64 = 4;
+
+/// A bottom-k sketch of one column's distinct non-null values: the
+/// [`SKETCH_K`] smallest of their [`KeySketch::hash_value`] hashes,
+/// sorted ascending and free of duplicates. It is a function of the
+/// value *set* alone — row order, duplicates and the order values were
+/// offered in do not change it — and it holds every hash while the
+/// column has fewer than [`SKETCH_K`] values, so two small columns are
+/// compared exactly.
+///
+/// Maintenance: [`ColumnSet::build`] offers each distinct value once,
+/// never holding more than [`SKETCH_K`] hashes; an append offers the
+/// appended values (O(log k) each, plus an O(k) shift for the rare one
+/// that enters). A delete leaves the sketch alone, so afterwards it
+/// sketches a *superset* of the stored values — the stored ones plus
+/// those deleted. The superset is bounded: once deletes have dropped a
+/// column's distinct count by more than a [`SKETCH_SLACK`]th of what
+/// remains since its sketch last matched the stored values, the delete
+/// re-sketches that column from its surviving rows. A table that keeps
+/// deleting old keys and appending new ones therefore never sketches
+/// more than `1 + 1/SKETCH_SLACK` times its stored key set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeySketch {
+    hashes: Vec<u64>,
+}
+
+impl KeySketch {
+    /// The hash a value enters a sketch under: its [`SigHash`] byte
+    /// stream (FNV-1a) through the 64-bit murmur3 finalizer, which
+    /// spreads FNV's weak low bits over the whole word. It is fixed
+    /// across processes and toolchains, so plans costed from sketches
+    /// repeat exactly.
+    ///
+    /// [`SigHash`]: crate::SigHash
+    #[must_use]
+    pub fn hash_value(v: &Value) -> u64 {
+        let mut h = crate::sig::sig_hash_of(v);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+
+    /// Where `h` would enter, or `None` when it is kept already or lies
+    /// above a full sketch.
+    fn slot(&self, h: u64) -> Option<usize> {
+        if self.hashes.len() == SKETCH_K && h >= self.hashes[SKETCH_K - 1] {
+            return None;
+        }
+        self.hashes.binary_search(&h).err()
+    }
+
+    /// Offer one hash: the sketch stays the bottom-k of everything
+    /// offered so far.
+    fn insert(&mut self, h: u64) {
+        if let Some(at) = self.slot(h) {
+            if self.hashes.len() == SKETCH_K {
+                self.hashes.pop();
+            }
+            self.hashes.insert(at, h);
+        }
+    }
+
+    /// Estimated Jaccard similarity `|A ∩ B| / |A ∪ B|` of the two
+    /// sketched value sets. The k smallest hashes of the two sketches
+    /// together are the k smallest of `A ∪ B`, and one of them belongs
+    /// to both sets exactly when both sketches hold it, so the shared
+    /// share among them estimates the ratio (0 when both are empty).
+    #[must_use]
+    pub fn jaccard(&self, other: &KeySketch) -> f64 {
+        let (a, b) = (&self.hashes, &other.hashes);
+        let (mut i, mut j, mut union, mut both) = (0, 0, 0usize, 0usize);
+        while union < SKETCH_K {
+            match (a.get(i), b.get(j)) {
+                (None, None) => break,
+                (Some(x), Some(y)) if x == y => {
+                    both += 1;
+                    i += 1;
+                    j += 1;
+                }
+                (Some(x), Some(y)) if x < y => i += 1,
+                (Some(_), None) => i += 1,
+                _ => j += 1,
+            }
+            union += 1;
+        }
+        if union == 0 {
+            0.0
+        } else {
+            both as f64 / union as f64
+        }
+    }
+
+    /// Estimated number of values two sets share, given their Jaccard
+    /// similarity `j` (see [`KeySketch::jaccard`]) and distinct counts:
+    /// `m = j·(d_a + d_b) / (1 + j)` (from `|A ∩ B| = j·|A ∪ B|` and
+    /// `|A ∪ B| = d_a + d_b − |A ∩ B|`), clamped to `[1, min(d_a, d_b)]`.
+    /// For a foreign key contained in its referenced key this is
+    /// `min(d_a, d_b)`, the containment estimate; for independent keys
+    /// it is their measured overlap.
+    #[must_use]
+    pub fn matching(j: f64, d_a: f64, d_b: f64) -> f64 {
+        let small = d_a.min(d_b).max(1.0);
+        (j * (d_a + d_b) / (1.0 + j)).clamp(1.0, small)
+    }
+}
+
 /// The typed payload vector of one column. Invalid (null) slots hold
 /// arbitrary placeholders and are never interpreted — the validity
 /// bitmap guards every read.
@@ -354,13 +471,19 @@ enum ColData {
 }
 
 /// One attribute of a [`ColumnSet`]: the typed vector plus validity,
-/// null count, exact distinct count, and zone metadata.
+/// null count, exact distinct count, key sketch, and zone metadata.
 #[derive(Debug, Clone)]
 pub struct Column {
     data: ColData,
     validity: Bitmap,
     null_count: usize,
     distinct: u64,
+    /// Shared with the optimizer catalog that reads it; an append
+    /// copies it only when a new hash enters.
+    sketch: Arc<KeySketch>,
+    /// Distinct values deletes removed since `sketch` last matched the
+    /// stored values.
+    sketch_stale: u64,
     zones: Vec<Zone>,
 }
 
@@ -376,6 +499,13 @@ impl Column {
     #[must_use]
     pub fn distinct(&self) -> u64 {
         self.distinct
+    }
+
+    /// The bottom-k sketch of the distinct non-null values (see
+    /// [`KeySketch`] for how appends and deletes maintain it).
+    #[must_use]
+    pub fn sketch(&self) -> &Arc<KeySketch> {
+        &self.sketch
     }
 
     /// The zone metadata ([`ZONE_ROWS`] rows per zone).
@@ -455,6 +585,27 @@ impl Column {
         }
     }
 
+    /// The sketch of the stored values, read off the typed vector —
+    /// O(rows), one hash per non-null row.
+    fn resketch(&self, dict: &Dictionary) -> KeySketch {
+        let mut sketch = KeySketch::default();
+        let rows = self.validity.len();
+        let mut offer = |v: &Value| sketch.insert(KeySketch::hash_value(v));
+        match &self.data {
+            ColData::Int(xs) => self
+                .validity
+                .for_each_one_in(0, rows, |i| offer(&Value::Int(xs[i]))),
+            ColData::Bool(xs) => self
+                .validity
+                .for_each_one_in(0, rows, |i| offer(&Value::Bool(xs[i]))),
+            ColData::Str(xs) => self
+                .validity
+                .for_each_one_in(0, rows, |i| offer(dict.value(xs[i]))),
+            ColData::Mixed(xs) => self.validity.for_each_one_in(0, rows, |i| offer(&xs[i])),
+        }
+        sketch
+    }
+
     /// Drop the rows at `ids` (ascending, distinct) from this column's
     /// vector and validity, leaving `rows` rows, and recompute the
     /// zones the removal reached: the one holding `ids[0]` and, since
@@ -494,6 +645,10 @@ impl Column {
                 self.null_count += 1;
             } else {
                 self.validity.set(slot);
+                let h = KeySketch::hash_value(v);
+                if self.sketch.slot(h).is_some() {
+                    Arc::make_mut(&mut self.sketch).insert(h);
+                }
             }
             match &mut self.data {
                 ColData::Int(xs) => xs.push(if let Value::Int(x) = v { *x } else { 0 }),
@@ -729,19 +884,24 @@ impl ColumnSet {
         };
 
         // Exact distinct count with the catalog's convention: null, if
-        // present, counts as one value.
-        let distinct = rel
-            .rows()
-            .iter()
-            .map(|t| t.get(c))
-            .collect::<HashSet<_>>()
-            .len() as u64;
+        // present, counts as one value. The sketch streams over the same
+        // set, one hash per distinct non-null value.
+        let values: HashSet<&Value> = rel.rows().iter().map(|t| t.get(c)).collect();
+        let distinct = values.len() as u64;
+        let mut sketch = KeySketch {
+            hashes: Vec::with_capacity(values.len().min(SKETCH_K)),
+        };
+        for v in values.into_iter().filter(|v| !v.is_null()) {
+            sketch.insert(KeySketch::hash_value(v));
+        }
 
         Column {
             data,
             validity,
             null_count,
             distinct,
+            sketch: Arc::new(sketch),
+            sketch_stale: 0,
             zones: Vec::new(),
         }
     }
@@ -751,7 +911,11 @@ impl ColumnSet {
     /// deletes, the mirror image of [`ColumnSet::append_rows`]. Every
     /// column compacts its typed vector and validity bitmap, adjusts
     /// its null count and recomputes its zones from the first one
-    /// touched; `distinct` supplies the new exact distinct counts.
+    /// touched; `distinct` supplies the new exact distinct counts. A key
+    /// sketch is left as it is — a superset of the stored values — until
+    /// the distinct values deleted since it was exact pass its
+    /// [`SKETCH_SLACK`] bound; then that column is re-sketched from its
+    /// surviving rows (see [`KeySketch`]).
     /// Costs the rows from `ids[0]` on. Unlike an append, a delete
     /// always fits the layout: a column keeps its type even if the
     /// values that widened it are gone, and the sealed dictionary keeps
@@ -763,14 +927,20 @@ impl ColumnSet {
         self.rows -= ids.len();
         for (col, &d) in self.cols.iter_mut().zip(distinct) {
             col.delete(ids, self.rows, &self.dict);
+            col.sketch_stale += col.distinct.saturating_sub(d);
             col.distinct = d;
+            if col.sketch_stale * SKETCH_SLACK > d {
+                col.sketch = Arc::new(col.resketch(&self.dict));
+                col.sketch_stale = 0;
+            }
         }
     }
 
     /// Append pre-deduplicated rows in place, extending every column's
     /// typed vector, validity bitmap, null count, and zone metadata —
     /// the O(|delta|) layout-maintenance path behind base-table
-    /// appends. `distinct` supplies each column's new exact distinct
+    /// appends; every appended non-null value is offered to its
+    /// column's key sketch. `distinct` supplies each column's new exact distinct
     /// count (the caller tracks the value sets; this structure only
     /// stores the result, under the same null-counts-as-one convention
     /// as [`ColumnSet::build`]).
@@ -1350,6 +1520,15 @@ mod tests {
             cs.delete_rows(&ids, &distinct_counts(&rel));
             assert_reads_like_a_rebuild(&cs, &rel);
             assert!(!rel.is_empty(), "round {round} leaves rows to compare");
+            // Under k values, a sketch holds every hash: the kept one
+            // covers the survivors' (a bounded superset, see KeySketch).
+            let rebuilt = ColumnSet::build(&rel);
+            for c in 0..cs.width() {
+                let kept = &cs.column(c).sketch().hashes;
+                for h in &rebuilt.column(c).sketch().hashes {
+                    assert!(kept.binary_search(h).is_ok(), "round {round} col {c}");
+                }
+            }
         }
         assert_eq!(cs.column(0).zones().len(), 1);
         // Appends land on the compacted layout like on a fresh one.
@@ -1367,6 +1546,20 @@ mod tests {
         cs.delete_rows(&all, &distinct_counts(&rel));
         assert_reads_like_a_rebuild(&cs, &rel);
         assert!(cs.column(0).zones().is_empty());
+        for c in 0..cs.width() {
+            assert!(cs.column(c).sketch().hashes.is_empty(), "col {c}");
+        }
+    }
+
+    #[test]
+    fn resketch_reads_every_layout_like_a_build() {
+        let rel = mixed_relation(3000, 9);
+        let cs = ColumnSet::build(&rel);
+        for c in 0..cs.width() {
+            let col = cs.column(c);
+            assert!(!col.sketch().hashes.is_empty(), "col {c}");
+            assert_eq!(col.resketch(cs.dict()), **col.sketch(), "col {c}");
+        }
     }
 
     #[test]
@@ -1388,6 +1581,152 @@ mod tests {
         assert_eq!(cs.rows(), 2);
         assert_eq!(cs.column(0).null_count(), 1);
         assert_eq!(cs.value_at(1, 0), Value::Null);
+    }
+
+    /// The sketch a freshly built one-column mirror of `values` keeps.
+    fn sketch_of(values: impl IntoIterator<Item = Value>) -> KeySketch {
+        let rows = values.into_iter().map(|v| vec![v]).collect();
+        let rel = Relation::from_values("R", &["k"], rows);
+        KeySketch::clone(ColumnSet::build(&rel).column(0).sketch())
+    }
+
+    #[test]
+    fn sketch_measures_overlap_on_int_and_str_keys() {
+        let int = |r: std::ops::Range<i64>| sketch_of(r.map(Value::Int));
+        let string = |r: std::ops::Range<i64>| sketch_of(r.map(|i| Value::str(format!("key{i}"))));
+        // (a, b, true |A ∩ B|, relative tolerance on the estimate).
+        let cases = [
+            (0..5_000, 10_000..15_000, 1.0, 0.0), // disjoint: m clamps to 1
+            (0..5_000, 0..5_000, 5_000.0, 0.0),   // identical
+            (0..4_000, 2_000..6_000, 2_000.0, 0.25), // half overlapping
+            (0..460, 0..12_460, 460.0, 0.5),      // foreign key into its key
+            (0..100, 50..150, 50.0, 0.0),         // under k values: exact
+        ];
+        for (a, b, want, tol) in cases {
+            let (da, db) = ((a.end - a.start) as f64, (b.end - b.start) as f64);
+            for (sa, sb) in [
+                (int(a.clone()), int(b.clone())),
+                (string(a.clone()), string(b.clone())),
+            ] {
+                let m = KeySketch::matching(sa.jaccard(&sb), da, db);
+                assert!(
+                    (m - want).abs() <= tol * want + 1e-9,
+                    "{a:?} vs {b:?}: m = {m}, want {want}"
+                );
+                assert_eq!(m, KeySketch::matching(sb.jaccard(&sa), db, da), "symmetric");
+            }
+        }
+        assert_eq!(int(0..5_000).jaccard(&int(0..5_000)), 1.0);
+        assert!((int(0..100).jaccard(&int(50..150)) - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(int(0..10).jaccard(&KeySketch::default()), 0.0);
+        assert_eq!(KeySketch::default().jaccard(&KeySketch::default()), 0.0);
+    }
+
+    #[test]
+    fn sketch_ignores_row_order_and_nulls_and_hashes_stably() {
+        let values: Vec<Value> = (0..3_000).map(|i| Value::Int(i * 7)).collect();
+        let mut shuffled = values.clone();
+        let mut rng = Rng(17);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        shuffled.push(Value::Null);
+        let sketch = sketch_of(values);
+        assert_eq!(sketch, sketch_of(shuffled));
+        assert_eq!(sketch.hashes.len(), SKETCH_K);
+        assert!(sketch.hashes.windows(2).all(|w| w[0] < w[1]));
+        // The hash is part of the plan-determining statistics: it must
+        // read the same in every process and on every toolchain.
+        assert_eq!(KeySketch::hash_value(&Value::Int(0)), 0xbfcb_1a2f_dd1f_ff6f);
+        assert_eq!(
+            KeySketch::hash_value(&Value::Int(42)),
+            0x0640_467e_21fb_54bb
+        );
+        assert_eq!(
+            KeySketch::hash_value(&Value::str("a")),
+            0xa9c6_a2b4_f029_92b7
+        );
+        assert_eq!(
+            KeySketch::hash_value(&Value::Bool(true)),
+            0x0309_2730_2f8f_bc35
+        );
+    }
+
+    #[test]
+    fn sketch_appends_match_a_rebuild() {
+        let mut rng = Rng(41);
+        let row = |rng: &mut Rng| Tuple::new(vec![Value::Int(rng.below(20_000) as i64)]);
+        let mut rel = Relation::from_distinct_rows(
+            Arc::new(crate::schema::Schema::of_relation("R", &["k"])),
+            Vec::new(),
+        );
+        let mut cs = ColumnSet::build(&rel);
+        for batch in 0..40 {
+            let size = [1, 7, 300][batch % 3];
+            let mut novel: Vec<Tuple> = Vec::new();
+            for _ in 0..size {
+                let t = row(&mut rng);
+                if !rel.rows().contains(&t) && !novel.contains(&t) {
+                    novel.push(t);
+                }
+            }
+            rel.extend_distinct(novel.clone());
+            assert!(cs.append_rows(&novel, &distinct_counts(&rel)));
+            let rebuilt = ColumnSet::build(&rel);
+            assert_eq!(
+                cs.column(0).sketch(),
+                rebuilt.column(0).sketch(),
+                "batch {batch}"
+            );
+        }
+        assert_eq!(cs.column(0).sketch().hashes.len(), SKETCH_K);
+    }
+
+    #[test]
+    fn sketch_after_deletes_is_a_bounded_superset() {
+        let rel = Relation::from_values(
+            "R",
+            &["k"],
+            (0..2_000).map(|i| vec![Value::Int(i)]).collect(),
+        );
+        let mut cs = ColumnSet::build(&rel);
+        let before = KeySketch::clone(cs.column(0).sketch());
+        let mut survivors = rel.clone();
+        let mut delete_below = |cs: &mut ColumnSet, bound: i64| {
+            let ids: Vec<usize> = (0..survivors.len())
+                .filter(|&i| matches!(survivors.rows()[i].get(0), Value::Int(v) if *v < bound))
+                .collect();
+            survivors.remove_rows_at(&ids);
+            cs.delete_rows(&ids, &distinct_counts(&survivors));
+            survivors.clone()
+        };
+        // 300 of 2 000 keys gone: within the slack (300·4 ≤ 1 700), so
+        // the sketch is still that of stored ∪ deleted values, and every
+        // survivor hash in the range it covers is in it.
+        let stored = delete_below(&mut cs, 300);
+        let kept = KeySketch::clone(cs.column(0).sketch());
+        assert_eq!(kept, before);
+        let tight = sketch_of(stored.rows().iter().map(|t| t.get(0).clone()));
+        assert_ne!(tight, before);
+        let cover = *kept.hashes.last().expect("non-empty");
+        for h in tight.hashes.iter().filter(|&&h| h <= cover) {
+            assert!(kept.hashes.binary_search(h).is_ok());
+        }
+        // 500 gone (500·4 > 1 500): the delete re-sketches the
+        // survivors, exactly as a rebuild would.
+        let stored = delete_below(&mut cs, 500);
+        assert_eq!(
+            cs.column(0).sketch(),
+            ColumnSet::build(&stored).column(0).sketch()
+        );
+        // The count restarts: 200 more (200·4 ≤ 1 300) leave it be.
+        let resketched = KeySketch::clone(cs.column(0).sketch());
+        let stored = delete_below(&mut cs, 700);
+        assert_eq!(**cs.column(0).sketch(), resketched);
+        assert_ne!(
+            cs.column(0).sketch(),
+            ColumnSet::build(&stored).column(0).sketch()
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! exactly why `(R1 − R2) → R3` costs 3 touches while
 //! `R1 − (R2 → R3)` costs `2·|R2| + 1` when driven the wrong way.
 
-use super::stats::Catalog;
+use super::stats::{Catalog, KeyOverlap};
 use fro_exec::{JoinKind, PhysPlan};
 
 /// An estimated (cost, output-rows) pair.
@@ -37,20 +37,31 @@ pub fn join_rows(kind: JoinKind, probe_rows: f64, build_rows: f64, sel: f64) -> 
 /// Estimate a physical plan bottom-up.
 #[must_use]
 pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
+    estimate(plan, catalog, KeyOverlap::Measured)
+}
+
+/// [`estimate_plan`] with every join key pair costed under the
+/// containment bound ([`KeyOverlap::Contained`]) — the semijoin
+/// reducer's estimate.
+pub(crate) fn estimate_contained(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
+    estimate(plan, catalog, KeyOverlap::Contained)
+}
+
+fn estimate(plan: &PhysPlan, catalog: &Catalog, overlap: KeyOverlap) -> Estimate {
     match plan {
         PhysPlan::Scan { rel } => {
             let n = catalog.rows_of(rel) as f64;
             Estimate { cost: n, rows: n }
         }
         PhysPlan::Filter { input, pred } => {
-            let e = estimate_plan(input, catalog);
+            let e = estimate(input, catalog, overlap);
             Estimate {
                 cost: e.cost + e.rows,
                 rows: e.rows * catalog.selectivity(pred),
             }
         }
         PhysPlan::Project { input, .. } => {
-            let e = estimate_plan(input, catalog);
+            let e = estimate(input, catalog, overlap);
             Estimate {
                 cost: e.cost + e.rows,
                 rows: e.rows,
@@ -64,11 +75,11 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
             build_keys,
             residual,
         } => {
-            let pe = estimate_plan(probe, catalog);
-            let be = estimate_plan(build, catalog);
+            let pe = estimate(probe, catalog, overlap);
+            let be = estimate(build, catalog, overlap);
             let mut sel = catalog.selectivity(residual);
             for (pk, bk) in probe_keys.iter().zip(build_keys) {
-                sel *= 1.0 / (catalog.distinct_of(pk).max(catalog.distinct_of(bk)).max(1) as f64);
+                sel *= catalog.eq_selectivity_as(pk, bk, overlap);
             }
             let rows = join_rows(*kind, pe.rows, be.rows, sel);
             Estimate {
@@ -84,11 +95,11 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
             inner_keys,
             residual,
         } => {
-            let oe = estimate_plan(outer, catalog);
+            let oe = estimate(outer, catalog, overlap);
             let inner_rows = catalog.rows_of(inner) as f64;
             let mut sel = catalog.selectivity(residual);
             for (ok, ik) in outer_keys.iter().zip(inner_keys) {
-                sel *= 1.0 / (catalog.distinct_of(ok).max(catalog.distinct_of(ik)).max(1) as f64);
+                sel *= catalog.eq_selectivity_as(ok, ik, overlap);
             }
             let retrieved = oe.rows * inner_rows * sel;
             let rows = join_rows(*kind, oe.rows, inner_rows, sel);
@@ -105,11 +116,11 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
             right_keys,
             residual,
         } => {
-            let le = estimate_plan(left, catalog);
-            let re = estimate_plan(right, catalog);
+            let le = estimate(left, catalog, overlap);
+            let re = estimate(right, catalog, overlap);
             let mut sel = catalog.selectivity(residual);
             for (lk, rk) in left_keys.iter().zip(right_keys) {
-                sel *= 1.0 / (catalog.distinct_of(lk).max(catalog.distinct_of(rk)).max(1) as f64);
+                sel *= catalog.eq_selectivity_as(lk, rk, overlap);
             }
             let rows = join_rows(*kind, le.rows, re.rows, sel);
             // Sort cost modeled as n·log n over each input.
@@ -125,8 +136,8 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
             right,
             pred,
         } => {
-            let le = estimate_plan(left, catalog);
-            let re = estimate_plan(right, catalog);
+            let le = estimate(left, catalog, overlap);
+            let re = estimate(right, catalog, overlap);
             let sel = catalog.selectivity(pred);
             let rows = join_rows(*kind, le.rows, re.rows, sel);
             Estimate {
@@ -137,7 +148,7 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
         PhysPlan::GroupCount {
             input, group_attrs, ..
         } => {
-            let e = estimate_plan(input, catalog);
+            let e = estimate(input, catalog, overlap);
             let mut groups = 1.0f64;
             for a in group_attrs {
                 groups *= catalog.distinct_of(a) as f64;
@@ -150,8 +161,8 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
         PhysPlan::Goj {
             left, right, pred, ..
         } => {
-            let le = estimate_plan(left, catalog);
-            let re = estimate_plan(right, catalog);
+            let le = estimate(left, catalog, overlap);
+            let re = estimate(right, catalog, overlap);
             let sel = catalog.selectivity(pred);
             let rows = join_rows(JoinKind::LeftOuter, le.rows, re.rows, sel);
             Estimate {
@@ -166,19 +177,22 @@ pub fn estimate_plan(plan: &PhysPlan, catalog: &Catalog) -> Estimate {
             source_keys,
             ..
         } => {
-            let ie = estimate_plan(input, catalog);
-            let se = estimate_plan(source, catalog);
+            let ie = estimate(input, catalog, overlap);
+            let se = estimate(source, catalog, overlap);
             // Containment assumption: the source's key values are a
             // subset of the input's key domain, so an input row
             // survives with probability d_source / d_input per key —
-            // not the uniform 1/max(d) of the join arms. This is what
+            // not the join arms' equality selectivity. This is what
             // lets the reducer see skew: a dimension whose junk keys
             // never appear in the source gets d_src ≪ d_in and a
             // survivor fraction well below one, while uniformly-keyed
             // inputs get ≈ 1 and the reduction correctly looks useless.
+            // An input has no more key values than rows: a wrap stacked
+            // on another sees the keys the first one left, so the two
+            // survivor fractions do not compound over the whole table's.
             let mut frac = 1.0f64;
             for (ik, sk) in input_keys.iter().zip(source_keys) {
-                let d_in = catalog.distinct_of(ik).max(1) as f64;
+                let d_in = (catalog.distinct_of(ik) as f64).min(ie.rows).max(1.0);
                 let d_src = catalog.distinct_of(sk).max(1) as f64;
                 frac *= (d_src / d_in).min(1.0);
             }
@@ -207,7 +221,7 @@ pub fn cut_selectivity(
     let (pairs, residual) = super::lower::split_equi_by_name_impl(pred, left_rels, right_rels);
     let mut sel = catalog.selectivity(&residual);
     for (a, b) in &pairs {
-        sel *= 1.0 / (catalog.distinct_of(a).max(catalog.distinct_of(b)).max(1) as f64);
+        sel *= catalog.eq_selectivity(a, b);
     }
     sel
 }

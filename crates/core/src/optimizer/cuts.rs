@@ -137,7 +137,7 @@ struct EqConjunct {
     b_node: usize,
     a_col: Option<u32>,
     b_col: Option<u32>,
-    /// `1 / max(distinct(a), distinct(b))`.
+    /// [`Catalog::eq_selectivity`], measured once per conjunct.
     sel: f64,
 }
 
@@ -177,7 +177,7 @@ pub(crate) struct CutInfo {
     /// The full cut predicate (for nested-loop joins), rebuilt from
     /// the crossing edges' predicates in edge order.
     full_pred: Pred,
-    /// Product of `1/max(distinct)` over the key pairs.
+    /// Product of the key pairs' equality selectivities.
     key_sel: f64,
     /// Selectivity of the residual predicate.
     residual_sel: f64,
@@ -423,7 +423,7 @@ fn resolve_eq(conj: &Pred, relmap: &RelMap, catalog: &Catalog) -> Option<EqConju
             .attr_id(attr)
             .map(|id| catalog.interner().attr_col(id))
     };
-    let sel = 1.0 / (catalog.distinct_of(a).max(catalog.distinct_of(b)).max(1) as f64);
+    let sel = catalog.eq_selectivity(a, b);
     Some(EqConjunct {
         a: a.clone(),
         b: b.clone(),

@@ -29,13 +29,24 @@
 //! non-joining rows before any join expands them.
 //!
 //! Every candidate wrap is **costed**: the greedy loop keeps a wrap
-//! only when the whole-plan estimate (under the containment-assumption
-//! selectivity in `cost.rs`) improves by at least 1%. On uniformly
-//! keyed data the survivor fraction is ≈1 and reduction is correctly
-//! declined; on skewed star/snowflake data it approaches the true
-//! match fraction and the reducer pays for itself many times over.
+//! only when the whole-plan estimate improves by at least 1%. On
+//! uniformly keyed data the survivor fraction is ≈1 and reduction is
+//! correctly declined; on skewed star/snowflake data it approaches the
+//! true match fraction and the reducer pays for itself many times over.
+//!
+//! The reducer costs under **containment** throughout: its survivor
+//! fraction `min(1, d_src/d_in)` and, for the plain and the wrapped
+//! plan alike, the join arms' `1/max(d_a, d_b)`
+//! ([`estimate_contained`]) — not the measured key overlap that picked
+//! the plan. A wrap is insurance against a blow-up the statistics
+//! cannot see: hot keys duplicated in a dimension whose never-matched
+//! keys dilute its rows per key, so the measured overlap prices the
+//! join that explodes as tiny. Containment lets a join produce as much
+//! as any uniform-key estimate allows, and a wrap costs at most one
+//! probe per input row, so pricing the downside high is the right side
+//! to err on.
 
-use super::cost::estimate_plan;
+use super::cost::estimate_contained;
 use super::stats::Catalog;
 use fro_algebra::Attr;
 use fro_exec::{PhysPlan, ReducePass};
@@ -103,10 +114,11 @@ pub struct ReductionReport {
     pub applied: Vec<WrapDesc>,
     /// Why nothing was applied, when `applied` is empty.
     pub declined: Option<String>,
-    /// Estimated cost of the plain (unreduced) plan.
+    /// Estimated cost of the plain (unreduced) plan, under the
+    /// containment estimate the reducer decides by.
     pub plain_cost: f64,
-    /// Estimated cost of the returned plan (= `plain_cost` when no
-    /// wrap was applied).
+    /// Estimated cost of the returned plan, likewise (= `plain_cost`
+    /// when no wrap was applied).
     pub reduced_cost: f64,
 }
 
@@ -596,7 +608,7 @@ pub fn reduce_plan(
     policy: ReducePolicy,
     graph: Option<&QueryGraph>,
 ) -> (PhysPlan, ReductionReport) {
-    let plain = estimate_plan(plan, catalog);
+    let plain = estimate_contained(plan, catalog);
     let mut report = ReductionReport {
         policy,
         considered: 0,
@@ -635,7 +647,7 @@ pub fn reduce_plan(
             for i in 0..cands.len() {
                 mask[i] = true;
                 let (candidate, _) = apply_wraps(plan, &mask);
-                let est = estimate_plan(&candidate, catalog);
+                let est = estimate_contained(&candidate, catalog);
                 if est.cost < best * 0.99 {
                     best = est.cost;
                 } else {
@@ -655,7 +667,7 @@ pub fn reduce_plan(
         .zip(&mask)
         .filter_map(|(c, &m)| m.then_some(c))
         .collect();
-    report.reduced_cost = estimate_plan(&reduced, catalog).cost;
+    report.reduced_cost = estimate_contained(&reduced, catalog).cost;
     (reduced, report)
 }
 

@@ -10,10 +10,24 @@
 //! interner for construction-time and display-time callers.
 
 use super::plancache::{CacheLoad, CacheStats, PlanCache};
-use fro_algebra::{Attr, AttrId, CmpOp, Interner, Pred, RelId, Scalar, Schema};
-use fro_exec::Storage;
+use fro_algebra::{Attr, AttrId, CmpOp, Interner, KeySketch, Pred, RelId, Scalar, Schema};
+use fro_exec::{Storage, Table};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// How an equality selectivity counts the key values two joined columns
+/// share ([`Catalog::eq_selectivity_as`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyOverlap {
+    /// The overlap the two columns' key sketches measure (containment
+    /// where a sketch is missing) — every plan choice but the reducer's.
+    Measured,
+    /// Containment, `m = min(d_a, d_b)`: the most keys two columns with
+    /// these distinct counts can share, so the largest join output a
+    /// uniform-key estimate allows. The semijoin reducer costs under it
+    /// (see `reduce.rs`).
+    Contained,
+}
 
 /// Statistics and physical metadata for one base table.
 #[derive(Debug, Clone)]
@@ -24,6 +38,10 @@ pub struct TableInfo {
     pub rows: u64,
     /// Distinct-value counts per column (missing ⇒ assume `rows`).
     distinct: Vec<Option<u64>>,
+    /// Key sketches per column, shared with the stored columns they
+    /// were read from (missing ⇒ equality selectivity assumes
+    /// containment).
+    sketches: Vec<Option<Arc<KeySketch>>>,
     /// Column-offset sets with a hash index (each sorted).
     indexes: BTreeSet<Vec<u32>>,
 }
@@ -31,11 +49,26 @@ pub struct TableInfo {
 impl TableInfo {
     fn new(schema: Arc<Schema>, rows: u64) -> TableInfo {
         let distinct = vec![None; schema.len()];
+        let sketches = vec![None; schema.len()];
         TableInfo {
             schema,
             rows,
             distinct,
+            sketches,
             indexes: BTreeSet::new(),
+        }
+    }
+
+    /// Take row count, distinct counts and key sketches from the
+    /// stored table — O(columns): all of it is metadata the columnar
+    /// mirror already maintains.
+    fn read_stats(&mut self, table: &Table) {
+        self.rows = table.len() as u64;
+        let columns = table.columns();
+        for c in 0..self.schema.len().min(columns.width()) {
+            let col = columns.column(c);
+            self.distinct[c] = Some(col.distinct());
+            self.sketches[c] = Some(Arc::clone(col.sketch()));
         }
     }
 
@@ -123,22 +156,15 @@ impl Catalog {
     }
 
     /// Exact statistics from in-memory storage (row counts, true
-    /// distinct counts, registered indexes).
+    /// distinct counts, key sketches, registered indexes).
     #[must_use]
     pub fn from_storage(storage: &Storage) -> Catalog {
         let mut cat = Catalog::new();
         for (name, table) in storage.iter() {
-            let rel = table.relation();
-            let schema = rel.schema().clone();
-            let id = cat.register(name, schema.clone(), rel.len() as u64);
+            let schema = table.relation().schema().clone();
+            let id = cat.register(name, schema, table.len() as u64);
             let info = &mut cat.tables[id.index()];
-            // Distinct counts come off the columnar mirror's per-column
-            // metadata — computed once at table load, no row scan here.
-            // Same convention as the old per-column set scan: null
-            // counts as one distinct value.
-            for c in 0..schema.len() {
-                info.distinct[c] = Some(table.columns().column(c).distinct());
-            }
+            info.read_stats(table);
             for ix in table.indexes() {
                 let cols: Vec<u32> = ix
                     .key_cols()
@@ -207,14 +233,17 @@ impl Catalog {
         }
     }
 
-    /// Refresh one column's distinct count *quietly* (no epoch bump;
-    /// see [`Catalog::set_rows_quiet`]). Ignored when the table or
-    /// attribute is unknown.
-    pub fn set_distinct_quiet(&mut self, attr: &Attr, distinct: u64) {
-        if let Some(t) = self.table_mut(attr.rel()) {
-            if let Some(c) = t.schema.index_of(attr) {
-                t.distinct[c] = Some(distinct);
+    /// Refresh a registered table's row count, distinct counts and key
+    /// sketches from its stored form *quietly* (no epoch bump; pair
+    /// with [`Catalog::bump_row_epoch`]). O(columns): the sketches are
+    /// shared, not copied. Returns `false` when the table is unknown.
+    pub fn read_table_stats_quiet(&mut self, name: &str, table: &Table) -> bool {
+        match self.table_mut(name) {
+            Some(t) => {
+                t.read_stats(table);
+                true
             }
+            None => false,
         }
     }
 
@@ -309,7 +338,8 @@ impl Catalog {
     /// can run the same physical plans — the precondition for trusting
     /// an id-only snapshot written by one of them in the other.
     ///
-    /// Deliberately excludes statistics (row and distinct counts):
+    /// Deliberately excludes statistics (row and distinct counts, key
+    /// sketches):
     /// stats drift is the [epoch](Catalog::epoch)'s job, so a snapshot
     /// from the same catalog at older stats loads as
     /// [`CacheLoad::StaleEpoch`], not [`CacheLoad::Foreign`].
@@ -452,6 +482,51 @@ impl Catalog {
         self.table_by_id(rel).map_or(1000, |t| t.distinct_col(col))
     }
 
+    /// The key sketch of an interned attribute's column, when the
+    /// catalog was given one (tables read from storage; not hand-built
+    /// ones).
+    fn sketch_of_id(&self, id: AttrId) -> Option<&Arc<KeySketch>> {
+        let t = self.table_by_id(self.interner.attr_rel(id))?;
+        t.sketches
+            .get(self.interner.attr_col(id) as usize)?
+            .as_ref()
+    }
+
+    /// Selectivity of the equi-join conjunct `a = b`: `m / (d_a·d_b)`,
+    /// where `m` is the number of key values the two columns share.
+    /// With both key sketches, `m` is the overlap they measure
+    /// ([`KeySketch::matching`]), so independently drawn keys are not
+    /// assumed to nest; without them `m = min(d_a, d_b)` — the
+    /// containment assumption, i.e. `1 / max(d_a, d_b)`. Every
+    /// equality-selectivity estimate (join enumeration, plan costing,
+    /// [`Catalog::selectivity`]) goes through here.
+    #[must_use]
+    pub fn eq_selectivity(&self, a: &Attr, b: &Attr) -> f64 {
+        self.eq_selectivity_as(a, b, KeyOverlap::Measured)
+    }
+
+    /// [`Catalog::eq_selectivity`], or — under
+    /// [`KeyOverlap::Contained`] — its containment bound, ignoring the
+    /// sketches.
+    pub(crate) fn eq_selectivity_as(&self, a: &Attr, b: &Attr, overlap: KeyOverlap) -> f64 {
+        let ids = self.attr_id(a).zip(self.attr_id(b));
+        let (da, db) = match ids {
+            Some((ia, ib)) => (self.distinct_of_id(ia), self.distinct_of_id(ib)),
+            None => (self.distinct_of(a), self.distinct_of(b)),
+        };
+        let (da, db) = (da.max(1) as f64, db.max(1) as f64);
+        let sketches = match (overlap, ids) {
+            (KeyOverlap::Measured, Some((ia, ib))) => {
+                self.sketch_of_id(ia).zip(self.sketch_of_id(ib))
+            }
+            _ => None,
+        };
+        let m = sketches.map_or(da.min(db), |(sa, sb)| {
+            KeySketch::matching(sa.jaccard(sb), da, db)
+        });
+        m / (da * db)
+    }
+
     /// Row count of a table (1000 when unknown).
     #[must_use]
     pub fn rows_of(&self, rel: &str) -> u64 {
@@ -472,7 +547,8 @@ impl Catalog {
     }
 
     /// Independence-assumption selectivity of a predicate: equality
-    /// between attributes `a = b` contributes `1 / max(d(a), d(b))`,
+    /// between attributes `a = b` contributes
+    /// [`Catalog::eq_selectivity`],
     /// other attribute comparisons 1/3, literal equality `1 / d(a)`,
     /// literal inequalities 1/3, `IS NULL` 1/10; conjuncts multiply,
     /// disjuncts add (capped), negation complements.
@@ -481,7 +557,7 @@ impl Catalog {
         match pred {
             Pred::Cmp { op, lhs, rhs } => match (lhs, rhs) {
                 (Scalar::Attr(a), Scalar::Attr(b)) => match op {
-                    CmpOp::Eq => 1.0 / (self.distinct_of(a).max(self.distinct_of(b)).max(1) as f64),
+                    CmpOp::Eq => self.eq_selectivity(a, b),
                     CmpOp::Ne => 1.0,
                     _ => 1.0 / 3.0,
                 },
@@ -550,11 +626,27 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_equality_uses_distincts() {
+    fn selectivity_equality_uses_measured_overlap() {
         let cat = Catalog::from_storage(&storage());
+        // R.k ∈ {1,2,3} and R.v ∈ {10,20} share no value: the sketches
+        // measure that, so the matching-key count clamps to 1 and the
+        // estimate is 1/(3·2), not containment's 1/max(3, 2).
         let p = Pred::eq_attr("R.k", "R.v");
         let s = cat.selectivity(&p);
-        assert!((s - 1.0 / 3.0).abs() < 1e-9);
+        assert!((s - 1.0 / 6.0).abs() < 1e-9);
+        assert_eq!(
+            s,
+            cat.eq_selectivity(&Attr::parse("R.k"), &Attr::parse("R.v"))
+        );
+        // A column against itself overlaps fully: 1/d.
+        let k = Attr::parse("R.k");
+        assert!((cat.eq_selectivity(&k, &k) - 1.0 / 3.0).abs() < 1e-9);
+        // A hand-built catalog has no sketches and assumes containment.
+        let mut hand = Catalog::new();
+        hand.add_table("R", Arc::new(Schema::of_relation("R", &["k", "v"])), 3);
+        hand.set_distinct(&Attr::parse("R.k"), 3);
+        hand.set_distinct(&Attr::parse("R.v"), 2);
+        assert!((hand.selectivity(&p) - 1.0 / 3.0).abs() < 1e-9);
         let lit = Pred::cmp_lit("R.v", CmpOp::Eq, 10);
         assert!((cat.selectivity(&lit) - 0.5).abs() < 1e-9);
     }
@@ -623,7 +715,6 @@ mod tests {
         let s = cat.rel_id("S").unwrap();
         // Quiet stats refresh + row-epoch bump: catalog epoch untouched.
         assert!(cat.set_rows_quiet("R", 12));
-        cat.set_distinct_quiet(&Attr::parse("R.k"), 12);
         cat.bump_row_epoch("R");
         assert_eq!(cat.epoch(), e, "row changes never bump the epoch");
         assert_eq!(cat.rows_of("R"), 12);

@@ -111,6 +111,19 @@ gate_count "$text_run" exec.tuples_retrieved_per_op tuples max 700
 gate_count "$text_run" exec.hash_build_rows_per_op rows max 200
 gate_count "$text_run" core.plancache.hit_rate ratio min 0.9
 
+echo "== join-estimate gates (loadgen: embed_exec, traced) =="
+# Equi-join selectivity comes from the overlap the key sketches measure,
+# so the 8-deep outerjoin chain runs as pipelined index joins. Assuming
+# containment again (or a sketch hash that varies per process) replans
+# it bushy over hash-joined intermediates: 17 422 rows materialized,
+# 15 572 hash build rows and 42 415 allocations per op (now 2 500, 650
+# and 18 404). The snowflake's reduction must keep cutting 3 000 rows.
+exec_run="$(traced_run embed_exec)"
+gate_count "$exec_run" exec.rows_materialized_per_op rows max 3000
+gate_count "$exec_run" exec.hash_build_rows_per_op rows max 1000
+gate_count "$exec_run" exec.rows_reduced_per_op rows min 3000
+gate_count "$exec_run" proc.allocs_per_op allocations max 22000
+
 echo "== EXPLAIN corpus gate =="
 scripts/explain_corpus.sh --check
 # Inverted self-test: a perturbed cost model MUST trip the gate. If

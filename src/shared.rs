@@ -251,7 +251,7 @@ impl Generations {
         };
         let state = self.writable();
         let table = state.storage.get_by_id(id)?;
-        refresh_stats_quiet(&mut state.catalog, name, table);
+        state.catalog.read_table_stats_quiet(name, table);
         state.catalog.bump_row_epoch(name);
         let spare = match retired {
             Some(table) => Some(Spare {
@@ -464,9 +464,9 @@ impl SharedDb {
 }
 
 /// Store `rel` as table `name` and register its exact statistics —
-/// row count plus true per-column distinct counts, read off the
-/// columnar mirror the table was just built with (null counts as one
-/// distinct value). Bumps the catalog epoch.
+/// row count, true per-column distinct counts (null counts as one
+/// distinct value) and key sketches, read off the columnar mirror the
+/// table was just built with. Bumps the catalog epoch.
 pub(crate) fn insert_with_stats(
     catalog: &mut Catalog,
     storage: &mut Storage,
@@ -474,26 +474,8 @@ pub(crate) fn insert_with_stats(
     rel: Relation,
 ) {
     let table = storage.insert(name, rel);
-    let schema = table.relation().schema().clone();
-    catalog.add_table(name, schema.clone(), table.len() as u64);
-    for (c, a) in schema.attrs().iter().enumerate() {
-        catalog.set_distinct(a, table.columns().column(c).distinct());
-    }
-}
-
-/// Refresh an *already-registered* relation's statistics without
-/// bumping the catalog epoch — row appends/deletes invalidate at
-/// row-epoch granularity instead ([`Catalog::bump_row_epoch`]).
-///
-/// Reads the exact distinct counts the table's columnar mirror already
-/// maintains, like [`insert_with_stats`], so refreshing statistics is
-/// O(columns), not O(rows) — which is what keeps the whole append path
-/// O(|delta|).
-fn refresh_stats_quiet(catalog: &mut Catalog, name: &str, table: &Table) {
-    catalog.set_rows_quiet(name, table.len() as u64);
-    for (c, a) in table.relation().schema().attrs().iter().enumerate() {
-        catalog.set_distinct_quiet(a, table.columns().column(c).distinct());
-    }
+    catalog.add_table(name, table.relation().schema().clone(), table.len() as u64);
+    catalog.read_table_stats_quiet(name, table);
 }
 
 #[cfg(test)]
@@ -521,6 +503,10 @@ mod tests {
     fn append_rows_refreshes_stats_and_dedups() {
         let db = SharedDb::new();
         db.insert_table("R", Relation::from_ints("R", &["a"], &[&[1], &[2]]));
+        db.insert_table("S", Relation::from_ints("S", &["b"], &[&[3]]));
+        let (ra, sb) = (Attr::parse("R.a"), Attr::parse("S.b"));
+        // Disjoint keys: the measured overlap clamps to one value.
+        assert_eq!(db.snapshot().catalog().eq_selectivity(&ra, &sb), 0.5);
         assert!(db.append_rows(
             "R",
             vec![
@@ -530,6 +516,8 @@ mod tests {
         ));
         let s = db.snapshot();
         assert_eq!(s.catalog().table("R").unwrap().rows, 3);
+        // The appended 3 reached the catalog's copy of R.a's sketch.
+        assert_eq!(s.catalog().eq_selectivity(&ra, &sb), 1.0 / 3.0);
         let id = s.storage().rel_id("R").unwrap();
         assert_eq!(s.storage().get_by_id(id).unwrap().relation().len(), 3);
         assert!(!db.append_rows("missing", vec![]));
