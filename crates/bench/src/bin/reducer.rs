@@ -13,8 +13,8 @@
 //! must actually choose a reduction schedule on these statistics (the
 //! bench asserts it, and asserts the uniform control declines).
 //!
-//! Reported per workload, at one worker thread in both execution
-//! modes: wall clock (best of `REPS`), intermediate rows
+//! Reported per workload, at one worker thread: wall clock (best of
+//! `REPS`), intermediate rows
 //! (`rows_materialized + rows_pipelined` — every tuple an operator
 //! emitted or flowed), rows removed by the reducer, and the
 //! optimizer's own cost estimates for both plans. Output rows are
@@ -96,8 +96,8 @@ struct WorkloadResult {
     wraps: usize,
     plain_cost: f64,
     reduced_cost: f64,
-    plain: [ModeRun; 2],
-    reduced: [ModeRun; 2],
+    plain: ModeRun,
+    reduced: ModeRun,
 }
 
 fn bench_workload(name: &'static str, params: &StarParams) -> WorkloadResult {
@@ -121,55 +121,44 @@ fn bench_workload(name: &'static str, params: &StarParams) -> WorkloadResult {
     );
     println!("{name}: {}", reduced.reduction);
 
-    let modes = [
-        ("materializing", ExecConfig::with_threads(1).materializing()),
-        ("pipelined", ExecConfig::with_threads(1).pipelined()),
-    ];
-    let mut plain_runs = Vec::new();
-    let mut reduced_runs = Vec::new();
-    let mut output_rows = 0usize;
-    for (mode, cfg) in &modes {
-        let (rows_p, run_p) = run_plan(&plain.plan, &storage, cfg);
-        let (rows_r, run_r) = run_plan(&reduced.plan, &storage, cfg);
-        assert_eq!(
-            rows_r, rows_p,
-            "{name} ({mode}): reduced output is not bit-identical to plain"
-        );
-        output_rows = rows_p.len();
-        let cut = run_p.intermediate_rows as f64 / run_r.intermediate_rows.max(1) as f64;
-        println!(
-            "{name} ({mode}, threads=1): plain={:.4}s reduced={:.4}s speedup={:.2}x  \
-             intermediates {} -> {} (cut {:.1}x, {} rows reduced)",
-            run_p.secs,
-            run_r.secs,
-            run_p.secs / run_r.secs,
-            run_p.intermediate_rows,
-            run_r.intermediate_rows,
-            cut,
-            run_r.rows_reduced,
-        );
-        assert!(
-            cut >= 10.0,
-            "{name} ({mode}): intermediate-row cut {cut:.1}x below the 10x bar"
-        );
-        assert!(
-            run_p.secs >= 2.0 * run_r.secs,
-            "{name} ({mode}): wall-clock speedup {:.2}x below the 2x bar",
-            run_p.secs / run_r.secs
-        );
-        plain_runs.push(run_p);
-        reduced_runs.push(run_r);
-    }
+    let cfg = ExecConfig::with_threads(1);
+    let (rows_p, plain_run) = run_plan(&plain.plan, &storage, &cfg);
+    let (rows_r, reduced_run) = run_plan(&reduced.plan, &storage, &cfg);
+    assert_eq!(
+        rows_r, rows_p,
+        "{name}: reduced output is not bit-identical to plain"
+    );
+    let cut = plain_run.intermediate_rows as f64 / reduced_run.intermediate_rows.max(1) as f64;
+    println!(
+        "{name} (threads=1): plain={:.4}s reduced={:.4}s speedup={:.2}x  \
+         intermediates {} -> {} (cut {:.1}x, {} rows reduced)",
+        plain_run.secs,
+        reduced_run.secs,
+        plain_run.secs / reduced_run.secs,
+        plain_run.intermediate_rows,
+        reduced_run.intermediate_rows,
+        cut,
+        reduced_run.rows_reduced,
+    );
+    assert!(
+        cut >= 10.0,
+        "{name}: intermediate-row cut {cut:.1}x below the 10x bar"
+    );
+    assert!(
+        plain_run.secs >= 2.0 * reduced_run.secs,
+        "{name}: wall-clock speedup {:.2}x below the 2x bar",
+        plain_run.secs / reduced_run.secs
+    );
 
     WorkloadResult {
         name,
         fact_rows,
-        output_rows,
+        output_rows: rows_p.len(),
         wraps: reduced.reduction.applied.len(),
         plain_cost: plain.est_cost,
         reduced_cost: reduced.est_cost,
-        plain: plain_runs.try_into().ok().expect("two modes"),
-        reduced: reduced_runs.try_into().ok().expect("two modes"),
+        plain: plain_run,
+        reduced: reduced_run,
     }
 }
 
@@ -218,31 +207,17 @@ fn main() {
         let _ = writeln!(json, "      \"wraps\": {},", r.wraps);
         let _ = writeln!(json, "      \"est_cost_plain\": {:.1},", r.plain_cost);
         let _ = writeln!(json, "      \"est_cost_reduced\": {:.1},", r.reduced_cost);
-        let _ = writeln!(
-            json,
-            "      \"plain_materializing\": {},",
-            mode(&r.plain[0])
-        );
-        let _ = writeln!(
-            json,
-            "      \"reduced_materializing\": {},",
-            mode(&r.reduced[0])
-        );
-        let _ = writeln!(json, "      \"plain_pipelined\": {},", mode(&r.plain[1]));
-        let _ = writeln!(
-            json,
-            "      \"reduced_pipelined\": {},",
-            mode(&r.reduced[1])
-        );
+        let _ = writeln!(json, "      \"plain_pipelined\": {},", mode(&r.plain));
+        let _ = writeln!(json, "      \"reduced_pipelined\": {},", mode(&r.reduced));
         let _ = writeln!(
             json,
             "      \"speedup_pipelined\": {:.3},",
-            r.plain[1].secs / r.reduced[1].secs
+            r.plain.secs / r.reduced.secs
         );
         let _ = writeln!(
             json,
             "      \"intermediate_cut_pipelined\": {:.3}",
-            r.plain[1].intermediate_rows as f64 / r.reduced[1].intermediate_rows.max(1) as f64
+            r.plain.intermediate_rows as f64 / r.reduced.intermediate_rows.max(1) as f64
         );
         let _ = writeln!(json, "    }}{comma}");
     }

@@ -1,37 +1,35 @@
-//! Thread- and partition-scaling benchmark for the radix-partitioned
-//! morsel-driven hash-join executor, plus the pipelined-vs-materializing
-//! engine comparison on a deep left-outerjoin chain.
+//! Thread- and partition-scaling benchmark for the executor's
+//! radix-partitioned, morsel-driven hash join, plus a deep
+//! left-outerjoin chain.
 //!
-//! Builds a ≥100k-row probe-side hash join and sweeps worker threads
-//! (1/2/4/8) × radix partitions (1/4/16/64), writing
-//! `BENCH_engine.json` at the repository root with build-phase and
-//! probe-phase wall-clock reported separately for every cell. Output
-//! rows are asserted bit-identical across the whole sweep — the
-//! partitioned engine's core contract. The machine's
+//! Runs a left-outer hash join of a 200k-row probe table against a
+//! 20k-row build table through `execute_with` — the fused pipeline
+//! every product plan runs: the build hashes the key column straight
+//! off the columnar mirror, the probe streams the scan — and sweeps
+//! worker threads (1/2/4/8) × radix partitions (1/4/16/64), writing
+//! `BENCH_engine.json` at the repository root with the best wall-clock
+//! of every cell. Output rows and counters are asserted bit-identical
+//! across the whole sweep — the partitioned engine's core contract. The machine's
 //! `available_parallelism` is recorded alongside: on a single-core
 //! container the wall-clock curve is flat by construction, and the
 //! field lets a reader tell that apart from an engine that fails to
 //! scale.
 //!
-//! The deep-chain section joins eight 100k-row relations
-//! `C0 ⟕ C1 ⟕ … ⟕ C7` at one thread — per ROADMAP the honest setting
-//! on a 1-CPU container — through both executors. The materializing
-//! engine pays one widening intermediate per join edge; the pipelined
-//! engine fuses the whole chain (all build sides are base tables) into
-//! a single pass with `rows_materialized = 0`, which is asserted, as
-//! is bit-identical output and work counters between the modes.
+//! The deep-chain section joins eight 20k-row relations
+//! `C0 ⟕ C1 ⟕ … ⟕ C7` at one thread. The executor fuses the whole
+//! chain (all build sides are base tables) into a single pass with
+//! `rows_materialized = 0`, which is asserted.
 //!
 //! A third section microbenchmarks the columnar kernels at one thread:
 //! `ColumnSet::eval_pred` vs a per-tuple `BoundPred::eval` loop, and
-//! `ColumnSet::hash_key_at` vs the row-at-a-time key hash the engines
-//! use without a column mirror, both over the 200k-row probe relation,
+//! `ColumnSet::hash_key_at` vs the row-at-a-time key hash the executor
+//! uses for intermediates, both over the 200k-row probe relation,
 //! plus the zone-skip count for an out-of-domain equality literal.
 //! Kernel outputs are asserted identical to the row path before
 //! timing.
 
 use fro_algebra::ops::BoundPred;
 use fro_algebra::{Attr, CmpOp, ColumnSet, Pred, Relation, Tuple, Value};
-use fro_exec::engine::hash_join_timed;
 use fro_exec::{execute_with, ExecConfig, ExecStats, JoinKind, PhysPlan, Storage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,11 +67,8 @@ const KERNEL_REPS: usize = 5;
 /// so every link matches at most once (no fanout; the output stays at
 /// `CHAIN_ROWS` rows while the tuples widen), and roughly a third of
 /// each probe side null-pads. Tuples carry `CHAIN_PAYLOAD_COLS`
-/// payload columns beside the key: the probe work is identical in both
-/// modes (the tables are small enough to stay cache-resident), so the
-/// wall-clock difference isolates what the issue targets — the
-/// widening intermediate the materializing engine allocates per join
-/// edge and the pipelined engine never does.
+/// payload columns beside the key, so an executor that materialized a
+/// widening intermediate per join edge would pay for it here.
 fn chain_storage(seed: u64) -> Storage {
     let mut rng = StdRng::seed_from_u64(seed);
     let domain: Vec<i64> = (0..(CHAIN_ROWS as i64) * 3 / 2).collect();
@@ -106,9 +101,7 @@ fn chain_storage(seed: u64) -> Storage {
 /// projection: the probe spine descends through every join to
 /// `Scan C0`, every build side is a bare scan, and the projection
 /// fuses as the pipeline sink — the shape the pipeline compiler fuses
-/// completely. The materializing engine allocates the full widening
-/// intermediate at every join edge before projecting it away; the
-/// pipelined engine never allocates a wide tuple at all.
+/// completely, never allocating a wide tuple at all.
 fn chain_plan() -> PhysPlan {
     let mut plan = PhysPlan::scan("C0");
     for i in 1..CHAIN_RELS {
@@ -132,7 +125,7 @@ fn chain_plan() -> PhysPlan {
 }
 
 /// Best-of-`REPS` wall-clock for the chain plan under `cfg`, plus the
-/// rows and stats of one run for the cross-mode identity checks.
+/// rows and stats of one run.
 fn run_chain(storage: &Storage, plan: &PhysPlan, cfg: &ExecConfig) -> (Relation, ExecStats, f64) {
     let mut st = ExecStats::new();
     let out = execute_with(plan, storage, &mut st, cfg).expect("chain runs");
@@ -165,32 +158,27 @@ struct Cell {
     threads: usize,
     partitions: usize,
     best_secs: f64,
-    build_secs: f64,
-    probe_secs: f64,
     rows_per_sec: f64,
 }
 
 fn main() {
     let probe = table("P", PROBE_ROWS, 42);
     let build = table("B", BUILD_ROWS, 43);
-    let probe_keys = [Attr::parse("P.k")];
-    let build_keys = [Attr::parse("B.k")];
-    let residual = Pred::always();
-
-    let run = |cfg: &ExecConfig| -> (Relation, ExecStats, f64, f64) {
+    let mut join_store = Storage::new();
+    join_store.insert("P", probe.clone());
+    join_store.insert("B", build.clone());
+    let join = PhysPlan::HashJoin {
+        kind: JoinKind::LeftOuter,
+        probe: Box::new(PhysPlan::scan("P")),
+        build: Box::new(PhysPlan::scan("B")),
+        probe_keys: vec![Attr::parse("P.k")],
+        build_keys: vec![Attr::parse("B.k")],
+        residual: Pred::always(),
+    };
+    let run = |cfg: &ExecConfig| -> (Relation, ExecStats) {
         let mut st = ExecStats::new();
-        let (out, build_secs, probe_secs) = hash_join_timed(
-            JoinKind::LeftOuter,
-            &probe,
-            &build,
-            &probe_keys,
-            &build_keys,
-            &residual,
-            &mut st,
-            cfg,
-        )
-        .expect("join runs");
-        (out, st, build_secs, probe_secs)
+        let out = execute_with(&join, &join_store, &mut st, cfg).expect("join runs");
+        (out, st)
     };
 
     let mut baseline_rows: Option<Vec<Tuple>> = None;
@@ -202,7 +190,11 @@ fn main() {
             // Warm-up run doubles as the bit-identity check against the
             // sequential unpartitioned baseline: same rows, same order,
             // same scalar counters at every (threads, partitions).
-            let (out, st, _, _) = run(&cfg);
+            let (out, st) = run(&cfg);
+            assert_eq!(
+                st.rows_materialized, 0,
+                "the join must fuse into one pipeline"
+            );
             match &baseline_rows {
                 None => {
                     baseline_rows = Some(out.rows().to_vec());
@@ -221,81 +213,47 @@ fn main() {
                     );
                 }
             }
-            let (mut best, mut best_build, mut best_probe) = (f64::INFINITY, 0.0, 0.0);
+            let mut best = f64::INFINITY;
             for _ in 0..REPS {
                 let t = Instant::now();
-                let (out, _, build_secs, probe_secs) = run(&cfg);
+                let (out, _) = run(&cfg);
                 let secs = t.elapsed().as_secs_f64();
                 std::hint::black_box(out.len());
-                if secs < best {
-                    best = secs;
-                    best_build = build_secs;
-                    best_probe = probe_secs;
-                }
+                best = best.min(secs);
             }
             let rows_per_sec = PROBE_ROWS as f64 / best;
             println!(
-                "threads={threads:>2} partitions={partitions:>2}  best={best:.4}s \
-                 (build={best_build:.4}s probe={best_probe:.4}s)  probe rows/sec={rows_per_sec:.0}"
+                "threads={threads:>2} partitions={partitions:>2}  best={best:.4}s  \
+                 probe rows/sec={rows_per_sec:.0}"
             );
             cells.push(Cell {
                 threads,
                 partitions,
                 best_secs: best,
-                build_secs: best_build,
-                probe_secs: best_probe,
                 rows_per_sec,
             });
         }
     }
 
-    // --- Deep left-outerjoin chain: pipelined vs materializing at one
-    // thread. Output rows, order, and work counters must be
-    // bit-identical; only the wall clock and the bookkeeping split
-    // (`rows_materialized` vs `rows_pipelined`) may differ.
+    // --- Deep left-outerjoin chain at one thread: one fused pass.
     let chain_store = chain_storage(97);
     let plan = chain_plan();
-    let (mat_rows, mat_stats, mat_secs) =
-        run_chain(&chain_store, &plan, &ExecConfig::new().materializing());
-    let (pipe_rows, pipe_stats, pipe_secs) =
-        run_chain(&chain_store, &plan, &ExecConfig::new().pipelined());
-    assert_eq!(
-        mat_rows.rows(),
-        pipe_rows.rows(),
-        "pipelined chain output diverged from materializing"
-    );
-    for (name, a, b) in [
-        (
-            "tuples_retrieved",
-            mat_stats.tuples_retrieved,
-            pipe_stats.tuples_retrieved,
-        ),
-        ("comparisons", mat_stats.comparisons, pipe_stats.comparisons),
-        (
-            "hash_build_rows",
-            mat_stats.hash_build_rows,
-            pipe_stats.hash_build_rows,
-        ),
-        ("rows_output", mat_stats.rows_output, pipe_stats.rows_output),
-    ] {
-        assert_eq!(a, b, "work counter {name} diverged between modes");
-    }
+    let (pipe_rows, pipe_stats, pipe_secs) = run_chain(&chain_store, &plan, &ExecConfig::new());
     assert_eq!(
         pipe_stats.rows_materialized, 0,
         "fully-fused chain must materialize nothing"
     );
-    let chain_speedup = mat_secs / pipe_secs;
     println!(
-        "chain ({CHAIN_RELS} rels x {CHAIN_ROWS} rows, threads=1): \
-         materializing={mat_secs:.4}s pipelined={pipe_secs:.4}s speedup={chain_speedup:.2}x \
-         (materialized {} rows vs {} across {} pipelines)",
-        mat_stats.rows_materialized, pipe_stats.rows_materialized, pipe_stats.pipelines
+        "chain ({CHAIN_RELS} rels x {CHAIN_ROWS} rows, threads=1): {pipe_secs:.4}s \
+         ({} rows pipelined across {} pipelines)",
+        pipe_stats.rows_pipelined, pipe_stats.pipelines
     );
 
     // --- Vectorized-kernel microbench at one thread: the columnar
     // predicate and join-key-hash kernels against their row-at-a-time
     // equivalents over the same 200k-row relation. The row-major
-    // baselines replicate what the engines do without a `ColumnSet` —
+    // baselines replicate what the executor does on intermediates,
+    // which have no `ColumnSet` —
     // `BoundPred::eval` per tuple for the filter, a `DefaultHasher`
     // over `Tuple::get` per key column for the build — and the
     // columnar results are asserted identical (same passing rows, same
@@ -469,7 +427,7 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"hash_join_partition_scaling\",");
     let _ = writeln!(
         json,
-        "  \"join\": \"left-outer hash join, radix-partitioned zero-copy build side\","
+        "  \"join\": \"left-outer hash join, fused pipeline, radix-partitioned column-hashed build\","
     );
     let _ = writeln!(json, "  \"probe_rows\": {PROBE_ROWS},");
     let _ = writeln!(json, "  \"build_rows\": {BUILD_ROWS},");
@@ -491,8 +449,8 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"threads\": {}, \"partitions\": {}, \"best_secs\": {:.6}, \
-             \"build_secs\": {:.6}, \"probe_secs\": {:.6}, \"probe_rows_per_sec\": {:.0}}}{comma}",
-            c.threads, c.partitions, c.best_secs, c.build_secs, c.probe_secs, c.rows_per_sec
+             \"probe_rows_per_sec\": {:.0}}}{comma}",
+            c.threads, c.partitions, c.best_secs, c.rows_per_sec
         );
     }
     let _ = writeln!(json, "  ],");
@@ -506,14 +464,7 @@ fn main() {
     let _ = writeln!(json, "  \"chain_rels\": {CHAIN_RELS},");
     let _ = writeln!(json, "  \"chain_rows_per_rel\": {CHAIN_ROWS},");
     let _ = writeln!(json, "  \"chain_output_rows\": {},", pipe_rows.len());
-    let _ = writeln!(json, "  \"chain_materializing_secs\": {mat_secs:.6},");
     let _ = writeln!(json, "  \"chain_pipelined_secs\": {pipe_secs:.6},");
-    let _ = writeln!(json, "  \"chain_speedup_pipelined\": {chain_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"chain_rows_materialized_materializing\": {},",
-        mat_stats.rows_materialized
-    );
     let _ = writeln!(
         json,
         "  \"chain_rows_materialized_pipelined\": {},",

@@ -34,29 +34,6 @@ pub fn suggest_partitions(build_rows: u64) -> usize {
     }
 }
 
-/// Which executor drives a plan.
-///
-/// Both modes produce bit-identical results — same rows, same order,
-/// same work counters (`tuples_retrieved`, `index_probes`,
-/// `comparisons`, `hash_build_rows`, `rows_output`). They differ only
-/// in *how* rows flow between operators, which the bookkeeping
-/// counters (`rows_materialized`, `rows_pipelined`, `pipelines`)
-/// expose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Push-based pipelined execution (the default): scan → filter →
-    /// probe → project chains fuse into a single pass over morsels
-    /// with no intermediate row vector between fused operators.
-    /// Pipeline breakers (hash-join build sides, `GroupCount`,
-    /// merge-join sorts, full outerjoins, mid-plan projections) still
-    /// materialize.
-    #[default]
-    Pipelined,
-    /// The classic operator-at-a-time engine: every operator fully
-    /// materializes its output relation before the parent runs.
-    Materializing,
-}
-
 /// Knobs for [`crate::execute_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
@@ -74,16 +51,6 @@ pub struct ExecConfig {
     /// optimizer's catalog-statistics hint before execution). Any
     /// value is clamped to [`MAX_PARTITIONS`].
     pub partitions: usize,
-    /// Which executor runs the plan ([`ExecMode::Pipelined`] by
-    /// default).
-    pub mode: ExecMode,
-    /// Whether the engines may use the columnar mirrors of base tables
-    /// (vectorized predicate scans, zone skipping, column-direct hash
-    /// builds). `true` by default; `false` forces the row-at-a-time
-    /// paths. Results, order, and work counters are bit-identical
-    /// either way — only the bookkeeping `morsels_skipped` diagnostic
-    /// and wall-clock change.
-    pub columnar: bool,
 }
 
 impl ExecConfig {
@@ -120,29 +87,6 @@ impl ExecConfig {
         self
     }
 
-    /// Opt out of pipelining: run the classic operator-at-a-time
-    /// materializing engine.
-    #[must_use]
-    pub fn materializing(mut self) -> ExecConfig {
-        self.mode = ExecMode::Materializing;
-        self
-    }
-
-    /// Select the (default) push-based pipelined engine.
-    #[must_use]
-    pub fn pipelined(mut self) -> ExecConfig {
-        self.mode = ExecMode::Pipelined;
-        self
-    }
-
-    /// Enable or disable the columnar kernels (`true` is the default;
-    /// `false` runs the row-at-a-time reference paths).
-    #[must_use]
-    pub fn columnar(mut self, on: bool) -> ExecConfig {
-        self.columnar = on;
-        self
-    }
-
     /// Resolve `threads = 0` against the machine; always at least one.
     #[must_use]
     pub fn effective_threads(&self) -> usize {
@@ -173,8 +117,6 @@ impl Default for ExecConfig {
             threads: 1,
             morsel_rows: ExecConfig::DEFAULT_MORSEL_ROWS,
             partitions: 1,
-            mode: ExecMode::Pipelined,
-            columnar: true,
         }
     }
 }
@@ -191,26 +133,6 @@ mod tests {
         assert_eq!(cfg.morsel_rows, ExecConfig::DEFAULT_MORSEL_ROWS);
         assert_eq!(cfg.partitions, 1);
         assert_eq!(cfg.effective_partitions(1_000_000_000), 1);
-        assert_eq!(cfg.mode, ExecMode::Pipelined);
-        assert!(cfg.columnar);
-    }
-
-    #[test]
-    fn columnar_builder_flips_the_kernels() {
-        assert!(!ExecConfig::new().columnar(false).columnar);
-        assert!(ExecConfig::new().columnar(false).columnar(true).columnar);
-    }
-
-    #[test]
-    fn mode_builders_flip_the_engine() {
-        assert_eq!(
-            ExecConfig::new().materializing().mode,
-            ExecMode::Materializing
-        );
-        assert_eq!(
-            ExecConfig::new().materializing().pipelined().mode,
-            ExecMode::Pipelined
-        );
     }
 
     #[test]

@@ -1,26 +1,34 @@
-//! The materializing, morsel-driven executor.
+//! The executor's entry points ([`execute`], [`explain_analyze`]) and
+//! the shared, morsel-driven operator kernels its pipeline breakers
+//! run.
 //!
-//! Join probes are **morsel-driven**: the probe side is split into
-//! fixed-size contiguous row ranges (morsels), a pool of scoped
-//! `std::thread` workers claims morsels from a shared atomic counter,
-//! and each worker probes into a private output buffer. Buffers are
-//! concatenated in morsel-index order, so the output rows — order
-//! included — are bit-identical to a sequential probe regardless of
-//! scheduling. The hash-join build side is materialized into a shared
-//! immutable [`JoinTable`] of **radix partitions**: the high 32 bits of
-//! each key's 64-bit hash select a partition-local bucket map, the full
-//! hash selects the bucket. Only key *hashes* and row ids are stored
-//! (no key values are copied); candidates are re-checked for exact key
-//! equality against the pinned build rows. The build itself is
-//! morsel-parallel: workers scatter `(hash, row id)` pairs into
-//! per-morsel buffers, the buffers are replayed in morsel-index order
-//! (morsels are contiguous ascending row ranges, so replay order is
-//! ascending row order), and each partition's bucket map is then built
-//! independently — bucket chains, and with them output rows, order,
-//! and every counter, are bit-identical to a sequential single-table
-//! build at any partition count, thread count, and morsel size.
-//! Probes compute each key hash once and reuse it for both partition
-//! selection and bucket lookup.
+//! Every plan runs on the pipelined executor (`pipeline.rs`): spines
+//! of scan → filter → probe → project fuse into one pass, and the
+//! kernels here execute the breakers — full-outer hash and
+//! nested-loop joins, merge joins and `GroupCount` — over materialized
+//! inputs.
+//!
+//! Work is **morsel-driven** ([`drive_morsels`], shared with the
+//! pipeline): the input is split into fixed-size contiguous row ranges
+//! (morsels), a pool of scoped `std::thread` workers claims morsels
+//! from a shared atomic counter, and each worker writes into a private
+//! output buffer. Buffers are concatenated in morsel-index order, so
+//! the output rows — order included — are identical to a sequential
+//! pass regardless of scheduling. A hash-join build side is
+//! materialized into a shared immutable [`JoinTable`] of **radix
+//! partitions**: the high 32 bits of each key's 64-bit hash select a
+//! partition-local bucket map, the full hash selects the bucket. Only
+//! key *hashes* and row ids are stored (no key values are copied);
+//! candidates are re-checked for exact key equality against the pinned
+//! build rows. The build itself is morsel-parallel: workers scatter
+//! `(hash, row id)` pairs into per-morsel buffers, the buffers are
+//! replayed in morsel-index order (morsels are contiguous ascending
+//! row ranges, so replay order is ascending row order), and each
+//! partition's bucket map is then built independently — bucket chains,
+//! and with them output rows, order, and every counter, are identical
+//! to a sequential single-table build at any partition count, thread
+//! count, and morsel size. Probes compute each key hash once and reuse
+//! it for both partition selection and bucket lookup.
 //!
 //! Residual predicates are bound through the storage interner when
 //! possible ([`fro_algebra::ops::BoundPred::bind_interned`]): attribute
@@ -33,11 +41,11 @@
 //! * `IndexJoin` issues one probe per outer row and *retrieves exactly
 //!   the matching inner tuples*;
 //! * `HashJoin` retrieves nothing by itself (its inputs do) but counts
-//!   build rows and candidate comparisons;
-//! * every operator adds its output size to `rows_materialized`.
+//!   build rows and candidate comparisons.
 //!
-//! Results are plain [`Relation`]s; the test-suite cross-checks every
-//! plan against the reference evaluator in `fro-algebra`.
+//! Results are plain [`Relation`]s; the executor suites (one harness,
+//! `tests/harness`) check every plan shape against the reference
+//! evaluator in `fro-algebra`.
 
 use crate::config::ExecConfig;
 use crate::plan::{JoinKind, PhysPlan};
@@ -52,7 +60,6 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Execution failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,22 +174,6 @@ fn key_of(row: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
         key.push(v.clone());
     }
     Some(key)
-}
-
-/// Fill `out` with the key columns of `row`, reusing its allocation.
-/// Returns `false` (and leaves `out` cleared) when any key value is
-/// null — SQL equality never matches on null.
-fn key_into(row: &Tuple, cols: &[usize], out: &mut Vec<Value>) -> bool {
-    out.clear();
-    for &c in cols {
-        let v = row.get(c);
-        if v.is_null() {
-            out.clear();
-            return false;
-        }
-        out.push(v.clone());
-    }
-    true
 }
 
 /// Hash of the key columns of `row`, or `None` when any is null. The
@@ -442,76 +433,77 @@ impl<'a> JoinTable<'a> {
     }
 }
 
-/// The per-probe-row join kernel shared by the hash, index, and
-/// nested-loop paths: given one probe-side row and an iterator of
-/// candidate matches, emit the output rows for `kind` and report each
-/// residual-passing candidate through `on_match` (full outerjoins use
-/// it to flag matched build rows).
-struct JoinKernel<'a> {
-    kind: JoinKind,
-    residual: &'a BoundPred,
-    /// Null pad on the non-probe scheme (wide kinds only).
-    pad: Tuple,
-}
-
-impl JoinKernel<'_> {
-    fn probe_row<'t>(
-        &self,
-        prow: &Tuple,
-        candidates: impl Iterator<Item = (usize, &'t Tuple)>,
-        out: &mut Vec<Tuple>,
-        stats: &mut ExecStats,
-        mut on_match: impl FnMut(usize),
-    ) {
-        let mut matched = false;
-        for (rid, crow) in candidates {
-            stats.comparisons += 1;
-            // Evaluate the residual on the virtual concatenation; the
-            // wide tuple is only allocated for rows actually emitted.
-            if self.residual.eval_split(prow, crow).is_true() {
-                matched = true;
-                on_match(rid);
-                match self.kind {
-                    JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                        out.push(prow.concat(crow));
-                    }
-                    JoinKind::Semi => {
-                        out.push(prow.clone());
-                        break;
-                    }
-                    JoinKind::Anti => break,
-                }
-            }
+/// One probe row of a full outerjoin, the one join kind that never
+/// fuses into a pipeline (its unmatched build rows are known only once
+/// every probe row has run): every candidate is compared, each one the
+/// residual accepts is emitted concatenated and flagged in `matched`,
+/// and a probe row that matched nothing is emitted padded.
+fn full_outer_probe_row<'t>(
+    prow: &Tuple,
+    candidates: impl Iterator<Item = (usize, &'t Tuple)>,
+    residual: &BoundPred,
+    pad: &Tuple,
+    matched: &[AtomicBool],
+    out: &mut Vec<Tuple>,
+    stats: &mut ExecStats,
+) {
+    let mut hit = false;
+    for (rid, crow) in candidates {
+        stats.comparisons += 1;
+        // Evaluate the residual on the virtual concatenation; the wide
+        // tuple is only allocated for rows actually emitted.
+        if residual.eval_split(prow, crow).is_true() {
+            hit = true;
+            // Relaxed suffices: the flags are only read after the
+            // morsel workers have joined.
+            matched[rid].store(true, Ordering::Relaxed);
+            out.push(prow.concat(crow));
         }
-        match self.kind {
-            JoinKind::LeftOuter | JoinKind::FullOuter if !matched => {
-                out.push(prow.concat(&self.pad));
-            }
-            JoinKind::Anti if !matched => out.push(prow.clone()),
-            _ => {}
-        }
+    }
+    if !hit {
+        out.push(prow.concat(pad));
     }
 }
 
-/// A worker's take-home: output rows tagged with their morsel index,
-/// plus its private counter accumulator.
-type WorkerOutput = (Vec<(usize, Vec<Tuple>)>, ExecStats);
+/// A full outerjoin's epilogue: append the `right` rows no probe row
+/// matched, padded on the left, and drop duplicate rows.
+fn full_outer_epilogue(
+    left: &Relation,
+    right: &Relation,
+    matched: &[AtomicBool],
+    rows: &mut Vec<Tuple>,
+) {
+    let left_pad = Tuple::nulls(left.schema().len());
+    for (rid, rrow) in right.rows().iter().enumerate() {
+        if !matched[rid].load(Ordering::Relaxed) {
+            rows.push(left_pad.concat(rrow));
+        }
+    }
+    dedup_rows(rows);
+}
 
-/// Run `work` over `0..n_rows` split into fixed-size morsels, fanning
-/// out to `cfg`-many scoped worker threads when it pays, and append the
-/// produced rows to `out` **in morsel-index order**. Each worker gets a
-/// private output buffer per morsel and a private [`ExecStats`]; since
-/// morsels partition the probe range in order and every counter is a
-/// plain sum, both the row order and the merged totals are identical to
-/// a sequential run.
-fn probe_in_morsels<F>(
+/// A worker's take-home: output rows tagged with their morsel index,
+/// its private counters, and its private per-plan-node row counts.
+type WorkerOutput = (Vec<(usize, Vec<Tuple>)>, ExecStats, Vec<u64>);
+
+/// The one morsel driver: run `work` over `0..n_rows` split into
+/// fixed-size morsels, fanning out to `cfg`-many scoped worker threads
+/// when it pays, and append the produced rows to `out` **in
+/// morsel-index order**. Each worker gets a private output buffer per
+/// morsel, a private [`ExecStats`] and a private copy of `slots` (the
+/// pipeline's per-node `explain_analyze` row counts; breaker kernels
+/// pass none). Morsels partition the row range in order and every
+/// counter is a plain sum, so the row order and the merged totals are
+/// identical to a sequential run at any thread count and morsel size.
+pub(crate) fn drive_morsels<F>(
     n_rows: usize,
     cfg: &ExecConfig,
     stats: &mut ExecStats,
+    slots: &mut [u64],
     out: &mut Vec<Tuple>,
     work: F,
 ) where
-    F: Fn(Range<usize>, &mut Vec<Tuple>, &mut ExecStats) + Sync,
+    F: Fn(Range<usize>, &mut Vec<Tuple>, &mut ExecStats, &mut [u64]) + Sync,
 {
     let morsel = cfg.morsel_rows.max(1);
     let n_morsels = n_rows.div_ceil(morsel);
@@ -520,9 +512,10 @@ fn probe_in_morsels<F>(
         // Degenerate path (one worker or one morsel): a single pass on
         // the calling thread, writing straight into the caller's buffer
         // and counters — no spawn, no scratch allocation at all.
-        work(0..n_rows, out, stats);
+        work(0..n_rows, out, stats, slots);
         return;
     }
+    let n_slots = slots.len();
     let next = AtomicUsize::new(0);
     let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -530,6 +523,7 @@ fn probe_in_morsels<F>(
                 scope.spawn(|| {
                     let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
                     let mut local = ExecStats::new();
+                    let mut local_slots = vec![0u64; n_slots];
                     loop {
                         let m = next.fetch_add(1, Ordering::Relaxed);
                         if m >= n_morsels {
@@ -537,23 +531,26 @@ fn probe_in_morsels<F>(
                         }
                         let lo = m * morsel;
                         let hi = (lo + morsel).min(n_rows);
-                        // Most joins emit about one row per probe row.
+                        // Most operators emit about one row per input row.
                         let mut buf = Vec::with_capacity(hi - lo);
-                        work(lo..hi, &mut buf, &mut local);
+                        work(lo..hi, &mut buf, &mut local, &mut local_slots);
                         produced.push((m, buf));
                     }
-                    (produced, local)
+                    (produced, local, local_slots)
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("probe worker panicked"))
+            .map(|h| h.join().expect("morsel worker panicked"))
             .collect()
     });
     let mut morsels: Vec<(usize, Vec<Tuple>)> = Vec::with_capacity(n_morsels);
-    for (produced, local) in results {
+    for (produced, local, local_slots) in results {
         stats.merge(&local);
+        for (s, l) in slots.iter_mut().zip(local_slots) {
+            *s += l;
+        }
         morsels.extend(produced);
     }
     morsels.sort_unstable_by_key(|&(m, _)| m);
@@ -575,12 +572,12 @@ pub fn execute(
     execute_with(plan, storage, stats, &ExecConfig::default())
 }
 
-/// [`execute`] with explicit [`ExecConfig`] — executor mode, thread
-/// count, and morsel size. `cfg.mode` selects the engine: the default
-/// [`crate::ExecMode::Pipelined`] fuses scan→filter→probe→project
-/// spines into push-based pipelines; [`crate::ExecMode::Materializing`]
-/// runs the classic operator-at-a-time path. Both produce bit-identical
-/// rows, order, and work counters at any thread count.
+/// [`execute`] with explicit [`ExecConfig`] — thread count, morsel
+/// size and hash-join partition count. The plan runs on the pipelined
+/// executor: scan→filter→probe→project spines fuse into push-based
+/// pipelines, and breakers run the morsel-parallel kernels of this
+/// module. Rows, order, and every counter are identical at any
+/// configuration.
 ///
 /// # Errors
 /// Same failure modes as [`execute`].
@@ -590,251 +587,8 @@ pub fn execute_with(
     stats: &mut ExecStats,
     cfg: &ExecConfig,
 ) -> Result<Relation, ExecError> {
-    let out = match cfg.mode {
-        crate::ExecMode::Pipelined => crate::pipeline::run_pipelined(plan, storage, stats, cfg)?,
-        crate::ExecMode::Materializing => run(plan, storage, stats, cfg)?,
-    };
+    let out = crate::pipeline::run_pipelined(plan, storage, stats, cfg)?;
     stats.rows_output = out.len() as u64;
-    Ok(out)
-}
-
-/// A join operand in the materializing engine: either a base table
-/// borrowed straight out of storage (columnar mirror included) or an
-/// owned intermediate from a recursive [`run`].
-enum Operand<'a> {
-    Table(&'a crate::storage::Table),
-    Owned(Relation),
-}
-
-impl Operand<'_> {
-    fn rel(&self) -> &Relation {
-        match self {
-            Operand::Table(t) => t.relation(),
-            Operand::Owned(r) => r,
-        }
-    }
-
-    fn columns(&self) -> Option<&ColumnSet> {
-        match self {
-            Operand::Table(t) => Some(t.columns()),
-            Operand::Owned(_) => None,
-        }
-    }
-}
-
-/// Evaluate a join operand, borrowing base tables instead of cloning
-/// them when the columnar kernels are on. The borrow replicates the
-/// counters the recursive scan would have ticked (`tuples_retrieved`
-/// plus the operator epilogue's `rows_materialized`), so totals are
-/// identical to the plain recursion — it only skips the defensive
-/// clone of the stored relation and keeps the columnar mirror in
-/// reach for the hash build.
-fn run_operand<'a>(
-    plan: &PhysPlan,
-    storage: &'a Storage,
-    stats: &mut ExecStats,
-    cfg: &ExecConfig,
-) -> Result<Operand<'a>, ExecError> {
-    if cfg.columnar {
-        if let PhysPlan::Scan { rel } = plan {
-            let t = storage.lookup_named(rel)?;
-            stats.tuples_retrieved += t.len() as u64;
-            stats.rows_materialized += t.len() as u64;
-            return Ok(Operand::Table(t));
-        }
-    }
-    run(plan, storage, stats, cfg).map(Operand::Owned)
-}
-
-fn run(
-    plan: &PhysPlan,
-    storage: &Storage,
-    stats: &mut ExecStats,
-    cfg: &ExecConfig,
-) -> Result<Relation, ExecError> {
-    let out = match plan {
-        PhysPlan::Scan { rel } => {
-            let t = storage.lookup_named(rel)?;
-            stats.tuples_retrieved += t.len() as u64;
-            t.relation().clone()
-        }
-        PhysPlan::Filter { input, pred }
-            if cfg.columnar && matches!(input.as_ref(), PhysPlan::Scan { .. }) =>
-        {
-            // Vectorized scan-filter: evaluate the predicate over the
-            // table's columnar mirror as one selection bitmap (zone
-            // metadata skipping whole morsels where it can), then clone
-            // only the selected rows. Counters replicate the recursive
-            // path exactly: the child scan's `tuples_retrieved` and
-            // `rows_materialized`, then one comparison per input row.
-            let PhysPlan::Scan { rel } = input.as_ref() else {
-                unreachable!("guard matched a scan input")
-            };
-            let t = storage.lookup_named(rel)?;
-            stats.tuples_retrieved += t.len() as u64;
-            stats.rows_materialized += t.len() as u64;
-            let r = t.relation();
-            let bound = bind_pred(pred, r.schema(), Some(storage.interner()))?;
-            stats.comparisons += t.len() as u64;
-            let mut skipped = 0u64;
-            let mask = t.columns().eval_pred(&bound, &mut skipped).into_trues();
-            stats.morsels_skipped += skipped;
-            let mut rows = Vec::with_capacity(mask.count_ones());
-            mask.for_each_one_in(0, t.len(), |i| rows.push(r.rows()[i].clone()));
-            Relation::from_distinct_rows(r.schema().clone(), rows)
-        }
-        PhysPlan::Filter { input, pred } => {
-            let rel = run(input, storage, stats, cfg)?;
-            let bound = bind_pred(pred, rel.schema(), Some(storage.interner()))?;
-            let rows: Vec<Tuple> = rel
-                .iter()
-                .filter(|t| {
-                    stats.comparisons += 1;
-                    bound.eval(t).is_true()
-                })
-                .cloned()
-                .collect();
-            Relation::from_distinct_rows(rel.schema().clone(), rows)
-        }
-        PhysPlan::Project { input, attrs } => {
-            let rel = run(input, storage, stats, cfg)?;
-            fro_algebra::ops::project(&rel, attrs, true).map_err(ExecError::from)?
-        }
-        PhysPlan::HashJoin {
-            kind,
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            residual,
-        } => {
-            if probe_keys.len() != build_keys.len() || probe_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let probe_rel = run(probe, storage, stats, cfg)?;
-            let build_op = run_operand(build, storage, stats, cfg)?;
-            hash_join(
-                *kind,
-                &probe_rel,
-                build_op.rel(),
-                probe_keys,
-                build_keys,
-                residual,
-                Some(storage.interner()),
-                stats,
-                cfg,
-                build_op.columns(),
-            )?
-        }
-        PhysPlan::SemiReduce {
-            input,
-            source,
-            input_keys,
-            source_keys,
-            pass: _,
-        } => {
-            if input_keys.len() != source_keys.len() || input_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let input_rel = run(input, storage, stats, cfg)?;
-            let source_op = run_operand(source, storage, stats, cfg)?;
-            let n_in = input_rel.len() as u64;
-            let out = hash_join(
-                JoinKind::Semi,
-                &input_rel,
-                source_op.rel(),
-                input_keys,
-                source_keys,
-                &Pred::always(),
-                Some(storage.interner()),
-                stats,
-                cfg,
-                source_op.columns(),
-            )?;
-            stats.rows_reduced += n_in - out.len() as u64;
-            stats.reducer_passes += 1;
-            out
-        }
-        PhysPlan::IndexJoin {
-            kind,
-            outer,
-            inner,
-            outer_keys,
-            inner_keys,
-            residual,
-        } => {
-            if outer_keys.len() != inner_keys.len() || outer_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let outer_rel = run(outer, storage, stats, cfg)?;
-            index_join(
-                *kind,
-                &outer_rel,
-                inner,
-                outer_keys,
-                inner_keys,
-                residual,
-                Some(storage.interner()),
-                storage,
-                stats,
-                cfg,
-            )?
-        }
-        PhysPlan::MergeJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let l = run(left, storage, stats, cfg)?;
-            let r = run(right, storage, stats, cfg)?;
-            merge_join(
-                *kind,
-                &l,
-                &r,
-                left_keys,
-                right_keys,
-                residual,
-                Some(storage.interner()),
-                stats,
-            )?
-        }
-        PhysPlan::NlJoin {
-            kind,
-            left,
-            right,
-            pred,
-        } => {
-            let l = run(left, storage, stats, cfg)?;
-            let r = run(right, storage, stats, cfg)?;
-            nl_join(*kind, &l, &r, pred, Some(storage.interner()), stats, cfg)?
-        }
-        PhysPlan::GroupCount {
-            input,
-            group_attrs,
-            counted,
-        } => {
-            let rel = run(input, storage, stats, cfg)?;
-            group_count_partitioned(&rel, group_attrs, counted.as_ref(), cfg)?
-        }
-        PhysPlan::Goj {
-            left,
-            right,
-            pred,
-            subset,
-        } => {
-            let l = run(left, storage, stats, cfg)?;
-            let r = run(right, storage, stats, cfg)?;
-            stats.comparisons += (l.len() * r.len()) as u64;
-            fro_algebra::ops::goj(&l, &r, pred, subset).map_err(ExecError::from)?
-        }
-    };
-    stats.rows_materialized += out.len() as u64;
     Ok(out)
 }
 
@@ -853,7 +607,7 @@ fn run(
 /// so the partition that owns a group saw every one of its rows.
 ///
 /// Like the sequential operator, this ticks no [`ExecStats`] counters;
-/// [`run`] adds `rows_materialized` for the output afterwards.
+/// the pipeline adds `rows_materialized` for the output afterwards.
 pub(crate) fn group_count_partitioned(
     input: &Relation,
     group_attrs: &[Attr],
@@ -1008,9 +762,11 @@ pub(crate) fn group_count_partitioned(
     Ok(Relation::from_distinct_rows(schema, out_rows))
 }
 
+/// The full-outer hash join breaker over materialized inputs: probe
+/// morsels in parallel against a shared partitioned [`JoinTable`],
+/// then emit the build rows nothing matched.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn hash_join(
-    kind: JoinKind,
+pub(crate) fn hash_full_outerjoin(
     probe: &Relation,
     build: &Relation,
     probe_keys: &[Attr],
@@ -1019,218 +775,39 @@ pub(crate) fn hash_join(
     it: Option<&Interner>,
     stats: &mut ExecStats,
     cfg: &ExecConfig,
-    build_colset: Option<&ColumnSet>,
 ) -> Result<Relation, ExecError> {
-    hash_join_phased(
-        kind,
-        probe,
-        build,
-        probe_keys,
-        build_keys,
-        residual,
-        it,
-        stats,
-        cfg,
-        build_colset,
-    )
-    .map(|(rel, _, _)| rel)
-}
-
-/// [`hash_join`] exposed for the engine bench with per-phase wall-clock:
-/// returns the join result plus `(build_secs, probe_secs)`. The timings
-/// are measurement side-channels only — they never enter [`ExecStats`],
-/// so counter equality across configurations is unaffected.
-///
-/// # Errors
-/// Same failure modes as [`execute`]: unresolved key attributes or an
-/// unconcatenable pair of schemas.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join_timed(
-    kind: JoinKind,
-    probe: &Relation,
-    build: &Relation,
-    probe_keys: &[Attr],
-    build_keys: &[Attr],
-    residual: &Pred,
-    stats: &mut ExecStats,
-    cfg: &ExecConfig,
-) -> Result<(Relation, f64, f64), ExecError> {
-    hash_join_phased(
-        kind, probe, build, probe_keys, build_keys, residual, None, stats, cfg, None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hash_join_phased(
-    kind: JoinKind,
-    probe: &Relation,
-    build: &Relation,
-    probe_keys: &[Attr],
-    build_keys: &[Attr],
-    residual: &Pred,
-    it: Option<&Interner>,
-    stats: &mut ExecStats,
-    cfg: &ExecConfig,
-    build_colset: Option<&ColumnSet>,
-) -> Result<(Relation, f64, f64), ExecError> {
     let probe_cols = resolve_cols(probe.schema(), probe_keys)?;
     let build_cols = resolve_cols(build.schema(), build_keys)?;
-
-    let wide = matches!(
-        kind,
-        JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter
-    );
-    // Semi/anti joins evaluate the residual on the concatenated scheme
-    // even though they output only the probe side.
-    let concat_schema = Arc::new(probe.schema().concat(build.schema())?);
-    let out_schema: Arc<Schema> = if wide {
-        concat_schema.clone()
-    } else {
-        probe.schema().clone()
-    };
-    let residual_bound = bind_pred(residual, &concat_schema, it)?;
-
-    // Build once into a shared immutable partitioned table; probe
-    // workers only ever read it. The partition count resolves against
-    // the actual build cardinality when the config says "auto".
+    let schema = Arc::new(probe.schema().concat(build.schema())?);
+    let residual = bind_pred(residual, &schema, it)?;
+    // The partition count resolves against the actual build
+    // cardinality when the config says "auto".
     let p = cfg.effective_partitions(build.len());
-    let build_start = Instant::now();
-    let table = JoinTable::build(build.rows(), &build_cols, p, cfg, stats, build_colset);
-    let build_secs = build_start.elapsed().as_secs_f64();
-    let kernel = JoinKernel {
-        kind,
-        residual: &residual_bound,
-        pad: Tuple::nulls(build.schema().len()),
-    };
-    // Full outerjoins must emit build rows no probe morsel matched;
-    // matches are flagged through atomics so workers need no locks.
-    // Relaxed suffices: the flags are only read after the scope joins.
-    let build_matched: Option<Vec<AtomicBool>> = (kind == JoinKind::FullOuter)
-        .then(|| (0..build.len()).map(|_| AtomicBool::new(false)).collect());
-
-    let probe_start = Instant::now();
+    let table = JoinTable::build(build.rows(), &build_cols, p, cfg, stats, None);
+    let pad = Tuple::nulls(build.schema().len());
+    let matched: Vec<AtomicBool> = (0..build.len()).map(|_| AtomicBool::new(false)).collect();
     let mut rows = Vec::new();
-    probe_in_morsels(probe.len(), cfg, stats, &mut rows, |range, buf, local| {
-        for prow in &probe.rows()[range] {
-            // One hash per probe row, reused for partition selection
-            // and bucket lookup.
-            let h = hash_key(prow, &probe_cols);
-            if let Some(h) = h {
-                local.partition.add_probe(table.partition_index(h));
+    drive_morsels(
+        probe.len(),
+        cfg,
+        stats,
+        &mut [],
+        &mut rows,
+        |range, buf, local, _| {
+            for prow in &probe.rows()[range] {
+                // One hash per probe row, reused for partition selection
+                // and bucket lookup.
+                let h = hash_key(prow, &probe_cols);
+                if let Some(h) = h {
+                    local.partition.add_probe(table.partition_index(h));
+                }
+                let candidates = table.candidates_hashed(h, prow, &probe_cols);
+                full_outer_probe_row(prow, candidates, &residual, &pad, &matched, buf, local);
             }
-            kernel.probe_row(
-                prow,
-                table.candidates_hashed(h, prow, &probe_cols),
-                buf,
-                local,
-                |rid| {
-                    if let Some(flags) = &build_matched {
-                        flags[rid].store(true, Ordering::Relaxed);
-                    }
-                },
-            );
-        }
-    });
-
-    if let Some(flags) = build_matched {
-        let probe_pad = Tuple::nulls(probe.schema().len());
-        for (rid, brow) in build.rows().iter().enumerate() {
-            if !flags[rid].load(Ordering::Relaxed) {
-                rows.push(probe_pad.concat(brow));
-            }
-        }
-        dedup_rows(&mut rows);
-    }
-    let probe_secs = probe_start.elapsed().as_secs_f64();
-    Ok((
-        Relation::from_distinct_rows(out_schema, rows),
-        build_secs,
-        probe_secs,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn index_join(
-    kind: JoinKind,
-    outer: &Relation,
-    inner_name: &str,
-    outer_keys: &[Attr],
-    inner_keys: &[Attr],
-    residual: &Pred,
-    it: Option<&Interner>,
-    storage: &Storage,
-    stats: &mut ExecStats,
-    cfg: &ExecConfig,
-) -> Result<Relation, ExecError> {
-    if kind == JoinKind::FullOuter {
-        return Err(ExecError::Algebra(fro_algebra::AlgebraError::BadUnion(
-            "index join cannot implement a full outerjoin (unmatched inner rows are unreachable)"
-                .into(),
-        )));
-    }
-    let inner_table = storage.lookup_named(inner_name)?;
-    let inner_rel = inner_table.relation();
-    let mut inner_cols = resolve_cols(inner_rel.schema(), inner_keys)?;
-    // The index stores sorted key columns; align outer key order with it.
-    let mut outer_cols = resolve_cols(outer.schema(), outer_keys)?;
-    let mut pairs: Vec<(usize, usize)> = inner_cols
-        .iter()
-        .copied()
-        .zip(outer_cols.iter().copied())
-        .collect();
-    pairs.sort_unstable_by_key(|&(ic, _)| ic);
-    inner_cols = pairs.iter().map(|&(ic, _)| ic).collect();
-    outer_cols = pairs.iter().map(|&(_, oc)| oc).collect();
-
-    let index = inner_table
-        .index_on(&inner_cols)
-        .ok_or_else(|| ExecError::MissingIndex {
-            table: inner_name.to_owned(),
-            attrs: inner_keys
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        })?;
-
-    let wide = matches!(kind, JoinKind::Inner | JoinKind::LeftOuter);
-    let concat_schema = Arc::new(outer.schema().concat(inner_rel.schema())?);
-    let out_schema = if wide {
-        concat_schema.clone()
-    } else {
-        outer.schema().clone()
-    };
-    let residual_bound = bind_pred(residual, &concat_schema, it)?;
-
-    let kernel = JoinKernel {
-        kind,
-        residual: &residual_bound,
-        pad: Tuple::nulls(inner_rel.schema().len()),
-    };
-    let inner_rows = inner_rel.rows();
-    let mut rows = Vec::new();
-    probe_in_morsels(outer.len(), cfg, stats, &mut rows, |range, buf, local| {
-        // One key scratch buffer per morsel, reused across its rows.
-        let mut key: Vec<Value> = Vec::with_capacity(outer_cols.len());
-        for orow in &outer.rows()[range] {
-            local.index_probes += 1;
-            let rids: &[usize] = if key_into(orow, &outer_cols, &mut key) {
-                index.lookup(&key)
-            } else {
-                &[]
-            };
-            local.tuples_retrieved += rids.len() as u64;
-            kernel.probe_row(
-                orow,
-                rids.iter().map(|&rid| (rid, &inner_rows[rid])),
-                buf,
-                local,
-                |_| {},
-            );
-        }
-    });
-    Ok(Relation::from_distinct_rows(out_schema, rows))
+        },
+    );
+    full_outer_epilogue(probe, build, &matched, &mut rows);
+    Ok(Relation::from_distinct_rows(schema, rows))
 }
 
 /// Sort-merge join: sort row indices of both inputs on their key
@@ -1365,8 +942,10 @@ pub(crate) fn merge_join(
     Ok(Relation::from_distinct_rows(out_schema, rows))
 }
 
-pub(crate) fn nl_join(
-    kind: JoinKind,
+/// The full-outer nested-loop breaker over materialized inputs: every
+/// right row is a candidate for every left row, so `comparisons` ticks
+/// once per pair.
+pub(crate) fn nl_full_outerjoin(
     left: &Relation,
     right: &Relation,
     pred: &Pred,
@@ -1374,46 +953,26 @@ pub(crate) fn nl_join(
     stats: &mut ExecStats,
     cfg: &ExecConfig,
 ) -> Result<Relation, ExecError> {
-    let concat_schema = Arc::new(left.schema().concat(right.schema())?);
-    let wide = matches!(
-        kind,
-        JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter
-    );
-    let out_schema = if wide {
-        concat_schema.clone()
-    } else {
-        left.schema().clone()
-    };
-    let bound = bind_pred(pred, &concat_schema, it)?;
-    let kernel = JoinKernel {
-        kind,
-        residual: &bound,
-        pad: Tuple::nulls(right.schema().len()),
-    };
-    // Nested loops are the degenerate kernel: every right row is a
-    // candidate, so `comparisons` ticks once per pair, as before.
-    let right_matched: Option<Vec<AtomicBool>> = (kind == JoinKind::FullOuter)
-        .then(|| (0..right.len()).map(|_| AtomicBool::new(false)).collect());
+    let schema = Arc::new(left.schema().concat(right.schema())?);
+    let bound = bind_pred(pred, &schema, it)?;
+    let pad = Tuple::nulls(right.schema().len());
+    let matched: Vec<AtomicBool> = (0..right.len()).map(|_| AtomicBool::new(false)).collect();
     let mut rows = Vec::new();
-    probe_in_morsels(left.len(), cfg, stats, &mut rows, |range, buf, local| {
-        for lrow in &left.rows()[range] {
-            kernel.probe_row(lrow, right.rows().iter().enumerate(), buf, local, |ri| {
-                if let Some(flags) = &right_matched {
-                    flags[ri].store(true, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    if let Some(flags) = right_matched {
-        let left_pad = Tuple::nulls(left.schema().len());
-        for (ri, rrow) in right.rows().iter().enumerate() {
-            if !flags[ri].load(Ordering::Relaxed) {
-                rows.push(left_pad.concat(rrow));
+    drive_morsels(
+        left.len(),
+        cfg,
+        stats,
+        &mut [],
+        &mut rows,
+        |range, buf, local, _| {
+            for lrow in &left.rows()[range] {
+                let candidates = right.rows().iter().enumerate();
+                full_outer_probe_row(lrow, candidates, &bound, &pad, &matched, buf, local);
             }
-        }
-        dedup_rows(&mut rows);
-    }
-    Ok(Relation::from_distinct_rows(out_schema, rows))
+        },
+    );
+    full_outer_epilogue(left, right, &matched, &mut rows);
+    Ok(Relation::from_distinct_rows(schema, rows))
 }
 
 /// Execute a plan and render an `EXPLAIN ANALYZE`-style report: the
@@ -1428,11 +987,13 @@ pub fn explain_analyze(
     explain_analyze_with(plan, storage, &ExecConfig::default())
 }
 
-/// [`explain_analyze`] with explicit [`ExecConfig`]. The report —
-/// per-operator row counts and counter totals — is identical at any
-/// thread count. Under the (default) pipelined mode the report gains a
-/// trailing pipeline breakdown: which operators fused into each
-/// pipeline and where breakers cut the plan.
+/// [`explain_analyze`] with explicit [`ExecConfig`]. The report lists
+/// every plan node with the rows it produced (the pipeline's per-node
+/// counts), the counter totals, the per-partition hash-join breakdown
+/// when a hash join ran, and the pipeline breakdown: which operators
+/// fused into each pipeline and where breakers cut the plan. Everything
+/// but the partition breakdown is identical at any thread count, morsel
+/// size and partition count.
 ///
 /// # Errors
 /// Same failure modes as [`execute`].
@@ -1441,239 +1002,7 @@ pub fn explain_analyze_with(
     storage: &Storage,
     cfg: &ExecConfig,
 ) -> Result<(Relation, String), ExecError> {
-    if cfg.mode == crate::ExecMode::Pipelined {
-        return crate::pipeline::explain_pipelined(plan, storage, cfg);
-    }
-    let mut stats = ExecStats::new();
-    let mut lines: Vec<(usize, String, u64)> = Vec::new();
-    let rel = annotate(plan, storage, &mut stats, 0, &mut lines, cfg)?;
-    stats.rows_output = rel.len() as u64;
-    Ok((rel, render_report(&lines, &stats)))
-}
-
-/// Render the `EXPLAIN ANALYZE` body shared by both executors: the
-/// indented per-operator row counts, the counter totals, and (when any
-/// hash join ran) the per-partition build/probe breakdown. The
-/// breakdown is thread-count and morsel-size invariant (counters merge
-/// deterministically); it *does* change shape with the partition count,
-/// which is exactly what it is for.
-pub(crate) fn render_report(lines: &[(usize, String, u64)], stats: &ExecStats) -> String {
-    let mut out = String::new();
-    for (depth, label, rows) in lines {
-        out.push_str(&"  ".repeat(*depth));
-        out.push_str(label);
-        out.push_str(&format!("  (rows={rows})\n"));
-    }
-    out.push_str(&format!("totals: {stats}\n"));
-    if stats.partition.used() > 0 {
-        out.push_str(&format!(
-            "partitions: P={} build={:?} probe={:?}\n",
-            stats.partition.used(),
-            stats.partition.build_rows(),
-            stats.partition.probe_rows()
-        ));
-    }
-    out
-}
-
-fn annotate(
-    plan: &PhysPlan,
-    storage: &Storage,
-    stats: &mut ExecStats,
-    depth: usize,
-    lines: &mut Vec<(usize, String, u64)>,
-    cfg: &ExecConfig,
-) -> Result<Relation, ExecError> {
-    // Reserve this node's line before recursing so the report reads in
-    // plan (pre-)order while row counts are filled post-execution.
-    let slot = lines.len();
-    lines.push((depth, String::new(), 0));
-
-    let (label, rel) = match plan {
-        PhysPlan::Scan { rel } => {
-            let t = storage.lookup_named(rel)?;
-            stats.tuples_retrieved += t.len() as u64;
-            (format!("Scan {rel}"), t.relation().clone())
-        }
-        PhysPlan::Filter { input, pred } => {
-            let child = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            let bound = bind_pred(pred, child.schema(), Some(storage.interner()))?;
-            let rows: Vec<Tuple> = child
-                .iter()
-                .filter(|t| {
-                    stats.comparisons += 1;
-                    bound.eval(t).is_true()
-                })
-                .cloned()
-                .collect();
-            (
-                format!("Filter [{pred}]"),
-                Relation::from_distinct_rows(child.schema().clone(), rows),
-            )
-        }
-        PhysPlan::Project { input, attrs } => {
-            let child = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            (
-                "Project".to_owned(),
-                fro_algebra::ops::project(&child, attrs, true).map_err(ExecError::from)?,
-            )
-        }
-        PhysPlan::HashJoin {
-            kind,
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            residual,
-        } => {
-            if probe_keys.len() != build_keys.len() || probe_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let p = annotate(probe, storage, stats, depth + 1, lines, cfg)?;
-            let b = annotate(build, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("HashJoin({kind})"),
-                hash_join(
-                    *kind,
-                    &p,
-                    &b,
-                    probe_keys,
-                    build_keys,
-                    residual,
-                    Some(storage.interner()),
-                    stats,
-                    cfg,
-                    None,
-                )?,
-            )
-        }
-        PhysPlan::SemiReduce {
-            input,
-            source,
-            input_keys,
-            source_keys,
-            pass,
-        } => {
-            if input_keys.len() != source_keys.len() || input_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let i = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            let s = annotate(source, storage, stats, depth + 1, lines, cfg)?;
-            let n_in = i.len() as u64;
-            let out = hash_join(
-                JoinKind::Semi,
-                &i,
-                &s,
-                input_keys,
-                source_keys,
-                &Pred::always(),
-                Some(storage.interner()),
-                stats,
-                cfg,
-                None,
-            )?;
-            stats.rows_reduced += n_in - out.len() as u64;
-            stats.reducer_passes += 1;
-            (format!("SemiReduce({pass})"), out)
-        }
-        PhysPlan::IndexJoin {
-            kind,
-            outer,
-            inner,
-            outer_keys,
-            inner_keys,
-            residual,
-        } => {
-            if outer_keys.len() != inner_keys.len() || outer_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let o = annotate(outer, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("IndexJoin({kind}) {inner}"),
-                index_join(
-                    *kind,
-                    &o,
-                    inner,
-                    outer_keys,
-                    inner_keys,
-                    residual,
-                    Some(storage.interner()),
-                    storage,
-                    stats,
-                    cfg,
-                )?,
-            )
-        }
-        PhysPlan::MergeJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let l = annotate(left, storage, stats, depth + 1, lines, cfg)?;
-            let r = annotate(right, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("MergeJoin({kind})"),
-                merge_join(
-                    *kind,
-                    &l,
-                    &r,
-                    left_keys,
-                    right_keys,
-                    residual,
-                    Some(storage.interner()),
-                    stats,
-                )?,
-            )
-        }
-        PhysPlan::NlJoin {
-            kind,
-            left,
-            right,
-            pred,
-        } => {
-            let l = annotate(left, storage, stats, depth + 1, lines, cfg)?;
-            let r = annotate(right, storage, stats, depth + 1, lines, cfg)?;
-            (
-                format!("NlJoin({kind})"),
-                nl_join(*kind, &l, &r, pred, Some(storage.interner()), stats, cfg)?,
-            )
-        }
-        PhysPlan::GroupCount {
-            input,
-            group_attrs,
-            counted,
-        } => {
-            let rel = annotate(input, storage, stats, depth + 1, lines, cfg)?;
-            (
-                "GroupCount".to_owned(),
-                fro_algebra::ops::group_count(&rel, group_attrs, counted.as_ref())
-                    .map_err(ExecError::from)?,
-            )
-        }
-        PhysPlan::Goj {
-            left,
-            right,
-            pred,
-            subset,
-        } => {
-            let l = annotate(left, storage, stats, depth + 1, lines, cfg)?;
-            let r = annotate(right, storage, stats, depth + 1, lines, cfg)?;
-            stats.comparisons += (l.len() * r.len()) as u64;
-            (
-                "Goj".to_owned(),
-                fro_algebra::ops::goj(&l, &r, pred, subset).map_err(ExecError::from)?,
-            )
-        }
-    };
-    stats.rows_materialized += rel.len() as u64;
-    lines[slot] = (depth, label, rel.len() as u64);
-    Ok(rel)
+    crate::pipeline::explain_pipelined(plan, storage, cfg)
 }
 
 #[cfg(test)]
@@ -2259,205 +1588,6 @@ mod tests {
         s
     }
 
-    const ALL_KINDS: [JoinKind; 5] = [
-        JoinKind::Inner,
-        JoinKind::LeftOuter,
-        JoinKind::FullOuter,
-        JoinKind::Semi,
-        JoinKind::Anti,
-    ];
-
-    #[test]
-    fn parallel_hash_join_is_bit_identical_to_sequential() {
-        let s = skewed_storage();
-        for kind in ALL_KINDS {
-            let plan = PhysPlan::HashJoin {
-                kind,
-                probe: Box::new(PhysPlan::scan("P")),
-                build: Box::new(PhysPlan::scan("B")),
-                probe_keys: vec![Attr::parse("P.k")],
-                build_keys: vec![Attr::parse("B.k")],
-                residual: Pred::cmp_attr("P.id", fro_algebra::CmpOp::Lt, "B.id"),
-            };
-            let mut seq_stats = ExecStats::new();
-            let seq = execute(&plan, &s, &mut seq_stats).unwrap();
-            for threads in [2, 3, 8] {
-                for morsel in [1, 7, 64, 100_000] {
-                    let cfg = ExecConfig::with_threads(threads).morsel_rows(morsel);
-                    let mut st = ExecStats::new();
-                    let par = execute_with(&plan, &s, &mut st, &cfg).unwrap();
-                    assert_eq!(
-                        par.rows(),
-                        seq.rows(),
-                        "{kind} threads={threads} morsel={morsel}"
-                    );
-                    assert_eq!(st, seq_stats, "{kind} threads={threads} morsel={morsel}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_hash_join_is_bit_identical_to_sequential() {
-        let s = skewed_storage();
-        for kind in ALL_KINDS {
-            let plan = PhysPlan::HashJoin {
-                kind,
-                probe: Box::new(PhysPlan::scan("P")),
-                build: Box::new(PhysPlan::scan("B")),
-                probe_keys: vec![Attr::parse("P.k")],
-                build_keys: vec![Attr::parse("B.k")],
-                residual: Pred::cmp_attr("P.id", fro_algebra::CmpOp::Lt, "B.id"),
-            };
-            let mut seq_stats = ExecStats::new();
-            let seq = execute(&plan, &s, &mut seq_stats).unwrap();
-            for partitions in [1, 2, 8, 64] {
-                // morsel=7 splits the 30-row build into 5 morsels, so
-                // threads≥2 exercises the two-phase parallel build.
-                for (threads, morsel) in [(1, 7), (2, 7), (8, 1), (3, 100_000)] {
-                    let cfg = ExecConfig::with_threads(threads)
-                        .morsel_rows(morsel)
-                        .partitions(partitions);
-                    let mut st = ExecStats::new();
-                    let par = execute_with(&plan, &s, &mut st, &cfg).unwrap();
-                    assert_eq!(
-                        par.rows(),
-                        seq.rows(),
-                        "{kind} P={partitions} threads={threads} morsel={morsel}"
-                    );
-                    assert_eq!(
-                        st, seq_stats,
-                        "{kind} P={partitions} threads={threads} morsel={morsel}"
-                    );
-                    assert_eq!(st.partition.used(), partitions, "{kind} P={partitions}");
-                    // 25 of 30 build rows carry a non-null key; the
-                    // breakdown redistributes them but never loses one.
-                    assert_eq!(
-                        st.partition.build_rows().iter().sum::<u64>(),
-                        25,
-                        "{kind} P={partitions}"
-                    );
-                    // 90 of 100 probe rows carry a non-null key.
-                    assert_eq!(
-                        st.partition.probe_rows().iter().sum::<u64>(),
-                        90,
-                        "{kind} P={partitions}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_nl_join_is_bit_identical_to_sequential() {
-        let s = skewed_storage();
-        for kind in ALL_KINDS {
-            let plan = PhysPlan::NlJoin {
-                kind,
-                left: Box::new(PhysPlan::scan("P")),
-                right: Box::new(PhysPlan::scan("B")),
-                pred: Pred::eq_attr("P.k", "B.k"),
-            };
-            let mut seq_stats = ExecStats::new();
-            let seq = execute(&plan, &s, &mut seq_stats).unwrap();
-            let cfg = ExecConfig::with_threads(4).morsel_rows(9);
-            let mut st = ExecStats::new();
-            let par = execute_with(&plan, &s, &mut st, &cfg).unwrap();
-            assert_eq!(par.rows(), seq.rows(), "{kind}");
-            assert_eq!(st, seq_stats, "{kind}");
-        }
-    }
-
-    #[test]
-    fn parallel_index_join_is_bit_identical_to_sequential() {
-        let s = storage();
-        for kind in [
-            JoinKind::Inner,
-            JoinKind::LeftOuter,
-            JoinKind::Semi,
-            JoinKind::Anti,
-        ] {
-            let plan = PhysPlan::IndexJoin {
-                kind,
-                outer: Box::new(PhysPlan::scan("R2")),
-                inner: "R3".into(),
-                outer_keys: vec![Attr::parse("R2.k2")],
-                inner_keys: vec![Attr::parse("R3.k3")],
-                residual: Pred::always(),
-            };
-            let mut seq_stats = ExecStats::new();
-            let seq = execute(&plan, &s, &mut seq_stats).unwrap();
-            let cfg = ExecConfig::with_threads(8).morsel_rows(1);
-            let mut st = ExecStats::new();
-            let par = execute_with(&plan, &s, &mut st, &cfg).unwrap();
-            assert_eq!(par.rows(), seq.rows(), "{kind}");
-            assert_eq!(st, seq_stats, "{kind}");
-        }
-    }
-
-    #[test]
-    fn parallel_join_on_empty_inputs() {
-        let mut s = Storage::new();
-        s.insert("E", Relation::from_values("E", &["k"], vec![]));
-        s.insert(
-            "F",
-            Relation::from_values("F", &["j"], vec![vec![Value::Int(1)]]),
-        );
-        for (probe, build) in [("E", "F"), ("F", "E"), ("E", "E")] {
-            for kind in ALL_KINDS {
-                let plan = PhysPlan::HashJoin {
-                    kind,
-                    probe: Box::new(PhysPlan::scan(probe)),
-                    build: Box::new(PhysPlan::scan(build)),
-                    probe_keys: vec![Attr::parse(&format!(
-                        "{probe}.{}",
-                        if probe == "E" { "k" } else { "j" }
-                    ))],
-                    build_keys: vec![Attr::parse(&format!(
-                        "{build}.{}",
-                        if build == "E" { "k" } else { "j" }
-                    ))],
-                    residual: Pred::always(),
-                };
-                // E joined with itself overlaps schemes; skip that
-                // combination for wide kinds (it errors identically in
-                // both engines, which is all we need).
-                let mut seq_stats = ExecStats::new();
-                let seq = execute(&plan, &s, &mut seq_stats);
-                let cfg = ExecConfig::with_threads(8).morsel_rows(4);
-                let mut st = ExecStats::new();
-                let par = execute_with(&plan, &s, &mut st, &cfg);
-                match (seq, par) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.rows(), b.rows(), "{kind} {probe}/{build}");
-                        assert_eq!(st, seq_stats, "{kind} {probe}/{build}");
-                    }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{kind} {probe}/{build}"),
-                    (a, b) => panic!("engines disagree on {kind} {probe}/{build}: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn auto_thread_config_runs() {
-        let s = skewed_storage();
-        let plan = PhysPlan::HashJoin {
-            kind: JoinKind::LeftOuter,
-            probe: Box::new(PhysPlan::scan("P")),
-            build: Box::new(PhysPlan::scan("B")),
-            probe_keys: vec![Attr::parse("P.k")],
-            build_keys: vec![Attr::parse("B.k")],
-            residual: Pred::always(),
-        };
-        let mut st = ExecStats::new();
-        let cfg = ExecConfig::with_threads(0).morsel_rows(8);
-        let out = execute_with(&plan, &s, &mut st, &cfg).unwrap();
-        let mut seq_st = ExecStats::new();
-        let seq = execute(&plan, &s, &mut seq_st).unwrap();
-        assert_eq!(out.rows(), seq.rows());
-    }
-
     #[test]
     fn dedup_rows_keeps_first_occurrence_without_cloning() {
         let t = |v: i64| Tuple::new(vec![Value::Int(v)]);
@@ -2467,24 +1597,6 @@ mod tests {
         let mut empty: Vec<Tuple> = Vec::new();
         dedup_rows(&mut empty);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn explain_analyze_report_is_thread_count_invariant() {
-        let s = skewed_storage();
-        let plan = PhysPlan::HashJoin {
-            kind: JoinKind::FullOuter,
-            probe: Box::new(PhysPlan::scan("P")),
-            build: Box::new(PhysPlan::scan("B")),
-            probe_keys: vec![Attr::parse("P.k")],
-            build_keys: vec![Attr::parse("B.k")],
-            residual: Pred::always(),
-        };
-        let (seq_rel, seq_report) = explain_analyze(&plan, &s).unwrap();
-        let cfg = ExecConfig::with_threads(8).morsel_rows(16);
-        let (par_rel, par_report) = explain_analyze_with(&plan, &s, &cfg).unwrap();
-        assert_eq!(seq_rel.rows(), par_rel.rows());
-        assert_eq!(seq_report, par_report);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The physical substrate for reproducing the paper's cost claims
 //! (Example 1) and for backing the cost-based optimizer in `fro-core`:
 //!
-//! * [`Storage`]: named in-memory tables with optional hash
-//!   [`index::HashIndex`]es (the paper's Example 1 assumes key indexes
-//!   on every relation),
+//! * [`Storage`]: named in-memory tables, each with a columnar mirror
+//!   and optional hash [`index::HashIndex`]es (the paper's Example 1
+//!   assumes key indexes on every relation),
 //! * [`PhysPlan`]: physical operator trees — scans, filters, hash
 //!   joins, index nested-loop joins, plain nested loops, generalized
 //!   outerjoin — each join in the four flavors the paper's algebra
@@ -13,16 +13,18 @@
 //! * [`ExecStats`]: *tuples retrieved* accounting (the metric Example 1
 //!   counts: `2·10⁷ + 1` versus `3`), plus probe/comparison/output
 //!   counters,
-//! * [`execute`]: the executor front door. By default plans run on the
-//!   push-based **pipelined** engine ([`ExecMode::Pipelined`]):
-//!   scan→filter→probe→project spines fuse into a single closure-chain
-//!   pass over morsels with no intermediate row vector between fused
-//!   operators, and only pipeline breakers (non-scan build sides,
-//!   `GroupCount`, merge sorts, full outerjoins) materialize. The
-//!   classic operator-at-a-time engine remains available via
-//!   [`ExecMode::Materializing`]; both produce bit-identical results
-//!   and are checked against the reference evaluator of `fro-algebra`
-//!   on every random query in the test-suite.
+//! * [`execute`]: the executor front door. There is one executor, a
+//!   push-based **pipelined** one: scan→filter→probe→project spines
+//!   fuse into a single closure-chain pass over morsels with no
+//!   intermediate row vector between fused operators, base tables are
+//!   read through their columnar mirrors (vectorized filters, zone
+//!   skipping, column-direct hash builds), and only pipeline breakers
+//!   (non-scan build sides, `GroupCount`, merge sorts, full outerjoins)
+//!   materialize. [`ExecConfig`] sets threads, morsel size and
+//!   hash-join partitions; none of them changes a result, its order or
+//!   a counter. The executor suites, all built on one harness
+//!   (`tests/harness`), check it against the reference evaluator of
+//!   `fro-algebra` on every plan shape and at every configuration.
 
 //! ## Example
 //!
@@ -61,7 +63,7 @@ pub mod plan;
 pub mod stats;
 pub mod storage;
 
-pub use config::{suggest_partitions, ExecConfig, ExecMode, MAX_PARTITIONS};
+pub use config::{suggest_partitions, ExecConfig, MAX_PARTITIONS};
 pub use delta::{BuildSidePool, DeltaPlan, RowDelta, SideIndex, SideKey};
 pub use engine::{execute, execute_with, explain_analyze, explain_analyze_with, ExecError};
 pub use plan::{JoinKind, PhysPlan, ReducePass};

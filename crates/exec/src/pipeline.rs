@@ -1,5 +1,5 @@
-//! The push-based pipelined executor ([`crate::ExecMode::Pipelined`],
-//! the default).
+//! The push-based pipelined executor — the one executor every plan
+//! runs on.
 //!
 //! A [`PhysPlan`] is compiled into **pipelines**: maximal
 //! scan → filter → probe → project spines that fuse into a single
@@ -10,33 +10,34 @@
 //! evaluated on the virtual concatenation
 //! ([`BoundPred::eval_parts`]) and the wide output tuple is allocated
 //! exactly once, at the sink. Hash-join build sides that are bare
-//! scans are read zero-copy straight out of [`Storage`] — a fully
-//! fused plan therefore reports `rows_materialized = 0`.
+//! scans are read zero-copy straight out of [`Storage`], their key
+//! hashes computed off the table's columnar mirror — a fully fused plan
+//! therefore reports `rows_materialized = 0`. When the source is a base
+//! table, the leading filters run as vectorized kernels over its
+//! columns (zone metadata skipping whole morsels where it can). Rows of
+//! intermediates go through the row-at-a-time kernels.
 //!
 //! **Pipeline breakers** — hash-join build sides that are themselves
 //! plans, `GroupCount`, merge joins (sort barrier), full outerjoins
 //! (their unmatched-side epilogue needs the whole probe result), `Goj`,
-//! and mid-spine projections — keep the existing radix-partitioned
-//! morsel-parallel materializing operators from [`crate::engine`]: the
-//! compiler cuts the spine at each breaker, executes the breaker's
-//! pipelines first (build before probe), and the materialized result
-//! becomes the next pipeline's source.
+//! and mid-spine projections — run the radix-partitioned
+//! morsel-parallel kernels of [`crate::engine`]: the compiler cuts the
+//! spine at each breaker, executes the breaker's pipelines first (build
+//! before probe), and the materialized result becomes the next
+//! pipeline's source.
 //!
-//! The invariant, enforced by `tests/pipelined_property.rs` and by
-//! routing every existing engine property suite through this path (it
-//! is the default), is **bit-identical output**: rows, row order, and
-//! every work counter (`tuples_retrieved`, `index_probes`,
-//! `comparisons`, `hash_build_rows`, `rows_output`) match the
-//! materializing engine exactly, at every thread count, morsel size,
-//! and partition count. Only the bookkeeping split differs:
-//! `rows_materialized` counts breaker results alone, and
-//! `rows_pipelined` / `pipelines` count the flow that never touched an
-//! intermediate buffer.
+//! Rows, row order and every counter are identical at every thread
+//! count, morsel size and partition count; `rows_materialized` counts
+//! breaker results alone, and `rows_pipelined` / `pipelines` count the
+//! flow that never touched an intermediate buffer. Per-node output
+//! counts (`slots`) are the only source of `explain_analyze`'s
+//! `(rows=N)` lines. The executor suites (one harness, `tests/harness`)
+//! check all of it against the `fro-algebra` reference evaluator.
 
 use crate::config::ExecConfig;
 use crate::engine::{
-    bind_pred, dedup_rows, group_count_partitioned, hash_join, merge_join, nl_join, render_report,
-    resolve_cols, ExecError, JoinTable,
+    bind_pred, dedup_rows, drive_morsels, group_count_partitioned, hash_full_outerjoin, merge_join,
+    nl_full_outerjoin, resolve_cols, ExecError, JoinTable,
 };
 use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
@@ -45,8 +46,6 @@ use fro_algebra::ops::BoundPred;
 use fro_algebra::{AlgebraError, Attr, Bitmap, ColumnSet, Relation, Schema, Tuple, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Immutable per-run context.
@@ -66,22 +65,10 @@ struct Rs<'a> {
 /// Number of plan nodes, counted exactly as the explain walk does
 /// (an `IndexJoin`'s inner table is not a node).
 fn n_nodes(plan: &PhysPlan) -> usize {
-    1 + match plan {
-        PhysPlan::Scan { .. } => 0,
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::GroupCount { input, .. } => n_nodes(input),
-        PhysPlan::IndexJoin { outer, .. } => n_nodes(outer),
-        PhysPlan::HashJoin { probe, build, .. } => n_nodes(probe) + n_nodes(build),
-        PhysPlan::SemiReduce { input, source, .. } => n_nodes(input) + n_nodes(source),
-        PhysPlan::MergeJoin { left, right, .. }
-        | PhysPlan::NlJoin { left, right, .. }
-        | PhysPlan::Goj { left, right, .. } => n_nodes(left) + n_nodes(right),
-    }
+    1 + plan.children().map(n_nodes).sum::<usize>()
 }
 
-/// The node label `explain_analyze` prints — byte-identical to the
-/// materializing annotator's labels.
+/// The node label `explain_analyze` prints.
 fn label_of(plan: &PhysPlan) -> String {
     match plan {
         PhysPlan::Scan { rel } => format!("Scan {rel}"),
@@ -97,31 +84,12 @@ fn label_of(plan: &PhysPlan) -> String {
     }
 }
 
-/// Pre-order `(depth, label)` walk in the exact order the materializing
-/// annotator reserves report lines; zipped with the slot counts it
-/// reproduces its report byte for byte.
+/// Pre-order `(depth, label)` walk — the order of the slot counts, so
+/// zipping the two gives the report's per-node lines.
 fn collect_lines(plan: &PhysPlan, depth: usize, lines: &mut Vec<(usize, String)>) {
     lines.push((depth, label_of(plan)));
-    match plan {
-        PhysPlan::Scan { .. } => {}
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::GroupCount { input, .. } => collect_lines(input, depth + 1, lines),
-        PhysPlan::IndexJoin { outer, .. } => collect_lines(outer, depth + 1, lines),
-        PhysPlan::HashJoin { probe, build, .. } => {
-            collect_lines(probe, depth + 1, lines);
-            collect_lines(build, depth + 1, lines);
-        }
-        PhysPlan::SemiReduce { input, source, .. } => {
-            collect_lines(input, depth + 1, lines);
-            collect_lines(source, depth + 1, lines);
-        }
-        PhysPlan::MergeJoin { left, right, .. }
-        | PhysPlan::NlJoin { left, right, .. }
-        | PhysPlan::Goj { left, right, .. } => {
-            collect_lines(left, depth + 1, lines);
-            collect_lines(right, depth + 1, lines);
-        }
+    for child in plan.children() {
+        collect_lines(child, depth + 1, lines);
     }
 }
 
@@ -144,10 +112,11 @@ pub(crate) fn run_pipelined(
     exec_region(plan, 0, &cx, &mut rs)
 }
 
-/// Execute `plan` and render the `EXPLAIN ANALYZE` report: the same
-/// per-node row counts and totals the materializing engine prints,
-/// followed by the pipeline breakdown (which operators fused into each
-/// pipeline, and where breakers cut the plan).
+/// Execute `plan` and render the `EXPLAIN ANALYZE` report: per-node
+/// row counts, the counter totals, the per-partition hash-join
+/// breakdown (when a hash join ran), then the pipeline breakdown (which
+/// operators fused into each pipeline, and where breakers cut the
+/// plan).
 pub(crate) fn explain_pipelined(
     plan: &PhysPlan,
     storage: &Storage,
@@ -168,12 +137,23 @@ pub(crate) fn explain_pipelined(
     stats.rows_output = rel.len() as u64;
     let mut labels = Vec::new();
     collect_lines(plan, 0, &mut labels);
-    let lines: Vec<(usize, String, u64)> = labels
-        .into_iter()
-        .zip(&slots)
-        .map(|((depth, label), &rows)| (depth, label, rows))
-        .collect();
-    let mut out = render_report(&lines, &stats);
+    let mut out = String::new();
+    for ((depth, label), rows) in labels.iter().zip(&slots) {
+        out.push_str(&"  ".repeat(*depth));
+        out.push_str(label);
+        out.push_str(&format!("  (rows={rows})\n"));
+    }
+    out.push_str(&format!("totals: {stats}\n"));
+    // The partition breakdown changes shape with the partition count,
+    // which is exactly what it is for.
+    if stats.partition.used() > 0 {
+        out.push_str(&format!(
+            "partitions: P={} build={:?} probe={:?}\n",
+            stats.partition.used(),
+            stats.partition.build_rows(),
+            stats.partition.probe_rows()
+        ));
+    }
     out.push_str(&format!(
         "pipelines: {} (rows pipelined={}, rows materialized={})\n",
         stats.pipelines, stats.rows_pipelined, stats.rows_materialized
@@ -227,8 +207,7 @@ fn exec_inter(
 
 /// Pipeline-breaker nodes: execute the operand subtrees into
 /// materialized relations, then run the engine's deterministic
-/// morsel-parallel operator — counters tick exactly as in
-/// materializing mode.
+/// morsel-parallel kernel.
 fn exec_breaker(
     plan: &PhysPlan,
     base: usize,
@@ -237,7 +216,7 @@ fn exec_breaker(
 ) -> Result<Relation, ExecError> {
     let out = match plan {
         PhysPlan::HashJoin {
-            kind,
+            kind: JoinKind::FullOuter,
             probe,
             build,
             probe_keys,
@@ -251,8 +230,7 @@ fn exec_breaker(
             let b = exec_inter(build, base + 1 + n_nodes(probe), cx, rs)?;
             rs.trace
                 .push(format!("breaker: {} (materialized inputs)", label_of(plan)));
-            hash_join(
-                *kind,
+            hash_full_outerjoin(
                 &p,
                 &b,
                 probe_keys,
@@ -261,11 +239,10 @@ fn exec_breaker(
                 Some(cx.storage.interner()),
                 rs.stats,
                 cx.cfg,
-                None,
             )?
         }
         PhysPlan::NlJoin {
-            kind,
+            kind: JoinKind::FullOuter,
             left,
             right,
             pred,
@@ -274,15 +251,7 @@ fn exec_breaker(
             let r = exec_inter(right, base + 1 + n_nodes(left), cx, rs)?;
             rs.trace
                 .push(format!("breaker: {} (materialized inputs)", label_of(plan)));
-            nl_join(
-                *kind,
-                &l,
-                &r,
-                pred,
-                Some(cx.storage.interner()),
-                rs.stats,
-                cx.cfg,
-            )?
+            nl_full_outerjoin(&l, &r, pred, Some(cx.storage.interner()), rs.stats, cx.cfg)?
         }
         PhysPlan::MergeJoin {
             kind,
@@ -468,8 +437,8 @@ fn exec_stream(
     cx: &Cx<'_>,
     rs: &mut Rs<'_>,
 ) -> Result<Relation, ExecError> {
-    // --- Walk: top-down spine discovery (arity checks mirror the
-    // materializing engine's pre-child checks, topmost first).
+    // --- Walk: top-down spine discovery (arity checks run before any
+    // child executes, topmost first).
     let mut tail_attrs: Option<(&[Attr], usize)> = None;
     let mut node = plan;
     let mut slot = base;
@@ -610,8 +579,7 @@ fn exec_stream(
                 residual,
             } => {
                 // Resolve the build operand first: child errors surface
-                // before key-resolution errors, as in the materializing
-                // engine's child-then-join order.
+                // before key-resolution errors.
                 let build_slot = stage_slot + 1 + n_nodes(probe);
                 let (build_len, build_schema, side, bcols) = match build.as_ref() {
                     PhysPlan::Scan { rel } => {
@@ -724,7 +692,7 @@ fn exec_stream(
                 let mut inner_cols = resolve_cols(inner_rel.schema(), inner_keys)?;
                 let mut outer_cols = resolve_cols(&cur_schema, outer_keys)?;
                 // The index stores sorted key columns; align the outer
-                // key order with it, exactly as the engine does.
+                // key order with it.
                 let mut pairs: Vec<(usize, usize)> = inner_cols
                     .iter()
                     .copied()
@@ -892,11 +860,7 @@ fn exec_stream(
                 p,
                 cx.cfg,
                 rs.stats,
-                if cx.cfg.columnar {
-                    side_cols[side_idx]
-                } else {
-                    None
-                },
+                side_cols[side_idx],
             ));
         }
     }
@@ -916,33 +880,30 @@ fn exec_stream(
     // definitely true — so counters, rows, and order are bit-identical.
     let mut hoisted = 0usize;
     let mut sel: Option<Bitmap> = None;
-    if cx.cfg.columnar {
-        if let Some(cols) = src_cols {
-            let mut skipped = 0u64;
-            for spec in &specs {
-                let StageSpec::Filter { pred, slot } = spec else {
-                    break;
-                };
-                let reaching = sel.as_ref().map_or(src_rows.len(), Bitmap::count_ones);
-                let mut mask = cols.eval_pred(pred, &mut skipped).into_trues();
-                if let Some(prev) = &sel {
-                    mask.and_assign(prev);
-                }
-                let passing = mask.count_ones();
-                rs.stats.comparisons += reaching as u64;
-                rs.stats.rows_pipelined += passing as u64;
-                rs.slots[*slot] += passing as u64;
-                sel = Some(mask);
-                hoisted += 1;
+    if let Some(cols) = src_cols {
+        let mut skipped = 0u64;
+        for spec in &specs {
+            let StageSpec::Filter { pred, slot } = spec else {
+                break;
+            };
+            let reaching = sel.as_ref().map_or(src_rows.len(), Bitmap::count_ones);
+            let mut mask = cols.eval_pred(pred, &mut skipped).into_trues();
+            if let Some(prev) = &sel {
+                mask.and_assign(prev);
             }
-            rs.stats.morsels_skipped += skipped;
+            let passing = mask.count_ones();
+            rs.stats.comparisons += reaching as u64;
+            rs.stats.rows_pipelined += passing as u64;
+            rs.slots[*slot] += passing as u64;
+            sel = Some(mask);
+            hoisted += 1;
         }
+        rs.stats.morsels_skipped += skipped;
     }
 
     // --- Drive: push every (selected) source row through the fused
     // stage chain, entering above any hoisted filters.
     let mut out_rows: Vec<Tuple> = Vec::new();
-    let n_slots = rs.slots.len();
     let depth = widths.len() + 1;
     drive_morsels(
         src_rows.len(),
@@ -950,7 +911,6 @@ fn exec_stream(
         rs.stats,
         rs.slots,
         &mut out_rows,
-        n_slots,
         |range, buf, st, sl| {
             let mut parts: Vec<&Tuple> = Vec::with_capacity(depth);
             let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); specs.len()];
@@ -995,7 +955,7 @@ fn exec_stream(
 
     // A fused projection dedups once, after the drive — first
     // occurrence wins, which is exactly `ops::project`'s output order
-    // over the (bit-identical) materialized input.
+    // over the same input materialized.
     if let Tail::Project { slot, .. } = &tail {
         dedup_rows(&mut out_rows);
         rs.slots[*slot] += out_rows.len() as u64;
@@ -1005,10 +965,10 @@ fn exec_stream(
     Ok(Relation::from_distinct_rows(out_schema, out_rows))
 }
 
-/// One row's journey through the fused stages above `idx`. Emission
-/// order per stage replicates the engine's `JoinKernel::probe_row`
-/// exactly: candidates in build-row order, `comparisons` ticking only
-/// on exact-key candidates, pads/probe-rows on the unmatched epilogue.
+/// One row's journey through the fused stages above `idx`. Each probe
+/// stage emits candidates in build-row order, ticks `comparisons` only
+/// on exact-key candidates, and emits the pad (left outer) or the probe
+/// row (anti) when nothing matched.
 #[allow(clippy::too_many_arguments)]
 fn push_row<'a>(
     specs: &'a [StageSpec<'a>],
@@ -1444,74 +1404,5 @@ fn emit(tail: &Tail, parts: &[&Tuple]) -> Tuple {
             }
             Tuple::new(vals)
         }
-    }
-}
-
-/// A pipeline worker's take-home: output rows tagged with their morsel
-/// index, private counters, private per-node slot counts.
-type PipeWorkerOutput = (Vec<(usize, Vec<Tuple>)>, ExecStats, Vec<u64>);
-
-/// The pipelined twin of the engine's `probe_in_morsels`: run `work`
-/// over `0..n_rows` in fixed-size morsels, fanning out to worker
-/// threads when it pays, appending rows to `out` in morsel-index order
-/// and merging worker-private counters and slot counts (plain sums) —
-/// bit-identical to a sequential drive at any thread count.
-fn drive_morsels<F>(
-    n_rows: usize,
-    cfg: &ExecConfig,
-    stats: &mut ExecStats,
-    slots: &mut [u64],
-    out: &mut Vec<Tuple>,
-    n_slots: usize,
-    work: F,
-) where
-    F: Fn(Range<usize>, &mut Vec<Tuple>, &mut ExecStats, &mut [u64]) + Sync,
-{
-    let morsel = cfg.morsel_rows.max(1);
-    let n_morsels = n_rows.div_ceil(morsel);
-    let threads = cfg.effective_threads().min(n_morsels.max(1));
-    if threads <= 1 || n_morsels <= 1 {
-        work(0..n_rows, out, stats, slots);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let results: Vec<PipeWorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
-                    let mut local = ExecStats::new();
-                    let mut local_slots = vec![0u64; n_slots];
-                    loop {
-                        let m = next.fetch_add(1, Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        let lo = m * morsel;
-                        let hi = (lo + morsel).min(n_rows);
-                        let mut buf = Vec::with_capacity(hi - lo);
-                        work(lo..hi, &mut buf, &mut local, &mut local_slots);
-                        produced.push((m, buf));
-                    }
-                    (produced, local, local_slots)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pipeline worker panicked"))
-            .collect()
-    });
-    let mut morsels: Vec<(usize, Vec<Tuple>)> = Vec::with_capacity(n_morsels);
-    for (produced, local, local_slots) in results {
-        stats.merge(&local);
-        for (s, l) in slots.iter_mut().zip(local_slots) {
-            *s += l;
-        }
-        morsels.extend(produced);
-    }
-    morsels.sort_unstable_by_key(|&(m, _)| m);
-    for (_, buf) in morsels {
-        out.extend(buf);
     }
 }

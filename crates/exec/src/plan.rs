@@ -191,6 +191,36 @@ impl PhysPlan {
         PhysPlan::Scan { rel: rel.into() }
     }
 
+    /// The immediate child plans, in `explain` order. An `IndexJoin`'s
+    /// inner table is a name, not a child plan.
+    pub fn children(&self) -> impl Iterator<Item = &PhysPlan> {
+        let (a, b): (Option<&PhysPlan>, Option<&PhysPlan>) = match self {
+            PhysPlan::Scan { .. } => (None, None),
+            PhysPlan::Filter { input, .. }
+            | PhysPlan::Project { input, .. }
+            | PhysPlan::GroupCount { input, .. }
+            | PhysPlan::IndexJoin { outer: input, .. } => (Some(input), None),
+            PhysPlan::HashJoin {
+                probe: a, build: b, ..
+            }
+            | PhysPlan::SemiReduce {
+                input: a,
+                source: b,
+                ..
+            }
+            | PhysPlan::MergeJoin {
+                left: a, right: b, ..
+            }
+            | PhysPlan::NlJoin {
+                left: a, right: b, ..
+            }
+            | PhysPlan::Goj {
+                left: a, right: b, ..
+            } => (Some(a), Some(b)),
+        };
+        a.into_iter().chain(b)
+    }
+
     /// Visit every base-relation reference in the tree in plan order:
     /// each `Scan` leaf and each `IndexJoin` inner table. The count of
     /// visits is exactly the number of relation slots the plan

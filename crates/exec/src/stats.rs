@@ -12,7 +12,8 @@
 //! on the configured partition count, so it is deliberately excluded
 //! from `ExecStats` equality — the scalar counters are the engine's
 //! partition-invariant contract, and the partition totals always sum
-//! back into them (the partition-invariance suite asserts this).
+//! back into them (the executor test harness, `tests/harness`, asserts
+//! this).
 
 use crate::config::MAX_PARTITIONS;
 use std::fmt;
@@ -110,22 +111,17 @@ pub struct ExecStats {
     pub hash_build_rows: u64,
     /// Rows produced by the root operator.
     pub rows_output: u64,
-    /// Rows written into materialized buffers. Under
-    /// [`crate::ExecMode::Materializing`] every operator's output
-    /// counts (total intermediate result volume); under
-    /// [`crate::ExecMode::Pipelined`] only pipeline-breaker results
-    /// count — hash-join build sides that are not bare scans,
+    /// Rows written into materialized buffers: the results of pipeline
+    /// breakers — hash-join build sides that are not bare scans,
     /// `GroupCount` inputs, merge-join / full-outerjoin / `Goj`
     /// operands — so a fully-fused pipeline reports **0**.
     pub rows_materialized: u64,
     /// Rows that flowed through fused pipeline stages without an
     /// intermediate buffer (source rows pushed plus every fused
-    /// operator's emissions). Always 0 under
-    /// [`crate::ExecMode::Materializing`].
+    /// operator's emissions).
     pub rows_pipelined: u64,
     /// Pipelines driven (one per fused scan→…→sink chain, including
-    /// single-operator pipelines). Always 0 under
-    /// [`crate::ExecMode::Materializing`].
+    /// single-operator pipelines).
     pub pipelines: u64,
     /// Rows dropped by [`crate::PhysPlan::SemiReduce`] nodes: input
     /// rows with no join partner in the reducer source. Deterministic
@@ -133,7 +129,7 @@ pub struct ExecStats {
     /// logical equality contract like the other scalar counters.
     pub rows_reduced: u64,
     /// `SemiReduce` reducer stages executed (one per plan node per
-    /// execution, in either engine mode).
+    /// execution).
     pub reducer_passes: u64,
     /// Delta rows entering maintenance operators of a standing view:
     /// every signed row (insert or delete) an incremental delta pass
@@ -156,9 +152,8 @@ pub struct ExecStats {
     /// min/max / null-count metadata as containing no qualifying row,
     /// without touching the column data. Diagnostic, like the
     /// partition breakdown: how much skipping happened depends on the
-    /// columnar flag and data layout, so it is excluded from equality
-    /// — the logical work counters above stay bit-identical whether
-    /// or not zones were skipped.
+    /// data layout, so it is excluded from equality — the logical work
+    /// counters above do not depend on whether zones were skipped.
     pub morsels_skipped: u64,
     /// Per-partition hash-join breakdown (diagnostic; see
     /// [`PartitionStats`] — excluded from equality).
@@ -167,13 +162,12 @@ pub struct ExecStats {
 
 /// Equality compares the **logical scalar counters only**. The
 /// per-partition breakdown is a function of the configured partition
-/// count, and `morsels_skipped` is a function of the columnar flag and
-/// physical layout, while the logical counters are guaranteed
-/// bit-identical across every partition count, thread count, morsel
-/// size, and columnar setting — tests assert `stats == stats` across
-/// configurations, and the diagnostics must not break that contract.
-/// The partition totals are separately asserted to sum into the scalar
-/// counters by the partition-invariance suite.
+/// count, and `morsels_skipped` of the physical layout, while the
+/// logical counters are guaranteed identical across every partition
+/// count, thread count and morsel size — tests assert `stats == stats`
+/// across configurations, and the diagnostics must not break that
+/// contract. The executor test harness (`tests/harness`) separately
+/// asserts that the partition totals sum back into the scalar counters.
 impl PartialEq for ExecStats {
     fn eq(&self, other: &Self) -> bool {
         self.tuples_retrieved == other.tuples_retrieved
@@ -225,10 +219,10 @@ impl ExecStats {
     }
 
     /// A scalar "work" summary used by benches: retrieved tuples plus
-    /// intermediate row volume (materialized **and** pipelined — the
-    /// two split one volume depending on [`crate::ExecMode`]) plus
-    /// comparisons (all unit-weighted; the shape of comparisons is what
-    /// matters, not an absolute cost model).
+    /// intermediate row volume (materialized at breakers **and**
+    /// pipelined through fused stages) plus comparisons (all
+    /// unit-weighted; the shape of comparisons is what matters, not an
+    /// absolute cost model).
     #[must_use]
     pub fn work(&self) -> u64 {
         self.tuples_retrieved + self.rows_materialized + self.rows_pipelined + self.comparisons

@@ -12,8 +12,8 @@
 # are reported as `new` rather than silently skipped, so a freshly
 # added bench shows up in the first diff after it lands. That covers
 # the engine bench's pipelined-execution metrics (`chain_*` deep
-# left-join-chain timings, `chain_speedup_pipelined`, and the
-# `rows_materialized`/`rows_pipelined` bookkeeping) the same as any
+# left-join-chain timing and the `rows_materialized`/`rows_pipelined`
+# bookkeeping) the same as any
 # other top-level scalar — and likewise the columnar-kernel metrics
 # (`filter_rows_per_sec*`, `build_rows_per_sec*`, the `*_speedup`
 # ratios, and `zones_skipped`) emitted by the vectorized section of

@@ -23,21 +23,24 @@ echo "== wire decoder fuzz + roundtrip properties =="
 cargo test -q -p fro-wire
 cargo test -q --test wire_property
 
-echo "== pipelined executor cross-mode properties =="
-# Pipelined vs materializing: bit-identical rows and work counters on
-# every join kind, thread count, and morsel size (also covered by the
-# plain `cargo test` above; run standalone so a failure names itself).
-cargo test -q --test pipelined_property
-
-echo "== columnar cross-layout properties =="
-# Columnar vs row-major: bit-identical rows and work counters on every
-# join kind, executor mode, thread count, and morsel size (also covered
-# by the plain `cargo test` above; standalone so a failure names itself).
-cargo test -q --test columnar_property
+echo "== executor vs reference evaluator =="
+# The one executor against the fro-algebra reference on every plan
+# shape, counters against reference-derived values for filter chains
+# and scan-probing joins, then rows, order, schema and counters
+# identical across thread counts, morsel sizes and partition counts;
+# EXPLAIN ANALYZE's per-node counts pinned. The suites share the harness in tests/harness
+# (also covered by the plain `cargo test` above; standalone so a
+# failure names itself).
+for suite in executor_vs_reference engine_vs_reference pipelined_property \
+    columnar_property parallel_engine_property partition_invariance_property \
+    group_partition_property; do
+    cargo test -q --test "$suite"
+done
 
 echo "== semijoin-reduction properties =="
 # Reduced vs plain plans: bit-identical rows, order, and schema on
-# every join kind, both engines, thread counts 1/2/8, columnar on/off;
+# every join kind, identical counters across the executor harness's
+# configuration sweep;
 # the soundness matrix (left-outer probe never up-reduced, full outer
 # untouched) pinned by deterministic cases (also covered by the plain
 # `cargo test` above; standalone so a failure names itself).
@@ -53,7 +56,7 @@ cargo test -q --test shared_session_property
 
 echo "== standing-query maintenance properties =="
 # Random append/delete interleavings against registered views on all
-# five join kinds, both executor modes, thread counts 1/2/8: the
+# five join kinds, writers on 1/2/8 threads: the
 # maintained view stays bit-identical to cold re-execution, outerjoin
 # null rows retract exactly when the last match dies, alpha-equivalent
 # registrations share one view, and maintenance counters sum across

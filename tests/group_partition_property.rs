@@ -1,23 +1,44 @@
-//! Partitioned parallel `GroupCount` is *bit-identical* to the
-//! sequential operator: for random null-bearing inputs, every
-//! `(partitions, threads)` configuration must reproduce
-//! `ops::group_count` exactly — same groups, same counts, same
-//! first-seen emission order — with and without a counted column.
+//! Partitioned parallel `GroupCount`, against the reference.
+//!
+//! For random null-bearing inputs, every configuration of partitions ×
+//! threads × morsel rows must reproduce `ops::group_count` row for row —
+//! same groups, same counts, same first-seen emission order — with and
+//! without a counted column. Every plan goes through the harness in
+//! `tests/harness`.
 
-use fro_algebra::{ops, Attr, Relation};
-use fro_exec::{execute_with, ExecConfig, ExecStats, PhysPlan, Storage};
-use fro_testkit::{random_database, DbSpec};
+mod harness;
+
+use fro_algebra::{ops, Attr};
+use fro_exec::{PhysPlan, Storage};
+use harness::*;
 use proptest::prelude::*;
 
-/// Public id-keyed table read (`Storage::get` is a test-only oracle).
-fn rel_of<'a>(storage: &'a Storage, name: &str) -> &'a Relation {
-    let id = storage.rel_id(name).expect("interned");
-    storage.get_by_id(id).expect("stored").relation()
+/// Check `GroupCount(R)` and that the sequential run equals the
+/// reference row for row.
+fn check_group_count(
+    rows: usize,
+    domain: i64,
+    nulls: u32,
+    seed: u64,
+    group: &[Attr],
+    counted: Option<Attr>,
+) {
+    let db = kv_db(&["R"], rows, domain, nulls, false, seed);
+    let storage = Storage::from_database(&db);
+    let plan = PhysPlan::GroupCount {
+        input: Box::new(PhysPlan::scan("R")),
+        group_attrs: group.to_vec(),
+        counted: counted.clone(),
+    };
+    let want = ops::group_count(rel(&db, "R"), group, counted.as_ref()).expect("reference");
+    let (got, _) = check(&plan, &storage, &want, "group count");
+    assert_eq!(got, want, "diverged from ops::group_count");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// One grouping column, with and without a counted column.
     #[test]
     fn partitioned_group_count_is_bit_identical(
         rows in 0usize..300,
@@ -26,69 +47,20 @@ proptest! {
         counted in any::<bool>(),
         seed in 0u64..10_000,
     ) {
-        let spec = DbSpec::kv(&["R"], rows, domain, f64::from(nulls) * 0.15);
-        let db = random_database(&spec, seed);
-        let storage = Storage::from_database(&db);
-        let counted_attr = counted.then(|| Attr::parse("R.v"));
-
-        let plan = PhysPlan::GroupCount {
-            input: Box::new(PhysPlan::scan("R")),
-            group_attrs: vec![Attr::parse("R.k")],
-            counted: counted_attr.clone(),
-        };
-
-        // The sequential algebra operator is the specification.
-        let want = ops::group_count(
-            rel_of(&storage, "R"),
-            &[Attr::parse("R.k")],
-            counted_attr.as_ref(),
-        ).expect("oracle");
-
-        // Tiny morsels force real work distribution even at 300 rows.
-        for partitions in [1usize, 2, 8, 64] {
-            for threads in [1usize, 2, 8] {
-                let cfg = ExecConfig::with_threads(threads)
-                    .morsel_rows(16)
-                    .partitions(partitions);
-                let mut stats = ExecStats::default();
-                let got = execute_with(&plan, &storage, &mut stats, &cfg)
-                    .expect("executes");
-                prop_assert_eq!(
-                    &got, &want,
-                    "p={} t={} diverged from ops::group_count", partitions, threads
-                );
-            }
-        }
+        let counted = counted.then(|| Attr::parse("R.v"));
+        check_group_count(rows, domain, nulls * 15, seed, &[Attr::parse("R.k")], counted);
     }
 
-    /// Grouping on both columns with a counted column, under the most
-    /// adversarial split (64 partitions, morsel of 1): wider keys mean
-    /// more distinct groups than partitions can separate, so partition
-    /// merge order does real work.
+    /// Both columns as the group key with a counted column: more
+    /// distinct groups than partitions can separate, so the merge order
+    /// across partitions does real work (the sweep reaches 64
+    /// partitions at morsels of one row).
     #[test]
     fn wide_keys_under_max_partitioning(
         rows in 1usize..120,
         seed in 0u64..10_000,
     ) {
-        let spec = DbSpec::kv(&["R"], rows, 4, 0.3);
-        let db = random_database(&spec, seed);
-        let storage = Storage::from_database(&db);
         let group = [Attr::parse("R.k"), Attr::parse("R.v")];
-
-        let plan = PhysPlan::GroupCount {
-            input: Box::new(PhysPlan::scan("R")),
-            group_attrs: group.to_vec(),
-            counted: Some(Attr::parse("R.k")),
-        };
-        let want = ops::group_count(
-            rel_of(&storage, "R"),
-            &group,
-            Some(&Attr::parse("R.k")),
-        ).expect("oracle");
-
-        let cfg = ExecConfig::with_threads(8).morsel_rows(1).partitions(64);
-        let mut stats = ExecStats::default();
-        let got = execute_with(&plan, &storage, &mut stats, &cfg).expect("executes");
-        prop_assert_eq!(got, want);
+        check_group_count(rows, 4, 30, seed, &group, Some(Attr::parse("R.k")));
     }
 }

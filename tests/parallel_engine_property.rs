@@ -1,205 +1,104 @@
-//! Properties of the morsel-driven parallel executor.
+//! The morsel-driven parallel executor, against the reference.
 //!
-//! For random inputs — including empty relations, all-null key columns,
-//! duplicate keys, and morsels both smaller and larger than the probe
-//! side — every join kind must be:
-//!
-//! 1. **set-equal to the reference evaluator** in `fro-algebra`
-//!    (semantic correctness), and
-//! 2. **row-for-row identical to the sequential engine** at any thread
-//!    count and morsel size (deterministic parallelism: same rows, same
-//!    order, same counters).
+//! Plans whose probes run through more than one operator — a hash join
+//! over a join, an index join over a join, nested loops on a non-equi
+//! predicate, and both associations of the paper's Example 1 — must be
+//! set-equal to `fro-algebra`, then row-for-row identical to the
+//! sequential run at every thread count, morsel size and partition
+//! count (same rows, order, schema and `ExecStats`). Every plan goes
+//! through the harness in `tests/harness`.
 
-use fro_algebra::{ops, Attr, CmpOp, Pred, Relation};
-use fro_exec::{execute, execute_with, ExecConfig, ExecStats, JoinKind, PhysPlan, Storage};
-use fro_testkit::dbgen::{random_database, DbSpec};
+mod harness;
+
+use fro_algebra::{ops, CmpOp, Pred};
+use fro_core::optimizer::lower;
+use fro_exec::{JoinKind, PhysPlan, Storage};
+use harness::*;
 use proptest::prelude::*;
-
-const ALL_KINDS: [JoinKind; 5] = [
-    JoinKind::Inner,
-    JoinKind::LeftOuter,
-    JoinKind::FullOuter,
-    JoinKind::Semi,
-    JoinKind::Anti,
-];
-
-fn reference(kind: JoinKind, l: &Relation, r: &Relation, pred: &Pred) -> Relation {
-    match kind {
-        JoinKind::Inner => ops::join(l, r, pred),
-        JoinKind::LeftOuter => ops::outerjoin(l, r, pred),
-        JoinKind::FullOuter => ops::full_outerjoin(l, r, pred),
-        JoinKind::Semi => ops::semijoin(l, r, pred),
-        JoinKind::Anti => ops::antijoin(l, r, pred),
-    }
-    .expect("reference evaluator")
-}
-
-/// Thread counts the issue pins down, plus morsel sizes on both sides
-/// of the probe cardinality (rows ≤ 16, so 1 and 5 split the probe into
-/// many morsels while 1024 leaves a single one).
-const THREADS: [usize; 3] = [1, 2, 8];
-const MORSELS: [usize; 3] = [1, 5, 1024];
-
-fn assert_parallel_matches(
-    plan: &PhysPlan,
-    storage: &Storage,
-    l: &Relation,
-    r: &Relation,
-    pred: &Pred,
-    label: &str,
-) {
-    let kind = match plan {
-        PhysPlan::HashJoin { kind, .. } | PhysPlan::NlJoin { kind, .. } => *kind,
-        _ => unreachable!("join plans only"),
-    };
-    let mut seq_stats = ExecStats::new();
-    let seq = execute(plan, storage, &mut seq_stats).expect("sequential run");
-    let want = reference(kind, l, r, pred);
-    assert!(
-        seq.set_eq(&want),
-        "{label}: engine disagrees with reference ({} vs {} rows)",
-        seq.len(),
-        want.len()
-    );
-    for threads in THREADS {
-        for morsel in MORSELS {
-            let cfg = ExecConfig::with_threads(threads).morsel_rows(morsel);
-            let mut st = ExecStats::new();
-            let par = execute_with(plan, storage, &mut st, &cfg).expect("parallel run");
-            assert_eq!(
-                par.rows(),
-                seq.rows(),
-                "{label}: rows differ at threads={threads} morsel={morsel}"
-            );
-            assert_eq!(
-                par.schema().to_string(),
-                seq.schema().to_string(),
-                "{label}: schema differs at threads={threads} morsel={morsel}"
-            );
-            assert_eq!(
-                st, seq_stats,
-                "{label}: stats differ at threads={threads} morsel={morsel}"
-            );
-        }
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Hash joins over random key/value relations. `nulls` sweeps from
-    /// no nulls to **all keys null** (nulls = 100); `rows = 0` covers
-    /// empty build and probe sides.
+    /// A hash join of every kind whose probe is a left-outer hash join:
+    /// the upper probe reads the lower one's null pads, including a hot
+    /// build key and all-null keys.
     #[test]
     fn parallel_hash_join_all_kinds(
         rows in 0usize..16,
         domain in 1i64..6,
         nulls in 0u32..=100,
+        hot in any::<bool>(),
         seed in 0u64..10_000,
-        with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["L", "R", "S"], rows, domain, nulls, hot, seed);
         let storage = Storage::from_database(&db);
-        let l = db.get("L").expect("L").clone();
-        let r = db.get("R").expect("R").clone();
-        let residual = if with_residual {
-            Pred::cmp_attr("L.v", CmpOp::Le, "R.v")
-        } else {
-            Pred::always()
-        };
-        let pred = Pred::eq_attr("L.k", "R.k").and(residual.clone());
-        for kind in ALL_KINDS {
-            let plan = PhysPlan::HashJoin {
-                kind,
-                probe: Box::new(PhysPlan::scan("L")),
-                build: Box::new(PhysPlan::scan("R")),
-                probe_keys: vec![Attr::parse("L.k")],
-                build_keys: vec![Attr::parse("R.k")],
-                residual: residual.clone(),
-            };
-            assert_parallel_matches(&plan, &storage, &l, &r, &pred, &format!("hash {kind}"));
+        let lower_join = ops::outerjoin(rel(&db, "L"), rel(&db, "R"), &Pred::eq_attr("L.k", "R.k")).unwrap();
+        for kind in KINDS {
+            let probe = hash_join(JoinKind::LeftOuter, PhysPlan::scan("L"), PhysPlan::scan("R"), "L", "R");
+            let plan = hash_join(kind, probe, PhysPlan::scan("S"), "L", "S");
+            let want = reference(kind, &lower_join, rel(&db, "S"), &Pred::eq_attr("L.k", "S.k"));
+            check(&plan, &storage, &want, &format!("hash over hash {kind}"));
         }
     }
 
-    /// Nested-loop joins with a non-equi predicate — the degenerate
-    /// kernel where every pair is a candidate.
+    /// Nested-loop joins on a non-equi predicate (every pair is a
+    /// candidate), all five kinds, with and without a residual.
     #[test]
     fn parallel_nl_join_all_kinds(
         rows in 0usize..10,
         domain in 1i64..5,
         nulls in 0u32..=100,
         seed in 0u64..10_000,
+        with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
         let storage = Storage::from_database(&db);
-        let l = db.get("L").expect("L").clone();
-        let r = db.get("R").expect("R").clone();
-        let pred = Pred::cmp_attr("L.k", CmpOp::Ge, "R.k");
-        for kind in ALL_KINDS {
+        let pred = Pred::cmp_attr("L.k", CmpOp::Ge, "R.k").and(residual(with_residual));
+        for kind in KINDS {
             let plan = PhysPlan::NlJoin {
                 kind,
                 left: Box::new(PhysPlan::scan("L")),
                 right: Box::new(PhysPlan::scan("R")),
                 pred: pred.clone(),
             };
-            assert_parallel_matches(&plan, &storage, &l, &r, &pred, &format!("nl {kind}"));
+            let want = reference(kind, rel(&db, "L"), rel(&db, "R"), &pred);
+            check(&plan, &storage, &want, &format!("non-equi nl {kind}"));
         }
     }
 
-    /// Index joins (the remaining unified-kernel path): parallel probes
-    /// over an indexed inner table match the sequential engine exactly.
+    /// Index joins of the four kinds they accept, probing `R`'s index
+    /// from an inner hash join of `L` and `S`, with and without a
+    /// residual.
     #[test]
     fn parallel_index_join_matches_sequential(
-        rows in 1usize..12,
+        rows in 0usize..16,
         domain in 1i64..5,
-        nulls in 0u32..60,
+        nulls in 0u32..=100,
         seed in 0u64..10_000,
+        with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
-        let mut storage = Storage::from_database(&db);
-        storage.create_index("R", &[Attr::parse("R.k")]);
+        let db = kv_db(&["L", "R", "S"], rows, domain, nulls, false, seed);
+        let storage = indexed(&db);
+        let residual = residual(with_residual);
+        let outer = ops::join(rel(&db, "L"), rel(&db, "S"), &Pred::eq_attr("L.k", "S.k")).unwrap();
+        let pred = Pred::eq_attr("L.k", "R.k").and(residual.clone());
         for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::Semi, JoinKind::Anti] {
-            let plan = PhysPlan::IndexJoin {
-                kind,
-                outer: Box::new(PhysPlan::scan("L")),
-                inner: "R".into(),
-                outer_keys: vec![Attr::parse("L.k")],
-                inner_keys: vec![Attr::parse("R.k")],
-                residual: Pred::always(),
-            };
-            let mut seq_stats = ExecStats::new();
-            let seq = execute(&plan, &storage, &mut seq_stats).expect("sequential");
-            for threads in THREADS {
-                for morsel in MORSELS {
-                    let cfg = ExecConfig::with_threads(threads).morsel_rows(morsel);
-                    let mut st = ExecStats::new();
-                    let par = execute_with(&plan, &storage, &mut st, &cfg).expect("parallel");
-                    prop_assert_eq!(par.rows(), seq.rows(), "index {} t={}", kind, threads);
-                    prop_assert_eq!(st, seq_stats, "index {} t={}", kind, threads);
-                }
-            }
+            let probe = hash_join(JoinKind::Inner, PhysPlan::scan("L"), PhysPlan::scan("S"), "L", "S");
+            let plan = index_join(kind, probe, &residual);
+            let want = reference(kind, &outer, rel(&db, "R"), &pred);
+            check(&plan, &storage, &want, &format!("index over hash {kind}"));
         }
     }
 
-    /// Workload-shaped sanity: both Example 1 associations, lowered to
-    /// physical plans, run identically under the parallel engine — the
-    /// paper's retrieval-count asymmetry is preserved at any thread
-    /// count.
+    /// Both Example 1 associations, lowered to physical plans, match the
+    /// reference at every configuration.
     #[test]
     fn example1_workload_is_thread_invariant(n in 1usize..40) {
         let w = fro_testkit::workloads::example1(n);
+        let db = w.storage.to_database();
         for query in [&w.bad_query, &w.good_query] {
-            let plan = fro_core::optimizer::lower(query, &w.catalog).expect("lowerable");
-            let mut seq_stats = ExecStats::new();
-            let seq = execute(&plan, &w.storage, &mut seq_stats).expect("sequential");
-            let cfg = ExecConfig::with_threads(8).morsel_rows(3);
-            let mut st = ExecStats::new();
-            let par = execute_with(&plan, &w.storage, &mut st, &cfg).expect("parallel");
-            prop_assert_eq!(par.rows(), seq.rows());
-            prop_assert_eq!(st, seq_stats);
+            let plan = lower(query, &w.catalog).expect("lowerable");
+            check(&plan, &w.storage, &query.eval(&db).expect("reference"), &query.shape());
         }
     }
 }

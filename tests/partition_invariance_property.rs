@@ -1,125 +1,38 @@
-//! Partition-invariance properties of the radix-partitioned hash join.
+//! The radix-partitioned hash join, against the reference.
 //!
-//! The engine's core contract: the configured partition count moves
-//! work between per-partition tables but never changes what the join
-//! computes. For random inputs — including empty relations, **all-null
-//! key columns**, and a **single hot key** (every build row in one
-//! bucket of one partition) — every join kind must produce rows,
-//! row order, schema, and scalar [`ExecStats`] counters bit-identical
-//! to the sequential unpartitioned engine across
-//! `partitions ∈ {1, 2, 8, 64} × threads ∈ {1, 2, 8}` × morsel sizes
-//! on both sides of the probe cardinality.
-//!
-//! The per-partition diagnostic breakdown is additionally pinned down:
-//! its build/probe totals are partition-count invariant and sum back
-//! into the scalar counters (build total = non-null-keyed build rows).
+//! The partition count moves work between per-partition tables but
+//! never changes what a join computes. For random inputs — empty
+//! relations, all-null key columns and a single hot build key (every
+//! build row in one bucket of one partition) — every join kind must be
+//! set-equal to `fro-algebra`, then bit-identical in rows, order, schema
+//! and `ExecStats` at partitions {1, 2, 8, 64, auto} × threads ×
+//! morsel rows. The per-partition build/probe totals are the
+//! non-null-keyed rows at every partition count. Every plan goes
+//! through the harness in `tests/harness`.
 
-use fro_algebra::{Attr, CmpOp, Pred, Relation, Value};
-use fro_exec::{execute, execute_with, ExecConfig, ExecStats, JoinKind, PhysPlan, Storage};
-use fro_testkit::dbgen::{random_database, DbSpec};
+mod harness;
+
+use fro_algebra::{Database, Relation, Value};
+use fro_exec::{execute_with, ExecConfig, ExecStats, Storage};
+use harness::*;
 use proptest::prelude::*;
 
-const ALL_KINDS: [JoinKind; 5] = [
-    JoinKind::Inner,
-    JoinKind::LeftOuter,
-    JoinKind::FullOuter,
-    JoinKind::Semi,
-    JoinKind::Anti,
-];
-
-const PARTITIONS: [usize; 4] = [1, 2, 8, 64];
-const THREADS: [usize; 3] = [1, 2, 8];
-const MORSELS: [usize; 3] = [1, 5, 1024];
-
-/// Rows of `rel` whose `attr` key is non-null — what the partitioned
-/// build scatters, and therefore what the breakdown must sum to.
-fn non_null_keys(rel: &Relation, attr: &str) -> u64 {
-    let col = rel
-        .schema()
-        .index_of(&Attr::parse(attr))
-        .expect("key attribute");
-    rel.rows().iter().filter(|t| !t.get(col).is_null()).count() as u64
-}
-
-/// Assert the full sweep for one hash-join plan: identical rows, order,
-/// schema, and scalar counters at every (partitions, threads, morsel),
-/// plus a coherent per-partition breakdown.
-fn assert_partition_invariant(
-    plan: &PhysPlan,
-    storage: &Storage,
-    build_non_null: u64,
-    probe_non_null: u64,
-    label: &str,
-) {
-    let mut seq_stats = ExecStats::new();
-    let seq = execute(plan, storage, &mut seq_stats).expect("sequential run");
-    for partitions in PARTITIONS {
-        for threads in THREADS {
-            for morsel in MORSELS {
-                let cfg = ExecConfig::with_threads(threads)
-                    .morsel_rows(morsel)
-                    .partitions(partitions);
-                let mut st = ExecStats::new();
-                let out = execute_with(plan, storage, &mut st, &cfg).expect("partitioned run");
-                assert_eq!(
-                    out.rows(),
-                    seq.rows(),
-                    "{label}: rows differ at P={partitions} threads={threads} morsel={morsel}"
-                );
-                assert_eq!(
-                    out.schema().to_string(),
-                    seq.schema().to_string(),
-                    "{label}: schema differs at P={partitions}"
-                );
-                assert_eq!(
-                    st, seq_stats,
-                    "{label}: scalar counters differ at P={partitions} threads={threads} \
-                     morsel={morsel}"
-                );
-                // Breakdown coherence: the hash join noted its partition
-                // count, and the per-partition totals are exactly the
-                // non-null-keyed build/probe rows — invariant in P.
-                assert_eq!(
-                    st.partition.used(),
-                    partitions,
-                    "{label}: partition count not recorded at P={partitions}"
-                );
-                assert_eq!(
-                    st.partition.build_rows().iter().sum::<u64>(),
-                    build_non_null,
-                    "{label}: build breakdown total drifted at P={partitions}"
-                );
-                assert_eq!(
-                    st.partition.probe_rows().iter().sum::<u64>(),
-                    probe_non_null,
-                    "{label}: probe breakdown total drifted at P={partitions}"
-                );
-                assert!(
-                    st.partition.build_rows().iter().sum::<u64>() <= st.hash_build_rows,
-                    "{label}: scattered more rows than the build read"
-                );
-            }
-        }
+/// Check bare-scan and materialized hash joins of every kind, and pin
+/// the bare-scan build's partition totals to the non-null keys.
+fn check_hash_joins(db: &Database, with_residual: bool) {
+    let storage = Storage::from_database(db);
+    let residual = residual(with_residual);
+    let want = (non_null_keys(rel(db, "R")), non_null_keys(rel(db, "L")));
+    for (kind, st) in check_equi_join(Op::Hash, db, &storage, &residual) {
+        assert_eq!(partition_totals(&st), want, "{kind}: partition totals");
     }
-}
-
-fn hash_plan(kind: JoinKind, residual: &Pred) -> PhysPlan {
-    PhysPlan::HashJoin {
-        kind,
-        probe: Box::new(PhysPlan::scan("L")),
-        build: Box::new(PhysPlan::scan("R")),
-        probe_keys: vec![Attr::parse("L.k")],
-        build_keys: vec![Attr::parse("R.k")],
-        residual: residual.clone(),
-    }
+    check_equi_join(Op::HashRows, db, &storage, &residual);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random key/value relations: `nulls` sweeps from no nulls to
-    /// **all keys null** (nulls = 100, empty bucket maps at every P);
-    /// `rows = 0` covers empty build and probe sides.
+    /// Random key/value relations, from no nulls to all keys null.
     #[test]
     fn hash_join_is_partition_invariant(
         rows in 0usize..16,
@@ -128,79 +41,40 @@ proptest! {
         seed in 0u64..10_000,
         with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
-        let storage = Storage::from_database(&db);
-        let build_nn = non_null_keys(db.get("R").expect("R"), "R.k");
-        let probe_nn = non_null_keys(db.get("L").expect("L"), "L.k");
-        let residual = if with_residual {
-            Pred::cmp_attr("L.v", CmpOp::Le, "R.v")
-        } else {
-            Pred::always()
-        };
-        for kind in ALL_KINDS {
-            assert_partition_invariant(
-                &hash_plan(kind, &residual),
-                &storage,
-                build_nn,
-                probe_nn,
-                &format!("random {kind}"),
-            );
-        }
+        check_hash_joins(&kv_db(&["L", "R"], rows, domain, nulls, false, seed), with_residual);
     }
 
-    /// Skew torture: every build row carries the **same hot key**, so
-    /// all the build work lands in one bucket of one partition while
-    /// the other P−1 partitions stay empty — the worst case for any
-    /// scheme whose determinism leaned on uniform spread.
+    /// Every build row carries the same hot key, so the whole build
+    /// lands in one bucket of one partition and the others stay empty.
     #[test]
     fn single_hot_key_build_is_partition_invariant(
         build_rows in 1usize..24,
         probe_rows in 0usize..16,
         hot in 0i64..5,
         seed in 0u64..10_000,
+        with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L"], probe_rows, 5, 0.2);
-        let db = random_database(&spec, seed);
-        let mut storage = Storage::from_database(&db);
-        let r = Relation::from_values(
-            "R",
-            &["k", "v"],
-            (0..build_rows)
-                .map(|i| vec![Value::Int(hot), Value::Int(i as i64)])
-                .collect::<Vec<_>>(),
-        );
-        let build_nn = build_rows as u64;
-        let probe_nn = non_null_keys(db.get("L").expect("L"), "L.k");
-        storage.insert("R", r);
-        for kind in ALL_KINDS {
-            assert_partition_invariant(
-                &hash_plan(kind, &Pred::always()),
-                &storage,
-                build_nn,
-                probe_nn,
-                &format!("hot-key {kind}"),
-            );
-        }
+        let mut db = kv_db(&["L"], probe_rows, 5, 20, false, seed);
+        let build = (0..build_rows).map(|i| vec![Value::Int(hot), Value::Int(i as i64 % 5)]);
+        db.insert_named("R", Relation::from_values("R", &["k", "v"], build.collect()));
+        check_hash_joins(&db, with_residual);
     }
 }
 
-/// The "auto" setting (`partitions = 0`) resolves per join from the
-/// build cardinality; whatever it picks, results stay identical to the
-/// explicit-P runs — auto can never change answers, only layout.
+/// Auto partitioning (`partitions = 0`) resolves per join from the build
+/// cardinality. It sits in every configuration sweep beside the explicit
+/// counts, so it can change layout, never answers; on a small build it
+/// resolves to one partition.
 #[test]
 fn auto_partitioning_matches_explicit() {
-    let spec = DbSpec::kv(&["L", "R"], 12, 4, 0.1);
-    let db = random_database(&spec, 7);
+    let db = kv_db(&["L", "R"], 12, 4, 10, false, 7);
+    check_hash_joins(&db, false);
     let storage = Storage::from_database(&db);
-    for kind in ALL_KINDS {
-        let plan = hash_plan(kind, &Pred::always());
-        let mut seq_stats = ExecStats::new();
-        let seq = execute(&plan, &storage, &mut seq_stats).expect("sequential");
+    for kind in KINDS {
+        let plan = equi_join(Op::Hash, kind, &residual(false));
         let cfg = ExecConfig::with_threads(2).morsel_rows(3).partitions(0);
         let mut st = ExecStats::new();
-        let auto = execute_with(&plan, &storage, &mut st, &cfg).expect("auto");
-        assert_eq!(auto.rows(), seq.rows(), "auto diverged for {kind}");
-        assert_eq!(st, seq_stats, "auto counters diverged for {kind}");
+        execute_with(&plan, &storage, &mut st, &cfg).expect("auto");
+        assert_eq!(st.partition.used(), 1, "{kind}: auto on 12 build rows");
     }
 }

@@ -1,119 +1,30 @@
-//! Properties of the push-based pipelined executor.
+//! The push-based pipelined executor, operator by operator, against the
+//! reference.
 //!
-//! The pipelined engine (the default) must be **bit-identical** to the
-//! materializing engine on every plan: same rows, same row order, same
-//! schema, and the same *work* counters — `tuples_retrieved`,
-//! `index_probes`, `comparisons`, `hash_build_rows`, `rows_output`.
-//! Only the bookkeeping split may differ: the materializing engine
-//! reports `rows_materialized` for every operator output, the pipelined
-//! engine reports `rows_pipelined`/`pipelines` for fused flow and
-//! `rows_materialized` only at pipeline breakers.
-//!
-//! Random inputs sweep empty relations, all-null key columns (nulls =
-//! 100), duplicate keys, and morsels smaller and larger than the probe
-//! side; plans sweep all five join kinds for every join operator,
-//! fused filter/projection spines, filters over derived (non-interned)
-//! attributes, and deep left-outerjoin chains. The pipelined engine
-//! must also be internally deterministic: identical full stats at
-//! every thread count and morsel size.
+//! Every join operator, all the kinds it accepts, over random inputs
+//! that sweep empty relations, all-null keys (`nulls = 100`) and
+//! duplicate keys; a fused filter/join/project spine over a
+//! materialized operand; a filter over a derived attribute fed by a
+//! pipeline breaker; and eight-deep left-outerjoin chains, lowered and
+//! optimized, whose EXPLAIN ANALYZE counts every node. Every plan goes
+//! through the harness in `tests/harness`: set-equal to `fro-algebra`,
+//! then bit-identical in rows, order, schema and `ExecStats` at every
+//! configuration of threads × morsel rows (both sides of the probe
+//! cardinality) × partitions.
 
-use fro_algebra::{Attr, CmpOp, Pred};
-use fro_exec::{execute_with, ExecConfig, ExecStats, JoinKind, PhysPlan, Storage};
-use fro_testkit::dbgen::{random_database, DbSpec};
+mod harness;
+
+use fro_algebra::{ops, Attr, CmpOp, Pred};
+use fro_core::{optimize, optimizer::lower, Policy};
+use fro_exec::{execute, ExecStats, JoinKind, PhysPlan, Storage};
+use harness::*;
 use proptest::prelude::*;
-
-const ALL_KINDS: [JoinKind; 5] = [
-    JoinKind::Inner,
-    JoinKind::LeftOuter,
-    JoinKind::FullOuter,
-    JoinKind::Semi,
-    JoinKind::Anti,
-];
-
-const THREADS: [usize; 3] = [1, 2, 8];
-const MORSELS: [usize; 3] = [1, 5, 1024];
-
-/// The work counters both engines must agree on exactly. The
-/// bookkeeping counters (`rows_materialized`, `rows_pipelined`,
-/// `pipelines`) are deliberately excluded — they describe *how* rows
-/// flowed, which is the one thing the modes do differently.
-fn work_counters(st: &ExecStats) -> [(&'static str, u64); 5] {
-    [
-        ("tuples_retrieved", st.tuples_retrieved),
-        ("index_probes", st.index_probes),
-        ("comparisons", st.comparisons),
-        ("hash_build_rows", st.hash_build_rows),
-        ("rows_output", st.rows_output),
-    ]
-}
-
-/// Run `plan` through both engines and assert bit-identical output and
-/// work counters, plus pipelined-mode determinism across every thread
-/// count and morsel size.
-fn assert_modes_agree(plan: &PhysPlan, storage: &Storage, label: &str) {
-    let mut mat_stats = ExecStats::new();
-    let mat = execute_with(
-        plan,
-        storage,
-        &mut mat_stats,
-        &ExecConfig::new().materializing(),
-    )
-    .expect("materializing run");
-    let mut pipe_stats = ExecStats::new();
-    let pipe = execute_with(
-        plan,
-        storage,
-        &mut pipe_stats,
-        &ExecConfig::new().pipelined(),
-    )
-    .expect("pipelined run");
-
-    assert_eq!(
-        pipe.rows(),
-        mat.rows(),
-        "{label}: pipelined rows differ from materializing"
-    );
-    assert_eq!(
-        pipe.schema().to_string(),
-        mat.schema().to_string(),
-        "{label}: schema differs between modes"
-    );
-    for ((name, m), (_, p)) in work_counters(&mat_stats)
-        .into_iter()
-        .zip(work_counters(&pipe_stats))
-    {
-        assert_eq!(m, p, "{label}: work counter {name} differs between modes");
-    }
-    assert!(
-        pipe.is_empty() || pipe_stats.rows_pipelined + pipe_stats.rows_materialized > 0,
-        "{label}: pipelined bookkeeping accounted for no flow"
-    );
-
-    for threads in THREADS {
-        for morsel in MORSELS {
-            let cfg = ExecConfig::with_threads(threads)
-                .morsel_rows(morsel)
-                .pipelined();
-            let mut st = ExecStats::new();
-            let par = execute_with(plan, storage, &mut st, &cfg).expect("parallel pipelined run");
-            assert_eq!(
-                par.rows(),
-                pipe.rows(),
-                "{label}: pipelined rows differ at threads={threads} morsel={morsel}"
-            );
-            assert_eq!(
-                st, pipe_stats,
-                "{label}: pipelined stats differ at threads={threads} morsel={morsel}"
-            );
-        }
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Hash joins over random key/value relations: all five kinds, with
-    /// and without residuals, from empty inputs to all-null keys.
+    /// Hash joins over materialized operands (the build hashes rows),
+    /// all five kinds, with and without a residual.
     #[test]
     fn pipelined_hash_join_all_kinds(
         rows in 0usize..16,
@@ -122,137 +33,87 @@ proptest! {
         seed in 0u64..10_000,
         with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
         let storage = Storage::from_database(&db);
-        let residual = if with_residual {
-            Pred::cmp_attr("L.v", CmpOp::Le, "R.v")
-        } else {
-            Pred::always()
-        };
-        for kind in ALL_KINDS {
-            let plan = PhysPlan::HashJoin {
-                kind,
-                probe: Box::new(PhysPlan::scan("L")),
-                build: Box::new(PhysPlan::scan("R")),
-                probe_keys: vec![Attr::parse("L.k")],
-                build_keys: vec![Attr::parse("R.k")],
-                residual: residual.clone(),
-            };
-            assert_modes_agree(&plan, &storage, &format!("hash {kind}"));
-        }
+        check_equi_join(Op::HashRows, &db, &storage, &residual(with_residual));
     }
 
-    /// A fused spine above the joins: filter below, projection at the
-    /// root (the projection dedups, so duplicate-heavy domains stress
-    /// the fused-sink dedup order).
+    /// A fused spine: a filter over a materialized probe source (the
+    /// row kernel, not a hoisted mask), a hash join of every kind and a
+    /// deduplicating root projection over the null pads.
     #[test]
     fn pipelined_filter_join_project_spine(
         rows in 0usize..16,
         domain in 1i64..4,
         nulls in 0u32..=100,
         seed in 0u64..10_000,
+        lo in 0i64..3,
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
         let storage = Storage::from_database(&db);
-        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::Semi] {
-            let join = PhysPlan::HashJoin {
-                kind,
-                probe: Box::new(PhysPlan::Filter {
-                    input: Box::new(PhysPlan::scan("L")),
-                    pred: Pred::cmp_lit("L.v", CmpOp::Ge, 0),
-                }),
-                build: Box::new(PhysPlan::scan("R")),
-                probe_keys: vec![Attr::parse("L.k")],
-                build_keys: vec![Attr::parse("R.k")],
-                residual: Pred::always(),
-            };
+        let pred = Pred::cmp_lit("L.v", CmpOp::Ge, lo);
+        let filtered = ops::restrict(rel(&db, "L"), &pred).unwrap();
+        for kind in KINDS {
+            let probe = PhysPlan::Filter { input: Box::new(materialized("L")), pred: pred.clone() };
             let plan = PhysPlan::Project {
-                input: Box::new(join),
+                input: Box::new(hash_join(kind, probe, PhysPlan::scan("R"), "L", "R")),
                 attrs: vec![Attr::parse("L.v")],
             };
-            assert_modes_agree(&plan, &storage, &format!("spine {kind}"));
+            let joined = reference(kind, &filtered, rel(&db, "R"), &Pred::eq_attr("L.k", "R.k"));
+            let want = ops::project(&joined, &[Attr::parse("L.v")], true).unwrap();
+            check(&plan, &storage, &want, &format!("spine {kind}"));
         }
     }
 
-    /// Nested-loop joins with a non-equi predicate, all five kinds.
+    /// Nested-loop joins on the equijoin (plus residual), all five kinds.
     #[test]
     fn pipelined_nl_join_all_kinds(
         rows in 0usize..10,
         domain in 1i64..5,
         nulls in 0u32..=100,
         seed in 0u64..10_000,
+        with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
         let storage = Storage::from_database(&db);
-        let pred = Pred::cmp_attr("L.k", CmpOp::Ge, "R.k");
-        for kind in ALL_KINDS {
-            let plan = PhysPlan::NlJoin {
-                kind,
-                left: Box::new(PhysPlan::scan("L")),
-                right: Box::new(PhysPlan::scan("R")),
-                pred: pred.clone(),
-            };
-            assert_modes_agree(&plan, &storage, &format!("nl {kind}"));
-        }
+        check_equi_join(Op::Nl, &db, &storage, &residual(with_residual));
     }
 
-    /// Index joins (full-outer is rejected identically by both modes).
+    /// Index joins, the four kinds they accept; a full-outer index join
+    /// is rejected.
     #[test]
     fn pipelined_index_join_matches_materializing(
-        rows in 1usize..12,
+        rows in 0usize..16,
         domain in 1i64..5,
-        nulls in 0u32..60,
+        nulls in 0u32..=100,
         seed in 0u64..10_000,
+        with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
-        let mut storage = Storage::from_database(&db);
-        storage.create_index("R", &[Attr::parse("R.k")]);
-        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::Semi, JoinKind::Anti] {
-            let plan = PhysPlan::IndexJoin {
-                kind,
-                outer: Box::new(PhysPlan::scan("L")),
-                inner: "R".into(),
-                outer_keys: vec![Attr::parse("L.k")],
-                inner_keys: vec![Attr::parse("R.k")],
-                residual: Pred::always(),
-            };
-            assert_modes_agree(&plan, &storage, &format!("index {kind}"));
-        }
+        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
+        let storage = indexed(&db);
+        let residual = residual(with_residual);
+        check_equi_join(Op::Index, &db, &storage, &residual);
+        let full = equi_join(Op::Index, JoinKind::FullOuter, &residual);
+        prop_assert!(execute(&full, &storage, &mut ExecStats::new()).is_err());
     }
 
-    /// Merge joins are pipeline breakers — the pipelined engine must
-    /// delegate to the identical sort-merge operator, all five kinds.
+    /// Merge joins (pipeline breakers), all five kinds.
     #[test]
     fn pipelined_merge_join_all_kinds(
         rows in 0usize..12,
         domain in 1i64..5,
         nulls in 0u32..=100,
         seed in 0u64..10_000,
+        with_residual in any::<bool>(),
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
         let storage = Storage::from_database(&db);
-        for kind in ALL_KINDS {
-            let plan = PhysPlan::MergeJoin {
-                kind,
-                left: Box::new(PhysPlan::scan("L")),
-                right: Box::new(PhysPlan::scan("R")),
-                left_keys: vec![Attr::parse("L.k")],
-                right_keys: vec![Attr::parse("R.k")],
-                residual: Pred::always(),
-            };
-            assert_modes_agree(&plan, &storage, &format!("merge {kind}"));
-        }
+        check_equi_join(Op::Merge, &db, &storage, &residual(with_residual));
     }
 
-    /// A filter over a *derived* attribute: `agg.count` exists only in
-    /// the GroupCount output scheme, never in the storage interner, so
-    /// this exercises the name-bound predicate path on a breaker-fed
-    /// pipeline (GroupCount materializes, the filter fuses above it).
+    /// A filter over the derived `agg.count`, which exists only in the
+    /// `GroupCount` output scheme: over a grouped scan, and over a
+    /// left-outer join grouped with a counted column.
     #[test]
     fn pipelined_filter_over_derived_attr(
         rows in 0usize..16,
@@ -261,30 +122,46 @@ proptest! {
         seed in 0u64..10_000,
         threshold in 1i64..4,
     ) {
-        let spec = DbSpec::kv(&["L"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
         let storage = Storage::from_database(&db);
-        let plan = PhysPlan::Filter {
-            input: Box::new(PhysPlan::GroupCount {
-                input: Box::new(PhysPlan::scan("L")),
-                group_attrs: vec![Attr::parse("L.k")],
-                counted: None,
-            }),
-            pred: Pred::cmp_lit("agg.count", CmpOp::Ge, threshold),
-        };
-        assert_modes_agree(&plan, &storage, "filter over agg.count");
+        let derived = Pred::cmp_lit("agg.count", CmpOp::Ge, threshold);
+        let group = [Attr::parse("L.k")];
+        let outer = ops::outerjoin(rel(&db, "L"), rel(&db, "R"), &Pred::eq_attr("L.k", "R.k")).unwrap();
+        let counted = Attr::parse("R.v");
+        for (input, want) in [
+            (PhysPlan::scan("L"), ops::group_count(rel(&db, "L"), &group, None).unwrap()),
+            (
+                hash_join(JoinKind::LeftOuter, PhysPlan::scan("L"), PhysPlan::scan("R"), "L", "R"),
+                ops::group_count(&outer, &group, Some(&counted)).unwrap(),
+            ),
+        ] {
+            let counted = matches!(input, PhysPlan::HashJoin { .. }).then(|| counted.clone());
+            let plan = PhysPlan::Filter {
+                input: Box::new(PhysPlan::GroupCount {
+                    input: Box::new(input),
+                    group_attrs: group.to_vec(),
+                    counted,
+                }),
+                pred: derived.clone(),
+            };
+            let want = ops::restrict(&want, &derived).unwrap();
+            check(&plan, &storage, &want, "filter over agg.count");
+        }
     }
+}
 
-    /// Deep left-outerjoin chains through the optimizer: the workload
-    /// the pipelined engine exists for, lowered to a physical plan and
-    /// run through both modes.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Eight-deep left-outerjoin chains, lowered and optimized.
     #[test]
-    fn pipelined_deep_left_chain(
-        rows in 1usize..7,
-        seed in 0u64..10_000,
-    ) {
-        let (storage, catalog, query) = fro_testkit::workloads::left_chain(8, rows, seed);
-        let plan = fro_core::optimizer::lower(&query, &catalog).expect("lowerable");
-        assert_modes_agree(&plan, &storage, "left_chain8");
+    fn pipelined_deep_left_chain(rows in 1usize..7, seed in 0u64..10_000) {
+        let (storage, catalog, q) = fro_testkit::workloads::left_chain(8, rows, seed);
+        let want = q.eval(&storage.to_database()).expect("reference");
+        let lowered = lower(&q, &catalog).expect("lowerable");
+        check(&lowered, &storage, &want, "left_chain8 lowered");
+        check_explain(&lowered, &storage, "left_chain8 lowered");
+        let optimized = optimize(&q, &catalog, Policy::Paper).expect("optimizes").plan;
+        check(&optimized, &storage, &want, "left_chain8 optimized");
     }
 }

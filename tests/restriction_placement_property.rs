@@ -6,7 +6,7 @@
 //! join core, preserved, null-supplied, outerjoin-chain interior — and
 //! a random implementing tree is lowered with every physical join the
 //! DP can emit (hash, index, merge, nested-loop, plus the DP's own
-//! choice wrapped in every sound `SemiReduce`). Both executors run the
+//! choice wrapped in every sound `SemiReduce`). The executor runs the
 //! placed and the filter-on-top plan; both must give the reference
 //! evaluator's rows. A restriction pushed below a null-supplied side
 //! would keep padded rows the reference drops (or drop ones it keeps),
@@ -16,17 +16,15 @@
 use fro_algebra::{Attr, CmpOp, Database, Pred, Query, Relation};
 use fro_core::optimizer::{lower, place_restriction};
 use fro_core::{optimize_with_reduce, Catalog, Policy, ReducePolicy};
-use fro_exec::{execute_with, ExecConfig, ExecStats, JoinKind, PhysPlan, Storage};
+use fro_exec::{execute, ExecStats, JoinKind, PhysPlan, Storage};
 use fro_testkit::{db_for_graph, random_implementing_tree, random_nice_graph, GraphSpec};
 use proptest::prelude::*;
 
-fn run(plan: &PhysPlan, storage: &Storage, cfg: &ExecConfig) -> Relation {
-    execute_with(plan, storage, &mut ExecStats::new(), cfg)
-        .unwrap_or_else(|e| panic!("{e}\n{plan}"))
+fn run(plan: &PhysPlan, storage: &Storage) -> Relation {
+    execute(plan, storage, &mut ExecStats::new()).unwrap_or_else(|e| panic!("{e}\n{plan}"))
 }
 
-/// Both placements of `pred` over `plan`, in both executors, against
-/// the reference rows.
+/// Both placements of `pred` over `plan` against the reference rows.
 fn assert_placement_equivalent(
     plan: &PhysPlan,
     pred: &Pred,
@@ -39,21 +37,16 @@ fn assert_placement_equivalent(
         input: Box::new(plan.clone()),
         pred: pred.clone(),
     };
-    for cfg in [
-        ExecConfig::new().materializing(),
-        ExecConfig::new().pipelined(),
-    ] {
-        let low = run(&placed, storage, &cfg);
-        let top = run(&on_top, storage, &cfg);
-        assert!(
-            low.set_eq(&top) && low.len() == top.len(),
-            "{label} [{pred}]: placed differs from filter-on-top\n{placed}"
-        );
-        assert!(
-            low.set_eq(want),
-            "{label} [{pred}]: placed differs from the reference\n{placed}"
-        );
-    }
+    let low = run(&placed, storage);
+    let top = run(&on_top, storage);
+    assert!(
+        low.set_eq(&top) && low.len() == top.len(),
+        "{label} [{pred}]: placed differs from filter-on-top\n{placed}"
+    );
+    assert!(
+        low.set_eq(want),
+        "{label} [{pred}]: placed differs from the reference\n{placed}"
+    );
     placed
 }
 
@@ -70,32 +63,8 @@ fn filter_on_scan(plan: &PhysPlan, rel: &str, pred: &Pred) -> bool {
 
 fn walk<'a>(plan: &'a PhysPlan, f: &mut impl FnMut(&'a PhysPlan)) {
     f(plan);
-    match plan {
-        PhysPlan::Scan { .. } => {}
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::GroupCount { input, .. } => walk(input, f),
-        PhysPlan::IndexJoin { outer, .. } => walk(outer, f),
-        PhysPlan::HashJoin {
-            probe: a, build: b, ..
-        }
-        | PhysPlan::MergeJoin {
-            left: a, right: b, ..
-        }
-        | PhysPlan::NlJoin {
-            left: a, right: b, ..
-        }
-        | PhysPlan::Goj {
-            left: a, right: b, ..
-        }
-        | PhysPlan::SemiReduce {
-            input: a,
-            source: b,
-            ..
-        } => {
-            walk(a, f);
-            walk(b, f);
-        }
+    for child in plan.children() {
+        walk(child, f);
     }
 }
 

@@ -4,10 +4,9 @@
 //! to its generating join's output, so a reduced plan must be
 //! **bit-identical** to the plain plan it was derived from: same rows,
 //! same row order, same schema, same `rows_output`. On top of that the
-//! reduced plan itself must satisfy the engine-parity contract — the
-//! materializing and pipelined engines agree on every work counter
-//! (including the new `rows_reduced` / `reducer_passes`), at every
-//! thread count, columnar on or off.
+//! reduced plan's rows and every counter (including `rows_reduced` /
+//! `reducer_passes`) must be identical across the configuration sweep
+//! of the executor harness in `tests/harness`.
 //!
 //! Random inputs sweep empty relations, all-null key columns
 //! (`nulls = 100`), and single-hot-key domains (`domain = 1`); plans
@@ -16,149 +15,46 @@
 //! outerjoin is never reduced at all, and subtrees beneath a full
 //! outerjoin still receive their local reductions.
 
-use fro_algebra::{Attr, Pred};
+mod harness;
+
+use fro_algebra::Pred;
 use fro_core::{reduce_plan, Catalog, ReducePolicy};
-use fro_exec::{execute_with, ExecConfig, ExecStats, JoinKind, PhysPlan, ReducePass, Storage};
-use fro_testkit::dbgen::{random_database, DbSpec};
+use fro_exec::{execute, ExecStats, JoinKind, PhysPlan, ReducePass, Storage};
+use harness::*;
 use proptest::prelude::*;
-
-const ALL_KINDS: [JoinKind; 5] = [
-    JoinKind::Inner,
-    JoinKind::LeftOuter,
-    JoinKind::FullOuter,
-    JoinKind::Semi,
-    JoinKind::Anti,
-];
-
-const THREADS: [usize; 3] = [1, 2, 8];
-
-/// The counters the two engines must agree on exactly when running the
-/// *same* (reduced) plan. The flow-bookkeeping counters
-/// (`rows_materialized`, `rows_pipelined`, `pipelines`) are excluded by
-/// design; the reducer counters are not — both engines must report the
-/// same rows removed and the same number of reduction passes.
-fn work_counters(st: &ExecStats) -> [(&'static str, u64); 7] {
-    [
-        ("tuples_retrieved", st.tuples_retrieved),
-        ("index_probes", st.index_probes),
-        ("comparisons", st.comparisons),
-        ("hash_build_rows", st.hash_build_rows),
-        ("rows_output", st.rows_output),
-        ("rows_reduced", st.rows_reduced),
-        ("reducer_passes", st.reducer_passes),
-    ]
-}
 
 /// Force-reduce `plan`, then assert (1) the reduced plan's output is
 /// bit-identical to the plain plan's — rows, order, schema — and (2)
-/// the reduced plan satisfies engine parity across modes, thread
-/// counts, and columnar on/off.
+/// the reduced plan's rows and full stats are identical across the
+/// harness's configuration sweep.
 fn assert_reduction_sound(plan: &PhysPlan, storage: &Storage, catalog: &Catalog, label: &str) {
     let (reduced, report) = reduce_plan(plan, catalog, ReducePolicy::Always, None);
-
-    let mut plain_st = ExecStats::new();
-    let plain = execute_with(
-        plan,
-        storage,
-        &mut plain_st,
-        &ExecConfig::new().materializing(),
-    )
-    .expect("plain run");
-    let mut red_st = ExecStats::new();
-    let red = execute_with(
-        &reduced,
-        storage,
-        &mut red_st,
-        &ExecConfig::new().materializing(),
-    )
-    .expect("reduced run");
-
+    let plain = execute(plan, storage, &mut ExecStats::new()).expect("plain run");
+    let (red, red_st) = check(&reduced, storage, &plain, label);
     assert_eq!(
         red.rows(),
         plain.rows(),
         "{label}: reduction changed rows or order ({report})"
     );
-    assert_eq!(
-        red.schema().to_string(),
-        plain.schema().to_string(),
-        "{label}: reduction changed the schema"
-    );
-    assert_eq!(
-        red_st.rows_output, plain_st.rows_output,
-        "{label}: rows_output differs after reduction"
-    );
+    assert_eq!(red.schema(), plain.schema(), "{label}: schema changed");
     assert_eq!(
         red_st.reducer_passes,
         report.applied.len() as u64,
         "{label}: applied wraps and executed passes disagree"
     );
-
-    // Engine parity for the reduced plan itself.
-    let mut pipe_st = ExecStats::new();
-    let pipe = execute_with(
-        &reduced,
-        storage,
-        &mut pipe_st,
-        &ExecConfig::new().pipelined(),
-    )
-    .expect("pipelined reduced run");
-    assert_eq!(pipe.rows(), red.rows(), "{label}: modes disagree on rows");
-    for ((name, m), (_, p)) in work_counters(&red_st)
-        .into_iter()
-        .zip(work_counters(&pipe_st))
-    {
-        assert_eq!(m, p, "{label}: work counter {name} differs between modes");
-    }
-    for threads in THREADS {
-        for columnar in [false, true] {
-            let cfg = ExecConfig::with_threads(threads)
-                .columnar(columnar)
-                .pipelined();
-            let mut st = ExecStats::new();
-            let par = execute_with(&reduced, storage, &mut st, &cfg).expect("parallel reduced run");
-            assert_eq!(
-                par.rows(),
-                pipe.rows(),
-                "{label}: rows differ at threads={threads} columnar={columnar}"
-            );
-            assert_eq!(
-                st, pipe_st,
-                "{label}: stats differ at threads={threads} columnar={columnar}"
-            );
-        }
-    }
 }
 
 fn join2(kind: JoinKind) -> PhysPlan {
-    PhysPlan::HashJoin {
-        kind,
-        probe: Box::new(PhysPlan::scan("L")),
-        build: Box::new(PhysPlan::scan("R")),
-        probe_keys: vec![Attr::parse("L.k")],
-        build_keys: vec![Attr::parse("R.k")],
-        residual: Pred::always(),
-    }
+    hash_join(kind, PhysPlan::scan("L"), PhysPlan::scan("R"), "L", "R")
 }
 
 /// A two-dimension star on a single fact column: `(F ⋈ D1) kind D2`,
 /// both joins keyed on `F.k`, so up-wraps must descend through the
 /// inner join's probe side to land on `Scan F`.
 fn star2(kind: JoinKind) -> PhysPlan {
-    PhysPlan::HashJoin {
-        kind,
-        probe: Box::new(PhysPlan::HashJoin {
-            kind: JoinKind::Inner,
-            probe: Box::new(PhysPlan::scan("F")),
-            build: Box::new(PhysPlan::scan("D1")),
-            probe_keys: vec![Attr::parse("F.k")],
-            build_keys: vec![Attr::parse("D1.k")],
-            residual: Pred::always(),
-        }),
-        build: Box::new(PhysPlan::scan("D2")),
-        probe_keys: vec![Attr::parse("F.k")],
-        build_keys: vec![Attr::parse("D2.k")],
-        residual: Pred::always(),
-    }
+    let fact = PhysPlan::scan("F");
+    let inner = hash_join(JoinKind::Inner, fact, PhysPlan::scan("D1"), "F", "D1");
+    hash_join(kind, inner, PhysPlan::scan("D2"), "F", "D2")
 }
 
 proptest! {
@@ -174,11 +70,9 @@ proptest! {
         nulls in 0u32..=100,
         seed in 0u64..10_000,
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
-        let storage = Storage::from_database(&db);
+        let storage = Storage::from_database(&kv_db(&["L", "R"], rows, domain, nulls, false, seed));
         let catalog = Catalog::from_storage(&storage);
-        for kind in ALL_KINDS {
+        for kind in KINDS {
             assert_reduction_sound(&join2(kind), &storage, &catalog, &format!("join {kind}"));
         }
     }
@@ -192,11 +86,10 @@ proptest! {
         nulls in 0u32..=100,
         seed in 0u64..10_000,
     ) {
-        let spec = DbSpec::kv(&["F", "D1", "D2"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
+        let db = kv_db(&["F", "D1", "D2"], rows, domain, nulls, false, seed);
         let storage = Storage::from_database(&db);
         let catalog = Catalog::from_storage(&storage);
-        for kind in ALL_KINDS {
+        for kind in KINDS {
             assert_reduction_sound(&star2(kind), &storage, &catalog, &format!("star {kind}"));
         }
     }
@@ -210,29 +103,18 @@ proptest! {
         nulls in 0u32..60,
         seed in 0u64..10_000,
     ) {
-        let spec = DbSpec::kv(&["L", "R"], rows, domain, f64::from(nulls) / 100.0);
-        let db = random_database(&spec, seed);
-        let mut storage = Storage::from_database(&db);
-        storage.create_index("R", &[Attr::parse("R.k")]);
+        let mut storage = Storage::from_database(&kv_db(&["L", "R"], rows, domain, nulls, false, seed));
+        storage.create_index("R", &key("R"));
         let catalog = Catalog::from_storage(&storage);
         for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::Semi, JoinKind::Anti] {
-            let plan = PhysPlan::IndexJoin {
-                kind,
-                outer: Box::new(PhysPlan::scan("L")),
-                inner: "R".into(),
-                outer_keys: vec![Attr::parse("L.k")],
-                inner_keys: vec![Attr::parse("R.k")],
-                residual: Pred::always(),
-            };
+            let plan = index_join(kind, PhysPlan::scan("L"), &Pred::always());
             assert_reduction_sound(&plan, &storage, &catalog, &format!("index {kind}"));
         }
     }
 }
 
 fn tiny_world(rels: &[&str]) -> (Storage, Catalog) {
-    let spec = DbSpec::kv(rels, 8, 3, 0.2);
-    let db = random_database(&spec, 42);
-    let storage = Storage::from_database(&db);
+    let storage = Storage::from_database(&kv_db(rels, 8, 3, 20, false, 42));
     let catalog = Catalog::from_storage(&storage);
     (storage, catalog)
 }
@@ -303,7 +185,7 @@ fn subtrees_below_full_outer_still_reduce_locally() {
 #[test]
 fn never_policy_is_identity() {
     let (_, catalog) = tiny_world(&["L", "R"]);
-    for kind in ALL_KINDS {
+    for kind in KINDS {
         let plan = join2(kind);
         let (reduced, report) = reduce_plan(&plan, &catalog, ReducePolicy::Never, None);
         assert_eq!(reduced, plan);

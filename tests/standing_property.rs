@@ -4,7 +4,7 @@
 //! * random append/delete interleavings over every join kind (inner,
 //!   left outer, full outer, semi, anti) keep the maintained view
 //!   bit-identical — rows, order AND schema — to a cold re-execution
-//!   of the same query, under both execution modes;
+//!   of the same query;
 //! * outerjoin bookkeeping retracts the null-padded row the instant
 //!   the last matching partner dies, and re-emits it when a match
 //!   returns;
@@ -124,58 +124,53 @@ const KINDS: [&str; 5] = ["inner", "leftouter", "fullouter", "semi", "anti"];
 #[test]
 fn random_interleavings_stay_bit_identical_to_reexecution() {
     for (kind, kind_name) in KINDS.iter().enumerate() {
-        for (mode, cfg) in [
-            ("materializing", ExecConfig::default().materializing()),
-            ("pipelined", ExecConfig::default().pipelined()),
-        ] {
-            let db = SharedDb::new();
-            let session = db.session().with_exec_config(cfg);
-            let mut rng = Lcg::new(0xF0 + kind as u64);
-            let mut shadows = seed_tables(&session, &mut rng, 12);
+        let db = SharedDb::new();
+        let session = db.session();
+        let mut rng = Lcg::new(0xF0 + kind as u64);
+        let mut shadows = seed_tables(&session, &mut rng, 12);
 
-            let q = joined(kind);
-            let reg = session.register_standing(&q).unwrap();
-            assert!(!reg.shared, "{kind_name}/{mode}: first registration");
+        let q = joined(kind);
+        let reg = session.register_standing(&q).unwrap();
+        assert!(!reg.shared, "{kind_name}: first registration");
 
-            let mut next_pay = 1_000;
-            for step in 0..40 {
-                let slot = (rng.below(2)) as usize;
-                let table = ["L", "R"][slot];
-                if rng.below(3) < 2 {
-                    // Append a small batch, sometimes duplicating an
-                    // existing row (a no-op under set semantics).
-                    let mut batch = Vec::new();
-                    for _ in 0..=rng.below(3) {
-                        batch.push(int_row(&[rng.below(10) as i64, next_pay]));
-                        next_pay += 1;
-                    }
-                    if rng.below(4) == 0 {
-                        if let Some(t) = shadows[slot].first() {
-                            batch.push(t.clone());
-                        }
-                    }
-                    for t in &batch {
-                        if !shadows[slot].contains(t) {
-                            shadows[slot].push(t.clone());
-                        }
-                    }
-                    assert!(session.append_rows(table, batch));
-                } else if !shadows[slot].is_empty() {
-                    // Delete a random existing row (maybe the last
-                    // match of some partner — exercises retraction).
-                    let at = rng.below(shadows[slot].len() as u64) as usize;
-                    let victim = shadows[slot].remove(at);
-                    assert!(session.delete_rows(table, &[victim]));
+        let mut next_pay = 1_000;
+        for step in 0..40 {
+            let slot = (rng.below(2)) as usize;
+            let table = ["L", "R"][slot];
+            if rng.below(3) < 2 {
+                // Append a small batch, sometimes duplicating an
+                // existing row (a no-op under set semantics).
+                let mut batch = Vec::new();
+                for _ in 0..=rng.below(3) {
+                    batch.push(int_row(&[rng.below(10) as i64, next_pay]));
+                    next_pay += 1;
                 }
-
-                let (view, _) = session.poll_standing(reg.id).unwrap();
-                let cold = session.prepare(&q).unwrap().run().unwrap();
-                assert_eq!(
-                    view,
-                    canonical(&cold),
-                    "{kind_name}/{mode}: view diverged at step {step}"
-                );
+                if rng.below(4) == 0 {
+                    if let Some(t) = shadows[slot].first() {
+                        batch.push(t.clone());
+                    }
+                }
+                for t in &batch {
+                    if !shadows[slot].contains(t) {
+                        shadows[slot].push(t.clone());
+                    }
+                }
+                assert!(session.append_rows(table, batch));
+            } else if !shadows[slot].is_empty() {
+                // Delete a random existing row (maybe the last
+                // match of some partner — exercises retraction).
+                let at = rng.below(shadows[slot].len() as u64) as usize;
+                let victim = shadows[slot].remove(at);
+                assert!(session.delete_rows(table, &[victim]));
             }
+
+            let (view, _) = session.poll_standing(reg.id).unwrap();
+            let cold = session.prepare(&q).unwrap().run().unwrap();
+            assert_eq!(
+                view,
+                canonical(&cold),
+                "{kind_name}: view diverged at step {step}"
+            );
         }
     }
 }

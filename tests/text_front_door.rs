@@ -148,10 +148,7 @@ fn random_blocks_match_the_reference_from_sessions_and_the_wire() {
     for (w, (label, world)) in worlds.iter().enumerate() {
         let db = SharedDb::new();
         let a = db.session().with_entity_db(world.clone());
-        let b = db
-            .session()
-            .with_entity_db(world.clone())
-            .with_exec_config(ExecConfig::new().materializing());
+        let b = db.session().with_entity_db(world.clone());
         let server = serve(&db, world);
         let mut client = Client::connect(server.addr()).expect("connects");
         let mut rng = StdRng::seed_from_u64(1990 + w as u64);
