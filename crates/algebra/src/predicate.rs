@@ -322,6 +322,37 @@ impl Pred {
             .fold(Pred::always(), |acc, c| acc.and(c))
     }
 
+    /// The predicate in one canonical spelling, so phrasings that differ
+    /// only in how they are written compare (and hash) equal: the
+    /// operands of `=`/`<>` in ascending order, `>`/`>=` mirrored to
+    /// `<`/`<=`, and the top-level conjuncts sorted.
+    #[must_use]
+    pub fn canonical(&self) -> Pred {
+        match self {
+            Pred::Cmp { op, lhs, rhs } => {
+                let swap = match op {
+                    CmpOp::Eq | CmpOp::Ne => lhs > rhs,
+                    CmpOp::Gt | CmpOp::Ge => true,
+                    CmpOp::Lt | CmpOp::Le => false,
+                };
+                if swap {
+                    Pred::cmp(op.flipped(), rhs.clone(), lhs.clone())
+                } else {
+                    self.clone()
+                }
+            }
+            Pred::And(..) => {
+                let mut conjuncts: Vec<Pred> =
+                    self.conjuncts().iter().map(Pred::canonical).collect();
+                conjuncts.sort();
+                Pred::from_conjuncts(conjuncts)
+            }
+            Pred::Or(a, b) => Pred::Or(Box::new(a.canonical()), Box::new(b.canonical())),
+            Pred::Not(p) => Pred::Not(Box::new(p.canonical())),
+            Pred::IsNull(_) | Pred::Const(_) => self.clone(),
+        }
+    }
+
     /// Strongness (§2.1): is this predicate guaranteed never to be
     /// `True` on a tuple whose attributes in `null_set` are **all**
     /// null? Sound (never claims strongness falsely); exact on the
@@ -577,6 +608,30 @@ mod tests {
             }
             assert_eq!(strong, !can_be_true, "predicate {p}");
         }
+    }
+
+    #[test]
+    fn canonical_spelling_ignores_operand_order_and_conjunct_order() {
+        let lt = Pred::cmp_attr("R.a", CmpOp::Lt, "S.b");
+        let eq = Pred::eq_attr("R.k", "S.k");
+        let ne = Pred::cmp_lit("S.v", CmpOp::Ne, 3);
+        let written = eq.clone().and(lt.clone()).and(ne.clone());
+        let flipped = Pred::cmp_attr("S.b", CmpOp::Gt, "R.a")
+            .and(Pred::cmp(CmpOp::Ne, Scalar::int(3), Scalar::attr("S.v")))
+            .and(Pred::eq_attr("S.k", "R.k"));
+        assert_ne!(written, flipped);
+        assert_eq!(written.canonical(), flipped.canonical());
+        assert_eq!(written.canonical().canonical(), written.canonical());
+        // A spelling that is already canonical is kept as written.
+        assert_eq!(eq.canonical(), eq);
+        assert_eq!(lt.canonical(), lt);
+        let ge = Pred::cmp_attr("R.a", CmpOp::Ge, "S.b");
+        assert_eq!(ge.canonical(), Pred::cmp_attr("S.b", CmpOp::Le, "R.a"));
+        // Meaning is kept: `<` is not turned into `<=` or reversed.
+        assert_ne!(
+            lt.canonical(),
+            Pred::cmp_attr("S.b", CmpOp::Lt, "R.a").canonical()
+        );
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod optimizer;
 pub mod reorder;
 pub mod simplify;
 
-pub use fro_exec::ExecConfig;
 pub use optimizer::{
     optimize, optimize_with_reduce, reduce_plan, Catalog, OptError, Optimized, ReducePolicy,
     ReductionReport,

@@ -13,9 +13,12 @@
 //! Containment is computed over *names*: a node is its relation name,
 //! an edge is `(kind, endpoints, rendered predicate)` with join-edge
 //! endpoints order-normalized (join edges are undirected; outerjoin
-//! edges keep their preserved → null-supplied direction). Two graphs
-//! that differ only in node numbering therefore compare equal, exactly
-//! like the [`super::plancache::GraphSignature`] they share.
+//! edges keep their preserved → null-supplied direction) and the
+//! predicate in its canonical spelling
+//! ([`fro_algebra::Pred::canonical`]). Two graphs that differ only in
+//! node numbering or in how a predicate is written therefore compare
+//! equal, exactly like the [`super::plancache::GraphSignature`] they
+//! share.
 
 use fro_graph::{EdgeKind, QueryGraph};
 use std::collections::BTreeSet;
@@ -35,7 +38,7 @@ pub enum GraphReuse {
 }
 
 /// A canonical edge descriptor: `(kind, endpoint, endpoint, rendered
-/// predicate)` with join-edge endpoints order-normalized.
+/// canonical predicate)` with join-edge endpoints order-normalized.
 type CanonEdge = (u8, String, String, String);
 
 /// A graph as comparable sets: relation names and canonical edge
@@ -54,7 +57,12 @@ fn canon(g: &QueryGraph) -> (BTreeSet<&str>, BTreeSet<CanonEdge>) {
                 EdgeKind::Join => 0u8,
                 EdgeKind::OuterJoin => 1u8,
             };
-            (kind, a.to_owned(), b.to_owned(), e.pred().to_string())
+            (
+                kind,
+                a.to_owned(),
+                b.to_owned(),
+                e.pred().canonical().to_string(),
+            )
         })
         .collect();
     (nodes, edges)

@@ -39,7 +39,8 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A stable structural hash of a query graph: interned relation names
 /// in canonical order, edge kinds, outerjoin directions, and predicate
-/// shapes (including literals — cached plans embed them).
+/// shapes in canonical spelling ([`fro_algebra::Pred::canonical`];
+/// including literals — cached plans embed them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphSignature(u64);
 
@@ -84,7 +85,9 @@ pub fn graph_signature(g: &QueryGraph) -> (GraphSignature, Vec<usize>) {
     // Edges in a canonical order: join edges are undirected (endpoints
     // sorted), outerjoin edges keep their preserved-endpoint-first
     // direction. Sorting the encoded tuples makes the signature
-    // independent of edge insertion order.
+    // independent of edge insertion order; hashing each predicate's
+    // canonical spelling makes it independent of how the predicate was
+    // written (`R.k = S.k` or `S.k = R.k`).
     let mut edges: Vec<(u8, usize, usize, u64)> = g
         .edges()
         .iter()
@@ -95,7 +98,7 @@ pub fn graph_signature(g: &QueryGraph) -> (GraphSignature, Vec<usize>) {
                 EdgeKind::OuterJoin => (1u8, ca, cb),
             };
             let mut ph = StableHasher::new();
-            e.pred().sig_hash(&mut ph);
+            e.pred().canonical().sig_hash(&mut ph);
             (tag, x, y, ph.finish())
         })
         .collect();

@@ -20,14 +20,14 @@
 //! **Pipeline breakers** — hash-join build sides that are themselves
 //! plans, `GroupCount`, merge joins (sort barrier), full outerjoins
 //! (their unmatched-side epilogue needs the whole probe result), `Goj`,
-//! and mid-spine projections — run the radix-partitioned
-//! morsel-parallel kernels of [`crate::engine`]: the compiler cuts the
+//! and mid-spine projections — run the morsel-parallel kernels of
+//! [`crate::engine`]: the compiler cuts the
 //! spine at each breaker, executes the breaker's pipelines first (build
 //! before probe), and the materialized result becomes the next
 //! pipeline's source.
 //!
 //! Rows, row order and every counter are identical at every thread
-//! count, morsel size and partition count; `rows_materialized` counts
+//! count and morsel size; `rows_materialized` counts
 //! breaker results alone, and `rows_pipelined` / `pipelines` count the
 //! flow that never touched an intermediate buffer. Per-node output
 //! counts (`slots`) are the only source of `explain_analyze`'s
@@ -36,8 +36,8 @@
 
 use crate::config::ExecConfig;
 use crate::engine::{
-    bind_pred, dedup_rows, drive_morsels, group_count_partitioned, hash_full_outerjoin, merge_join,
-    nl_full_outerjoin, resolve_cols, ExecError, JoinTable,
+    bind_pred, dedup_rows, drive_morsels, hash_full_outerjoin, merge_join, nl_full_outerjoin,
+    resolve_cols, ExecError, JoinTable,
 };
 use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
@@ -113,8 +113,7 @@ pub(crate) fn run_pipelined(
 }
 
 /// Execute `plan` and render the `EXPLAIN ANALYZE` report: per-node
-/// row counts, the counter totals, the per-partition hash-join
-/// breakdown (when a hash join ran), then the pipeline breakdown (which
+/// row counts, the counter totals, then the pipeline breakdown (which
 /// operators fused into each pipeline, and where breakers cut the
 /// plan).
 pub(crate) fn explain_pipelined(
@@ -144,16 +143,6 @@ pub(crate) fn explain_pipelined(
         out.push_str(&format!("  (rows={rows})\n"));
     }
     out.push_str(&format!("totals: {stats}\n"));
-    // The partition breakdown changes shape with the partition count,
-    // which is exactly what it is for.
-    if stats.partition.used() > 0 {
-        out.push_str(&format!(
-            "partitions: P={} build={:?} probe={:?}\n",
-            stats.partition.used(),
-            stats.partition.build_rows(),
-            stats.partition.probe_rows()
-        ));
-    }
     out.push_str(&format!(
         "pipelines: {} (rows pipelined={}, rows materialized={})\n",
         stats.pipelines, stats.rows_pipelined, stats.rows_materialized
@@ -287,7 +276,8 @@ fn exec_breaker(
             let rel = exec_inter(input, base + 1, cx, rs)?;
             rs.trace
                 .push(format!("breaker: {} (materialized input)", label_of(plan)));
-            group_count_partitioned(&rel, group_attrs, counted.as_ref(), cx.cfg)?
+            fro_algebra::ops::group_count(&rel, group_attrs, counted.as_ref())
+                .map_err(ExecError::from)?
         }
         PhysPlan::Goj {
             left,
@@ -385,7 +375,7 @@ fn map_col(widths: &[usize], mut col: usize) -> (u32, u32) {
 
 /// Key hash over fragment-mapped columns — the same values, hashed in
 /// the same order, as [`crate::engine`]'s `hash_key` over the
-/// materialized wide row, hence the same partition and bucket.
+/// materialized wide row, hence the same bucket.
 /// `None` when any key value is null.
 fn hash_parts(parts: &[&Tuple], key_map: &[(u32, u32)]) -> Option<u64> {
     let mut h = DefaultHasher::new();
@@ -556,9 +546,8 @@ fn exec_stream(
     // directly).
     let mut sides: Vec<RowsSrc<'_>> = Vec::new();
     let mut side_cols: Vec<Option<&ColumnSet>> = Vec::new();
-    // Partition count + side index per hash stage, for the table
-    // builds below.
-    let mut hash_builds: Vec<(usize, usize)> = Vec::new(); // (side_idx, partitions)
+    // The side index of each hash stage, for the table builds below.
+    let mut hash_builds: Vec<usize> = Vec::new();
 
     for &(stage_plan, stage_slot) in chain.iter().rev() {
         match stage_plan {
@@ -581,7 +570,7 @@ fn exec_stream(
                 // Resolve the build operand first: child errors surface
                 // before key-resolution errors.
                 let build_slot = stage_slot + 1 + n_nodes(probe);
-                let (build_len, build_schema, side, bcols) = match build.as_ref() {
+                let (build_schema, side, bcols) = match build.as_ref() {
                     PhysPlan::Scan { rel } => {
                         let t = cx.storage.lookup_named(rel)?;
                         rs.stats.tuples_retrieved += t.len() as u64;
@@ -589,7 +578,6 @@ fn exec_stream(
                         rs.slots[build_slot] += t.len() as u64;
                         desc.push_str(&format!(" -> HashJoin({kind}, build=Scan {rel})"));
                         (
-                            t.len(),
                             t.relation().schema().clone(),
                             RowsSrc::Storage(t.relation().rows()),
                             Some(t.columns()),
@@ -599,9 +587,8 @@ fn exec_stream(
                         let rel = exec_inter(other, build_slot, cx, rs)?;
                         desc.push_str(&format!(" -> HashJoin({kind}, build=materialized)"));
                         let schema = rel.schema().clone();
-                        let len = rel.len();
                         arena.push(rel);
-                        (len, schema, RowsSrc::Arena(arena.len() - 1), None)
+                        (schema, RowsSrc::Arena(arena.len() - 1), None)
                     }
                 };
                 let probe_cols = resolve_cols(&cur_schema, probe_keys)?;
@@ -609,10 +596,9 @@ fn exec_stream(
                 let concat = Arc::new(cur_schema.concat(&build_schema)?);
                 let residual_bound = bind_pred(residual, &concat, Some(cx.storage.interner()))?;
                 let key_map = probe_cols.iter().map(|&c| map_col(&widths, c)).collect();
-                let p = cx.cfg.effective_partitions(build_len);
                 sides.push(side);
                 side_cols.push(bcols);
-                hash_builds.push((sides.len() - 1, p));
+                hash_builds.push(sides.len() - 1);
                 specs.push(StageSpec::HashProbe {
                     kind: *kind,
                     table_idx: hash_builds.len() - 1,
@@ -638,7 +624,7 @@ fn exec_stream(
                 // build side: zero-copy out of storage when it is a
                 // bare scan, else a materialized arena entry.
                 let source_slot = stage_slot + 1 + n_nodes(input);
-                let (source_len, source_schema, side, scols) = match source.as_ref() {
+                let (source_schema, side, scols) = match source.as_ref() {
                     PhysPlan::Scan { rel } => {
                         let t = cx.storage.lookup_named(rel)?;
                         rs.stats.tuples_retrieved += t.len() as u64;
@@ -646,7 +632,6 @@ fn exec_stream(
                         rs.slots[source_slot] += t.len() as u64;
                         desc.push_str(&format!(" -> SemiReduce({pass}, src=Scan {rel})"));
                         (
-                            t.len(),
                             t.relation().schema().clone(),
                             RowsSrc::Storage(t.relation().rows()),
                             Some(t.columns()),
@@ -656,18 +641,16 @@ fn exec_stream(
                         let rel = exec_inter(other, source_slot, cx, rs)?;
                         desc.push_str(&format!(" -> SemiReduce({pass}, src=materialized)"));
                         let schema = rel.schema().clone();
-                        let len = rel.len();
                         arena.push(rel);
-                        (len, schema, RowsSrc::Arena(arena.len() - 1), None)
+                        (schema, RowsSrc::Arena(arena.len() - 1), None)
                     }
                 };
                 let input_cols = resolve_cols(&cur_schema, input_keys)?;
                 let source_cols = resolve_cols(&source_schema, source_keys)?;
                 let key_map = input_cols.iter().map(|&c| map_col(&widths, c)).collect();
-                let p = cx.cfg.effective_partitions(source_len);
                 sides.push(side);
                 side_cols.push(scols);
-                hash_builds.push((sides.len() - 1, p));
+                hash_builds.push(sides.len() - 1);
                 // One reduction pass per compiled stage — ticked here,
                 // on the main thread, so the count is deterministic at
                 // every thread count (workers merge fresh stats).
@@ -853,12 +836,10 @@ fn exec_stream(
             ..
         } = spec
         {
-            let (side_idx, p) = hash_builds[*table_idx];
+            let side_idx = hash_builds[*table_idx];
             tables.push(JoinTable::build(
                 side_rows[side_idx],
                 build_cols,
-                p,
-                cx.cfg,
                 rs.stats,
                 side_cols[side_idx],
             ));
@@ -1017,9 +998,6 @@ fn push_row<'a>(
         } => {
             let table = &tables[*table_idx];
             let h = hash_parts(parts, key_map);
-            if let Some(h) = h {
-                st.partition.add_probe(table.partition_index(h));
-            }
             let mut matched = false;
             for &rid in table.bucket(h) {
                 let brow = table.row(rid);
@@ -1245,9 +1223,6 @@ fn push_row<'a>(
         } => {
             let table = &tables[*table_idx];
             let h = hash_parts(parts, key_map);
-            if let Some(h) = h {
-                st.partition.add_probe(table.partition_index(h));
-            }
             let mut matched = false;
             for &rid in table.bucket(h) {
                 let brow = table.row(rid);

@@ -6,100 +6,15 @@
 //! two equivalent orderings of `R1 − (R2 → R3)` cost `2·10⁷ + 1` and
 //! `3` tuples — the asymmetry this library exists to exploit.
 //!
-//! Alongside the scalar counters, [`ExecStats`] carries a
-//! [`PartitionStats`] breakdown of hash-join build/probe rows per radix
-//! partition. The breakdown is a *diagnostic view*: its shape depends
-//! on the configured partition count, so it is deliberately excluded
-//! from `ExecStats` equality — the scalar counters are the engine's
-//! partition-invariant contract, and the partition totals always sum
-//! back into them (the executor test harness, `tests/harness`, asserts
-//! this).
+//! Every counter is a function of the plan and the data alone: the
+//! same at any thread count and morsel size, which is what lets the
+//! executor suites compare whole `ExecStats` values across
+//! configurations.
 
-use crate::config::MAX_PARTITIONS;
 use std::fmt;
 
-/// Per-partition hash-join row counts — how build and probe work
-/// spread across the radix partitions of [`crate::execute_with`].
-///
-/// `used` is the highest partition count any hash join in the plan ran
-/// with (0 until a hash join executes); the counter slices returned by
-/// [`PartitionStats::build_rows`] / [`PartitionStats::probe_rows`] are
-/// trimmed to it. When a plan contains joins with different effective
-/// partition counts the per-slot sums still hold, but slot `i` then
-/// aggregates partition `i` of every join.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionStats {
-    used: usize,
-    build_rows: [u64; MAX_PARTITIONS],
-    probe_rows: [u64; MAX_PARTITIONS],
-}
-
-impl PartitionStats {
-    /// Fresh zeroed breakdown.
-    #[must_use]
-    pub const fn new() -> PartitionStats {
-        PartitionStats {
-            used: 0,
-            build_rows: [0; MAX_PARTITIONS],
-            probe_rows: [0; MAX_PARTITIONS],
-        }
-    }
-
-    /// The highest partition count any hash join ran with (0 if none).
-    #[must_use]
-    pub fn used(&self) -> usize {
-        self.used
-    }
-
-    /// Non-null-keyed build rows scattered into each partition.
-    #[must_use]
-    pub fn build_rows(&self) -> &[u64] {
-        &self.build_rows[..self.used]
-    }
-
-    /// Non-null-keyed probe rows that looked up each partition.
-    #[must_use]
-    pub fn probe_rows(&self) -> &[u64] {
-        &self.probe_rows[..self.used]
-    }
-
-    /// Record that a hash join ran with `p` partitions.
-    pub(crate) fn note_partitions(&mut self, p: usize) {
-        self.used = self.used.max(p.min(MAX_PARTITIONS));
-    }
-
-    /// Count one build row scattered into partition `p`.
-    pub(crate) fn add_build(&mut self, p: usize) {
-        self.build_rows[p] += 1;
-    }
-
-    /// Count one probe row hashed into partition `p`.
-    pub(crate) fn add_probe(&mut self, p: usize) {
-        self.probe_rows[p] += 1;
-    }
-
-    /// Fold another breakdown into this one: element-wise sums plus a
-    /// max over `used` — commutative and associative, like the scalar
-    /// merge, so worker-private breakdowns combine deterministically.
-    pub fn merge(&mut self, other: &PartitionStats) {
-        self.used = self.used.max(other.used);
-        for (a, b) in self.build_rows.iter_mut().zip(&other.build_rows) {
-            *a += *b;
-        }
-        for (a, b) in self.probe_rows.iter_mut().zip(&other.probe_rows) {
-            *a += *b;
-        }
-    }
-}
-
-impl Default for PartitionStats {
-    fn default() -> PartitionStats {
-        PartitionStats::new()
-    }
-}
-
 /// Counters accumulated by [`crate::execute`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Base-table tuples retrieved (scans + index-lookup matches).
     pub tuples_retrieved: u64,
@@ -150,43 +65,10 @@ pub struct ExecStats {
     /// Metadata zones ([`fro_algebra::ZONE_ROWS`]-row morsels of a
     /// base column) that a vectorized comparison resolved from zone
     /// min/max / null-count metadata as containing no qualifying row,
-    /// without touching the column data. Diagnostic, like the
-    /// partition breakdown: how much skipping happened depends on the
-    /// data layout, so it is excluded from equality — the logical work
-    /// counters above do not depend on whether zones were skipped.
+    /// without touching the column data. The logical work counters
+    /// above do not depend on whether zones were skipped.
     pub morsels_skipped: u64,
-    /// Per-partition hash-join breakdown (diagnostic; see
-    /// [`PartitionStats`] — excluded from equality).
-    pub partition: PartitionStats,
 }
-
-/// Equality compares the **logical scalar counters only**. The
-/// per-partition breakdown is a function of the configured partition
-/// count, and `morsels_skipped` of the physical layout, while the
-/// logical counters are guaranteed identical across every partition
-/// count, thread count and morsel size — tests assert `stats == stats`
-/// across configurations, and the diagnostics must not break that
-/// contract. The executor test harness (`tests/harness`) separately
-/// asserts that the partition totals sum back into the scalar counters.
-impl PartialEq for ExecStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.tuples_retrieved == other.tuples_retrieved
-            && self.index_probes == other.index_probes
-            && self.comparisons == other.comparisons
-            && self.hash_build_rows == other.hash_build_rows
-            && self.rows_output == other.rows_output
-            && self.rows_materialized == other.rows_materialized
-            && self.rows_pipelined == other.rows_pipelined
-            && self.pipelines == other.pipelines
-            && self.rows_reduced == other.rows_reduced
-            && self.reducer_passes == other.reducer_passes
-            && self.delta_rows_in == other.delta_rows_in
-            && self.delta_rows_out == other.delta_rows_out
-            && self.views_refreshed == other.views_refreshed
-    }
-}
-
-impl Eq for ExecStats {}
 
 impl ExecStats {
     /// Fresh zeroed counters.
@@ -215,7 +97,6 @@ impl ExecStats {
         self.delta_rows_out += other.delta_rows_out;
         self.views_refreshed += other.views_refreshed;
         self.morsels_skipped += other.morsels_skipped;
-        self.partition.merge(&other.partition);
     }
 
     /// A scalar "work" summary used by benches: retrieved tuples plus
@@ -261,8 +142,6 @@ mod tests {
         let s = ExecStats::new();
         assert_eq!(s.tuples_retrieved, 0);
         assert_eq!(s.work(), 0);
-        assert_eq!(s.partition.used(), 0);
-        assert!(s.partition.build_rows().is_empty());
     }
 
     #[test]
@@ -325,37 +204,6 @@ mod tests {
         assert_eq!(a.reducer_passes, 3);
         let b = ExecStats::new();
         assert_ne!(a, b, "reducer counters are logical, not diagnostic");
-    }
-
-    #[test]
-    fn partition_breakdown_merges_elementwise() {
-        let mut a = PartitionStats::new();
-        a.note_partitions(2);
-        a.add_build(0);
-        a.add_probe(1);
-        let mut b = PartitionStats::new();
-        b.note_partitions(4);
-        b.add_build(0);
-        b.add_build(3);
-        a.merge(&b);
-        assert_eq!(a.used(), 4);
-        assert_eq!(a.build_rows(), &[2, 0, 0, 1]);
-        assert_eq!(a.probe_rows(), &[0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn equality_ignores_partition_breakdown() {
-        let mut a = ExecStats::new();
-        let mut b = ExecStats::new();
-        a.partition.note_partitions(1);
-        a.partition.add_build(0);
-        b.partition.note_partitions(8);
-        b.partition.add_build(7);
-        assert_eq!(a, b, "breakdown is diagnostic, not part of equality");
-        b.morsels_skipped = 3;
-        assert_eq!(a, b, "zone skipping is diagnostic, not part of equality");
-        b.hash_build_rows = 1;
-        assert_ne!(a, b, "scalar counters still compared");
     }
 
     #[test]

@@ -13,24 +13,24 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release
 
-echo "== tests =="
-cargo test -q
+echo "== tests (every workspace crate) =="
+cargo test -q --workspace
 
 echo "== tests (testing-oracles: name-keyed oracle equivalence) =="
 cargo test -q --features testing-oracles
 
 echo "== wire decoder fuzz + roundtrip properties =="
-cargo test -q -p fro-wire
+# fro-wire's own unit tests ran in the workspace step above.
 cargo test -q --test wire_property
 
 echo "== executor vs reference evaluator =="
 # The one executor against the fro-algebra reference on every plan
 # shape, counters against reference-derived values for filter chains
 # and scan-probing joins, then rows, order, schema and counters
-# identical across thread counts, morsel sizes and partition counts;
-# EXPLAIN ANALYZE's per-node counts pinned. The suites share the harness in tests/harness
-# (also covered by the plain `cargo test` above; standalone so a
-# failure names itself).
+# identical at all nine configurations of threads {1, 2, 8} × morsel
+# rows {1, 5, 1024}; EXPLAIN ANALYZE's per-node counts pinned. The
+# suites share the harness in tests/harness (also covered by the
+# workspace `cargo test` above; standalone so a failure names itself).
 for suite in executor_vs_reference engine_vs_reference pipelined_property \
     columnar_property parallel_engine_property partition_invariance_property \
     group_partition_property; do

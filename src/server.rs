@@ -28,7 +28,7 @@ use crate::shared::SharedDb;
 use crate::standing::{Registered, StandingId};
 use fro_algebra::{Attr, Relation, Schema, Tuple};
 use fro_core::Policy;
-use fro_exec::{execute_with, ExecConfig, ExecStats, PhysPlan};
+use fro_exec::{execute, ExecStats, PhysPlan};
 use fro_lang::EntityDb;
 use fro_wire::{
     decode_plan, decode_request, decode_response, encode_plan, encode_request, encode_response,
@@ -41,14 +41,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Per-connection session configuration for a [`Server`]: every
-/// accepted connection gets a fresh [`Session`] with this policy,
-/// execution config and (optional) entity model.
+/// accepted connection gets a fresh [`Session`] with this policy and
+/// (optional) entity model.
 #[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
     /// Reordering policy for every connection's optimizer.
     pub policy: Policy,
-    /// Execution configuration for every connection's engine.
-    pub exec: ExecConfig,
     /// Entity model enabling §5 text queries ([`Request::Text`]);
     /// without one, text queries answer with `SESSION_NO_ENTITY_MODEL`.
     pub edb: Option<EntityDb>,
@@ -133,9 +131,7 @@ impl Drop for Server {
 }
 
 fn connection_session(db: &Arc<SharedDb>, opts: &ServerOptions) -> Session {
-    let session = Session::connect(db)
-        .with_policy(opts.policy)
-        .with_exec_config(opts.exec);
+    let session = Session::connect(db).with_policy(opts.policy);
     match &opts.edb {
         Some(edb) => session.with_entity_db(edb.clone()),
         None => session,
@@ -206,7 +202,7 @@ fn run_plan(session: &Session, blob: &[u8]) -> Result<(Relation, ExecStats), Fro
     let state = session.shared().snapshot();
     let plan = decode_plan(blob, state.storage().interner())?;
     let mut stats = ExecStats::new();
-    let out = execute_with(&plan, state.storage(), &mut stats, &session.exec_config())?;
+    let out = execute(&plan, state.storage(), &mut stats)?;
     Ok((out, stats))
 }
 

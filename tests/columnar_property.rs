@@ -6,7 +6,7 @@
 //! `comparisons` come from popcounts. Every plan goes through the
 //! harness in `tests/harness`: set-equal to `fro-algebra`, then
 //! bit-identical in rows, order, schema and `ExecStats` at every
-//! configuration of threads × morsel rows × partitions.
+//! configuration of threads × morsel rows.
 //!
 //! Data sweeps empty relations, all-null keys, dictionary string
 //! columns under SQL-null three-valued predicates, a clustered

@@ -7,7 +7,7 @@
 //! to `ops::goj` / `Query::eval`; on the Example 1 family the reordered
 //! plan must never retrieve more tuples than the syntactic one. Every
 //! plan then runs bit-identically at every configuration of threads ×
-//! morsel rows × partitions through the harness in `tests/harness`.
+//! morsel rows through the harness in `tests/harness`.
 
 mod harness;
 

@@ -6,15 +6,14 @@
 //! answer (`ops::*` for hand-built plans, `Query::eval` for lowered and
 //! optimized trees), its counters must match the values derived from
 //! the reference where those are known in closed form, and it then
-//! runs bit-identically across threads × morsel rows × partitions
-//! (every configuration on a test's first checks, a rotating share of
-//! them after). The suites are named after
+//! runs bit-identically across all nine configurations of threads ×
+//! morsel rows. The suites are named after
 //! what they exercise: `pipelined_property` (every join operator and
 //! kind, spines, derived attributes, deep left-outer chains),
 //! `columnar_property` (column-hashed builds, hoisted filters, string
 //! dictionaries, zones, degenerate layouts), `parallel_engine_property`
 //! (multi-operator probes, Example 1), `partition_invariance_property`
-//! (partition totals, hot keys, auto), `group_partition_property`
+//! (hash joins, hot keys, the machine's parallelism), `group_partition_property`
 //! (`GroupCount`) and `engine_vs_reference` (lowered and optimized
 //! implementing trees, `Goj`, Example 1 costs).
 //!

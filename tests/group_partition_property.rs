@@ -1,8 +1,9 @@
-//! Partitioned parallel `GroupCount`, against the reference.
+//! `GroupCount` across thread counts and morsel sizes, against the
+//! reference.
 //!
-//! For random null-bearing inputs, every configuration of partitions ×
-//! threads × morsel rows must reproduce `ops::group_count` row for row —
-//! same groups, same counts, same first-seen emission order — with and
+//! For random null-bearing inputs, every configuration of threads ×
+//! morsel rows must reproduce `ops::group_count` row for row — same
+//! groups, same counts, same first-seen emission order — with and
 //! without a counted column. Every plan goes through the harness in
 //! `tests/harness`.
 
@@ -51,10 +52,9 @@ proptest! {
         check_group_count(rows, domain, nulls * 15, seed, &[Attr::parse("R.k")], counted);
     }
 
-    /// Both columns as the group key with a counted column: more
-    /// distinct groups than partitions can separate, so the merge order
-    /// across partitions does real work (the sweep reaches 64
-    /// partitions at morsels of one row).
+    /// Both columns as the group key with a counted column: many
+    /// distinct groups, first seen in an order the scan's morsels
+    /// split (the sweep reaches morsels of one row).
     #[test]
     fn wide_keys_under_max_partitioning(
         rows in 1usize..120,

@@ -7,19 +7,14 @@
 //! hand-built plans, `Query::eval` for lowered and optimized
 //! implementing trees.
 //!
-//! [`check`] runs a plan once sequentially, and its result must be
-//! set-equal to the reference. For the shapes whose work is known in
-//! closed form — a filter chain over a scan, and a hash or index join
-//! probing one — the counters must equal the values derived from the
-//! reference ([`pinned`]). It then runs the plan at configurations of
-//! threads {1, 2, 8} × morsel rows {1, 5, 1024} × hash-join partitions
-//! {1, 2, 8, 64, auto}. At each, rows, row order, schema and
-//! `ExecStats` must equal the sequential run's, and the per-partition
-//! build/probe rows must sum to the same totals. The first
-//! [`FULL_SWEEPS`] checks on a test's thread run all 45
-//! configurations; every later check runs every [`STRIDE`]-th one,
-//! offset by its call number, so any [`STRIDE`] consecutive checks
-//! cover all 45 between them. [`check_explain`] pins every `(rows=N)`
+//! [`check`] runs a plan once sequentially (`ExecConfig::default()`),
+//! and its result must be set-equal to the reference. For the shapes
+//! whose work is known in closed form — a filter chain over a scan, and
+//! a hash or index join probing one — the counters must equal the
+//! values derived from the reference ([`pinned`]). It then runs the
+//! plan at all nine configurations of threads {1, 2, 8} × morsel rows
+//! {1, 5, 1024}; at each, rows, row order, schema and `ExecStats` must
+//! equal the sequential run's. [`check_explain`] pins every `(rows=N)`
 //! line of `explain_analyze` to the size of its executed subtree.
 
 #![allow(dead_code)]
@@ -29,7 +24,6 @@ use fro_exec::{
     execute, execute_with, explain_analyze_with, ExecConfig, ExecStats, JoinKind, PhysPlan, Storage,
 };
 use fro_testkit::{random_database, DbSpec};
-use std::cell::Cell;
 
 pub const KINDS: [JoinKind; 5] = [
     JoinKind::Inner,
@@ -43,45 +37,11 @@ pub const THREADS: [usize; 3] = [1, 2, 8];
 /// Morsel sizes on both sides of the probe cardinality: 1 and 5 split
 /// the small inputs into many morsels, 1024 leaves them one.
 pub const MORSELS: [usize; 3] = [1, 5, 1024];
-/// Hash-join partition counts; 0 is auto (picked per join from the
-/// build cardinality).
-pub const PARTITIONS: [usize; 5] = [1, 2, 8, 64, 0];
-
-/// Checks per test thread that sweep every configuration.
-pub const FULL_SWEEPS: usize = 8;
-/// Later checks run the configurations whose index is congruent to
-/// the check's call number modulo `STRIDE` (6 or 7 of the 45).
-pub const STRIDE: usize = 7;
-
-thread_local! {
-    /// [`check`] calls made so far on this test's thread.
-    static CHECKS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The configurations the next [`check`] on this thread sweeps.
-fn next_sweep() -> impl Iterator<Item = (usize, usize, usize)> {
-    let n = CHECKS.with(|c| c.replace(c.get() + 1));
-    let all = THREADS.into_iter().flat_map(|t| {
-        MORSELS
-            .into_iter()
-            .flat_map(move |m| PARTITIONS.into_iter().map(move |p| (t, m, p)))
-    });
-    all.enumerate()
-        .filter(move |(i, _)| n < FULL_SWEEPS || i % STRIDE == n % STRIDE)
-        .map(|(_, config)| config)
-}
-
-pub fn partition_totals(st: &ExecStats) -> (u64, u64) {
-    (
-        st.partition.build_rows().iter().sum(),
-        st.partition.probe_rows().iter().sum(),
-    )
-}
 
 /// Run `plan` sequentially and check it against `want` (and its
-/// counters against [`pinned`]), then at the configurations of
-/// [`next_sweep`] against the sequential run. Returns the sequential
-/// result and stats.
+/// counters against [`pinned`]), then at every configuration of
+/// [`THREADS`] × [`MORSELS`] against the sequential run. Returns the
+/// sequential result and stats.
 pub fn check(
     plan: &PhysPlan,
     storage: &Storage,
@@ -89,8 +49,8 @@ pub fn check(
     label: &str,
 ) -> (Relation, ExecStats) {
     let mut seq_st = ExecStats::new();
-    let seq =
-        execute(plan, storage, &mut seq_st).unwrap_or_else(|e| panic!("{label}: {e}\n{plan}"));
+    let seq = execute_with(plan, storage, &mut seq_st, &ExecConfig::default())
+        .unwrap_or_else(|e| panic!("{label}: {e}\n{plan}"));
     assert!(
         seq.set_eq(want),
         "{label}: executor disagrees with the reference ({} vs {} rows)\n{plan}",
@@ -101,11 +61,6 @@ pub fn check(
         seq.is_empty() || seq_st.rows_pipelined + seq_st.rows_materialized > 0,
         "{label}: rows produced but no flow counted"
     );
-    let totals = partition_totals(&seq_st);
-    assert!(
-        totals.0 <= seq_st.hash_build_rows,
-        "{label}: scattered more rows than the build read"
-    );
     if let Some(p) = pinned(plan, storage) {
         let got = Pinned {
             tuples_retrieved: seq_st.tuples_retrieved,
@@ -115,24 +70,31 @@ pub fn check(
         };
         assert_eq!(got, p, "{label}: counters\n{plan}");
     }
-    for (threads, morsel, partitions) in next_sweep() {
-        let cfg = ExecConfig::with_threads(threads)
-            .morsel_rows(morsel)
-            .partitions(partitions);
-        let at = format!("{label} at threads={threads} morsel={morsel} P={partitions}");
-        let mut st = ExecStats::new();
-        let out =
-            execute_with(plan, storage, &mut st, &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-        assert_eq!(out.rows(), seq.rows(), "{at}: rows");
-        assert_eq!(out.schema(), seq.schema(), "{at}: schema");
-        assert_eq!(st, seq_st, "{at}: stats");
-        assert_eq!(st.morsels_skipped, seq_st.morsels_skipped, "{at}: zones");
-        assert_eq!(partition_totals(&st), totals, "{at}: partition totals");
-        if partitions > 0 && seq_st.partition.used() > 0 {
-            assert_eq!(st.partition.used(), partitions, "{at}: partitions used");
+    for threads in THREADS {
+        for morsel in MORSELS {
+            let cfg = ExecConfig::with_threads(threads).morsel_rows(morsel);
+            check_config(plan, storage, &cfg, &seq, &seq_st, label);
         }
     }
     (seq, seq_st)
+}
+
+/// Run `plan` at `cfg` and check it is bit-identical to the
+/// sequential run `seq`: rows, order, schema and `ExecStats`.
+pub fn check_config(
+    plan: &PhysPlan,
+    storage: &Storage,
+    cfg: &ExecConfig,
+    seq: &Relation,
+    seq_st: &ExecStats,
+    label: &str,
+) {
+    let at = format!("{label} at {cfg:?}");
+    let mut st = ExecStats::new();
+    let out = execute_with(plan, storage, &mut st, cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+    assert_eq!(out.rows(), seq.rows(), "{at}: rows");
+    assert_eq!(out.schema(), seq.schema(), "{at}: schema");
+    assert_eq!(st, *seq_st, "{at}: stats");
 }
 
 /// The counters a plan must report, for the shapes whose work is known

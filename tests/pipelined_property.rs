@@ -10,7 +10,7 @@
 //! through the harness in `tests/harness`: set-equal to `fro-algebra`,
 //! then bit-identical in rows, order, schema and `ExecStats` at every
 //! configuration of threads × morsel rows (both sides of the probe
-//! cardinality) × partitions.
+//! cardinality).
 
 mod harness;
 

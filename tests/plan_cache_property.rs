@@ -133,3 +133,57 @@ fn example1_cold_warm_and_explain_counters() {
     assert!(warm.explain().contains("plan_cache: hits=1"));
     assert!(warm.run().unwrap().set_eq(&want));
 }
+
+/// `R ⋈ S → T` phrased four ways — each equality written either way
+/// round × the From-List in either order — is one graph: one
+/// signature, one plan-cache entry (every phrasing after the first is
+/// answered with zero enumeration) and one standing view.
+#[test]
+fn flipped_equalities_share_one_signature_plan_and_view() {
+    let mut db = Database::new();
+    db.insert(Relation::from_ints("R", &["k"], &[&[1], &[2], &[3]]));
+    db.insert(Relation::from_ints("S", &["k"], &[&[2], &[3], &[4]]));
+    db.insert(Relation::from_ints("T", &["k"], &[&[3], &[5]]));
+    let phrasing = |flip: bool, s_first: bool| {
+        let eq = |a: &str, b: &str| {
+            if flip {
+                Pred::eq_attr(b, a)
+            } else {
+                Pred::eq_attr(a, b)
+            }
+        };
+        let (x, y) = if s_first { ("S", "R") } else { ("R", "S") };
+        Query::rel(x)
+            .join(Query::rel(y), eq("R.k", "S.k"))
+            .outerjoin(Query::rel("T"), eq("S.k", "T.k"))
+    };
+    let queries: Vec<Query> = [(false, false), (true, false), (false, true), (true, true)]
+        .into_iter()
+        .map(|(flip, s_first)| phrasing(flip, s_first))
+        .collect();
+    let want = queries[0].eval(&db).unwrap();
+    let signature =
+        |q: &Query| fro::core::optimizer::graph_signature(&graph_of(q).expect("a query graph")).0;
+    let session = Session::from_storage(Storage::from_database(&db));
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(
+            signature(q),
+            signature(&queries[0]),
+            "phrasing {i}: signature"
+        );
+        let prepared = session.prepare(q).unwrap();
+        if i > 0 {
+            assert_eq!(
+                prepared.optimized().pairs_examined,
+                0,
+                "phrasing {i}: warm prepare enumerated"
+            );
+        }
+        assert!(
+            prepared.run().unwrap().set_eq(&want),
+            "phrasing {i}: result"
+        );
+        let registered = session.register_standing(q).unwrap();
+        assert_eq!(registered.shared, i > 0, "phrasing {i}: shared view");
+    }
+}
