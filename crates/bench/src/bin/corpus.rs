@@ -123,10 +123,12 @@ fn main() -> ExitCode {
         if do_perturb {
             perturb(&mut catalog, &case.storage);
         }
+        // The optimizer plans the canonical graph; greedy runs on it too.
         let graph = analyze(&case.query, Policy::Paper)
             .graph
-            .unwrap_or_else(|| panic!("corpus workload {} must be reorderable", case.name));
-        let (sig, _) = graph_signature(&graph);
+            .unwrap_or_else(|| panic!("corpus workload {} must be reorderable", case.name))
+            .canonical();
+        let sig = graph_signature(&graph);
 
         let dp = optimize(&case.query, &catalog, Policy::Paper)
             .unwrap_or_else(|e| panic!("dp optimize {} failed: {e}", case.name));

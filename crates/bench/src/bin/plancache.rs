@@ -88,7 +88,7 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"plan_cache\",");
     let _ = writeln!(
         json,
-        "  \"keying\": \"(graph signature, canonical RelSet, policy) with catalog-epoch invalidation\","
+        "  \"keying\": \"(canonical graph signature, RelSet) with catalog-epoch invalidation\","
     );
     let _ = writeln!(json, "  \"n_rels\": {N_RELS},");
     let _ = writeln!(json, "  \"reps\": {REPS},");

@@ -38,7 +38,6 @@ fn main() {
     let db = SharedDb::new();
     let opts = ServerOptions {
         edb: Some(paper_world()),
-        ..ServerOptions::default()
     };
     let mut server = Server::start(&addr, db.clone(), opts).expect("bind server address");
     println!("serving on {}", server.addr());

@@ -45,7 +45,6 @@ fn main() {
     let db = SharedDb::new();
     let opts = ServerOptions {
         edb: Some(paper_world()),
-        ..ServerOptions::default()
     };
     let server = Server::start("127.0.0.1:0", db.clone(), opts).expect("bind loopback");
     let addr = server.addr();

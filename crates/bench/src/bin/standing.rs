@@ -7,8 +7,11 @@
 //! thousands of rows, most of them junk blocks that multiply through
 //! their own dimension's hot keys before dying at the next dimension,
 //! so a full execution drags large doomed intermediates while the view
-//! itself stays small. Reduction is pinned to `Never` so the
-//! registered view and the baseline run the *identical* plain plan.
+//! itself stays small. Both sides plan under the product's `Auto`
+//! reduction: the baseline re-executes the chosen plan, semijoin
+//! reduction included, and the registered view maintains the same plan
+//! with its `SemiReduce` wraps dropped (a delta plan never needs them),
+//! so both serve the same rows.
 //!
 //! The comparison is end to end and symmetric. Two databases hold the
 //! same data; each of `APPENDS` single-row fact appends lands on both.
@@ -82,8 +85,8 @@ fn main() {
     // their build sides alive between deltas.
     let view_db = SharedDb::new();
     let plain_db = SharedDb::new();
-    let view_sess = view_db.session().with_reduce_policy(ReducePolicy::Never);
-    let plain_sess = plain_db.session().with_reduce_policy(ReducePolicy::Never);
+    let view_sess = view_db.session();
+    let plain_sess = plain_db.session();
     let mut fact_rows = 0usize;
     for (name, table) in storage.iter() {
         if name == "F" {

@@ -61,8 +61,8 @@ pub mod reorder;
 pub mod simplify;
 
 pub use optimizer::{
-    optimize, optimize_with_reduce, reduce_plan, Catalog, OptError, Optimized, ReducePolicy,
-    ReductionReport,
+    optimize, optimize_graph, optimize_with_reduce, reduce_plan, Catalog, OptError, Optimized,
+    ReducePolicy, ReductionReport,
 };
 pub use reorder::{analyze, is_freely_reorderable, Analysis, Policy, Violation};
 pub use simplify::{simplify, SimplificationEvent};

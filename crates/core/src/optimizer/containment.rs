@@ -10,18 +10,16 @@
 //! registry uses the verdict to route a new registration at the pooled
 //! build sides of an existing view.
 //!
-//! Containment is computed over *names*: a node is its relation name,
-//! an edge is `(kind, endpoints, rendered predicate)` with join-edge
-//! endpoints order-normalized (join edges are undirected; outerjoin
-//! edges keep their preserved → null-supplied direction) and the
-//! predicate in its canonical spelling
-//! ([`fro_algebra::Pred::canonical`]). Two graphs that differ only in
-//! node numbering or in how a predicate is written therefore compare
-//! equal, exactly like the [`super::plancache::GraphSignature`] they
-//! share.
+//! Containment is a subgraph test over canonical graphs
+//! ([`QueryGraph::canonical`]): nodes match by relation name, and each
+//! edge of the smaller graph must appear in the larger one as the same
+//! [`fro_graph::Edge`] — same kind, same direction, same canonical
+//! predicate. Both graphs number their nodes by name, so matching
+//! preserves node order and a join edge's ascending endpoints stay
+//! ascending. Two phrasings of one graph therefore compare equal,
+//! exactly like the [`super::plancache::GraphSignature`] they share.
 
-use fro_graph::{EdgeKind, QueryGraph};
-use std::collections::BTreeSet;
+use fro_graph::QueryGraph;
 
 /// How a new query graph relates to an already-registered one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,48 +35,34 @@ pub enum GraphReuse {
     ExtensionOf,
 }
 
-/// A canonical edge descriptor: `(kind, endpoint, endpoint, rendered
-/// canonical predicate)` with join-edge endpoints order-normalized.
-type CanonEdge = (u8, String, String, String);
-
-/// A graph as comparable sets: relation names and canonical edge
-/// descriptors.
-fn canon(g: &QueryGraph) -> (BTreeSet<&str>, BTreeSet<CanonEdge>) {
-    let nodes: BTreeSet<&str> = (0..g.n_nodes()).map(|i| g.node_name(i)).collect();
-    let edges = g
-        .edges()
-        .iter()
-        .map(|e| {
-            let (mut a, mut b) = (g.node_name(e.a()), g.node_name(e.b()));
-            if e.kind() == EdgeKind::Join && a > b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            let kind = match e.kind() {
-                EdgeKind::Join => 0u8,
-                EdgeKind::OuterJoin => 1u8,
-            };
-            (
-                kind,
-                a.to_owned(),
-                b.to_owned(),
-                e.pred().canonical().to_string(),
-            )
-        })
-        .collect();
-    (nodes, edges)
+/// Whether every node and edge of `small` is in `big` (both
+/// canonical).
+fn contained(small: &QueryGraph, big: &QueryGraph) -> bool {
+    let Some(node): Option<Vec<usize>> =
+        small.node_names().iter().map(|n| big.node_id(n)).collect()
+    else {
+        return false;
+    };
+    // Canonical edges are sorted by endpoints, and an outerjoin edge's
+    // endpoint order is its direction.
+    small.edges().iter().all(|e| {
+        let (a, b) = (node[e.a()], node[e.b()]);
+        big.edges()
+            .binary_search_by_key(&(a, b), |f| (f.a(), f.b()))
+            .is_ok_and(|i| {
+                let f = &big.edges()[i];
+                f.kind() == e.kind() && f.pred() == e.pred()
+            })
+    })
 }
 
-/// Classify how `new` relates to `old`, or `None` when neither
-/// contains the other (overlap alone is not exploitable: a shared
-/// *subgraph* does not make either query's maintained state a state
-/// of the other).
+/// Classify how `new` relates to `old` (both canonical), or `None`
+/// when neither contains the other (overlap alone is not exploitable:
+/// a shared *subgraph* does not make either query's maintained state a
+/// state of the other).
 #[must_use]
 pub fn graph_containment(new: &QueryGraph, old: &QueryGraph) -> Option<GraphReuse> {
-    let (nn, ne) = canon(new);
-    let (on, oe) = canon(old);
-    let new_in_old = nn.is_subset(&on) && ne.is_subset(&oe);
-    let old_in_new = on.is_subset(&nn) && oe.is_subset(&ne);
-    match (new_in_old, old_in_new) {
+    match (contained(new, old), contained(old, new)) {
         (true, true) => Some(GraphReuse::Equivalent),
         (true, false) => Some(GraphReuse::PrefixOf),
         (false, true) => Some(GraphReuse::ExtensionOf),
@@ -96,7 +80,7 @@ mod tests {
         for &(a, b, x, y) in joins {
             g.add_join_edge(a, b, Pred::eq_attr(x, y)).unwrap();
         }
-        g
+        g.canonical()
     }
 
     #[test]
@@ -136,6 +120,7 @@ mod tests {
         let mut rev = QueryGraph::new(vec!["R".into(), "S".into()]);
         rev.add_outerjoin_edge(1, 0, Pred::eq_attr("R.k", "S.k"))
             .unwrap();
+        let (fwd, rev) = (fwd.canonical(), rev.canonical());
         assert_eq!(graph_containment(&fwd, &rev), None);
         assert_eq!(
             graph_containment(&fwd, &fwd.clone()),

@@ -18,7 +18,7 @@
 //! no plans.
 
 use super::cuts::{best_shape, materialize, Candidate, CutClass, CutCtx};
-use super::plancache::{CacheCtx, CacheStats, CachedEntry};
+use super::plancache::{CacheStats, CachedEntry, GraphSignature};
 use super::stats::Catalog;
 use super::OptError;
 use fro_algebra::{RelId, RelSet};
@@ -69,17 +69,18 @@ pub fn dp_optimize(g: &QueryGraph, catalog: &Catalog) -> Result<DpResult, OptErr
     dp_optimize_with(g, catalog, None)
 }
 
-/// [`dp_optimize`], threading the catalog's plan cache: with a
-/// [`CacheCtx`] every connected subset is looked up before its cuts
-/// are enumerated and each per-subset winner is inserted after. A hit
-/// on the full set short-circuits the whole DP (zero csg–cmp pairs).
+/// [`dp_optimize`], threading the catalog's plan cache: with the
+/// graph's [`GraphSignature`] every connected subset is looked up
+/// before its cuts are enumerated and each per-subset winner is
+/// inserted after. A hit on the full set short-circuits the whole DP
+/// (zero csg–cmp pairs).
 ///
 /// # Errors
 /// Same failure modes as [`dp_optimize`].
 pub fn dp_optimize_with(
     g: &QueryGraph,
     catalog: &Catalog,
-    cache: Option<&CacheCtx>,
+    cache: Option<GraphSignature>,
 ) -> Result<DpResult, OptError> {
     let n = g.n_nodes();
     if n > DP_MAX_NODES {
@@ -99,8 +100,8 @@ pub fn dp_optimize_with(
     let pc = catalog.plan_cache();
     let mut cstats = CacheStats::default();
     // Full-set fast path: a repeated query costs one hash probe.
-    if let Some(cctx) = cache {
-        if let Some(hit) = pc.lookup(cctx, full, epoch, &mut cstats) {
+    if let Some(sig) = cache {
+        if let Some(hit) = pc.lookup(sig, full, epoch, &mut cstats) {
             return Ok(DpResult {
                 plan: hit.plan.clone(),
                 cost: hit.cost,
@@ -139,8 +140,8 @@ pub fn dp_optimize_with(
             continue;
         }
         // Consult the cache before enumerating this subset's cuts.
-        if let Some(cctx) = cache {
-            if let Some(hit) = pc.lookup(cctx, s, epoch, &mut cstats) {
+        if let Some(sig) = cache {
+            if let Some(hit) = pc.lookup(sig, s, epoch, &mut cstats) {
                 table.insert(s, hit.to_entry());
                 continue;
             }
@@ -149,11 +150,17 @@ pub fn dp_optimize_with(
         // (candidate, probe side, build side). Only the winner is
         // materialized into a plan, below.
         let mut best: Option<(Candidate, RelSet, RelSet)> = None;
+        // Ties keep the last candidate enumerated. An inner join costs
+        // the same whichever side builds, so which tie wins is a
+        // convention; this one depends only on the canonical numbering,
+        // not on the phrasing or on table sizes that appends move.
+        // Keeping the first instead hashed the fact table of the
+        // benchmark's snowflake.
         let consider = |best: &mut Option<(Candidate, RelSet, RelSet)>,
                         cand: Candidate,
                         p: RelSet,
                         b: RelSet| {
-            if best.as_ref().is_none_or(|(bc, _, _)| cand.cost < bc.cost) {
+            if best.as_ref().is_none_or(|(bc, _, _)| cand.cost <= bc.cost) {
                 *best = Some((cand, p, b));
             }
         };
@@ -195,9 +202,9 @@ pub fn dp_optimize_with(
         if let Some((cand, pset, bset)) = best {
             let info = ctx.info(pset, bset);
             let entry = materialize(cand, info, &table[&pset], &table[&bset], catalog);
-            if let Some(cctx) = cache {
+            if let Some(sig) = cache {
                 pc.insert(
-                    cctx,
+                    sig,
                     s,
                     Arc::new(CachedEntry::from_entry(&entry, epoch)),
                     &mut cstats,
@@ -338,14 +345,13 @@ mod tests {
 
     #[test]
     fn warm_cache_skips_all_enumeration() {
-        use crate::reorder::Policy;
         let g = example1_graph();
         let cat = example1_catalog();
-        let cctx = CacheCtx::for_graph(&g, Policy::Paper);
-        let cold = dp_optimize_with(&g, &cat, Some(&cctx)).unwrap();
+        let sig = super::super::plancache::graph_signature(&g);
+        let cold = dp_optimize_with(&g, &cat, Some(sig)).unwrap();
         assert!(cold.pairs_examined > 0);
         assert_eq!(cold.cache.hits, 0);
-        let warm = dp_optimize_with(&g, &cat, Some(&cctx)).unwrap();
+        let warm = dp_optimize_with(&g, &cat, Some(sig)).unwrap();
         assert_eq!(
             warm.pairs_examined, 0,
             "full-set hit must enumerate nothing"
@@ -357,15 +363,14 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_cached_plans() {
-        use crate::reorder::Policy;
         use fro_algebra::Attr;
         let g = example1_graph();
         let mut cat = example1_catalog();
-        let cctx = CacheCtx::for_graph(&g, Policy::Paper);
-        dp_optimize_with(&g, &cat, Some(&cctx)).unwrap();
+        let sig = super::super::plancache::graph_signature(&g);
+        dp_optimize_with(&g, &cat, Some(sig)).unwrap();
         // A stats change bumps the epoch: the warm entry is stale.
         cat.set_distinct(&Attr::parse("R2.k2"), 5);
-        let replanned = dp_optimize_with(&g, &cat, Some(&cctx)).unwrap();
+        let replanned = dp_optimize_with(&g, &cat, Some(sig)).unwrap();
         assert!(replanned.pairs_examined > 0, "stale entries must re-plan");
         assert!(replanned.cache.stale >= 1);
     }

@@ -15,7 +15,7 @@
 
 use super::cuts::{best_shape, materialize, Candidate, CutClass, CutCtx};
 use super::dp::Entry;
-use super::plancache::{CacheCtx, CacheStats, CachedEntry};
+use super::plancache::{CacheStats, CachedEntry, GraphSignature};
 use super::stats::Catalog;
 use super::OptError;
 use fro_algebra::RelSet;
@@ -61,7 +61,7 @@ pub fn greedy_optimize(g: &QueryGraph, catalog: &Catalog) -> Result<GreedyResult
 pub fn greedy_optimize_with(
     g: &QueryGraph,
     catalog: &Catalog,
-    cache: Option<&CacheCtx>,
+    cache: Option<GraphSignature>,
 ) -> Result<GreedyResult, OptError> {
     let n = g.n_nodes();
     if !g.connected_in(RelSet::full(n)) {
@@ -73,8 +73,8 @@ pub fn greedy_optimize_with(
     let epoch = catalog.epoch_for_graph(g);
     let pc = catalog.plan_cache();
     let mut cstats = CacheStats::default();
-    if let Some(cctx) = cache {
-        if let Some(hit) = pc.lookup(cctx, RelSet::full(n), epoch, &mut cstats) {
+    if let Some(sig) = cache {
+        if let Some(hit) = pc.lookup(sig, RelSet::full(n), epoch, &mut cstats) {
             return Ok(GreedyResult {
                 plan: hit.plan.clone(),
                 cost: hit.cost,
@@ -111,8 +111,9 @@ pub fn greedy_optimize_with(
                 let (sj, ej) = &components[j];
                 let lo_is_i = si.bits() <= sj.bits();
                 let info = ctx.info(*si, *sj);
+                // Ties keep the last candidate, as in the DP.
                 let mut consider = |cand: Candidate, probe_is_i: bool| {
-                    if best.as_ref().is_none_or(|(_, _, b, _)| cand.cost < b.cost) {
+                    if best.as_ref().is_none_or(|(_, _, b, _)| cand.cost <= b.cost) {
                         best = Some((i, j, cand, probe_is_i));
                     }
                 };
@@ -152,9 +153,9 @@ pub fn greedy_optimize_with(
         let (sj, _) = components.swap_remove(j); // j > i, safe order
         let (si, _) = components.swap_remove(i);
         let merged = si.union(sj);
-        if let Some(cctx) = cache {
+        if let Some(sig) = cache {
             pc.insert(
-                cctx,
+                sig,
                 merged,
                 Arc::new(CachedEntry::from_entry(&entry, epoch)),
                 &mut cstats,
@@ -264,14 +265,13 @@ mod tests {
 
     #[test]
     fn greedy_warm_cache_short_circuits() {
-        use super::super::plancache::CacheCtx;
-        use crate::reorder::Policy;
+        use super::super::plancache::graph_signature;
         let g = chain_graph(30);
         let cat = catalog(30, 0);
-        let cctx = CacheCtx::for_graph(&g, Policy::Paper);
-        let cold = greedy_optimize_with(&g, &cat, Some(&cctx)).unwrap();
+        let sig = graph_signature(&g);
+        let cold = greedy_optimize_with(&g, &cat, Some(sig)).unwrap();
         assert!(cold.merges_examined > 0);
-        let warm = greedy_optimize_with(&g, &cat, Some(&cctx)).unwrap();
+        let warm = greedy_optimize_with(&g, &cat, Some(sig)).unwrap();
         assert_eq!(warm.merges_examined, 0);
         assert_eq!(warm.cache.hits, 1);
         assert_eq!(warm.plan.explain(), cold.plan.explain());

@@ -1,12 +1,16 @@
 //! The cost-based optimizer (§6.1).
 //!
-//! [`optimize`] runs the Theorem 1 analysis first. When the query is
-//! freely reorderable it explores *every* implementing tree via
-//! [`dp::dp_optimize`] — the simple optimizer extension the paper
+//! [`optimize_graph`] is the one entry: it takes an analyzed,
+//! canonical query graph ([`fro_graph::QueryGraph::canonical`]) and,
+//! the graph being freely reorderable, explores *every* implementing
+//! tree via [`dp::dp_optimize`] — the simple optimizer extension the paper
 //! promises ("there is no need to insert additional operators, or
-//! perform a subtle analysis"). Otherwise it falls back to the
-//! syntactic association of the input tree ([`lower::lower`]), which
-//! is always correct.
+//! perform a subtle analysis"). Because the DP enumerates the canonical
+//! numbering, the plan depends on the graph and the catalog alone, not
+//! on how the query was phrased. [`optimize`] builds and canonicalizes
+//! `graph(Q)` for an algebra query; when the query is not freely
+//! reorderable it falls back to the syntactic association of the input
+//! tree ([`lower::lower`]), which is always correct.
 
 pub mod containment;
 pub mod cost;
@@ -19,7 +23,7 @@ pub mod plancache;
 pub mod reduce;
 pub mod stats;
 
-use crate::reorder::{analyze, Analysis, Policy};
+use crate::reorder::{analyze_owned, Analysis, Policy};
 use fro_algebra::{Query, Relation};
 use fro_exec::{ExecError, ExecStats, PhysPlan, Storage};
 use std::fmt;
@@ -35,7 +39,7 @@ pub use lower::lower;
 pub use lower::{lower_by_name, split_equi_by_name};
 pub use place::place_restriction;
 pub use plancache::{
-    graph_signature, CacheCtx, CacheLoad, CacheStats, CachedEntry, GraphSignature, PlanCache,
+    graph_signature, CacheLoad, CacheStats, CachedEntry, GraphSignature, PlanCache,
 };
 pub use reduce::{reduce_plan, ReducePolicy, ReductionReport, WrapDesc};
 pub use stats::{Catalog, TableInfo};
@@ -133,13 +137,10 @@ pub fn optimize(q: &Query, catalog: &Catalog, policy: Policy) -> Result<Optimize
     optimize_with_reduce(q, catalog, policy, ReducePolicy::Auto)
 }
 
-/// [`optimize`] with an explicit [`ReducePolicy`]. The reducer runs as
-/// a post-pass over the DP/greedy/fallback plan — after the plan cache
-/// (cached plans stay plain), never altering join order or shape, only
-/// wrapping operands in [`PhysPlan::SemiReduce`] where the wrap is
-/// sound and (under `Auto`) estimated to pay. When a wrap is applied,
-/// `est_cost`/`est_rows` reflect the reduced plan; the plain
-/// estimate is preserved in [`Optimized::reduction`].
+/// [`optimize`] with an explicit [`ReducePolicy`]: builds `graph(Q)`
+/// once, canonicalizes it and, when it is freely reorderable under
+/// `policy`, plans it with [`optimize_graph`]. Otherwise the user's
+/// association is kept ([`lower()`]) and the reducer runs over that.
 ///
 /// # Errors
 /// Same failure modes as [`optimize`].
@@ -149,7 +150,85 @@ pub fn optimize_with_reduce(
     policy: Policy,
     reduce_policy: ReducePolicy,
 ) -> Result<Optimized, OptError> {
-    let mut opt = optimize_plain(q, catalog, policy)?;
+    let analysis = match fro_graph::graph_of(q) {
+        Ok(g) => analyze_owned(g.canonical(), policy),
+        Err(e) => Analysis::undefined(e, policy),
+    };
+    if analysis.is_freely_reorderable() {
+        return optimize_graph(analysis, catalog, reduce_policy);
+    }
+    let plan = lower(q, catalog)?;
+    let est = estimate_plan(&plan, catalog);
+    let lowered = Optimized {
+        plan,
+        est_cost: est.cost,
+        est_rows: est.rows,
+        analysis,
+        reordered: false,
+        pairs_examined: 0,
+        cache: CacheStats::default(),
+        reduction: ReductionReport::default(),
+    };
+    Ok(reduce(lowered, catalog, reduce_policy))
+}
+
+/// Plan an analyzed query graph — the optimizer entry both front doors
+/// reach. `analysis.graph` must be canonical
+/// ([`fro_graph::QueryGraph::canonical`]) and freely reorderable. The
+/// DP — or, beyond its size cap, the greedy heuristic — enumerates the
+/// canonical numbering through the plan cache, so the plan is a
+/// function of the graph and the catalog. The semijoin reducer then
+/// runs as a post-pass — after the plan cache (cached plans stay
+/// plain), never altering join order or shape, only wrapping operands
+/// in [`PhysPlan::SemiReduce`] where the wrap is sound and (under
+/// `Auto`) estimated to pay. When a wrap is applied,
+/// `est_cost`/`est_rows` reflect the reduced plan; the plain estimate
+/// is preserved in [`Optimized::reduction`].
+///
+/// # Errors
+/// [`OptError::Unsupported`] when the analysis admits no reordering or
+/// no implementable association exists; [`OptError::Disconnected`] for
+/// a disconnected graph.
+pub fn optimize_graph(
+    analysis: Analysis,
+    catalog: &Catalog,
+    reduce_policy: ReducePolicy,
+) -> Result<Optimized, OptError> {
+    let g = match &analysis.graph {
+        Some(g) if analysis.is_freely_reorderable() => g,
+        _ => return Err(OptError::Unsupported(analysis.to_string())),
+    };
+    debug_assert!(*g == g.canonical(), "optimize_graph plans canonical graphs");
+    let sig = graph_signature(g);
+    let r = match dp_optimize_with(g, catalog, Some(sig)) {
+        // Too large for exhaustive DP: reorder greedily.
+        Err(OptError::Unsupported(_)) => {
+            let r = greedy_optimize_with(g, catalog, Some(sig))?;
+            DpResult {
+                plan: r.plan,
+                cost: r.cost,
+                rows: r.rows,
+                pairs_examined: r.merges_examined,
+                cache: r.cache,
+            }
+        }
+        r => r?,
+    };
+    let planned = Optimized {
+        plan: r.plan,
+        est_cost: r.cost,
+        est_rows: r.rows,
+        analysis,
+        reordered: true,
+        pairs_examined: r.pairs_examined,
+        cache: r.cache,
+        reduction: ReductionReport::default(),
+    };
+    Ok(reduce(planned, catalog, reduce_policy))
+}
+
+/// The reducer post-pass over a chosen plan.
+fn reduce(mut opt: Optimized, catalog: &Catalog, reduce_policy: ReducePolicy) -> Optimized {
     let (plan, report) = reduce_plan(
         &opt.plan,
         catalog,
@@ -163,60 +242,7 @@ pub fn optimize_with_reduce(
         opt.est_rows = est.rows;
     }
     opt.reduction = report;
-    Ok(opt)
-}
-
-fn optimize_plain(q: &Query, catalog: &Catalog, policy: Policy) -> Result<Optimized, OptError> {
-    let analysis = analyze(q, policy);
-    if analysis.is_freely_reorderable() {
-        if let Some(g) = &analysis.graph {
-            // One signature computation covers both the DP and the
-            // greedy fallback: they share the cache's key space.
-            let cctx = CacheCtx::for_graph(g, policy);
-            match dp_optimize_with(g, catalog, Some(&cctx)) {
-                Ok(r) => {
-                    return Ok(Optimized {
-                        plan: r.plan,
-                        est_cost: r.cost,
-                        est_rows: r.rows,
-                        analysis,
-                        reordered: true,
-                        pairs_examined: r.pairs_examined,
-                        cache: r.cache,
-                        reduction: ReductionReport::default(),
-                    })
-                }
-                // Too large for exhaustive DP: reorder greedily.
-                Err(OptError::Unsupported(_)) => {
-                    if let Ok(r) = greedy::greedy_optimize_with(g, catalog, Some(&cctx)) {
-                        return Ok(Optimized {
-                            plan: r.plan,
-                            est_cost: r.cost,
-                            est_rows: r.rows,
-                            analysis,
-                            reordered: true,
-                            pairs_examined: r.merges_examined,
-                            cache: r.cache,
-                            reduction: ReductionReport::default(),
-                        });
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    let plan = lower(q, catalog)?;
-    let est = estimate_plan(&plan, catalog);
-    Ok(Optimized {
-        plan,
-        est_cost: est.cost,
-        est_rows: est.rows,
-        analysis,
-        reordered: false,
-        pairs_examined: 0,
-        cache: CacheStats::default(),
-        reduction: ReductionReport::default(),
-    })
+    opt
 }
 
 #[cfg(test)]

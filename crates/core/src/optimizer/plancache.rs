@@ -6,7 +6,7 @@
 //! query whose graph matches — not just a repeat of the same SQL
 //! string, but any alpha-equivalent phrasing (different association,
 //! different From-List order). The cache therefore keys on
-//! `(`[`GraphSignature`]`, canonical RelSet, `[`Policy`]`)` and is
+//! `(`[`GraphSignature`]`, `[`RelSet`]`)` and is
 //! owned by the [`Catalog`](super::stats::Catalog), whose `epoch`
 //! counter ties cached plans to the statistics they were costed
 //! against: every stats mutation bumps the epoch, and entries from
@@ -14,16 +14,16 @@
 //!
 //! ## Canonical node numbering
 //!
-//! A query graph numbers its nodes in From-List order, so the same
-//! graph written with relations in a different order would produce
-//! different `RelSet` bits. [`CacheCtx::for_graph`] computes the
-//! canonical permutation (nodes sorted by relation name) once per
-//! optimization; both the signature and every cached set are expressed
-//! in canonical numbering, so alpha-equivalent queries collide — which
-//! is the point.
+//! The optimizer plans only canonical graphs
+//! ([`QueryGraph::canonical`]): nodes numbered by relation name, edges
+//! and predicates in one spelling. A query is canonicalized once, where
+//! it enters, so the signature hashes the graph as it stands and a
+//! `RelSet` is already a key — alpha-equivalent queries collide, which
+//! is the point. The strongness [`Policy`](crate::reorder::Policy) is
+//! not part of the key: it decides only whether the DP runs, never what
+//! it returns.
 
 use super::dp::Entry;
-use crate::reorder::Policy;
 use fro_algebra::{Interner, RelId, RelSet, SigHash, StableHasher};
 use fro_exec::PhysPlan;
 use fro_graph::{EdgeKind, QueryGraph};
@@ -37,10 +37,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A stable structural hash of a query graph: interned relation names
-/// in canonical order, edge kinds, outerjoin directions, and predicate
-/// shapes in canonical spelling ([`fro_algebra::Pred::canonical`];
-/// including literals — cached plans embed them).
+/// A stable structural hash of a canonical query graph: relation names,
+/// edge kinds, outerjoin directions, and predicate shapes (including
+/// literals — cached plans embed them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphSignature(u64);
 
@@ -65,89 +64,26 @@ impl fmt::Display for GraphSignature {
     }
 }
 
-/// Compute a graph's signature together with the canonical node
-/// permutation `perm[node] = canonical rank` (nodes sorted by name).
+/// Compute a canonical graph's ([`QueryGraph::canonical`]) signature,
+/// hashing nodes and edges in the order the canonical form keeps them.
 #[must_use]
-pub fn graph_signature(g: &QueryGraph) -> (GraphSignature, Vec<usize>) {
-    let n = g.n_nodes();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| g.node_name(i));
-    let mut perm = vec![0usize; n];
-    for (rank, &i) in order.iter().enumerate() {
-        perm[i] = rank;
-    }
-
+pub fn graph_signature(g: &QueryGraph) -> GraphSignature {
     let mut h = StableHasher::new();
-    h.write_u64(n as u64);
-    for &i in &order {
-        h.write_str(g.node_name(i));
+    h.write_u64(g.n_nodes() as u64);
+    for name in g.node_names() {
+        h.write_str(name);
     }
-    // Edges in a canonical order: join edges are undirected (endpoints
-    // sorted), outerjoin edges keep their preserved-endpoint-first
-    // direction. Sorting the encoded tuples makes the signature
-    // independent of edge insertion order; hashing each predicate's
-    // canonical spelling makes it independent of how the predicate was
-    // written (`R.k = S.k` or `S.k = R.k`).
-    let mut edges: Vec<(u8, usize, usize, u64)> = g
-        .edges()
-        .iter()
-        .map(|e| {
-            let (ca, cb) = (perm[e.a()], perm[e.b()]);
-            let (tag, x, y) = match e.kind() {
-                EdgeKind::Join => (0u8, ca.min(cb), ca.max(cb)),
-                EdgeKind::OuterJoin => (1u8, ca, cb),
-            };
-            let mut ph = StableHasher::new();
-            e.pred().canonical().sig_hash(&mut ph);
-            (tag, x, y, ph.finish())
-        })
-        .collect();
-    edges.sort_unstable();
-    h.write_u64(edges.len() as u64);
-    for (tag, x, y, pred_hash) in edges {
-        h.write_u8(tag);
-        h.write_u64(x as u64);
-        h.write_u64(y as u64);
-        h.write_u64(pred_hash);
+    h.write_u64(g.edges().len() as u64);
+    for e in g.edges() {
+        h.write_u8(match e.kind() {
+            EdgeKind::Join => 0,
+            EdgeKind::OuterJoin => 1,
+        });
+        h.write_u64(e.a() as u64);
+        h.write_u64(e.b() as u64);
+        e.pred().sig_hash(&mut h);
     }
-    (GraphSignature(h.finish()), perm)
-}
-
-/// Per-optimization cache context: the graph's signature, the
-/// canonical node permutation, and the policy the plan was produced
-/// under — everything a [`RelSet`] needs to become a cache key.
-#[derive(Debug, Clone)]
-pub struct CacheCtx {
-    /// The graph's signature.
-    pub sig: GraphSignature,
-    /// `perm[node] = canonical rank`.
-    pub perm: Vec<usize>,
-    /// The reorderability policy in force.
-    pub policy: Policy,
-}
-
-impl CacheCtx {
-    /// Build the context for one graph (one signature computation).
-    #[must_use]
-    pub fn for_graph(g: &QueryGraph, policy: Policy) -> CacheCtx {
-        let (sig, perm) = graph_signature(g);
-        CacheCtx { sig, perm, policy }
-    }
-
-    /// Remap a query-numbered set into canonical numbering.
-    #[must_use]
-    pub fn canon(&self, s: RelSet) -> RelSet {
-        s.iter()
-            .fold(RelSet::empty(), |acc, i| acc.with(self.perm[i]))
-    }
-
-    fn key(&self, s: RelSet) -> CacheKey {
-        CacheKey {
-            sig: self.sig,
-            set: self.canon(s).bits(),
-            policy: self.policy,
-        }
-    }
+    GraphSignature(h.finish())
 }
 
 /// A memoized per-subset winner: the materialized plan subtree and the
@@ -226,7 +162,6 @@ impl fmt::Display for CacheStats {
 struct CacheKey {
     sig: GraphSignature,
     set: u64,
-    policy: Policy,
 }
 
 #[derive(Debug)]
@@ -250,6 +185,11 @@ impl Clone for Slot {
 struct Shard {
     map: HashMap<CacheKey, Slot>,
 }
+
+/// The policy byte every snapshot entry still carries. The format
+/// predates the policy-free key, so the saver writes this constant and
+/// the loader ignores it.
+const SNAPSHOT_POLICY_TAG: u8 = 0;
 
 /// Default capacity: plenty for thousands of distinct subplans while
 /// bounding a long-lived session's footprint.
@@ -311,15 +251,14 @@ impl PlanCache {
     }
 
     fn shard_of(&self, key: &CacheKey) -> usize {
-        // sig is already a 64-bit hash; fold in the set and policy so
-        // one graph's subplans spread across shards.
+        // sig is already a 64-bit hash; fold in the set so one graph's
+        // subplans spread across shards.
         let mix = key
             .sig
             .as_u64()
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .rotate_left(17)
-            ^ key.set
-            ^ u64::from(key.policy.wire_tag());
+            ^ key.set;
         // Shard count is a power of two.
         (mix as usize) & (self.shards.len() - 1)
     }
@@ -340,8 +279,8 @@ impl PlanCache {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Look up the subplan for `set` under `ctx`, against the caller's
-    /// catalog `epoch`. A stale entry (older epoch) is removed and
+    /// Look up the subplan for `set` of the graph `sig`, against the
+    /// caller's catalog `epoch`. A stale entry (older epoch) is removed and
     /// reported as a miss; `local` receives the per-call accounting.
     /// Hits and clean misses resolve under the shard's read lock; only
     /// a stale entry escalates to the write lock for removal.
@@ -352,12 +291,15 @@ impl PlanCache {
     /// it is current for.
     pub(crate) fn lookup(
         &self,
-        ctx: &CacheCtx,
+        sig: GraphSignature,
         set: RelSet,
         epoch: u64,
         local: &mut CacheStats,
     ) -> Option<Arc<CachedEntry>> {
-        let key = ctx.key(set);
+        let key = CacheKey {
+            sig,
+            set: set.bits(),
+        };
         let tick = self.next_tick();
         let shard = self.shard_of(&key);
         {
@@ -411,12 +353,15 @@ impl PlanCache {
     /// generation) is not stored.
     pub(crate) fn insert(
         &self,
-        ctx: &CacheCtx,
+        sig: GraphSignature,
         set: RelSet,
         entry: Arc<CachedEntry>,
         local: &mut CacheStats,
     ) {
-        let key = ctx.key(set);
+        let key = CacheKey {
+            sig,
+            set: set.bits(),
+        };
         let tick = self.next_tick();
         let capacity = self.shard_capacity.load(Ordering::Relaxed);
         let mut guard = self.write_shard(self.shard_of(&key));
@@ -531,7 +476,7 @@ impl PlanCache {
                             SnapshotEntry {
                                 sig: key.sig.as_u64(),
                                 set_bits: key.set,
-                                policy_tag: key.policy.wire_tag(),
+                                policy_tag: SNAPSHOT_POLICY_TAG,
                                 cost: e.cost,
                                 rows: e.rows,
                                 base: e.base,
@@ -601,16 +546,11 @@ impl PlanCache {
         let capacity = self.shard_capacity.load(Ordering::Relaxed);
         let mut loaded = 0usize;
         for e in entries {
-            let Some(policy) = Policy::from_wire_tag(e.policy_tag) else {
-                // decode_snapshot already range-checked the tag; a tag
-                // the wire layer admits but this build's Policy does
-                // not is future-proofing, not an expected path.
-                continue;
-            };
+            // decode_snapshot range-checked `e.policy_tag`; the key has
+            // no policy, so the byte is otherwise ignored.
             let key = CacheKey {
                 sig: GraphSignature::from_u64(e.sig),
                 set: e.set_bits,
-                policy,
             };
             let tick = self.next_tick();
             let mut guard = self.write_shard(self.shard_of(&key));
@@ -701,25 +641,8 @@ mod tests {
         let g1 = chain(&["A", "B", "C"]);
         let mut g2 = QueryGraph::new(vec!["C".into(), "A".into(), "B".into()]);
         g2.add_join_edge(1, 2, Pred::eq_attr("A.k", "B.k")).unwrap();
-        g2.add_join_edge(2, 0, Pred::eq_attr("B.k", "C.k")).unwrap();
-        let (s1, p1) = graph_signature(&g1);
-        let (s2, p2) = graph_signature(&g2);
-        assert_eq!(s1, s2);
-        // And the canonical remap sends {A} to the same bit.
-        let c1 = CacheCtx {
-            sig: s1,
-            perm: p1,
-            policy: Policy::Paper,
-        };
-        let c2 = CacheCtx {
-            sig: s2,
-            perm: p2,
-            policy: Policy::Paper,
-        };
-        assert_eq!(
-            c1.canon(RelSet::singleton(0)),
-            c2.canon(RelSet::singleton(1))
-        );
+        g2.add_join_edge(2, 0, Pred::eq_attr("C.k", "B.k")).unwrap();
+        assert_eq!(graph_signature(&g1), graph_signature(&g2.canonical()));
     }
 
     #[test]
@@ -732,7 +655,7 @@ mod tests {
         oj_rev
             .add_outerjoin_edge(1, 0, Pred::eq_attr("A.k", "B.k"))
             .unwrap();
-        let s = |g: &QueryGraph| graph_signature(g).0;
+        let s = |g: &QueryGraph| graph_signature(&g.canonical());
         // Join vs outerjoin, and the two outerjoin directions, all
         // differ.
         assert_ne!(s(&join), s(&oj));
@@ -748,11 +671,11 @@ mod tests {
     #[test]
     fn lookup_miss_then_hit_then_stale() {
         let g = chain(&["A", "B"]);
-        let ctx = CacheCtx::for_graph(&g, Policy::Paper);
+        let sig = graph_signature(&g);
         let cache = PlanCache::new();
         let set = RelSet::full(2);
         let mut local = CacheStats::default();
-        assert!(cache.lookup(&ctx, set, 1, &mut local).is_none());
+        assert!(cache.lookup(sig, set, 1, &mut local).is_none());
         let entry = Arc::new(CachedEntry {
             plan: PhysPlan::scan("A"),
             cost: 1.0,
@@ -760,10 +683,10 @@ mod tests {
             base: None,
             epoch: 1,
         });
-        cache.insert(&ctx, set, entry, &mut local);
-        assert!(cache.lookup(&ctx, set, 1, &mut local).is_some());
+        cache.insert(sig, set, entry, &mut local);
+        assert!(cache.lookup(sig, set, 1, &mut local).is_some());
         // Epoch bump: the entry is stale, dropped lazily.
-        assert!(cache.lookup(&ctx, set, 2, &mut local).is_none());
+        assert!(cache.lookup(sig, set, 2, &mut local).is_none());
         assert_eq!(local.hits, 1);
         assert_eq!(local.misses, 2);
         assert_eq!(local.stale, 1);
@@ -776,7 +699,7 @@ mod tests {
     #[test]
     fn readers_on_an_older_generation_neither_evict_nor_overwrite() {
         let g = chain(&["A", "B"]);
-        let ctx = CacheCtx::for_graph(&g, Policy::Paper);
+        let sig = graph_signature(&g);
         let cache = PlanCache::new();
         let set = RelSet::full(2);
         let mut local = CacheStats::default();
@@ -789,15 +712,13 @@ mod tests {
                 epoch,
             })
         };
-        cache.insert(&ctx, set, at(5, 5.0), &mut local);
+        cache.insert(sig, set, at(5, 5.0), &mut local);
         // A reader still at epoch 4 misses without disturbing the entry
         // and cannot replace it with its older plan.
-        assert!(cache.lookup(&ctx, set, 4, &mut local).is_none());
-        cache.insert(&ctx, set, at(4, 4.0), &mut local);
+        assert!(cache.lookup(sig, set, 4, &mut local).is_none());
+        cache.insert(sig, set, at(4, 4.0), &mut local);
         assert_eq!(local.stale, 0);
-        let hit = cache
-            .lookup(&ctx, set, 5, &mut local)
-            .expect("still cached");
+        let hit = cache.lookup(sig, set, 5, &mut local).expect("still cached");
         assert!((hit.cost - 5.0).abs() < f64::EPSILON);
         assert_eq!((local.hits, local.misses), (1, 1));
     }
@@ -805,7 +726,7 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
         let g = chain(&["A", "B", "C", "D"]);
-        let ctx = CacheCtx::for_graph(&g, Policy::Paper);
+        let sig = graph_signature(&g);
         let cache = PlanCache::with_capacity(4);
         let mut local = CacheStats::default();
         let mk = || {
@@ -819,40 +740,17 @@ mod tests {
         };
         let sets: Vec<RelSet> = (0..4).map(RelSet::singleton).collect();
         for &s in &sets {
-            cache.insert(&ctx, s, mk(), &mut local);
+            cache.insert(sig, s, mk(), &mut local);
         }
         // Touch everything but the first, then overflow.
         for &s in &sets[1..] {
-            assert!(cache.lookup(&ctx, s, 0, &mut local).is_some());
+            assert!(cache.lookup(sig, s, 0, &mut local).is_some());
         }
-        cache.insert(&ctx, RelSet::full(4), mk(), &mut local);
+        cache.insert(sig, RelSet::full(4), mk(), &mut local);
         assert!(local.evictions >= 1);
         // The untouched entry was in the evicted batch.
         let mut probe = CacheStats::default();
-        assert!(cache.lookup(&ctx, sets[0], 0, &mut probe).is_none());
-        assert!(cache.lookup(&ctx, RelSet::full(4), 0, &mut probe).is_some());
-    }
-
-    #[test]
-    fn policy_partitions_the_key_space() {
-        let g = chain(&["A", "B"]);
-        let paper = CacheCtx::for_graph(&g, Policy::Paper);
-        let strict = CacheCtx::for_graph(&g, Policy::Strict);
-        let cache = PlanCache::new();
-        let mut local = CacheStats::default();
-        let entry = Arc::new(CachedEntry {
-            plan: PhysPlan::scan("A"),
-            cost: 1.0,
-            rows: 1.0,
-            base: None,
-            epoch: 0,
-        });
-        cache.insert(&paper, RelSet::full(2), entry, &mut local);
-        assert!(cache
-            .lookup(&strict, RelSet::full(2), 0, &mut local)
-            .is_none());
-        assert!(cache
-            .lookup(&paper, RelSet::full(2), 0, &mut local)
-            .is_some());
+        assert!(cache.lookup(sig, sets[0], 0, &mut probe).is_none());
+        assert!(cache.lookup(sig, RelSet::full(4), 0, &mut probe).is_some());
     }
 }

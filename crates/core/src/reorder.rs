@@ -38,32 +38,6 @@ pub enum Policy {
     MinimalChain,
 }
 
-impl Policy {
-    /// The stable single-byte tag this policy carries in the plan-cache
-    /// wire format ([`fro_wire`]'s snapshot entries). Tags are append-
-    /// only: existing values never change meaning.
-    #[must_use]
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            Policy::Paper => 0,
-            Policy::Strict => 1,
-            Policy::MinimalChain => 2,
-        }
-    }
-
-    /// Inverse of [`Policy::wire_tag`]; `None` for a tag this build
-    /// does not know.
-    #[must_use]
-    pub fn from_wire_tag(tag: u8) -> Option<Policy> {
-        match tag {
-            0 => Some(Policy::Paper),
-            1 => Some(Policy::Strict),
-            2 => Some(Policy::MinimalChain),
-            _ => None,
-        }
-    }
-}
-
 /// A reason a query is not (known to be) freely reorderable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
@@ -116,6 +90,15 @@ pub struct Analysis {
 }
 
 impl Analysis {
+    /// The analysis of a query whose graph is undefined.
+    pub(crate) fn undefined(e: GraphError, policy: Policy) -> Analysis {
+        Analysis {
+            graph: None,
+            violations: vec![Violation::GraphUndefined(e)],
+            policy,
+        }
+    }
+
     /// Whether the query is freely reorderable under the policy.
     #[must_use]
     pub fn is_freely_reorderable(&self) -> bool {
@@ -140,9 +123,15 @@ impl fmt::Display for Analysis {
 /// Analyze a query graph directly.
 #[must_use]
 pub fn analyze_graph(g: &QueryGraph, policy: Policy) -> Analysis {
+    analyze_owned(g.clone(), policy)
+}
+
+/// [`analyze_graph`] over a graph the caller hands over, which the
+/// analysis keeps.
+pub(crate) fn analyze_owned(g: QueryGraph, policy: Policy) -> Analysis {
     let mut violations = Vec::new();
 
-    let nice = check_nice(g);
+    let nice = check_nice(&g);
     for v in nice.violations {
         violations.push(Violation::NotNice(v));
     }
@@ -179,7 +168,7 @@ pub fn analyze_graph(g: &QueryGraph, policy: Policy) -> Analysis {
     }
 
     Analysis {
-        graph: Some(g.clone()),
+        graph: Some(g),
         violations,
         policy,
     }
@@ -190,12 +179,8 @@ pub fn analyze_graph(g: &QueryGraph, policy: Policy) -> Analysis {
 #[must_use]
 pub fn analyze(q: &Query, policy: Policy) -> Analysis {
     match fro_graph::graph_of(q) {
-        Ok(g) => analyze_graph(&g, policy),
-        Err(e) => Analysis {
-            graph: None,
-            violations: vec![Violation::GraphUndefined(e)],
-            policy,
-        },
+        Ok(g) => analyze_owned(g, policy),
+        Err(e) => Analysis::undefined(e, policy),
     }
 }
 

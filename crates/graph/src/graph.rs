@@ -108,7 +108,7 @@ impl fmt::Display for EdgeError {
 impl std::error::Error for EdgeError {}
 
 /// A query graph: relation nodes plus join/outerjoin edges.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryGraph {
     nodes: Vec<String>,
     name_to_id: BTreeMap<String, NodeId>,
@@ -288,38 +288,65 @@ impl QueryGraph {
             .any(|&ei| self.edges[ei].kind == EdgeKind::Join)
     }
 
-    /// Structural equality up to node numbering and conjunct order:
-    /// same node-name set and the same labeled edge set. This is the
+    /// The graph in canonical form: nodes numbered by name, join-edge
+    /// endpoints in ascending order, every predicate in its canonical
+    /// spelling ([`Pred::canonical`]) and the edges sorted by endpoints.
+    /// Names are unique, so this numbering is the only one needed: any
+    /// two phrasings of one graph — From-List order, association, how
+    /// each predicate is written — have equal canonical forms, and
+    /// everything derived from a canonical graph (plans, cache keys,
+    /// view identity) depends on the graph alone.
+    #[must_use]
+    pub fn canonical(&self) -> QueryGraph {
+        let mut rank = vec![0; self.nodes.len()];
+        for (new, &old) in self.name_to_id.values().enumerate() {
+            rank[old] = new;
+        }
+        let mut edges: Vec<Edge> = self
+            .edges
+            .iter()
+            .map(|e| {
+                let (a, b) = (rank[e.a], rank[e.b]);
+                let (a, b) = if e.kind == EdgeKind::Join && a > b {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                Edge {
+                    kind: e.kind,
+                    a,
+                    b,
+                    pred: e.pred.canonical(),
+                }
+            })
+            .collect();
+        // At most one edge joins a pair, so the endpoints order edges
+        // totally.
+        edges.sort_unstable_by_key(|e| (e.a, e.b));
+        let mut adjacency = vec![Vec::new(); self.nodes.len()];
+        for (ei, e) in edges.iter().enumerate() {
+            adjacency[e.a].push(ei);
+            adjacency[e.b].push(ei);
+        }
+        QueryGraph {
+            nodes: self.name_to_id.keys().cloned().collect(),
+            name_to_id: self
+                .name_to_id
+                .keys()
+                .enumerate()
+                .map(|(i, n)| (n.clone(), i))
+                .collect(),
+            edges,
+            adjacency,
+        }
+    }
+
+    /// Structural equality up to node numbering and predicate
+    /// spelling: equal canonical forms. This is the
     /// `graph(Q) = graph(Q')` relation of the paper.
     #[must_use]
     pub fn same_graph(&self, other: &QueryGraph) -> bool {
-        if self.name_to_id.keys().ne(other.name_to_id.keys()) {
-            return false;
-        }
-        if self.edges.len() != other.edges.len() {
-            return false;
-        }
-        let key = |g: &QueryGraph, e: &Edge| {
-            let (na, nb) = (g.nodes[e.a].clone(), g.nodes[e.b].clone());
-            let mut conj: Vec<String> =
-                e.pred.conjuncts().iter().map(ToString::to_string).collect();
-            conj.sort();
-            match e.kind {
-                EdgeKind::OuterJoin => (1u8, na, nb, conj),
-                EdgeKind::Join => {
-                    if na <= nb {
-                        (0u8, na, nb, conj)
-                    } else {
-                        (0u8, nb, na, conj)
-                    }
-                }
-            }
-        };
-        let mut mine: Vec<_> = self.edges.iter().map(|e| key(self, e)).collect();
-        let mut theirs: Vec<_> = other.edges.iter().map(|e| key(other, e)).collect();
-        mine.sort();
-        theirs.sort();
-        mine == theirs
+        self.canonical() == other.canonical()
     }
 }
 
@@ -434,6 +461,22 @@ mod tests {
         c.add_outerjoin_edge(2, 1, Pred::eq_attr("R1.b", "R2.c"))
             .unwrap();
         assert!(!a.same_graph(&c));
+    }
+
+    #[test]
+    fn canonical_form_numbers_by_name_and_ignores_spelling() {
+        let mut b = QueryGraph::new(vec!["R2".into(), "R0".into(), "R1".into()]);
+        b.add_outerjoin_edge(2, 0, Pred::eq_attr("R2.c", "R1.b"))
+            .unwrap();
+        b.add_join_edge(2, 1, Pred::eq_attr("R1.b", "R0.a"))
+            .unwrap();
+        let c = b.canonical();
+        assert_eq!(c, g3().canonical());
+        assert_eq!(c.node_names(), ["R0", "R1", "R2"]);
+        assert_eq!((c.edges()[0].a(), c.edges()[0].b()), (0, 1));
+        assert_eq!(c.edges()[0].pred(), &Pred::eq_attr("R0.a", "R1.b"));
+        assert_eq!(c.edges()[1].kind(), EdgeKind::OuterJoin);
+        assert_eq!(c.canonical(), c, "idempotent");
     }
 
     #[test]

@@ -46,12 +46,11 @@ pub enum WireError {
         /// Byte offset of the tag.
         at: usize,
     },
-    /// The artifact's format version is outside the contiguous range
-    /// this decoder speaks (`min_supported..=supported`). Each build
-    /// writes only `supported` but additionally reads the previous
-    /// version(s), so rolling upgrades do not cold-start every cache;
-    /// anything older (or newer) degrades to re-encoding from source
-    /// (for plans: re-planning).
+    /// The artifact's format version is outside the range this decoder
+    /// speaks (`min_supported..=supported`; today each artifact has one
+    /// version, so the two are equal). Anything older (or newer)
+    /// degrades to re-encoding from source (for plans: re-planning; for
+    /// snapshots: a cold cache).
     UnsupportedVersion {
         /// Which artifact carried the version byte.
         what: &'static str,

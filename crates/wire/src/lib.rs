@@ -5,7 +5,7 @@
 //! signature. This crate gives the cached artifacts themselves a
 //! stable byte form: a **versioned, length-prefixed, varint-based**
 //! binary encoding for [`PhysPlan`] trees and for whole plan-cache
-//! snapshots (signature, canonical relation set, policy, and
+//! snapshots (signature, relation set, a policy byte, and
 //! cost/cardinality annotations per entry).
 //!
 //! ## Ids only, no names
@@ -31,7 +31,7 @@
 //! decoding never panics and never fabricates a structurally invalid
 //! [`PhysPlan`].
 //!
-//! ## Format grammar (version 1)
+//! ## Format grammar (plans version 1, snapshots version 2)
 //!
 //! ```text
 //! varint   := LEB128 unsigned 64-bit, minimal encoding, ≤ 10 bytes
@@ -60,8 +60,8 @@
 //! blob     := u8(version = 1) plan                 (fully consumed)
 //! entry    := varint(sig) varint(set) u8(policy ≤ 2)
 //!             f64(cost) f64(rows) (0 | 1 relid)
-//!             [v≥2: varint(recency)] bytes(blob)
-//! snapshot := "FROW" u8(version ∈ 1..=2) varint(epoch)
+//!             varint(recency) bytes(blob)
+//! snapshot := "FROW" u8(version = 2) varint(epoch)
 //!             varint(fingerprint) varint(count) count×entry
 //! ```
 //!
@@ -82,17 +82,14 @@
 //!
 //! The version byte (per plan blob, per snapshot, and per protocol
 //! message) is bumped on any change to the grammar above. Each build
-//! writes the newest version and reads a contiguous range ending at
-//! it — currently plans read `1..=1`, snapshots `1..=2` (version 2
-//! added the per-entry recency rank; version-1 images decode with
-//! recency assigned in file order), and protocol messages `1..=2`
-//! (version 2 added the standing-query `Register`/`Poll` requests and
-//! `Registered`/`ViewRows` responses; version-1 payloads decode
-//! unchanged) — so a rolling upgrade keeps the
-//! previous release's artifacts warm. Anything outside the range
-//! returns [`WireError::UnsupportedVersion`] and callers degrade to
-//! re-planning (a cold cache), which is always correct. Unknown tags
-//! within a supported version are rejected, never skipped.
+//! writes and reads exactly one version of each: plans version 1,
+//! snapshots version 2 (which added the per-entry recency rank) and
+//! protocol messages version 2 (which added the standing-query
+//! `Register`/`Poll` requests and `Registered`/`ViewRows` responses).
+//! Any other version returns [`WireError::UnsupportedVersion`] and
+//! callers degrade to re-planning (a cold cache), which is always
+//! correct. Unknown tags within the version are rejected, never
+//! skipped.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -111,9 +108,8 @@ pub use proto::{
     Request, Response, MAX_FRAME_BYTES, PROTO_VERSION, ROWS_PER_BATCH,
 };
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, encode_snapshot_with_version, peek_snapshot_header,
-    SnapshotEntry, SnapshotHeader, POLICY_TAGS, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,
-    SNAPSHOT_MIN_SUPPORTED_VERSION,
+    decode_snapshot, encode_snapshot, peek_snapshot_header, SnapshotEntry, SnapshotHeader,
+    POLICY_TAGS, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_MIN_SUPPORTED_VERSION,
 };
 
 // Re-exported so downstream callers name the plan type the codec

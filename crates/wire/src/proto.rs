@@ -52,7 +52,8 @@
 //! layout as `Rows`, the distinct tag marking rows served from
 //! maintained state rather than a fresh execution), then `Done` with
 //! the counters of the maintenance work that poll performed — all zero
-//! on the steady-state fast path. Version-1 payloads still decode.
+//! on the steady-state fast path. Version-1 payloads are refused with
+//! [`WireError::UnsupportedVersion`].
 //!
 //! The `Done` counters are, in order: `tuples_retrieved`,
 //! `index_probes`, `comparisons`, `hash_build_rows`, `rows_output`,
@@ -71,8 +72,8 @@ use std::io::{self, Read, Write};
 /// The protocol version this build writes (and the newest it reads).
 pub const PROTO_VERSION: u8 = 2;
 
-/// The oldest protocol version this build still decodes.
-pub const PROTO_MIN_SUPPORTED_VERSION: u8 = 1;
+/// The oldest protocol version this build decodes: the current one.
+pub const PROTO_MIN_SUPPORTED_VERSION: u8 = PROTO_VERSION;
 
 /// Hard cap on a single frame's payload. A hostile length prefix
 /// larger than this is rejected before any allocation.
@@ -86,7 +87,7 @@ pub const ROWS_PER_BATCH: usize = 1024;
 /// Cap on the column count a `Schema`/`Rows` payload may declare.
 const MAX_COLS: u64 = 65_536;
 
-/// Number of counters in a version-1 `Done` payload.
+/// Number of counters in a `Done` payload.
 const STATS_FIELDS: usize = 8;
 
 /// One client → server message.
@@ -415,7 +416,7 @@ fn dec_done(r: &mut Reader<'_>) -> Result<Response, WireError> {
     if n != STATS_FIELDS {
         return Err(WireError::InvalidNode {
             node: "Done",
-            reason: "wrong counter count for protocol version 1",
+            reason: "wrong counter count",
         });
     }
     let mut c = [0u64; STATS_FIELDS];
@@ -541,16 +542,17 @@ mod tests {
     }
 
     #[test]
-    fn version_1_payloads_still_decode() {
-        // A v1 peer's bytes (version byte 1, v1 tags) stay readable.
-        let mut w = Writer::new();
-        w.put_u8(1);
-        w.put_u8(2); // Ping
-        assert_eq!(decode_request(&w.into_bytes()).unwrap(), Request::Ping);
-        let mut w = Writer::new();
-        w.put_u8(1);
-        w.put_u8(4); // Pong
-        assert_eq!(decode_response(&w.into_bytes()).unwrap(), Response::Pong);
+    fn version_1_payloads_are_rejected() {
+        // One wire version: a v1 peer's Ping and Pong get the typed
+        // version error instead of an answer.
+        let refused = |what| WireError::UnsupportedVersion {
+            what,
+            found: 1,
+            min_supported: PROTO_VERSION,
+            supported: PROTO_VERSION,
+        };
+        assert_eq!(decode_request(&[1, 2]).unwrap_err(), refused("request"));
+        assert_eq!(decode_response(&[1, 4]).unwrap_err(), refused("response"));
     }
 
     #[test]

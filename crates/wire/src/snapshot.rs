@@ -16,11 +16,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FROW";
 /// preserves the saver's LRU order instead of flattening it.
 pub const SNAPSHOT_FORMAT_VERSION: u8 = 2;
 
-/// The oldest snapshot version this build still decodes. Version-1
-/// images (no recency field) load with recency assigned in file
-/// order, so a rolling upgrade keeps its warm cache instead of
-/// cold-starting.
-pub const SNAPSHOT_MIN_SUPPORTED_VERSION: u8 = 1;
+/// The oldest snapshot version this build decodes: the current one.
+/// Older images are refused with [`WireError::UnsupportedVersion`]; a
+/// loader that cannot read a snapshot just starts cold.
+pub const SNAPSHOT_MIN_SUPPORTED_VERSION: u8 = SNAPSHOT_FORMAT_VERSION;
 
 /// The revalidation preamble of a snapshot: which catalog generation
 /// wrote it, over which name⇄id mapping.
@@ -43,9 +42,9 @@ pub struct SnapshotEntry {
     pub sig: u64,
     /// Bitset of canonical relation indices the plan covers.
     pub set_bits: u64,
-    /// Reordering-policy tag: 0 Paper, 1 Strict, 2 MinimalChain. The
-    /// core crate owns the mapping to its `Policy` enum; the wire
-    /// layer only validates the range.
+    /// A policy byte, below [`POLICY_TAGS`]. Plan-cache keys no longer
+    /// carry a policy, so savers write a constant and loaders ignore
+    /// it; the wire layer only validates the range.
     pub policy_tag: u8,
     /// Estimated cost annotation.
     pub cost: f64,
@@ -56,15 +55,14 @@ pub struct SnapshotEntry {
     pub base: Option<RelId>,
     /// Recency rank at save time: 0 = least recently used. A loader
     /// installs entries in rank order so its eviction order matches
-    /// the saver's. Version-1 images carry no rank; the decoder
-    /// assigns file order.
+    /// the saver's.
     pub recency: u64,
     /// The plan itself.
     pub plan: PhysPlan,
 }
 
-/// Number of reorder policies the version-1 format knows (tags
-/// `0..POLICY_TAGS`).
+/// The range a snapshot entry's policy byte must fall in
+/// (`0..POLICY_TAGS`).
 pub const POLICY_TAGS: u8 = 3;
 
 // Floor for `take_count`: sig + set + policy + cost + rows + base tag
@@ -119,38 +117,11 @@ pub fn encode_snapshot(
     entries: &[SnapshotEntry],
     it: &Interner,
 ) -> Result<Vec<u8>, WireError> {
-    encode_snapshot_with_version(header, entries, it, SNAPSHOT_FORMAT_VERSION)
-}
-
-/// Encode a snapshot at an explicit (still-supported) format version.
-/// Normal savers call [`encode_snapshot`]; this entry point exists so
-/// rolling-upgrade tests — and an operator who must hand a snapshot
-/// back to a previous release — can produce a version-1 image, which
-/// simply omits the recency rank.
-///
-/// # Errors
-/// [`WireError::UnsupportedVersion`] for a version outside
-/// [`SNAPSHOT_MIN_SUPPORTED_VERSION`]`..=`[`SNAPSHOT_FORMAT_VERSION`],
-/// otherwise the same errors as [`encode_snapshot`].
-pub fn encode_snapshot_with_version(
-    header: SnapshotHeader,
-    entries: &[SnapshotEntry],
-    it: &Interner,
-    version: u8,
-) -> Result<Vec<u8>, WireError> {
-    if !(SNAPSHOT_MIN_SUPPORTED_VERSION..=SNAPSHOT_FORMAT_VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion {
-            what: "snapshot",
-            found: version,
-            min_supported: SNAPSHOT_MIN_SUPPORTED_VERSION,
-            supported: SNAPSHOT_FORMAT_VERSION,
-        });
-    }
     let mut sorted: Vec<&SnapshotEntry> = entries.iter().collect();
     sorted.sort_by_key(|e| (e.sig, e.set_bits, e.policy_tag));
     let mut w = Writer::new();
     w.put_raw(&SNAPSHOT_MAGIC);
-    w.put_u8(version);
+    w.put_u8(SNAPSHOT_FORMAT_VERSION);
     w.put_u64(header.epoch);
     w.put_u64(header.fingerprint);
     w.put_u64(sorted.len() as u64);
@@ -168,15 +139,13 @@ pub fn encode_snapshot_with_version(
                 w.put_u64(r.index() as u64);
             }
         }
-        if version >= 2 {
-            w.put_u64(e.recency);
-        }
+        w.put_u64(e.recency);
         w.put_bytes(&encode_plan(&e.plan, it)?);
     }
     Ok(w.into_bytes())
 }
 
-fn dec_header(r: &mut Reader<'_>) -> Result<(SnapshotHeader, u8), WireError> {
+fn dec_header(r: &mut Reader<'_>) -> Result<SnapshotHeader, WireError> {
     let magic = r.take_raw(4)?;
     if magic != SNAPSHOT_MAGIC {
         return Err(WireError::BadMagic);
@@ -192,7 +161,7 @@ fn dec_header(r: &mut Reader<'_>) -> Result<(SnapshotHeader, u8), WireError> {
     }
     let epoch = r.take_u64()?;
     let fingerprint = r.take_u64()?;
-    Ok((SnapshotHeader { epoch, fingerprint }, version))
+    Ok(SnapshotHeader { epoch, fingerprint })
 }
 
 /// Read only the magic, version, and header of a snapshot — enough for
@@ -203,7 +172,7 @@ fn dec_header(r: &mut Reader<'_>) -> Result<(SnapshotHeader, u8), WireError> {
 /// [`WireError::BadMagic`], [`WireError::UnsupportedVersion`], or
 /// truncation errors.
 pub fn peek_snapshot_header(bytes: &[u8]) -> Result<SnapshotHeader, WireError> {
-    dec_header(&mut Reader::new(bytes)).map(|(h, _)| h)
+    dec_header(&mut Reader::new(bytes))
 }
 
 /// Decode a full snapshot, validating every entry structurally against
@@ -217,10 +186,10 @@ pub fn decode_snapshot(
     it: &Interner,
 ) -> Result<(SnapshotHeader, Vec<SnapshotEntry>), WireError> {
     let mut r = Reader::new(bytes);
-    let (header, version) = dec_header(&mut r)?;
+    let header = dec_header(&mut r)?;
     let count = r.take_count(MIN_ENTRY_BYTES)?;
     let mut entries = Vec::with_capacity(count);
-    for i in 0..count {
+    for _ in 0..count {
         let sig = r.take_u64()?;
         let set_bits = r.take_u64()?;
         let policy_tag = r.take_u8()?;
@@ -248,13 +217,7 @@ pub fn decode_snapshot(
                 })
             }
         };
-        // v1 images carry no recency rank; file order (which v1 savers
-        // derived from the canonical entry sort) stands in for it.
-        let recency = if version >= 2 {
-            r.take_u64()?
-        } else {
-            i as u64
-        };
+        let recency = r.take_u64()?;
         let blob = r.take_bytes()?;
         let plan = decode_plan(blob, it)?;
         let entry = SnapshotEntry {
@@ -417,63 +380,25 @@ mod tests {
     }
 
     #[test]
-    fn version1_images_still_decode() {
-        // Rolling-upgrade path: a previous release's v1 image (no
-        // recency field) decodes on this build, with recency assigned
-        // in file order.
+    fn version1_images_are_rejected() {
+        // One wire version: an image from a build that wrote version 1
+        // gets the typed version error, from the header peek and from
+        // a full decode alike.
         let it = test_interner();
         let header = SnapshotHeader {
             epoch: 5,
             fingerprint: 11,
         };
-        let entries = sample_entries(&it);
-        let v1 = encode_snapshot_with_version(header, &entries, &it, 1).unwrap();
-        assert_eq!(v1[4], 1, "version byte");
-        assert_eq!(peek_snapshot_header(&v1).unwrap(), header);
-        let (h, back) = decode_snapshot(&v1, &it).unwrap();
-        assert_eq!(h, header);
-        assert_eq!(back.len(), entries.len());
-        for (i, e) in back.iter().enumerate() {
-            assert_eq!(e.recency, i as u64, "file order stands in for recency");
-        }
-        // Everything but the recency rank survives the downgrade.
-        let v2 = encode_snapshot(header, &entries, &it).unwrap();
-        let (_, full) = decode_snapshot(&v2, &it).unwrap();
-        for (a, b) in back.iter().zip(&full) {
-            assert_eq!(
-                (a.sig, a.set_bits, a.policy_tag),
-                (b.sig, b.set_bits, b.policy_tag)
-            );
-            assert_eq!(a.plan, b.plan);
-        }
-        // Versions outside the supported range are refused on both
-        // sides.
-        let err = encode_snapshot_with_version(header, &entries, &it, 0).unwrap_err();
-        assert!(matches!(err, WireError::UnsupportedVersion { .. }));
-        let err = encode_snapshot_with_version(header, &entries, &it, SNAPSHOT_FORMAT_VERSION + 1)
-            .unwrap_err();
-        assert!(matches!(err, WireError::UnsupportedVersion { .. }));
-    }
-
-    #[test]
-    fn corrupting_any_byte_of_a_v1_image_never_panics() {
-        // The downgrade path is as hostile-input-proof as the native
-        // one: every single-byte corruption of a version-1 image is Ok
-        // or a typed error, never a panic.
-        let it = test_interner();
-        let header = SnapshotHeader {
-            epoch: 3,
-            fingerprint: 99,
+        let mut v1 = encode_snapshot(header, &sample_entries(&it), &it).unwrap();
+        v1[4] = 1;
+        let refused = WireError::UnsupportedVersion {
+            what: "snapshot",
+            found: 1,
+            min_supported: SNAPSHOT_FORMAT_VERSION,
+            supported: SNAPSHOT_FORMAT_VERSION,
         };
-        let bytes = encode_snapshot_with_version(header, &sample_entries(&it), &it, 1).unwrap();
-        for i in 0..bytes.len() {
-            for delta in [1u8, 0x80] {
-                let mut mutated = bytes.clone();
-                mutated[i] = mutated[i].wrapping_add(delta);
-                let _ = decode_snapshot(&mutated, &it);
-                let _ = peek_snapshot_header(&mutated);
-            }
-        }
+        assert_eq!(peek_snapshot_header(&v1).unwrap_err(), refused);
+        assert_eq!(decode_snapshot(&v1, &it).unwrap_err(), refused);
     }
 
     #[test]

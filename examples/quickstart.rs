@@ -51,8 +51,8 @@ fn main() {
     println!("{}", results[0]);
 
     // ------------------------------------------------------------------
-    // 5. The Session front door: one object owns the catalog (with its
-    //    plan cache), the storage, the policy and the exec config.
+    // 5. The Session front door: a handle over the catalog (with its
+    //    plan cache) and the storage, shared by every connection.
     // ------------------------------------------------------------------
     let session = Session::new();
     for (name, rel) in db.iter() {

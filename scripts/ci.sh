@@ -17,7 +17,8 @@ echo "== tests (every workspace crate) =="
 cargo test -q --workspace
 
 echo "== tests (testing-oracles: name-keyed oracle equivalence) =="
-cargo test -q --features testing-oracles
+# The one suite the feature gates; the rest ran in the workspace step.
+cargo test -q --features testing-oracles --test interned_equivalence
 
 echo "== wire decoder fuzz + roundtrip properties =="
 # fro-wire's own unit tests ran in the workspace step above.

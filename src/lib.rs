@@ -23,9 +23,9 @@
 //! ## Quickstart
 //!
 //! The [`Session`] front door is a cheap handle over a [`SharedDb`] —
-//! catalog (statistics + plan cache) and storage — carrying its own
-//! policy and execution config. Handles connected to one database
-//! share data and warm plans:
+//! catalog (statistics + plan cache) and storage — carrying only its
+//! own counters. Handles connected to one database share data and warm
+//! plans:
 //!
 //! ```
 //! use fro::prelude::*;

@@ -27,7 +27,6 @@ use crate::session::Session;
 use crate::shared::SharedDb;
 use crate::standing::{Registered, StandingId};
 use fro_algebra::{Attr, Relation, Schema, Tuple};
-use fro_core::Policy;
 use fro_exec::{execute, ExecStats, PhysPlan};
 use fro_lang::EntityDb;
 use fro_wire::{
@@ -41,12 +40,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Per-connection session configuration for a [`Server`]: every
-/// accepted connection gets a fresh [`Session`] with this policy and
-/// (optional) entity model.
+/// accepted connection gets a fresh [`Session`] with this (optional)
+/// entity model.
 #[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
-    /// Reordering policy for every connection's optimizer.
-    pub policy: Policy,
     /// Entity model enabling §5 text queries ([`Request::Text`]);
     /// without one, text queries answer with `SESSION_NO_ENTITY_MODEL`.
     pub edb: Option<EntityDb>,
@@ -131,7 +128,7 @@ impl Drop for Server {
 }
 
 fn connection_session(db: &Arc<SharedDb>, opts: &ServerOptions) -> Session {
-    let session = Session::connect(db).with_policy(opts.policy);
+    let session = Session::connect(db);
     match &opts.edb {
         Some(edb) => session.with_entity_db(edb.clone()),
         None => session,
@@ -431,7 +428,6 @@ mod tests {
             Arc::clone(&db),
             ServerOptions {
                 edb: Some(paper_world()),
-                ..ServerOptions::default()
             },
         )
         .expect("bind loopback");
@@ -480,6 +476,7 @@ mod tests {
     fn plan_requests_execute_against_shared_tables() {
         use fro_algebra::{Pred, Query};
         use fro_core::optimizer::optimize;
+        use fro_core::Policy;
 
         let db = SharedDb::new();
         let session = db.session();

@@ -1,9 +1,9 @@
 //! The unified front door: a [`Session`] is a cheap per-connection
 //! handle over an [`Arc`]-shared [`SharedDb`] (catalog + storage +
-//! cross-query plan cache), carrying only the reordering policies and
-//! its own cache counters. Handles clone
-//! freely, move across threads, and all observe the same data: one
-//! connection's warm plan is every connection's warm plan.
+//! cross-query plan cache), carrying only an optional entity model and
+//! its own counters. Handles clone freely, move across threads, and
+//! all observe the same data: one connection's warm plan is every
+//! connection's warm plan.
 //!
 //! Two entry points produce a [`Prepared`] statement:
 //!
@@ -12,9 +12,11 @@
 //! * [`Session::prepare`] — an algebra [`Query`] over tables loaded
 //!   with [`Session::insert_table`] / [`Session::from_storage`].
 //!
-//! Both optimize against a consistent [`DbState`] snapshot: the
-//! cost-based optimizer consults the shared plan cache (repeating a
-//! query — or an alpha-equivalent one — skips enumeration entirely),
+//! Both canonicalize the query graph once, as the query enters, and
+//! optimize it against a consistent [`DbState`] snapshot: the plan is a
+//! function of the graph and the statistics alone, the cost-based
+//! optimizer consults the shared plan cache (repeating a query — or an
+//! alpha-equivalent one — skips enumeration entirely),
 //! and any statistics change bumps the catalog epoch so stale plans
 //! are never served. [`Prepared`] owns its snapshot, so it keeps
 //! running correctly even while other connections mutate the database.
@@ -27,29 +29,35 @@ use crate::shared::{insert_with_stats, DbState, SharedDb};
 use crate::standing::{Registered, StandingCounters, StandingId};
 use fro_algebra::{Attr, Query, Relation, Tuple};
 use fro_core::optimizer::{
-    optimize_with_reduce, place_restriction, CacheLoad, CacheStats, Optimized,
+    optimize_graph, optimize_with_reduce, place_restriction, CacheLoad, CacheStats, Optimized,
 };
-use fro_core::{Catalog, Policy, ReducePolicy};
+use fro_core::{Analysis, Catalog, Policy, ReducePolicy};
 use fro_exec::{execute, ExecStats, PhysPlan, Storage};
-use fro_lang::{parse, translate, EntityDb, LangError};
-use fro_trees::some_implementing_tree;
+use fro_lang::{parse, translate, EntityDb};
 use std::cell::Cell;
 use std::sync::Arc;
 
+/// The strongness policy algebra queries are analyzed under: the one
+/// admitting the most queries. Every policy makes Theorem 1 hold; the
+/// policy decides only whether the DP runs, never what it returns.
+const POLICY: Policy = Policy::MinimalChain;
+
+/// The semijoin-reduction policy: reduce where the cost model says it
+/// pays. Reduction only removes rows that could never reach the output.
+const REDUCE_POLICY: ReducePolicy = ReducePolicy::Auto;
+
 /// A query session: a per-connection handle over shared database
-/// state, plus this connection's policies and plan-cache counters.
+/// state, plus this connection's entity model and counters.
 #[derive(Debug, Clone, Default)]
 pub struct Session {
     db: Arc<SharedDb>,
-    policy: Policy,
-    reduce_policy: ReducePolicy,
     edb: Option<EntityDb>,
     local: Cell<CacheStats>,
     local_maint: Cell<ExecStats>,
 }
 
 impl Session {
-    /// A session over its own fresh database (Paper policy). For
+    /// A session over its own fresh database. For
     /// multiple sessions over one database, build a [`SharedDb`] and
     /// call [`SharedDb::session`] (or [`Session::connect`]) per
     /// connection.
@@ -78,32 +86,13 @@ impl Session {
     }
 
     /// A new handle over an existing shared database. Handles are
-    /// cheap (an `Arc` clone plus plain-old-data policies) and carry
-    /// their own policies and counters.
+    /// cheap (an `Arc` clone) and carry their own counters.
     #[must_use]
     pub fn connect(db: &Arc<SharedDb>) -> Session {
         Session {
             db: Arc::clone(db),
             ..Session::default()
         }
-    }
-
-    /// Replace the reordering policy (builder style).
-    #[must_use]
-    pub fn with_policy(mut self, policy: Policy) -> Session {
-        self.policy = policy;
-        self
-    }
-
-    /// Replace the semijoin-reduction policy (builder style). `Auto`
-    /// (the default) applies reduction only where the cost model says
-    /// it pays; `Always`/`Never` force it for testing and benchmarks.
-    /// Any policy yields bit-identical results — reduction only
-    /// removes rows that could never reach the output.
-    #[must_use]
-    pub fn with_reduce_policy(mut self, policy: ReducePolicy) -> Session {
-        self.reduce_policy = policy;
-        self
     }
 
     /// Attach an entity model (builder style), enabling
@@ -140,16 +129,18 @@ impl Session {
         }
     }
 
-    /// The reordering policy in effect.
+    /// The reordering policy every session analyzes algebra queries
+    /// under (a product constant).
     #[must_use]
     pub fn policy(&self) -> Policy {
-        self.policy
+        POLICY
     }
 
-    /// The semijoin-reduction policy in effect.
+    /// The semijoin-reduction policy every session plans under (a
+    /// product constant).
     #[must_use]
     pub fn reduce_policy(&self) -> ReducePolicy {
-        self.reduce_policy
+        REDUCE_POLICY
     }
 
     /// Cumulative plan-cache counters of the shared cache (all
@@ -268,7 +259,7 @@ impl Session {
     /// operator the engine cannot run.
     pub fn prepare(&self, q: &Query) -> Result<Prepared, FroError> {
         let state = self.db.snapshot();
-        let optimized = optimize_with_reduce(q, state.catalog(), self.policy, self.reduce_policy)?;
+        let optimized = optimize_with_reduce(q, state.catalog(), POLICY, REDUCE_POLICY)?;
         self.absorb(&optimized.cache);
         Ok(Prepared { state, optimized })
     }
@@ -304,11 +295,14 @@ impl Session {
         let edb = self.edb.as_ref().ok_or(FroError::NoEntityModel)?;
         let block = parse(src)?;
         let t = translate(&block, edb)?;
-        let tree =
-            some_implementing_tree(&t.graph).ok_or(FroError::Lang(LangError::Disconnected))?;
         let state = self.sync_tables(&t.database);
-        let optimized =
-            optimize_with_reduce(&tree, state.catalog(), self.policy, self.reduce_policy)?;
+        // Translate keeps its own numbering; the optimizer plans the
+        // canonical graph, under translate's analysis.
+        let analysis = Analysis {
+            graph: Some(t.graph.canonical()),
+            ..t.analysis
+        };
+        let optimized = optimize_graph(analysis, state.catalog(), REDUCE_POLICY)?;
         self.absorb(&optimized.cache);
         let Optimized {
             plan,
@@ -353,9 +347,9 @@ impl Session {
     /// [`FroError::Exec`] when the initial materialization fails.
     pub fn register_standing(&self, q: &Query) -> Result<Registered, FroError> {
         let state = self.db.snapshot();
-        let optimized = optimize_with_reduce(q, state.catalog(), self.policy, self.reduce_policy)?;
+        let optimized = optimize_with_reduce(q, state.catalog(), POLICY, REDUCE_POLICY)?;
         self.absorb(&optimized.cache);
-        let (reg, stats) = self.db.register_standing_with(&optimized, self.policy)?;
+        let (reg, stats) = self.db.register_standing_with(&optimized)?;
         self.absorb_maint(&stats);
         Ok(reg)
     }
@@ -371,7 +365,7 @@ impl Session {
     /// materialization.
     pub fn register_standing_src(&self, src: &str) -> Result<Registered, FroError> {
         let (_state, optimized) = self.optimize_src(src)?;
-        let (reg, stats) = self.db.register_standing_with(&optimized, self.policy)?;
+        let (reg, stats) = self.db.register_standing_with(&optimized)?;
         self.absorb_maint(&stats);
         Ok(reg)
     }

@@ -31,11 +31,12 @@
 //! the table where they stand ([`fro_exec::Table::delete_rows`]).
 //!
 //! Cheap per-connection [`Session`] handles ([`SharedDb::session`])
-//! carry only policy + execution config and all share this state — and
-//! with it the cross-query plan cache, so one connection's warm plan
-//! is every connection's warm plan (Theorem 1 makes the signature a
-//! sound cross-session key; alpha-equivalent queries from different
-//! clients collapse onto one cache entry).
+//! carry only an optional entity model and their own counters, and all
+//! share this state — and with it the cross-query plan cache, so one
+//! connection's warm plan is every connection's warm plan (Theorem 1
+//! makes the canonical graph's signature a sound cross-session key;
+//! alpha-equivalent queries from different clients collapse onto one
+//! cache entry).
 //!
 //! [`Session`]: crate::Session
 
@@ -336,8 +337,10 @@ impl SharedDb {
         f(&mut state.catalog, &mut state.storage)
     }
 
-    /// A new session handle over this shared state (Paper policy,
-    /// sequential execution — adjust with the [`Session`] builders).
+    /// A new session handle over this shared state (attach an entity
+    /// model with [`Session::with_entity_db`]).
+    ///
+    /// [`Session::with_entity_db`]: crate::Session::with_entity_db
     ///
     /// [`Session`]: crate::Session
     #[must_use]

@@ -28,21 +28,24 @@
 //! ## Keying (Theorem 1 at registration time)
 //!
 //! The paper's Theorem 1 makes the query graph the *identity* of a
-//! freely reorderable query, so the registry keys each view by
-//! `(GraphSignature, canonical relation set, policy)` — exactly the
-//! plan cache's key — refined by a fingerprint of the chosen physical
-//! plan (two §5 blocks can share a join graph while carrying different
-//! Where-List restrictions; the folded plans tell them apart).
-//! Registering an alpha-equivalent phrasing therefore lands on the
-//! *same* view: one materialization, one maintained state, another
-//! subscriber.
+//! freely reorderable query. Every query is planned as its canonical
+//! graph ([`fro_graph::QueryGraph::canonical`]), so the plan is a
+//! function of the graph and the statistics, and the registry keys each
+//! view by `(GraphSignature, relation set)` — the plan cache's key —
+//! refined by a fingerprint of the chosen physical plan (two §5 blocks
+//! can share a join graph while carrying different Where-List
+//! restrictions; the folded plans tell them apart). Registering an
+//! alpha-equivalent phrasing therefore lands on the *same* view, even
+//! after an unrelated table changed the catalog in between: one
+//! materialization, one maintained state, another subscriber.
 //!
 //! ## Finkelstein prefix/extension reuse
 //!
 //! Following the readyset lineage (SNIPPETS.md §1,
 //! `ReuseConfigType::Finkelstein`), a new registration whose graph is
-//! contained in — or contains — an existing view's graph
-//! ([`fro_core::optimizer::graph_containment`]) shares the pooled leaf
+//! contained in — or contains — an existing view's graph (a subgraph
+//! test over the two canonical graphs,
+//! [`fro_core::optimizer::graph_containment`]) shares the pooled leaf
 //! build sides of the views already materialized instead of rebuilding
 //! them; [`StandingCounters::build_sides_reused`] counts every such
 //! reuse.
@@ -62,7 +65,7 @@ use crate::shared::{DbState, SharedDb};
 use fro_algebra::schema::SchemaRef;
 use fro_algebra::{Relation, Tuple};
 use fro_core::optimizer::{graph_containment, graph_signature, GraphReuse, Optimized};
-use fro_core::{Catalog, Policy};
+use fro_core::Catalog;
 use fro_exec::{execute, BuildSidePool, DeltaPlan, ExecStats, PhysPlan, RowDelta};
 use fro_graph::QueryGraph;
 use std::collections::hash_map::DefaultHasher;
@@ -219,9 +222,9 @@ impl View {
     }
 }
 
-/// `(signature, relation set, policy, plan fingerprint)` — the sharing
-/// key. See the module docs for why the plan fingerprint is part of it.
-type ViewKey = (u64, BTreeSet<String>, Policy, u64);
+/// `(signature, relation set, plan fingerprint)` — the sharing key. See
+/// the module docs for why the plan fingerprint is part of it.
+type ViewKey = (u64, BTreeSet<String>, u64);
 
 /// The standing-query registry of one [`SharedDb`]: all views, the
 /// shared leaf build-side pool, and the cumulative counters.
@@ -388,7 +391,6 @@ impl SharedDb {
     pub(crate) fn register_standing_with(
         &self,
         optimized: &Optimized,
-        policy: Policy,
     ) -> Result<(Registered, ExecStats), FroError> {
         let mut guard = self.standing_lock();
         let reg = &mut *guard;
@@ -397,9 +399,8 @@ impl SharedDb {
         let graph = optimized.analysis.graph.clone();
         let key: Option<ViewKey> = graph.as_ref().map(|g| {
             (
-                graph_signature(g).0.as_u64(),
+                graph_signature(g).as_u64(),
                 rels.clone(),
-                policy,
                 plan_fingerprint(&optimized.plan),
             )
         });

@@ -10,11 +10,16 @@
 //! * a statistics change bumps the catalog epoch, so the next prepare
 //!   re-plans (stale entries counted and evicted) — the cache never
 //!   serves a plan costed under dead statistics;
-//! * every result, cold or warm, matches the reference evaluator.
+//! * every result, cold or warm, matches the reference evaluator;
+//! * neither a plan nor a standing view's identity depends on how the
+//!   query was phrased, even when the cache is cold or the catalog
+//!   moved in between.
 
 use fro::prelude::*;
 use fro_algebra::Attr;
-use fro_testkit::{db_for_graph, random_implementing_tree, random_nice_graph, GraphSpec};
+use fro_testkit::{
+    corpus_suite, db_for_graph, random_implementing_tree, random_nice_graph, GraphSpec,
+};
 use proptest::prelude::*;
 
 fn spec(core: usize, oj: usize, extra: usize) -> GraphSpec {
@@ -162,8 +167,9 @@ fn flipped_equalities_share_one_signature_plan_and_view() {
         .map(|(flip, s_first)| phrasing(flip, s_first))
         .collect();
     let want = queries[0].eval(&db).unwrap();
-    let signature =
-        |q: &Query| fro::core::optimizer::graph_signature(&graph_of(q).expect("a query graph")).0;
+    let signature = |q: &Query| {
+        fro::core::optimizer::graph_signature(&graph_of(q).expect("a query graph").canonical())
+    };
     let session = Session::from_storage(Storage::from_database(&db));
     for (i, q) in queries.iter().enumerate() {
         assert_eq!(
@@ -185,5 +191,50 @@ fn flipped_equalities_share_one_signature_plan_and_view() {
         );
         let registered = session.register_standing(q).unwrap();
         assert_eq!(registered.shared, i > 0, "phrasing {i}: shared view");
+    }
+}
+
+/// Theorem 1 makes the graph the whole query, so a plan and a view's
+/// identity may depend on the graph and the statistics, never on the
+/// phrasing. Each of 20 implementing trees of a corpus graph, optimized
+/// on a fresh catalog (no cache to paper over a difference), gets the
+/// written query's plan; and after an unrelated table changes the
+/// catalog, registering any of them still finds the written query's
+/// view.
+#[test]
+fn phrasings_share_one_plan_and_one_view_across_catalog_changes() {
+    let cases = ["star5", "snowflake7", "crossover_join_first"];
+    for case in corpus_suite()
+        .into_iter()
+        .filter(|c| cases.contains(&c.name))
+    {
+        let name = case.name;
+        let g = graph_of(&case.query).expect("a query graph");
+        let trees: Vec<Query> = (0..20)
+            .map(|seed| random_implementing_tree(&g, seed).expect("connected"))
+            .collect();
+        let plan = |q: &Query| {
+            optimize(q, &case.catalog.clone(), Policy::Paper)
+                .expect("optimizes")
+                .plan
+        };
+        let written = plan(&case.query);
+        for (i, tree) in trees.iter().enumerate() {
+            assert_eq!(plan(tree), written, "{name} phrasing {i}: plan");
+        }
+
+        let session = Session::from_storage(case.storage.clone());
+        let first = session.register_standing(&case.query).unwrap();
+        session.insert_table(
+            "UNRELATED",
+            Relation::from_ints("UNRELATED", &["k"], &[&[1]]),
+        );
+        for (i, tree) in trees.iter().enumerate() {
+            let again = session.register_standing(tree).unwrap();
+            assert!(
+                again.shared && again.id == first.id,
+                "{name} phrasing {i}: registered {again:?}, not the view {first:?}"
+            );
+        }
     }
 }

@@ -38,7 +38,6 @@ fn run(session: &Session, src: &str) -> Relation {
 fn serve(db: &Arc<SharedDb>, world: &EntityDb) -> Server {
     let opts = ServerOptions {
         edb: Some(world.clone()),
-        ..ServerOptions::default()
     };
     Server::start("127.0.0.1:0", Arc::clone(db), opts).expect("bind loopback")
 }
