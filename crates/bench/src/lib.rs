@@ -3,8 +3,7 @@
 //! One function per experiment in DESIGN.md's index (E1–E11 plus the
 //! figure reproductions F1–F4). Each returns a printable report whose
 //! rows mirror what the paper states or implies; EXPERIMENTS.md records
-//! paper-vs-measured for each. The Criterion benches under `benches/`
-//! time the same setups.
+//! paper-vs-measured for each. The `experiments` binary prints them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

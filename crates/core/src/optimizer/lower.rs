@@ -1,7 +1,7 @@
 //! Syntactic lowering: map a [`Query`] tree to a physical plan
 //! *without reordering* — the baseline an optimizer is reduced to when
 //! a query is not freely reorderable (and the comparison point for the
-//! benefit measurements in the benches).
+//! benefit measurements in the experiments).
 //!
 //! The main path ([`lower`]) interns the query's relation names into a
 //! [`RelMap`] once and threads [`RelSet`] bitsets through the

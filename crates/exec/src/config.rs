@@ -11,7 +11,7 @@
 //! sequential: a server runs one query per connection thread, and on a
 //! two-CPU machine two concurrent bulk connections lost throughput when
 //! each query also spawned a worker per core. The config is not a user
-//! knob; it is the parameter the executor suites and benches pass to
+//! knob; it is the parameter the executor suites pass to
 //! `execute_with` to hold every other configuration to the sequential
 //! run.
 

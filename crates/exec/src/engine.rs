@@ -422,7 +422,7 @@ pub fn execute(
 }
 
 /// [`execute`] with explicit [`ExecConfig`] — thread count and morsel
-/// size — for the executor suites and benches, which hold the
+/// size — for the executor suites, which hold the
 /// morsel-parallel probe to the sequential run. Rows, order, and every
 /// counter are identical at any configuration.
 ///

@@ -99,7 +99,7 @@ impl ExecStats {
         self.morsels_skipped += other.morsels_skipped;
     }
 
-    /// A scalar "work" summary used by benches: retrieved tuples plus
+    /// A scalar "work" summary used by the experiments: retrieved tuples plus
     /// intermediate row volume (materialized at breakers **and**
     /// pipelined through fused stages) plus comparisons (all
     /// unit-weighted; the shape of comparisons is what matters, not an

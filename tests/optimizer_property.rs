@@ -127,3 +127,15 @@ fn greedy_equals_dp_on_pairs() {
         assert!((dp.cost - gr.cost).abs() < 1e-9, "seed {seed}");
     }
 }
+
+/// Syntactic join chains of 8, 10 and 12 relations are freely
+/// reorderable, so `optimize` plans them by enumeration.
+#[test]
+fn long_join_chains_take_the_dp_path() {
+    for k in [8usize, 10, 12] {
+        let (_, catalog, q) = fro_testkit::workloads::chain(k, 10, 7);
+        let out = optimize(&q, &catalog, Policy::Paper).expect("chain optimizes");
+        assert!(out.reordered, "chain{k}");
+        assert!(out.pairs_examined > 0, "chain{k}");
+    }
+}

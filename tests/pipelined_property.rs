@@ -5,10 +5,11 @@
 //! that sweep empty relations, all-null keys (`nulls = 100`) and
 //! duplicate keys; a fused filter/join/project spine over a
 //! materialized operand; a filter over a derived attribute fed by a
-//! pipeline breaker; and eight-deep left-outerjoin chains, lowered and
-//! optimized, whose EXPLAIN ANALYZE counts every node. Every plan goes
-//! through the harness in `tests/harness`: set-equal to `fro-algebra`,
-//! then bit-identical in rows, order, schema and `ExecStats` at every
+//! pipeline breaker; and eight-deep left-outerjoin chains, lowered
+//! (EXPLAIN ANALYZE counts every node), optimized, and as hash joins over
+//! scans, which fuse and materialize nothing. Every plan goes through the
+//! harness in `tests/harness`: set-equal to `fro-algebra`, then
+//! bit-identical in rows, order, schema and `ExecStats` at every
 //! configuration of threads × morsel rows (both sides of the probe
 //! cardinality).
 
@@ -153,7 +154,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Eight-deep left-outerjoin chains, lowered and optimized.
+    /// Eight-deep left-outerjoin chains, lowered and optimized, and as
+    /// left-deep hash joins over scans under a narrow projection, which
+    /// fuse into one pipeline and materialize no row.
     #[test]
     fn pipelined_deep_left_chain(rows in 1usize..7, seed in 0u64..10_000) {
         let (storage, catalog, q) = fro_testkit::workloads::left_chain(8, rows, seed);
@@ -163,5 +166,15 @@ proptest! {
         check_explain(&lowered, &storage, "left_chain8 lowered");
         let optimized = optimize(&q, &catalog, Policy::Paper).expect("optimizes").plan;
         check(&optimized, &storage, &want, "left_chain8 optimized");
+
+        let hashed = (1..8).fold(PhysPlan::scan("L0"), |plan, i| {
+            let (l, r) = (format!("L{}", i - 1), format!("L{i}"));
+            hash_join(JoinKind::LeftOuter, plan, PhysPlan::scan(&r), &l, &r)
+        });
+        let attrs = vec![Attr::parse("L0.k"), Attr::parse("L3.v"), Attr::parse("L7.v")];
+        let want = ops::project(&want, &attrs, true).unwrap();
+        let plan = PhysPlan::Project { input: Box::new(hashed), attrs };
+        let (_, st) = check(&plan, &storage, &want, "left_chain8 hash joins");
+        prop_assert_eq!(st.rows_materialized, 0);
     }
 }

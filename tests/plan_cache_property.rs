@@ -238,3 +238,25 @@ fn phrasings_share_one_plan_and_one_view_across_catalog_changes() {
         }
     }
 }
+
+/// A ten-relation join chain, optimized straight against its catalog:
+/// a cleared cache enumerates, a primed one answers the same plan with
+/// no enumeration, and a statistics change makes the next call re-plan
+/// (counting the stale entry) and the one after hit again.
+#[test]
+fn chain10_cold_warm_and_epoch_bump() {
+    let (_, mut catalog, q) = fro_testkit::workloads::chain(10, 10, 7);
+    catalog.clear_plan_cache();
+    let cold = optimize(&q, &catalog, Policy::Paper).expect("chain optimizes");
+    assert!(cold.reordered && cold.pairs_examined > 0);
+    let warm = optimize(&q, &catalog, Policy::Paper).expect("chain optimizes");
+    assert_eq!(warm.pairs_examined, 0, "warm runs must not enumerate");
+    assert_eq!(warm.plan.explain(), cold.plan.explain());
+
+    catalog.set_distinct(&Attr::parse("R0.k"), 7);
+    let replanned = optimize(&q, &catalog, Policy::Paper).expect("chain optimizes");
+    assert!(replanned.pairs_examined > 0, "epoch bump must re-plan");
+    assert!(replanned.cache.stale >= 1, "stale entries must be counted");
+    let rehit = optimize(&q, &catalog, Policy::Paper).expect("chain optimizes");
+    assert_eq!(rehit.pairs_examined, 0, "re-primed after the bump");
+}

@@ -13,13 +13,17 @@
 //! sweep all five join kinds. Deterministic tests pin the soundness
 //! matrix: a left-outerjoin's probe side is never up-reduced, a full
 //! outerjoin is never reduced at all, and subtrees beneath a full
-//! outerjoin still receive their local reductions.
+//! outerjoin still receive their local reductions. A skewed star and
+//! snowflake pin the cost model's choice: `Auto` wraps each once and
+//! cuts its intermediate rows by an exact count, while the uniform
+//! control declines.
 
 mod harness;
 
-use fro_algebra::Pred;
-use fro_core::{reduce_plan, Catalog, ReducePolicy};
+use fro_algebra::{Pred, Relation};
+use fro_core::{optimize_with_reduce, reduce_plan, Catalog, Policy, ReducePolicy};
 use fro_exec::{execute, ExecStats, JoinKind, PhysPlan, ReducePass, Storage};
+use fro_testkit::workloads::{star, StarParams};
 use harness::*;
 use proptest::prelude::*;
 
@@ -191,4 +195,99 @@ fn never_policy_is_identity() {
         assert_eq!(reduced, plan);
         assert!(report.applied.is_empty());
     }
+}
+
+/// A star whose per-dimension junk blocks land on duplicated hot keys
+/// and die at every other dimension, with 30 000 never-matched keys on
+/// the last dimension: rows per key fall to 1.17, so no distinct count
+/// sees the skew.
+fn skewed_star() -> StarParams {
+    StarParams {
+        dims: 4,
+        match_keys: 100,
+        good_rows: 100,
+        hot_keys: 50,
+        hot_dup: 100,
+        junk_rows: 2_000,
+        wide_keys: 30_000,
+        snowflake: false,
+    }
+}
+
+fn skewed_snowflake() -> StarParams {
+    StarParams {
+        dims: 3,
+        match_keys: 100,
+        good_rows: 100,
+        hot_keys: 50,
+        hot_dup: 60,
+        junk_rows: 3_000,
+        wide_keys: 20_000,
+        snowflake: true,
+    }
+}
+
+/// Rows out of `plan`, and its intermediate rows (every tuple an
+/// operator emitted or pipelined) and rows reduced.
+fn run_counted(plan: &PhysPlan, storage: &Storage) -> (Relation, u64, u64) {
+    let mut st = ExecStats::new();
+    let out = execute(plan, storage, &mut st).expect("plan runs");
+    (
+        out,
+        st.rows_materialized + st.rows_pipelined,
+        st.rows_reduced,
+    )
+}
+
+/// `Auto` chooses exactly one wrap on the skewed star and snowflake;
+/// the reduced output is bit-identical to `Never`'s, and the
+/// intermediate rows fall by the counts the plans repeat exactly. A
+/// cost-model change that flips the choice fails here.
+#[test]
+fn auto_wraps_the_skewed_star_and_snowflake_and_cuts_intermediates() {
+    for (name, params, plain_rows, reduced_rows) in [
+        ("star", skewed_star(), 208_500, 15_700),
+        ("snowflake", skewed_snowflake(), 189_700, 15_900),
+    ] {
+        let (storage, catalog, query) = star(&params);
+        let plan = |p| optimize_with_reduce(&query, &catalog, Policy::Paper, p).expect("optimizes");
+        let (plain, reduced) = (plan(ReducePolicy::Never), plan(ReducePolicy::Auto));
+        assert_eq!(
+            reduced.reduction.applied.len(),
+            1,
+            "{name}: {}",
+            reduced.reduction
+        );
+        let (plain_out, plain_inter, plain_cut) = run_counted(&plain.plan, &storage);
+        let (reduced_out, reduced_inter, reduced_cut) = run_counted(&reduced.plan, &storage);
+        assert_eq!(reduced_out.rows(), plain_out.rows(), "{name}: rows");
+        assert_eq!(reduced_out.schema(), plain_out.schema(), "{name}: schema");
+        assert_eq!(
+            (plain_inter, reduced_inter),
+            (plain_rows, reduced_rows),
+            "{name}: intermediates"
+        );
+        assert_eq!((plain_cut, reduced_cut), (0, 6_000), "{name}: rows reduced");
+    }
+}
+
+/// The same star without hot keys, junk or wide keys gives the reducer
+/// nothing to delete, and `Auto` declines.
+#[test]
+fn auto_declines_the_uniform_star() {
+    let uniform = StarParams {
+        hot_keys: 0,
+        hot_dup: 0,
+        junk_rows: 0,
+        wide_keys: 0,
+        ..skewed_star()
+    };
+    let (_, catalog, query) = star(&uniform);
+    let control = optimize_with_reduce(&query, &catalog, Policy::Paper, ReducePolicy::Auto)
+        .expect("optimizes");
+    assert!(
+        control.reduction.applied.is_empty(),
+        "{}",
+        control.reduction
+    );
 }

@@ -31,6 +31,7 @@ mod common;
 use common::{read_tables, Pinned};
 use fro::prelude::*;
 use fro_algebra::{Pred, Query, Relation, Tuple, Value};
+use fro_testkit::workloads::{star, StarParams};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -413,6 +414,57 @@ fn maintenance_work_is_proportional_to_the_delta_not_the_base() {
         after.views_refreshed, before.views_refreshed,
         "the append was absorbed incrementally, not by re-running"
     );
+}
+
+/// A skewed snowflake of 23 001 fact rows whose junk blocks multiply
+/// through hot dimension keys before dying at the next dimension: a
+/// full execution drags large doomed intermediates while the view stays
+/// small. After each of 32 single-row fact appends the polled view
+/// equals the canonicalized cold re-execution of the plan the product
+/// chose (semijoin wraps included), no append forces a refresh, and the
+/// delta pipeline ingests 7 rows per append.
+#[test]
+fn snowflake_view_follows_single_row_appends_without_a_refresh() {
+    const APPENDS: usize = 32;
+    let params = StarParams {
+        dims: 3,
+        match_keys: 200,
+        good_rows: 2_000,
+        hot_keys: 50,
+        hot_dup: 20,
+        junk_rows: 7_000,
+        wide_keys: 0,
+        snowflake: true,
+    };
+    // A fresh fact row keyed off `i`, never colliding with generated data.
+    let fact_row = |i: usize| {
+        let (key, mk) = ((i % params.match_keys) as i64, params.match_keys as i64);
+        int_row(&[key, (key + 1) % mk, (key + 2) % mk, 1_000_000 + i as i64])
+    };
+    let (storage, _, query) = star(&params);
+    let fact = storage.rel_id("F").and_then(|id| storage.get_by_id(id));
+    assert_eq!(fact.expect("fact table").len() + 1, 23_001);
+    let db = SharedDb::new();
+    let session = db.session();
+    for (name, table) in storage.iter() {
+        session.insert_table(name, table.relation().clone());
+    }
+    // The first append builds the fact table's append state once.
+    assert!(session.append_rows("F", vec![fact_row(APPENDS)]));
+
+    let reg = session.register_standing(&query).unwrap();
+    assert!(!reg.shared, "fresh database, fresh view");
+    let plan = session.prepare(&query).unwrap().optimized().plan.clone();
+    let before = session.maintenance_stats();
+    for i in 0..APPENDS {
+        assert!(session.append_rows("F", vec![fact_row(i)]));
+        let (view, _) = session.poll_standing(reg.id).unwrap();
+        let cold = execute(&plan, db.snapshot().storage(), &mut ExecStats::new()).unwrap();
+        assert_eq!(view, canonical(&cold), "view diverged at append {i}");
+    }
+    let after = session.maintenance_stats();
+    assert_eq!(after.views_refreshed - before.views_refreshed, 0);
+    assert_eq!(after.delta_rows_in - before.delta_rows_in, 224);
 }
 
 /// A seeded append (two or three rows, one of them maybe stored

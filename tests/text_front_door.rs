@@ -411,3 +411,50 @@ fn standing_views_registered_by_text_follow_every_ground_table() {
     assert!(plans.contains("IndexJoin(left-outer)"), "{plans}");
     assert!(plans.contains("    Filter ["), "{plans}");
 }
+
+/// Eight wire clients run forty queries each, concurrently, rotating
+/// over phrasings of the paper's Queretaro query that permute the
+/// From-List and the conjuncts. Every remote result equals the local
+/// one, and the phrasings share one graph signature, so the shared plan
+/// cache answers more than nine lookups in ten.
+#[test]
+fn concurrent_clients_share_one_plan_across_phrasings() {
+    const CLIENTS: usize = 8;
+    const QUERIES_PER_CLIENT: usize = 40;
+    const PHRASINGS: [&str; 3] = [
+        "Select All From EMPLOYEE*ChildName, DEPARTMENT \
+         Where EMPLOYEE.D# = DEPARTMENT.D# and DEPARTMENT.Location = 'Queretaro'",
+        "Select All From DEPARTMENT, EMPLOYEE*ChildName \
+         Where EMPLOYEE.D# = DEPARTMENT.D# and DEPARTMENT.Location = 'Queretaro'",
+        "Select All From EMPLOYEE*ChildName, DEPARTMENT \
+         Where DEPARTMENT.Location = 'Queretaro' and EMPLOYEE.D# = DEPARTMENT.D#",
+    ];
+    let world = paper_world();
+    let db = SharedDb::new();
+    let server = serve(&db, &world);
+    let addr = server.addr();
+    let local = db.session().with_entity_db(world);
+    let expected: Arc<Vec<Relation>> =
+        Arc::new(PHRASINGS.iter().map(|src| run(&local, src)).collect());
+    assert_eq!(expected[0].len(), 3, "Queretaro query returns 3 rows");
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let expected = Arc::clone(&expected);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connects");
+                for i in 0..QUERIES_PER_CLIENT {
+                    let v = (c + i) % PHRASINGS.len();
+                    let (out, _) = client.query(PHRASINGS[v]).expect("query runs");
+                    assert_eq!(out, expected[v], "client {c} query {i}");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    let stats = db.snapshot().catalog().cache_stats();
+    let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
+    assert!(hit_rate > 0.9, "hit rate {hit_rate:.3} ({stats})");
+}
