@@ -22,7 +22,7 @@
 //!   touching the data.
 //! * [`ColumnSet::hash_key_at`] hashes a key-column combination for
 //!   one row exactly as the row-major engine hashes assembled tuple
-//!   keys (same `DefaultHasher` byte stream), without materializing a
+//!   keys (both call [`key_hash`]), without materializing a
 //!   row — string keys hash their dictionary entry, so no `String` is
 //!   cloned or assembled on the build path.
 //!
@@ -32,15 +32,14 @@
 //! row-at-a-time paths while the scan/filter/build inner loops run
 //! over flat vectors.
 
+use crate::fasthash::{key_hash, FastMap, FastSet};
 use crate::ops::{BoundPred, BoundScalar};
 use crate::predicate::CmpOp;
 use crate::relation::{remove_at, survivors_behind, Relation};
 use crate::truth::Truth;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Rows per metadata zone: each column keeps min/max and a null count
@@ -283,7 +282,7 @@ impl Zone {
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<Value>,
-    codes: HashMap<String, u32>,
+    codes: FastMap<String, u32>,
     rank: Vec<u32>,
 }
 
@@ -886,7 +885,7 @@ impl ColumnSet {
         // Exact distinct count with the catalog's convention: null, if
         // present, counts as one value. The sketch streams over the same
         // set, one hash per distinct non-null value.
-        let values: HashSet<&Value> = rel.rows().iter().map(|t| t.get(c)).collect();
+        let values: FastSet<&Value> = rel.rows().iter().map(|t| t.get(c)).collect();
         let distinct = values.len() as u64;
         let mut sketch = KeySketch {
             hashes: Vec::with_capacity(values.len().min(SKETCH_K)),
@@ -1324,26 +1323,24 @@ impl ColumnSet {
     }
 
     /// Hash the key columns of one row exactly as the row-major engine
-    /// hashes an assembled tuple key: each key [`Value`] fed in column
-    /// order into one `DefaultHasher`. Returns `None` when any key
-    /// value is null (null keys never match). String keys hash their
+    /// hashes an assembled tuple key: each key [`Value`], in column
+    /// order, through [`key_hash`]. Returns `None` when any key value
+    /// is null (null keys never match). String keys hash their
     /// interned dictionary entry — no row assembly, no `String` clone.
     #[must_use]
     pub fn hash_key_at(&self, key_cols: &[usize], row: usize) -> Option<u64> {
-        let mut h = DefaultHasher::new();
-        for &c in key_cols {
+        key_hash(key_cols.iter().map(|&c| {
             let col = &self.cols[c];
             if !col.validity.get(row) {
-                return None;
+                return Cow::Owned(Value::Null);
             }
             match &col.data {
-                ColData::Int(xs) => Value::Int(xs[row]).hash(&mut h),
-                ColData::Bool(xs) => Value::Bool(xs[row]).hash(&mut h),
-                ColData::Str(xs) => self.dict.value(xs[row]).hash(&mut h),
-                ColData::Mixed(xs) => xs[row].hash(&mut h),
+                ColData::Int(xs) => Cow::Owned(Value::Int(xs[row])),
+                ColData::Bool(xs) => Cow::Owned(Value::Bool(xs[row])),
+                ColData::Str(xs) => Cow::Borrowed(self.dict.value(xs[row])),
+                ColData::Mixed(xs) => Cow::Borrowed(&xs[row]),
             }
-        }
-        Some(h.finish())
+        }))
     }
 }
 
@@ -1493,7 +1490,7 @@ mod tests {
                 rel.rows()
                     .iter()
                     .map(|t| t.get(c))
-                    .collect::<HashSet<_>>()
+                    .collect::<FastSet<_>>()
                     .len() as u64
             })
             .collect()
@@ -1893,17 +1890,7 @@ mod tests {
     fn hash_matches_row_major_tuple_hash() {
         let rel = mixed_relation(300, 7);
         let cs = ColumnSet::build(&rel);
-        let hash_row = |t: &Tuple, cols: &[usize]| -> Option<u64> {
-            let mut h = DefaultHasher::new();
-            for &c in cols {
-                let v = t.get(c);
-                if v.is_null() {
-                    return None;
-                }
-                v.hash(&mut h);
-            }
-            Some(h.finish())
-        };
+        let hash_row = |t: &Tuple, cols: &[usize]| key_hash(cols.iter().map(|&c| t.get(c)));
         for cols in [vec![0], vec![1], vec![3], vec![0, 1], vec![2, 3, 0]] {
             for (i, t) in rel.rows().iter().enumerate() {
                 assert_eq!(

@@ -48,6 +48,7 @@ pub mod column;
 pub mod database;
 pub mod error;
 pub mod expr;
+pub mod fasthash;
 pub mod goj;
 pub mod identities;
 pub mod intern;
@@ -64,6 +65,7 @@ pub use column::{Bitmap, ColumnSet, Dictionary, KeySketch, SelMask, ZONE_ROWS};
 pub use database::Database;
 pub use error::AlgebraError;
 pub use expr::Query;
+pub use fasthash::{key_hash, FastHasher, FastMap, FastSet};
 pub use intern::{AttrId, Interner, RelId, RelSet};
 pub use predicate::{CmpOp, Pred, Scalar};
 pub use relation::Relation;

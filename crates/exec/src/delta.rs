@@ -41,8 +41,8 @@ use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
 use fro_algebra::schema::SchemaRef;
-use fro_algebra::{Pred, Tuple, Value};
-use std::collections::{BTreeSet, HashMap};
+use fro_algebra::{FastMap, Pred, Tuple, Value};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A signed, set-level change to one relation: rows that became
@@ -93,7 +93,7 @@ impl RowDelta {
     /// downstream processing order is deterministic.
     #[must_use]
     pub fn normalize(self) -> RowDelta {
-        let mut net: HashMap<Tuple, i64> = HashMap::new();
+        let mut net: FastMap<Tuple, i64> = FastMap::default();
         for t in self.inserts {
             *net.entry(t).or_insert(0) += 1;
         }
@@ -137,7 +137,7 @@ fn key_of(t: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
 /// still need to find them.
 #[derive(Debug, Clone, Default)]
 pub struct SideIndex {
-    by_key: HashMap<Vec<Value>, BTreeSet<Tuple>>,
+    by_key: FastMap<Vec<Value>, BTreeSet<Tuple>>,
     null_keyed: BTreeSet<Tuple>,
 }
 
@@ -208,7 +208,7 @@ pub struct SideKey {
 /// whenever their base relation mutates.
 #[derive(Debug, Default)]
 pub struct BuildSidePool {
-    sides: HashMap<SideKey, Arc<SideIndex>>,
+    sides: FastMap<SideKey, Arc<SideIndex>>,
     hits: u64,
 }
 
@@ -265,12 +265,12 @@ struct JoinNode {
     left_index: SideIndex,
     right_index: SideIndex,
     /// Current match count per left row (all kinds except `Inner`).
-    match_left: HashMap<Tuple, i64>,
+    match_left: FastMap<Tuple, i64>,
     /// Current match count per right row (`FullOuter` only).
-    match_right: HashMap<Tuple, i64>,
+    match_right: FastMap<Tuple, i64>,
     /// Derivation refcount per output tuple: pads and real rows can
     /// collide on all-null tuples, exactly like in the engine.
-    out: HashMap<Tuple, i64>,
+    out: FastMap<Tuple, i64>,
     /// Set when the right subtree is a bare or filtered scan — the
     /// shapes eligible for cross-view build-side pooling.
     right_leaf: Option<SideKey>,
@@ -445,9 +445,9 @@ impl DeltaPlan {
             right_width: rs.len(),
             left_index: SideIndex::default(),
             right_index: SideIndex::default(),
-            match_left: HashMap::new(),
-            match_right: HashMap::new(),
-            out: HashMap::new(),
+            match_left: FastMap::default(),
+            match_right: FastMap::default(),
+            out: FastMap::default(),
             right_leaf,
         };
         Some(self.push(DeltaNode::Join(Box::new(node)), out_schema))
@@ -481,7 +481,7 @@ impl DeltaPlan {
         self.reset();
         // Resolve pool hits up front: a hit lets the join skip
         // computing its (leaf) right subtree entirely.
-        let mut pooled: HashMap<usize, SideIndex> = HashMap::new();
+        let mut pooled: FastMap<usize, SideIndex> = FastMap::default();
         let mut skip: Vec<bool> = vec![false; self.nodes.len()];
         for (id, node) in self.nodes.iter().enumerate() {
             let DeltaNode::Join(jn) = node else { continue };
@@ -666,7 +666,7 @@ fn matching_rows(
 
 /// Bump the derivation refcount of `t`, recording a set-level insert
 /// on the `0 → 1` transition.
-fn emit(out: &mut HashMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
+fn emit(out: &mut FastMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
     let c = out.entry(t.clone()).or_insert(0);
     *c += 1;
     if *c == 1 {
@@ -676,7 +676,7 @@ fn emit(out: &mut HashMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
 
 /// Drop one derivation of `t`, recording a set-level delete on the
 /// `1 → 0` transition.
-fn retract(out: &mut HashMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
+fn retract(out: &mut FastMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
     match out.get_mut(&t) {
         Some(c) => {
             *c -= 1;

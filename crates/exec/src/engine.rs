@@ -44,11 +44,11 @@ use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
 use fro_algebra::ops::{AttrCols, BoundPred, IPred};
-use fro_algebra::{AlgebraError, Attr, ColumnSet, Interner, Pred, Relation, Schema, Tuple, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use fro_algebra::{
+    key_hash, AlgebraError, Attr, ColumnSet, FastMap, FastSet, Interner, Pred, Relation, Schema,
+    Tuple, Value,
+};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -147,7 +147,8 @@ pub(crate) fn resolve_cols(schema: &Schema, attrs: &[Attr]) -> Result<Vec<usize>
 pub(crate) fn dedup_rows(rows: &mut Vec<Tuple>) {
     let mut keep = Vec::with_capacity(rows.len());
     {
-        let mut seen: HashSet<&Tuple> = HashSet::with_capacity(rows.len());
+        let mut seen: FastSet<&Tuple> =
+            FastSet::with_capacity_and_hasher(rows.len(), Default::default());
         for t in rows.iter() {
             keep.push(seen.insert(t));
         }
@@ -168,19 +169,11 @@ fn key_of(row: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// Hash of the key columns of `row`, or `None` when any is null. The
-/// values are hashed in place — no per-row `Vec<Value>` key is ever
-/// materialized.
+/// [`key_hash`] of the key columns of `row`, or `None` when any is
+/// null. The values are hashed in place — no per-row `Vec<Value>` key
+/// is ever materialized.
 fn hash_key(row: &Tuple, cols: &[usize]) -> Option<u64> {
-    let mut h = DefaultHasher::new();
-    for &c in cols {
-        let v = row.get(c);
-        if v.is_null() {
-            return None;
-        }
-        v.hash(&mut h);
-    }
-    Some(h.finish())
+    key_hash(cols.iter().map(|&c| row.get(c)))
 }
 
 /// Column-wise key equality between a probe row and a build row.
@@ -202,7 +195,7 @@ fn keys_eq(a: &Tuple, a_cols: &[usize], b: &Tuple, b_cols: &[usize]) -> bool {
 pub(crate) struct JoinTable<'a> {
     rows: &'a [Tuple],
     key_cols: &'a [usize],
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: FastMap<u64, Vec<u32>>,
 }
 
 impl<'a> JoinTable<'a> {
@@ -225,7 +218,7 @@ impl<'a> JoinTable<'a> {
             u32::try_from(rows.len()).is_ok(),
             "build side exceeds u32 row ids"
         );
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut buckets: FastMap<u64, Vec<u32>> = FastMap::default();
         for (rid, row) in rows.iter().enumerate() {
             let h = match cols {
                 Some(cs) => cs.hash_key_at(key_cols, rid),

@@ -7,9 +7,8 @@
 //! null, so null-keyed rows are unreachable through the index by
 //! construction (this matters for outerjoins over nullable columns).
 
-use fro_algebra::{Relation, Tuple, Value};
+use fro_algebra::{FastMap, Relation, Tuple, Value};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// What row id `id` becomes once the rows at `gone` (ascending, `id`
 /// not among them) are removed and the rows behind each close the gap.
@@ -24,7 +23,7 @@ pub(crate) fn renumbered(id: usize, gone: &[usize]) -> usize {
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     key_cols: Vec<usize>,
-    map: HashMap<Vec<Value>, Vec<usize>>,
+    map: FastMap<Vec<Value>, Vec<usize>>,
 }
 
 impl HashIndex {
@@ -33,7 +32,7 @@ impl HashIndex {
     pub fn build(rel: &Relation, key_cols: Vec<usize>) -> HashIndex {
         let mut idx = HashIndex {
             key_cols,
-            map: HashMap::new(),
+            map: FastMap::default(),
         };
         idx.insert_rows(rel, 0);
         idx

@@ -43,9 +43,9 @@ use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
 use fro_algebra::ops::BoundPred;
-use fro_algebra::{AlgebraError, Attr, Bitmap, ColumnSet, Relation, Schema, Tuple, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use fro_algebra::{
+    key_hash, AlgebraError, Attr, Bitmap, ColumnSet, Relation, Schema, Tuple, Value,
+};
 use std::sync::Arc;
 
 /// Immutable per-run context.
@@ -373,20 +373,16 @@ fn map_col(widths: &[usize], mut col: usize) -> (u32, u32) {
     unreachable!("column offset past the end of the fragment chain")
 }
 
-/// Key hash over fragment-mapped columns — the same values, hashed in
+/// [`key_hash`] over fragment-mapped columns — the same values, in
 /// the same order, as [`crate::engine`]'s `hash_key` over the
 /// materialized wide row, hence the same bucket.
 /// `None` when any key value is null.
 fn hash_parts(parts: &[&Tuple], key_map: &[(u32, u32)]) -> Option<u64> {
-    let mut h = DefaultHasher::new();
-    for &(p, c) in key_map {
-        let v = parts[p as usize].get(c as usize);
-        if v.is_null() {
-            return None;
-        }
-        v.hash(&mut h);
-    }
-    Some(h.finish())
+    key_hash(
+        key_map
+            .iter()
+            .map(|&(p, c)| parts[p as usize].get(c as usize)),
+    )
 }
 
 /// Column-wise key equality between the fragment chain and a build row.

@@ -22,9 +22,8 @@
 
 use crate::engine::ExecError;
 use crate::index::{renumbered, HashIndex};
-use fro_algebra::{Attr, ColumnSet, Database, Interner, RelId, Relation, Tuple, Value};
+use fro_algebra::{Attr, ColumnSet, Database, FastMap, Interner, RelId, Relation, Tuple, Value};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A stored base table: the relation, its columnar mirror, and any
@@ -98,16 +97,19 @@ impl AppendState {
 #[derive(Debug, Clone)]
 enum ValueSet {
     Ints {
-        ints: HashMap<i64, usize>,
+        ints: FastMap<i64, usize>,
         nulls: usize,
     },
-    Any(HashMap<Value, usize>),
+    Any(FastMap<Value, usize>),
 }
 
 impl ValueSet {
     fn with_capacity(distinct: u64) -> ValueSet {
         ValueSet::Ints {
-            ints: HashMap::with_capacity(usize::try_from(distinct).unwrap_or(0)),
+            ints: FastMap::with_capacity_and_hasher(
+                usize::try_from(distinct).unwrap_or(0),
+                Default::default(),
+            ),
             nulls: 0,
         }
     }
@@ -124,7 +126,8 @@ impl ValueSet {
                 }
             },
             (ValueSet::Ints { ints, nulls }, v) => {
-                let mut set = HashMap::with_capacity(ints.capacity());
+                let mut set =
+                    FastMap::with_capacity_and_hasher(ints.capacity(), Default::default());
                 set.extend(ints.drain().map(|(i, n)| (Value::Int(i), n)));
                 if *nulls > 0 {
                     set.insert(Value::Null, *nulls);
@@ -137,7 +140,7 @@ impl ValueSet {
 
     /// Count one row fewer holding `v`, which a stored row does hold.
     fn remove(&mut self, v: &Value) {
-        fn release<K: std::hash::Hash + Eq>(counts: &mut HashMap<K, usize>, k: &K) {
+        fn release<K: std::hash::Hash + Eq>(counts: &mut FastMap<K, usize>, k: &K) {
             if let Some(n) = counts.get_mut(k) {
                 *n -= 1;
                 if *n == 0 {
@@ -167,8 +170,8 @@ impl ValueSet {
 #[derive(Debug, Clone, Default)]
 struct RowIndex {
     /// The first row id stored under each hash. Hashes come from the
-    /// map's own randomly keyed hasher.
-    first: HashMap<u64, usize>,
+    /// map's own [`fro_algebra::FastHasher`].
+    first: FastMap<u64, usize>,
     /// `(hash, row id)` of rows whose hash was already taken by a
     /// *different* row — 64-bit collisions, so almost always empty.
     collided: Vec<(u64, usize)>,
@@ -177,7 +180,7 @@ struct RowIndex {
 impl RowIndex {
     fn with_capacity(rows: usize) -> RowIndex {
         RowIndex {
-            first: HashMap::with_capacity(rows),
+            first: FastMap::with_capacity_and_hasher(rows, Default::default()),
             collided: Vec::new(),
         }
     }
@@ -827,7 +830,7 @@ mod tests {
         // Once over integers and nulls only, once across the widening.
         for upto in [4, values.len()] {
             let mut set = ValueSet::with_capacity(2);
-            let mut reference: HashMap<Value, usize> = HashMap::new();
+            let mut reference: FastMap<Value, usize> = FastMap::default();
             for v in &values[..upto] {
                 set.insert(v);
                 *reference.entry(v.clone()).or_default() += 1;
