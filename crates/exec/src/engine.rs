@@ -40,13 +40,14 @@
 //! evaluator in `fro-algebra`.
 
 use crate::config::ExecConfig;
+use crate::index::{row_id, Postings};
 use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
 use fro_algebra::ops::{AttrCols, BoundPred, IPred};
 use fro_algebra::{
-    key_hash, AlgebraError, Attr, ColumnSet, FastMap, FastSet, Interner, Pred, Relation, Schema,
-    Tuple, Value,
+    key_hash, AlgebraError, Attr, ColumnSet, FastSet, Interner, Pred, Relation, Schema, Tuple,
+    Value,
 };
 use std::fmt;
 use std::ops::Range;
@@ -185,17 +186,17 @@ fn keys_eq(a: &Tuple, a_cols: &[usize], b: &Tuple, b_cols: &[usize]) -> bool {
 }
 
 /// The shared, immutable build side of a hash join: the pinned build
-/// rows plus a map from key *hash* to the ids of the rows in that
-/// bucket, in ascending row order. Build keys are borrowed from the
-/// pinned rows — nothing is cloned — and every bucket candidate is
-/// re-checked for exact key equality against the probe row, so a
-/// 64-bit hash collision can never yield a wrong match (or a wrong
-/// `comparisons` count: the counter ticks only on exact-key
+/// rows plus their ids by key *hash* ([`Postings`], the layout of a
+/// stored index too), ascending within each hash. Build keys are
+/// borrowed from the pinned rows — nothing is cloned — and every bucket
+/// candidate is re-checked for exact key equality against the probe
+/// row, so a 64-bit hash collision can never yield a wrong match (or a
+/// wrong `comparisons` count: the counter ticks only on exact-key
 /// candidates).
 pub(crate) struct JoinTable<'a> {
     rows: &'a [Tuple],
     key_cols: &'a [usize],
-    buckets: FastMap<u64, Vec<u32>>,
+    buckets: Postings,
 }
 
 impl<'a> JoinTable<'a> {
@@ -214,19 +215,14 @@ impl<'a> JoinTable<'a> {
         stats: &mut ExecStats,
         cols: Option<&ColumnSet>,
     ) -> JoinTable<'a> {
-        assert!(
-            u32::try_from(rows.len()).is_ok(),
-            "build side exceeds u32 row ids"
-        );
-        let mut buckets: FastMap<u64, Vec<u32>> = FastMap::default();
+        let mut buckets = Postings::default();
         for (rid, row) in rows.iter().enumerate() {
             let h = match cols {
                 Some(cs) => cs.hash_key_at(key_cols, rid),
                 None => hash_key(row, key_cols),
             };
             if let Some(h) = h {
-                #[allow(clippy::cast_possible_truncation)]
-                buckets.entry(h).or_default().push(rid as u32);
+                buckets.push(h, row_id(rid));
             }
         }
         // Null-keyed rows still count: Example 1 charges the build for
@@ -245,8 +241,7 @@ impl<'a> JoinTable<'a> {
     /// fragment-mapped equivalent of [`keys_eq`].
     #[inline]
     pub(crate) fn bucket(&self, h: Option<u64>) -> &[u32] {
-        h.and_then(|h| self.buckets.get(&h))
-            .map_or(&[][..], Vec::as_slice)
+        self.buckets.get(h)
     }
 
     /// The pinned build row behind a bucket id, at the *build-side*
@@ -790,6 +785,105 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(st.tuples_retrieved, 2); // scan R1 (1) + retrieved match (1)
         assert_eq!(st.index_probes, 1);
+    }
+
+    /// Index, hash, semi and anti probes with every key filed under one
+    /// hash — in the stored index and in the join table — return the
+    /// rows and counters they return without the collision: only
+    /// exact-key rows are retrieved, compared or emitted.
+    #[test]
+    fn planted_hash_collisions_cost_comparisons_not_rows() {
+        let int_or_null = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        let storage = || {
+            let mut s = Storage::new();
+            let outer = [Some(1), Some(2), Some(4), None];
+            let inner = [
+                (Some(1), 10),
+                (Some(2), 20),
+                (Some(1), 11),
+                (Some(3), 30),
+                (None, 40),
+                (Some(2), 21),
+            ];
+            s.insert(
+                "O",
+                Relation::from_values(
+                    "O",
+                    &["k"],
+                    outer.iter().map(|&k| vec![int_or_null(k)]).collect(),
+                ),
+            );
+            s.insert(
+                "I",
+                Relation::from_values(
+                    "I",
+                    &["k", "v"],
+                    inner
+                        .iter()
+                        .map(|&(k, v)| vec![int_or_null(k), Value::Int(v)])
+                        .collect(),
+                ),
+            );
+            assert!(s.create_index("I", &[Attr::parse("I.k")]));
+            s
+        };
+        let run = |s: &Storage, kind: JoinKind, index: bool| {
+            // Key 1's first row fails the residual, so a semi or anti
+            // probe settles on its second; key 2's second row comes
+            // after the probe has settled.
+            let residual = Pred::cmp_lit("I.v", fro_algebra::CmpOp::Ge, 11);
+            let (outer_keys, inner_keys) = (vec![Attr::parse("O.k")], vec![Attr::parse("I.k")]);
+            let plan = if index {
+                PhysPlan::IndexJoin {
+                    kind,
+                    outer: Box::new(PhysPlan::scan("O")),
+                    inner: "I".into(),
+                    outer_keys,
+                    inner_keys,
+                    residual,
+                }
+            } else {
+                PhysPlan::HashJoin {
+                    kind,
+                    probe: Box::new(PhysPlan::scan("O")),
+                    build: Box::new(PhysPlan::scan("I")),
+                    probe_keys: outer_keys,
+                    build_keys: inner_keys,
+                    residual,
+                }
+            };
+            let mut st = ExecStats::new();
+            let out = execute(&plan, s, &mut st).unwrap();
+            (out.rows().to_vec(), st)
+        };
+        let plain = storage();
+        let collided = crate::index::colliding(storage);
+        // (kind, rows out, comparisons): the 4 exact-key rows of keys 1
+        // and 2 are compared by inner joins; semi and anti probes stop
+        // after rows 0 and 2 of key 1, and row 1 of key 2.
+        let cases = [
+            (JoinKind::Inner, 3, 4),
+            (JoinKind::LeftOuter, 5, 4),
+            (JoinKind::Semi, 2, 3),
+            (JoinKind::Anti, 2, 3),
+        ];
+        for (kind, rows_out, comparisons) in cases {
+            for index in [true, false] {
+                let what = format!("{kind:?}, index {index}");
+                let (rows, st) = run(&plain, kind, index);
+                let (collided_rows, collided_st) =
+                    crate::index::colliding(|| run(&collided, kind, index));
+                assert_eq!(collided_rows, rows, "{what}");
+                assert_eq!(collided_st, st, "{what}");
+                assert_eq!(rows.len(), rows_out, "{what}");
+                assert_eq!(st.comparisons, comparisons, "{what}");
+                // Scans plus exact-key rows: an index join retrieves
+                // all four rows of keys 1 and 2, semi and anti probes
+                // included; a hash join scans the inner table instead.
+                let retrieved = if index { 4 + 4 } else { 4 + 6 };
+                assert_eq!(st.tuples_retrieved, retrieved, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Hash indexes over base tables.
+//! Hash indexes over base tables, and the row-id postings they share
+//! with the executor's per-query join tables.
 //!
 //! Example 1 assumes "these keys have indexes"; a hash index maps a key
-//! tuple to the row ids holding it, so an index join retrieves exactly
-//! the matching tuples instead of scanning. Null key values are not
-//! indexed — an equality predicate can never evaluate to `True` on a
-//! null, so null-keyed rows are unreachable through the index by
-//! construction (this matters for outerjoins over nullable columns).
+//! to the row ids holding it, so an index join retrieves exactly the
+//! matching tuples instead of scanning. The index stores no key: it
+//! files each row id under the key's [`key_hash`], and whoever reads a
+//! posting rechecks every candidate against the row it names, so a
+//! 64-bit collision costs a comparison, never a wrong row. Null key
+//! values are not indexed — an equality predicate can never evaluate
+//! to `True` on a null, so null-keyed rows are unreachable through the
+//! index by construction (this matters for outerjoins over nullable
+//! columns).
 
-use fro_algebra::{FastMap, Relation, Tuple, Value};
+use fro_algebra::{key_hash, ColumnSet, FastMap, Tuple, Value};
 use std::collections::hash_map::Entry;
 
 /// What row id `id` becomes once the rows at `gone` (ascending, `id`
@@ -19,33 +24,161 @@ pub(crate) fn renumbered(id: usize, gone: &[usize]) -> usize {
     }
 }
 
-/// A hash index on one or more columns of a base table.
+/// The row ids filed under one key hash, ascending. A key usually has
+/// one row, which is stored inline; only a shared key spills to a list.
+#[derive(Debug, Clone)]
+enum Posting {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Posting {
+    fn ids(&self) -> &[u32] {
+        match self {
+            Posting::One(id) => std::slice::from_ref(id),
+            Posting::Many(ids) => ids,
+        }
+    }
+}
+
+/// Row ids by key hash: the one layout behind a stored [`HashIndex`]
+/// and a join's build side (`JoinTable`). Ids are added in ascending
+/// row order and stay ascending under removal, so candidates come out
+/// in row order and so does everything a probe emits.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Postings(FastMap<u64, Posting>);
+
+#[cfg(test)]
+thread_local! {
+    /// The bits of a key hash a posting map files under; see
+    /// [`colliding`].
+    static HASH_BITS: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+}
+
+/// Run `f` with every key hash filed under one posting — on this
+/// thread — so that probes see different keys sharing a hash.
+#[cfg(test)]
+pub(crate) fn colliding<R>(f: impl FnOnce() -> R) -> R {
+    HASH_BITS.with(|bits| bits.set(0));
+    let out = f();
+    HASH_BITS.with(|bits| bits.set(u64::MAX));
+    out
+}
+
+/// The map key hash `h` files under.
+#[inline]
+fn slot(h: u64) -> u64 {
+    #[cfg(test)]
+    let h = h & HASH_BITS.with(std::cell::Cell::get);
+    h
+}
+
+impl Postings {
+    /// File row `id`, which is past every row already filed under `h`.
+    pub(crate) fn push(&mut self, h: u64, id: u32) {
+        match self.0.entry(slot(h)) {
+            Entry::Vacant(e) => {
+                e.insert(Posting::One(id));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Posting::One(first) => {
+                    let first = *first;
+                    e.insert(Posting::Many(vec![first, id]));
+                }
+                Posting::Many(ids) => ids.push(id),
+            },
+        }
+    }
+
+    /// The ids filed under `h`, ascending (empty when none are, or
+    /// for `None`, a null key's hash).
+    #[inline]
+    pub(crate) fn get(&self, h: Option<u64>) -> &[u32] {
+        h.and_then(|h| self.0.get(&slot(h)))
+            .map_or(&[], Posting::ids)
+    }
+
+    /// Take row `id` out of the posting of `h`; a hash with no row left
+    /// is dropped, and a list down to one id goes back inline.
+    fn remove(&mut self, h: u64, id: u32) {
+        let Entry::Occupied(mut e) = self.0.entry(slot(h)) else {
+            return;
+        };
+        match e.get_mut() {
+            Posting::One(only) => {
+                if *only == id {
+                    e.remove();
+                }
+            }
+            Posting::Many(ids) => {
+                if let Ok(at) = ids.binary_search(&id) {
+                    ids.remove(at);
+                }
+                if let [only] = ids[..] {
+                    e.insert(Posting::One(only));
+                }
+            }
+        }
+    }
+
+    /// Renumber every id as [`renumbered`] does once the rows at `gone`
+    /// are removed. Order within each posting is kept.
+    fn renumber(&mut self, gone: &[usize]) {
+        let renumber = |id: &mut u32| {
+            #[allow(clippy::cast_possible_truncation)]
+            let moved = renumbered(*id as usize, gone) as u32;
+            *id = moved;
+        };
+        for posting in self.0.values_mut() {
+            match posting {
+                Posting::One(id) => renumber(id),
+                Posting::Many(ids) => ids.iter_mut().for_each(renumber),
+            }
+        }
+    }
+
+    /// Number of distinct hashes filed.
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// Fail loudly where a row id would not fit a posting.
+pub(crate) fn row_id(id: usize) -> u32 {
+    u32::try_from(id).expect("table exceeds u32 row ids")
+}
+
+/// A hash index on one or more columns of a base table: the ids of the
+/// table's rows by key hash. The rows stay in the table; a reader
+/// checks each candidate's key against the row it names.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     key_cols: Vec<usize>,
-    map: FastMap<Vec<Value>, Vec<usize>>,
+    postings: Postings,
 }
 
 impl HashIndex {
-    /// Build an index over the given column positions of `rel`.
+    /// Build an index over the given column positions of a table, from
+    /// its columnar mirror ([`ColumnSet::hash_key_at`]).
     #[must_use]
-    pub fn build(rel: &Relation, key_cols: Vec<usize>) -> HashIndex {
+    pub fn build(columns: &ColumnSet, key_cols: Vec<usize>) -> HashIndex {
         let mut idx = HashIndex {
             key_cols,
-            map: FastMap::default(),
+            postings: Postings::default(),
         };
-        idx.insert_rows(rel, 0);
+        idx.insert_rows(columns, 0);
         idx
     }
 
-    /// Index the rows of `rel` from position `from` onward — the
+    /// Index the rows of `columns` from position `from` onward — the
     /// O(|delta|) maintenance path behind base-table appends. Row ids
     /// already indexed stay untouched, so `from` must be the length
-    /// the relation had when the index last saw it.
-    pub fn insert_rows(&mut self, rel: &Relation, from: usize) {
-        for (off, row) in rel.rows()[from..].iter().enumerate() {
-            if let Some(key) = self.key_of(row) {
-                self.map.entry(key).or_default().push(from + off);
+    /// the table had when the index last saw it.
+    pub fn insert_rows(&mut self, columns: &ColumnSet, from: usize) {
+        let end = row_id(columns.rows());
+        for id in row_id(from)..end {
+            if let Some(h) = columns.hash_key_at(&self.key_cols, id as usize) {
+                self.postings.push(h, id);
             }
         }
     }
@@ -53,42 +186,17 @@ impl HashIndex {
     /// Forget the rows that stood at `ids` (ascending; `removed[i]` is
     /// the row that was at `ids[i]`) and renumber every posting behind
     /// them — the maintenance path behind base-table deletes. Postings
-    /// stay in ascending row order and a key whose last row went is
+    /// stay in ascending row order and a hash whose last row went is
     /// dropped, so lookups read as from an index built over the
     /// survivors. Costs the postings, not the rows: O(|table|) id
     /// adjustments, no key rebuilt.
     pub fn remove_rows(&mut self, ids: &[usize], removed: &[Tuple]) {
-        for (id, row) in ids.iter().zip(removed) {
-            let Some(key) = self.key_of(row) else {
-                continue;
-            };
-            if let Entry::Occupied(mut posting) = self.map.entry(key) {
-                if let Ok(at) = posting.get().binary_search(id) {
-                    posting.get_mut().remove(at);
-                }
-                if posting.get().is_empty() {
-                    posting.remove();
-                }
+        for (&id, row) in ids.iter().zip(removed) {
+            if let Some(h) = key_hash(self.key_cols.iter().map(|&c| row.get(c))) {
+                self.postings.remove(h, row_id(id));
             }
         }
-        for id in self.map.values_mut().flatten() {
-            *id = renumbered(*id, ids);
-        }
-    }
-
-    /// The index key of `row`; `None` when a key column is null (null
-    /// keys never match equality, so they are not indexed).
-    fn key_of(&self, row: &Tuple) -> Option<Vec<Value>> {
-        // Sized exactly: the map keeps one of these per distinct key.
-        let mut key = Vec::with_capacity(self.key_cols.len());
-        for &c in &self.key_cols {
-            let v = row.get(c);
-            if v.is_null() {
-                return None;
-            }
-            key.push(v.clone());
-        }
-        Some(key)
+        self.postings.renumber(ids);
     }
 
     /// The indexed column positions.
@@ -97,25 +205,41 @@ impl HashIndex {
         &self.key_cols
     }
 
-    /// Row ids matching a key (empty for unknown or null keys).
-    #[must_use]
-    pub fn lookup(&self, key: &[Value]) -> &[usize] {
-        if key.iter().any(Value::is_null) {
-            return &[];
-        }
-        self.map.get(key).map_or(&[], Vec::as_slice)
+    /// The candidate row ids for a key hash (`None`, a null key: none),
+    /// ascending. Candidates still need their key checked against the
+    /// row: different keys can share a hash.
+    #[inline]
+    pub(crate) fn candidates(&self, h: Option<u64>) -> &[u32] {
+        self.postings.get(h)
     }
 
-    /// Number of distinct keys.
+    /// The ids of the rows of `rows` — the table this index is on —
+    /// whose key equals `key`, ascending (empty for unknown or null
+    /// keys).
+    #[must_use]
+    pub fn lookup(&self, rows: &[Tuple], key: &[Value]) -> Vec<usize> {
+        self.candidates(key_hash(key))
+            .iter()
+            .map(|&id| id as usize)
+            .filter(|&id| {
+                let row = &rows[id];
+                self.key_cols.iter().zip(key).all(|(&c, v)| row.get(c) == v)
+            })
+            .collect()
+    }
+
+    /// Number of distinct key hashes: the distinct non-null keys,
+    /// barring 64-bit collisions.
     #[must_use]
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.postings.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fro_algebra::Relation;
 
     fn rel() -> Relation {
         Relation::from_values(
@@ -130,31 +254,41 @@ mod tests {
         )
     }
 
+    fn build(rel: &Relation, key_cols: Vec<usize>) -> HashIndex {
+        HashIndex::build(&ColumnSet::build(rel), key_cols)
+    }
+
     #[test]
     fn lookup_returns_matching_rows() {
-        let idx = HashIndex::build(&rel(), vec![0]);
-        assert_eq!(idx.lookup(&[Value::Int(1)]), &[0, 2]);
-        assert_eq!(idx.lookup(&[Value::Int(2)]), &[1]);
-        assert!(idx.lookup(&[Value::Int(7)]).is_empty());
+        let rel = rel();
+        let idx = build(&rel, vec![0]);
+        assert_eq!(idx.lookup(rel.rows(), &[Value::Int(1)]), [0, 2]);
+        assert_eq!(idx.lookup(rel.rows(), &[Value::Int(2)]), [1]);
+        assert!(idx.lookup(rel.rows(), &[Value::Int(7)]).is_empty());
     }
 
     #[test]
     fn null_keys_not_indexed_and_not_matched() {
-        let idx = HashIndex::build(&rel(), vec![0]);
-        assert!(idx.lookup(&[Value::Null]).is_empty());
+        let rel = rel();
+        let idx = build(&rel, vec![0]);
+        assert!(idx.lookup(rel.rows(), &[Value::Null]).is_empty());
         assert_eq!(idx.distinct_keys(), 2);
     }
 
     #[test]
     fn remove_rows_reads_like_an_index_over_the_survivors() {
         let mut rel = rel();
-        let mut idx = HashIndex::build(&rel, vec![0]);
+        let mut idx = build(&rel, vec![0]);
         // Rows 0 (key 1), 1 (the only key 2) and 3 (null key) go.
         let ids = [0, 1, 3];
         let removed = rel.remove_rows_at(&ids);
         idx.remove_rows(&ids, &removed);
-        assert_eq!(idx.lookup(&[Value::Int(1)]), &[0], "row 2 is row 0 now");
-        assert!(idx.lookup(&[Value::Int(2)]).is_empty());
+        assert_eq!(
+            idx.lookup(rel.rows(), &[Value::Int(1)]),
+            [0],
+            "row 2 is row 0 now"
+        );
+        assert!(idx.lookup(rel.rows(), &[Value::Int(2)]).is_empty());
         assert_eq!(idx.distinct_keys(), 1, "a key with no rows left is dropped");
         assert_eq!(renumbered(5, &[0, 1, 3]), 2);
         assert_eq!(renumbered(2, &[0, 1, 3]), 0);
@@ -164,9 +298,47 @@ mod tests {
 
     #[test]
     fn composite_keys() {
-        let idx = HashIndex::build(&rel(), vec![0, 1]);
-        assert_eq!(idx.lookup(&[Value::Int(1), Value::Int(11)]), &[2]);
-        assert!(idx.lookup(&[Value::Int(1), Value::Int(12)]).is_empty());
+        let rel = rel();
+        let idx = build(&rel, vec![0, 1]);
+        assert_eq!(
+            idx.lookup(rel.rows(), &[Value::Int(1), Value::Int(11)]),
+            [2]
+        );
+        assert!(idx
+            .lookup(rel.rows(), &[Value::Int(1), Value::Int(12)])
+            .is_empty());
         assert_eq!(idx.key_cols(), &[0, 1]);
+    }
+
+    #[test]
+    fn postings_stay_ascending_and_shrink_back_inline() {
+        let mut p = Postings::default();
+        for id in [0, 3, 7] {
+            p.push(5, id);
+        }
+        p.push(9, 4);
+        assert_eq!(p.get(Some(5)), [0, 3, 7]);
+        p.remove(5, 3);
+        p.renumber(&[3]);
+        assert_eq!(p.get(Some(5)), [0, 6]);
+        assert_eq!(p.get(Some(9)), [3]);
+        p.remove(5, 0);
+        assert!(matches!(p.0[&5], Posting::One(6)));
+        p.remove(9, 3);
+        assert!(p.get(Some(9)).is_empty());
+        assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    fn a_planted_collision_returns_only_exact_key_rows() {
+        let rel = rel();
+        colliding(|| {
+            let idx = build(&rel, vec![0]);
+            assert_eq!(idx.distinct_keys(), 1, "both keys share one hash");
+            assert_eq!(idx.candidates(key_hash([Value::Int(2)])), [0, 1, 2]);
+            assert_eq!(idx.lookup(rel.rows(), &[Value::Int(1)]), [0, 2]);
+            assert_eq!(idx.lookup(rel.rows(), &[Value::Int(2)]), [1]);
+            assert!(idx.lookup(rel.rows(), &[Value::Int(7)]).is_empty());
+        });
     }
 }

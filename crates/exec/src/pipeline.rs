@@ -43,9 +43,7 @@ use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
 use fro_algebra::ops::BoundPred;
-use fro_algebra::{
-    key_hash, AlgebraError, Attr, Bitmap, ColumnSet, Relation, Schema, Tuple, Value,
-};
+use fro_algebra::{key_hash, AlgebraError, Attr, Bitmap, ColumnSet, Relation, Schema, Tuple};
 use std::sync::Arc;
 
 /// Immutable per-run context.
@@ -375,7 +373,8 @@ fn map_col(widths: &[usize], mut col: usize) -> (u32, u32) {
 
 /// [`key_hash`] over fragment-mapped columns — the same values, in
 /// the same order, as [`crate::engine`]'s `hash_key` over the
-/// materialized wide row, hence the same bucket.
+/// materialized wide row or a stored index's build over the inner
+/// table's columns, hence the same bucket.
 /// `None` when any key value is null.
 fn hash_parts(parts: &[&Tuple], key_map: &[(u32, u32)]) -> Option<u64> {
     key_hash(
@@ -385,28 +384,14 @@ fn hash_parts(parts: &[&Tuple], key_map: &[(u32, u32)]) -> Option<u64> {
     )
 }
 
-/// Column-wise key equality between the fragment chain and a build row.
+/// Column-wise key equality between the fragment chain and a build
+/// or inner row: the recheck that makes a shared hash cost a
+/// comparison, never a wrong row.
 fn keys_eq_parts(parts: &[&Tuple], key_map: &[(u32, u32)], brow: &Tuple, bcols: &[usize]) -> bool {
     key_map
         .iter()
         .zip(bcols)
         .all(|(&(p, c), &bc)| parts[p as usize].get(c as usize) == brow.get(bc))
-}
-
-/// Fill `out` with the fragment-mapped key columns; `false` (and a
-/// cleared buffer) when any value is null — SQL equality never matches
-/// on null.
-fn key_into_parts(parts: &[&Tuple], key_map: &[(u32, u32)], out: &mut Vec<Value>) -> bool {
-    out.clear();
-    for &(p, c) in key_map {
-        let v = parts[p as usize].get(c as usize);
-        if v.is_null() {
-            out.clear();
-            return false;
-        }
-        out.push(v.clone());
-    }
-    true
 }
 
 /// Compile the maximal streaming spine rooted at `plan` and drive it.
@@ -890,22 +875,12 @@ fn exec_stream(
         &mut out_rows,
         |range, buf, st, sl| {
             let mut parts: Vec<&Tuple> = Vec::with_capacity(depth);
-            let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); specs.len()];
             match &sel {
                 Some(mask) => mask.for_each_one_in(range.start, range.end, |i| {
                     parts.clear();
                     parts.push(&src_rows[i]);
                     push_row(
-                        &specs,
-                        &side_rows,
-                        &tables,
-                        &tail,
-                        hoisted,
-                        &mut parts,
-                        &mut scratch,
-                        buf,
-                        st,
-                        sl,
+                        &specs, &side_rows, &tables, &tail, hoisted, &mut parts, buf, st, sl,
                     );
                 }),
                 None => {
@@ -913,16 +888,7 @@ fn exec_stream(
                         parts.clear();
                         parts.push(row);
                         push_row(
-                            &specs,
-                            &side_rows,
-                            &tables,
-                            &tail,
-                            0,
-                            &mut parts,
-                            &mut scratch,
-                            buf,
-                            st,
-                            sl,
+                            &specs, &side_rows, &tables, &tail, 0, &mut parts, buf, st, sl,
                         );
                     }
                 }
@@ -954,7 +920,6 @@ fn push_row<'a>(
     tail: &Tail,
     idx: usize,
     parts: &mut Vec<&'a Tuple>,
-    scratch: &mut [Vec<Value>],
     buf: &mut Vec<Tuple>,
     st: &mut ExecStats,
     slots: &mut [u64],
@@ -976,7 +941,6 @@ fn push_row<'a>(
                     tail,
                     idx + 1,
                     parts,
-                    scratch,
                     buf,
                     st,
                     slots,
@@ -1016,7 +980,6 @@ fn push_row<'a>(
                                 tail,
                                 idx + 1,
                                 parts,
-                                scratch,
                                 buf,
                                 st,
                                 slots,
@@ -1037,7 +1000,6 @@ fn push_row<'a>(
                                 tail,
                                 idx + 1,
                                 parts,
-                                scratch,
                                 buf,
                                 st,
                                 slots,
@@ -1068,7 +1030,6 @@ fn push_row<'a>(
                             tail,
                             idx + 1,
                             parts,
-                            scratch,
                             buf,
                             st,
                             slots,
@@ -1085,7 +1046,6 @@ fn push_row<'a>(
                             tail,
                             idx + 1,
                             parts,
-                            scratch,
                             buf,
                             st,
                             slots,
@@ -1105,16 +1065,20 @@ fn push_row<'a>(
             slot,
         } => {
             st.index_probes += 1;
-            let mut key = std::mem::take(&mut scratch[idx]);
-            let rids: &[usize] = if key_into_parts(parts, key_map, &mut key) {
-                index.lookup(&key)
-            } else {
-                &[]
-            };
-            st.tuples_retrieved += rids.len() as u64;
+            let h = hash_parts(parts, key_map);
             let mut matched = false;
-            for &rid in rids {
-                let irow = &inner_rows[rid];
+            // Set once a semi or anti probe has its answer; the rest of
+            // the exact-key rows are still retrieved and counted.
+            let mut settled = false;
+            for &rid in index.candidates(h) {
+                let irow = &inner_rows[rid as usize];
+                if !keys_eq_parts(parts, key_map, irow, index.key_cols()) {
+                    continue;
+                }
+                st.tuples_retrieved += 1;
+                if settled {
+                    continue;
+                }
                 st.comparisons += 1;
                 parts.push(irow);
                 let ok = residual.eval_parts(parts).is_true();
@@ -1131,7 +1095,6 @@ fn push_row<'a>(
                                 tail,
                                 idx + 1,
                                 parts,
-                                scratch,
                                 buf,
                                 st,
                                 slots,
@@ -1152,19 +1115,18 @@ fn push_row<'a>(
                                 tail,
                                 idx + 1,
                                 parts,
-                                scratch,
                                 buf,
                                 st,
                                 slots,
                             );
-                            break;
+                            settled = true;
                         }
                     }
                     JoinKind::Anti => {
                         parts.pop();
                         if ok {
                             matched = true;
-                            break;
+                            settled = true;
                         }
                     }
                     JoinKind::FullOuter => unreachable!("rejected at compile"),
@@ -1183,7 +1145,6 @@ fn push_row<'a>(
                             tail,
                             idx + 1,
                             parts,
-                            scratch,
                             buf,
                             st,
                             slots,
@@ -1200,7 +1161,6 @@ fn push_row<'a>(
                             tail,
                             idx + 1,
                             parts,
-                            scratch,
                             buf,
                             st,
                             slots,
@@ -1209,7 +1169,6 @@ fn push_row<'a>(
                     _ => {}
                 }
             }
-            scratch[idx] = key;
         }
         StageSpec::Reduce {
             table_idx,
@@ -1239,7 +1198,6 @@ fn push_row<'a>(
                     tail,
                     idx + 1,
                     parts,
-                    scratch,
                     buf,
                     st,
                     slots,
@@ -1273,7 +1231,6 @@ fn push_row<'a>(
                                 tail,
                                 idx + 1,
                                 parts,
-                                scratch,
                                 buf,
                                 st,
                                 slots,
@@ -1294,7 +1251,6 @@ fn push_row<'a>(
                                 tail,
                                 idx + 1,
                                 parts,
-                                scratch,
                                 buf,
                                 st,
                                 slots,
@@ -1325,7 +1281,6 @@ fn push_row<'a>(
                             tail,
                             idx + 1,
                             parts,
-                            scratch,
                             buf,
                             st,
                             slots,
@@ -1342,7 +1297,6 @@ fn push_row<'a>(
                             tail,
                             idx + 1,
                             parts,
-                            scratch,
                             buf,
                             st,
                             slots,

@@ -334,7 +334,7 @@ impl Table {
             self.columns = ColumnSet::build(&self.rel);
         }
         for ix in &mut self.indexes {
-            ix.insert_rows(&self.rel, old_len);
+            ix.insert_rows(&self.columns, old_len);
         }
         Some(novel)
     }
@@ -395,7 +395,9 @@ impl Table {
         &self.columns
     }
 
-    /// Build (or rebuild) an index on the given attributes.
+    /// Build an index on the given attributes, or rebuild in place the
+    /// one already on them: a table holds at most one index per column
+    /// set.
     ///
     /// Returns `false` (building nothing) if any attribute is missing.
     pub fn create_index(&mut self, attrs: &[Attr]) -> bool {
@@ -407,7 +409,12 @@ impl Table {
             }
         }
         cols.sort_unstable();
-        self.indexes.push(HashIndex::build(&self.rel, cols));
+        let at = self.indexes.iter().position(|ix| ix.key_cols() == cols);
+        let built = HashIndex::build(&self.columns, cols);
+        match at {
+            Some(at) => self.indexes[at] = built,
+            None => self.indexes.push(built),
+        }
         true
     }
 
@@ -689,6 +696,33 @@ mod tests {
     }
 
     #[test]
+    fn a_second_create_index_rebuilds_the_first_in_place() {
+        let mut s = Storage::new();
+        s.insert(
+            "R",
+            Relation::from_ints("R", &["k", "v"], &[&[1, 5], &[2, 6], &[1, 7]]),
+        );
+        let k = [Attr::parse("R.k")];
+        assert!(s.create_index("R", &k));
+        assert!(s.create_index("R", &k));
+        let ints = |vs: &[i64]| Tuple::new(vs.iter().map(|&v| Value::Int(v)).collect());
+        let novel = s.append_rows("R", vec![ints(&[2, 8]), ints(&[3, 9])]);
+        assert_eq!(novel.map(|n| n.len()), Some(2));
+        let t = s.get("R").unwrap();
+        assert_eq!(t.indexes().len(), 1, "one index per column set");
+        let mut fresh = Table::new(t.relation().clone());
+        assert!(fresh.create_index(&k));
+        let (ix, fx) = (&t.indexes()[0], &fresh.indexes()[0]);
+        let rows = t.relation().rows();
+        assert_eq!(ix.distinct_keys(), fx.distinct_keys());
+        for key in 0..5 {
+            let key = [Value::Int(key)];
+            assert_eq!(ix.lookup(rows, &key), fx.lookup(rows, &key), "{key:?}");
+        }
+        assert_eq!(ix.lookup(rows, &[Value::Int(2)]), [1, 3]);
+    }
+
+    #[test]
     fn table_empty_check() {
         let t = Table::new(Relation::from_ints("R", &["a"], &[]));
         assert!(t.is_empty());
@@ -896,7 +930,11 @@ mod tests {
             assert_eq!(a.min_max(), b.min_max(), "col {c}");
         }
         // The index sees the appended rows.
-        assert_eq!(t.index_on(&[0]).unwrap().lookup(&[Value::Int(3)]), &[2, 3]);
+        let rows = t.relation().rows();
+        assert_eq!(
+            t.index_on(&[0]).unwrap().lookup(rows, &[Value::Int(3)]),
+            [2, 3]
+        );
         // An all-duplicate append changes nothing, not even the epoch.
         let e1 = s.epoch();
         let none = s
@@ -1088,7 +1126,11 @@ mod tests {
             assert_eq!(ia.distinct_keys(), ib.distinct_keys(), "{what}");
             for t in rows.iter().chain(probe) {
                 let key: Vec<Value> = ia.key_cols().iter().map(|&c| t.get(c).clone()).collect();
-                assert_eq!(ia.lookup(&key), ib.lookup(&key), "{what}: key {key:?}");
+                assert_eq!(
+                    ia.lookup(table.relation().rows(), &key),
+                    ib.lookup(rebuilt.relation().rows(), &key),
+                    "{what}: key {key:?}"
+                );
             }
         }
         let novel = table.clone().append_rows(probe.to_vec());

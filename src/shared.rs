@@ -757,10 +757,11 @@ mod tests {
         assert_eq!(s.catalog().distinct_of(&Attr::parse("F.y")), 19);
         // The index came through every arm, renumbered.
         let id = s.storage().rel_id("F").unwrap();
-        let index = &s.storage().get_by_id(id).unwrap().indexes()[0];
-        assert_eq!(index.lookup(&[Value::Int(101)]), &[18]);
-        assert_eq!(index.lookup(&[Value::Int(5)]), &[2]);
-        assert!(index.lookup(&[Value::Int(4)]).is_empty());
+        let table = s.storage().get_by_id(id).unwrap();
+        let (index, rows) = (&table.indexes()[0], table.relation().rows());
+        assert_eq!(index.lookup(rows, &[Value::Int(101)]), [18]);
+        assert_eq!(index.lookup(rows, &[Value::Int(5)]), [2]);
+        assert!(index.lookup(rows, &[Value::Int(4)]).is_empty());
         // Deleting rows the table does not hold publishes nothing.
         let before = db.snapshot();
         assert!(db.delete_rows("F", &ints(&[4, 555])));
