@@ -108,28 +108,6 @@ fn estimate(plan: &PhysPlan, catalog: &Catalog, overlap: KeyOverlap) -> Estimate
                 rows,
             }
         }
-        PhysPlan::MergeJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            let le = estimate(left, catalog, overlap);
-            let re = estimate(right, catalog, overlap);
-            let mut sel = catalog.selectivity(residual);
-            for (lk, rk) in left_keys.iter().zip(right_keys) {
-                sel *= catalog.eq_selectivity_as(lk, rk, overlap);
-            }
-            let rows = join_rows(*kind, le.rows, re.rows, sel);
-            // Sort cost modeled as n·log n over each input.
-            let sort = |n: f64| n * (n.max(2.0)).log2();
-            Estimate {
-                cost: le.cost + re.cost + sort(le.rows) + sort(re.rows) + rows,
-                rows,
-            }
-        }
         PhysPlan::NlJoin {
             kind,
             left,

@@ -222,7 +222,6 @@ pub(crate) enum Shape {
     Nl,
     Index,
     Hash,
-    Merge,
 }
 
 /// A costed join candidate over a cut, before any plan is built.
@@ -436,9 +435,9 @@ fn resolve_eq(conj: &Pred, relmap: &RelMap, catalog: &Catalog) -> Option<EqConju
 }
 
 /// The cheapest candidate for `probe ⊙ build` over a cut — pure
-/// arithmetic, no plan is built. Candidate order (index, hash, merge,
-/// with strict improvement) matches the historical enumeration order
-/// so ties resolve identically.
+/// arithmetic, no plan is built. An index join wins unless hash is
+/// strictly cheaper, so ties resolve as in the historical enumeration
+/// order (index, then hash).
 pub(crate) fn best_shape(
     info: &CutInfo,
     probe: &Entry,
@@ -462,30 +461,22 @@ pub(crate) fn best_shape(
             probe.cost + build.cost + probe.rows * build.rows + rows,
         );
     }
-    let mut best: Option<Candidate> = None;
-    let mut consider = |cand: Candidate| {
-        if best.as_ref().is_none_or(|b| cand.cost < b.cost) {
-            best = Some(cand);
-        }
-    };
-    // Index nested-loop: build side must be a bare indexed base table;
-    // its scan cost is *not* paid.
-    if build.base.is_some() && info.build_has_index(probe_is_lo) {
-        let retrieved = probe.rows * build.rows * info.key_sel;
-        consider(mk(Shape::Index, probe.cost + probe.rows + retrieved + rows));
-    }
-    consider(mk(
+    let hash = mk(
         Shape::Hash,
         probe.cost + build.cost + build.rows + probe.rows + rows,
-    ));
-    // Sort-merge join: competitive when inputs are large and the
-    // output small (no hash table residency).
-    let sort = |n: f64| n * (n.max(2.0)).log2();
-    consider(mk(
-        Shape::Merge,
-        probe.cost + build.cost + sort(probe.rows) + sort(build.rows) + rows,
-    ));
-    best.expect("at least hash and merge were considered")
+    );
+    // Index nested-loop: build side must be a bare indexed base table;
+    // its scan cost is *not* paid.
+    if !(build.base.is_some() && info.build_has_index(probe_is_lo)) {
+        return hash;
+    }
+    let retrieved = probe.rows * build.rows * info.key_sel;
+    let index = mk(Shape::Index, probe.cost + probe.rows + retrieved + rows);
+    if hash.cost < index.cost {
+        hash
+    } else {
+        index
+    }
 }
 
 /// Build the physical plan for a winning candidate (the only place a
@@ -526,17 +517,6 @@ pub(crate) fn materialize(
                 build: Box::new(build.plan.clone()),
                 probe_keys,
                 build_keys,
-                residual: info.residual.clone(),
-            }
-        }
-        Shape::Merge => {
-            let (left_keys, right_keys) = info.keys(cand.probe_is_lo);
-            PhysPlan::MergeJoin {
-                kind: cand.kind,
-                left: Box::new(probe.plan.clone()),
-                right: Box::new(build.plan.clone()),
-                left_keys,
-                right_keys,
                 residual: info.residual.clone(),
             }
         }

@@ -38,9 +38,7 @@ pub use lower::lower;
 #[doc(hidden)]
 pub use lower::{lower_by_name, split_equi_by_name};
 pub use place::place_restriction;
-pub use plancache::{
-    graph_signature, CacheLoad, CacheStats, CachedEntry, GraphSignature, PlanCache,
-};
+pub use plancache::{graph_signature, CacheStats, CachedEntry, GraphSignature, PlanCache};
 pub use reduce::{reduce_plan, ReducePolicy, ReductionReport, WrapDesc};
 pub use stats::{Catalog, TableInfo};
 

@@ -63,10 +63,7 @@ fn place(plan: &mut PhysPlan, reads: &[Attr], pred: &Pred) {
             kind, probe, build, ..
         } => side(*kind, probe, Some(build), reads),
         PhysPlan::IndexJoin { kind, outer, .. } => side(*kind, outer, None, reads),
-        PhysPlan::MergeJoin {
-            kind, left, right, ..
-        }
-        | PhysPlan::NlJoin {
+        PhysPlan::NlJoin {
             kind, left, right, ..
         } => side(*kind, left, Some(right), reads),
         PhysPlan::Scan { .. }

@@ -24,16 +24,11 @@
 //! it returns.
 
 use super::dp::Entry;
-use fro_algebra::{Interner, RelId, RelSet, SigHash, StableHasher};
+use fro_algebra::{RelId, RelSet, SigHash, StableHasher};
 use fro_exec::PhysPlan;
 use fro_graph::{EdgeKind, QueryGraph};
-use fro_wire::{
-    decode_snapshot, encode_snapshot, peek_snapshot_header, SnapshotEntry, SnapshotHeader,
-    WireError,
-};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -48,13 +43,6 @@ impl GraphSignature {
     #[must_use]
     pub fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Rebuild a signature from its raw digest — for loading persisted
-    /// cache snapshots, where the digest is the stored key.
-    #[must_use]
-    pub fn from_u64(raw: u64) -> GraphSignature {
-        GraphSignature(raw)
     }
 }
 
@@ -185,11 +173,6 @@ impl Clone for Slot {
 struct Shard {
     map: HashMap<CacheKey, Slot>,
 }
-
-/// The policy byte every snapshot entry still carries. The format
-/// predates the policy-free key, so the saver writes this constant and
-/// the loader ignores it.
-const SNAPSHOT_POLICY_TAG: u8 = 0;
 
 /// Default capacity: plenty for thousands of distinct subplans while
 /// bounding a long-lived session's footprint.
@@ -440,157 +423,6 @@ impl PlanCache {
         let per_shard = capacity.max(1).div_ceil(self.shards.len()).max(1);
         self.shard_capacity.store(per_shard, Ordering::Relaxed);
     }
-
-    /// Persist every current-epoch entry to `path` as a `FROW`
-    /// snapshot. Stale entries (older epochs) are skipped — the file
-    /// only ever contains plans costed against the statistics the
-    /// header's `epoch`/`fingerprint` describe. Entries whose plans
-    /// reference names the interner no longer resolves are skipped
-    /// rather than failing the whole save. Returns the number of
-    /// entries written. Each entry carries its recency rank so a later
-    /// [`PlanCache::load`] restores the LRU order, not just the set.
-    ///
-    /// # Errors
-    /// [`WireError::Io`] on filesystem failure; encoding itself cannot
-    /// fail for entries the skip-filter admits.
-    pub fn save(
-        &self,
-        path: impl AsRef<Path>,
-        it: &Interner,
-        epoch: u64,
-        fingerprint: u64,
-    ) -> Result<usize, WireError> {
-        let header = SnapshotHeader { epoch, fingerprint };
-        let mut aged: Vec<(u64, SnapshotEntry)> = Vec::new();
-        for i in 0..self.shards.len() {
-            let guard = self.read_shard(i);
-            aged.extend(
-                guard
-                    .map
-                    .iter()
-                    .filter(|(_, slot)| slot.entry.epoch == epoch)
-                    .map(|(key, slot)| {
-                        let e = &slot.entry;
-                        (
-                            slot.last_used.load(Ordering::Relaxed),
-                            SnapshotEntry {
-                                sig: key.sig.as_u64(),
-                                set_bits: key.set,
-                                policy_tag: SNAPSHOT_POLICY_TAG,
-                                cost: e.cost,
-                                rows: e.rows,
-                                base: e.base,
-                                recency: 0, // ranked below, once sorted
-                                plan: e.plan.clone(),
-                            },
-                        )
-                    })
-                    // Per-entry dry run against the same validation the
-                    // final encode applies, so one unserializable entry
-                    // is dropped instead of failing the whole save.
-                    .filter(|(_, e)| encode_snapshot(header, std::slice::from_ref(e), it).is_ok()),
-            );
-        }
-        // Oldest first, so rank 0 = least recently used.
-        aged.sort_unstable_by_key(|&(t, _)| t);
-        let entries: Vec<SnapshotEntry> = aged
-            .into_iter()
-            .enumerate()
-            .map(|(rank, (_, mut e))| {
-                e.recency = rank as u64;
-                e
-            })
-            .collect();
-        let bytes = encode_snapshot(header, &entries, it)?;
-        std::fs::write(path.as_ref(), bytes).map_err(|e| WireError::Io(e.to_string()))?;
-        Ok(entries.len())
-    }
-
-    /// Load a snapshot saved by [`PlanCache::save`], revalidating it
-    /// against the *current* catalog generation before trusting a
-    /// single entry:
-    ///
-    /// 1. wrong `fingerprint` (different tables/stats, so different
-    ///    name⇄id mapping) → [`CacheLoad::Foreign`], nothing decoded;
-    /// 2. right fingerprint, wrong `epoch` → [`CacheLoad::StaleEpoch`],
-    ///    nothing loaded (entries would be lazily evicted anyway);
-    /// 3. both match → entries decode, validate structurally, and are
-    ///    inserted at the current epoch.
-    ///
-    /// A mismatched snapshot is **not** an error — the cache simply
-    /// stays cold, which is always correct.
-    ///
-    /// # Errors
-    /// [`WireError::Io`] when the file cannot be read, or any decode
-    /// variant when a fingerprint-matching snapshot is corrupt.
-    pub fn load(
-        &self,
-        path: impl AsRef<Path>,
-        it: &Interner,
-        epoch: u64,
-        fingerprint: u64,
-    ) -> Result<CacheLoad, WireError> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| WireError::Io(e.to_string()))?;
-        let header = peek_snapshot_header(&bytes)?;
-        if header.fingerprint != fingerprint {
-            return Ok(CacheLoad::Foreign);
-        }
-        if header.epoch != epoch {
-            return Ok(CacheLoad::StaleEpoch);
-        }
-        let (_, mut entries) = decode_snapshot(&bytes, it)?;
-        // Install in ascending recency order so the ticks assigned here
-        // reproduce the saved LRU order: the least recently used entry
-        // gets the oldest tick and is first in line for eviction again.
-        entries.sort_by_key(|e| e.recency);
-        let capacity = self.shard_capacity.load(Ordering::Relaxed);
-        let mut loaded = 0usize;
-        for e in entries {
-            // decode_snapshot range-checked `e.policy_tag`; the key has
-            // no policy, so the byte is otherwise ignored.
-            let key = CacheKey {
-                sig: GraphSignature::from_u64(e.sig),
-                set: e.set_bits,
-            };
-            let tick = self.next_tick();
-            let mut guard = self.write_shard(self.shard_of(&key));
-            if guard.map.len() >= capacity {
-                continue; // this shard is full; others may still accept
-            }
-            guard.map.insert(
-                key,
-                Slot {
-                    entry: Arc::new(CachedEntry {
-                        plan: e.plan,
-                        cost: e.cost,
-                        rows: e.rows,
-                        base: e.base,
-                        epoch,
-                    }),
-                    last_used: AtomicU64::new(tick),
-                },
-            );
-            loaded += 1;
-        }
-        Ok(CacheLoad::Loaded(loaded))
-    }
-}
-
-/// Outcome of [`PlanCache::load`]: how the snapshot related to the
-/// loading catalog's generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLoad {
-    /// Header matched; this many entries were installed at the current
-    /// epoch.
-    Loaded(usize),
-    /// Fingerprint matched but the epoch moved since the save — the
-    /// statistics changed, so the plans' costs are no longer trusted
-    /// and the cache stays cold.
-    StaleEpoch,
-    /// The snapshot was written over a different catalog (different
-    /// fingerprint); its ids would resolve to the wrong names, so it
-    /// was rejected before decoding any entry and the cache stays cold.
-    Foreign,
 }
 
 impl Default for PlanCache {

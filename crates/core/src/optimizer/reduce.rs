@@ -220,10 +220,7 @@ fn provides_attr(plan: &PhysPlan, k: &Attr) -> bool {
             JK::Semi | JK::Anti => provides_attr(outer, k),
             _ => provides_attr(outer, k) || k.rel() == inner,
         },
-        PhysPlan::MergeJoin {
-            kind, left, right, ..
-        }
-        | PhysPlan::NlJoin {
+        PhysPlan::NlJoin {
             kind, left, right, ..
         } => match kind {
             JK::Semi | JK::Anti => provides_attr(left, k),
@@ -259,9 +256,7 @@ fn find_base(plan: &PhysPlan, rel: &str) -> Option<PhysPlan> {
                 find_base(outer, rel)
             }
         }
-        PhysPlan::MergeJoin { left, right, .. }
-        | PhysPlan::NlJoin { left, right, .. }
-        | PhysPlan::Goj { left, right, .. } => {
+        PhysPlan::NlJoin { left, right, .. } | PhysPlan::Goj { left, right, .. } => {
             find_base(left, rel).or_else(|| find_base(right, rel))
         }
     }
@@ -522,24 +517,6 @@ fn rewrite(plan: &PhysPlan, pending: Vec<Pending>, cx: &mut RewriteCx<'_>) -> Ph
             apply_pending(out, pending)
         }
         PhysPlan::IndexJoin { .. } => apply_pending(plan.clone(), pending),
-        PhysPlan::MergeJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            let out = PhysPlan::MergeJoin {
-                kind: *kind,
-                left: Box::new(rewrite(left, Vec::new(), cx)),
-                right: Box::new(rewrite(right, Vec::new(), cx)),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                residual: residual.clone(),
-            };
-            apply_pending(out, pending)
-        }
         PhysPlan::NlJoin {
             kind,
             left,

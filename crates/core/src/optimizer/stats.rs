@@ -9,7 +9,7 @@
 //! arithmetic. The name-keyed API survives as a thin shim over the
 //! interner for construction-time and display-time callers.
 
-use super::plancache::{CacheLoad, CacheStats, PlanCache};
+use super::plancache::{CacheStats, PlanCache};
 use fro_algebra::{Attr, AttrId, CmpOp, Interner, KeySketch, Pred, RelId, Scalar, Schema};
 use fro_exec::{Storage, Table};
 use std::collections::BTreeSet;
@@ -329,83 +329,6 @@ impl Catalog {
     #[must_use]
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
-    }
-
-    /// A stable digest of the catalog's *identity*: the interner's
-    /// name⇄id mapping (relation names and their attributes in id
-    /// order) and each table's available indexes. Two catalogs with
-    /// the same fingerprint assign the same ids to the same names and
-    /// can run the same physical plans — the precondition for trusting
-    /// an id-only snapshot written by one of them in the other.
-    ///
-    /// Deliberately excludes statistics (row and distinct counts, key
-    /// sketches):
-    /// stats drift is the [epoch](Catalog::epoch)'s job, so a snapshot
-    /// from the same catalog at older stats loads as
-    /// [`CacheLoad::StaleEpoch`], not [`CacheLoad::Foreign`].
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fro_algebra::StableHasher::new();
-        h.write_u64(self.interner.n_rels() as u64);
-        for name in self.interner.rel_names() {
-            h.write_str(name);
-        }
-        h.write_u64(self.interner.n_attrs() as u64);
-        for i in 0..self.interner.n_rels() {
-            let id = RelId::from_index(i);
-            let attr_ids = self.interner.attrs_of(id);
-            h.write_u64(attr_ids.len() as u64);
-            for &aid in attr_ids {
-                let a = self.interner.attr(aid);
-                h.write_u64(aid.index() as u64);
-                h.write_str(a.rel());
-                h.write_str(a.name());
-            }
-        }
-        h.write_u64(self.tables.len() as u64);
-        for t in &self.tables {
-            h.write_u64(t.indexes.len() as u64);
-            for ix in &t.indexes {
-                h.write_u64(ix.len() as u64);
-                for &c in ix {
-                    h.write_u64(u64::from(c));
-                }
-            }
-        }
-        h.finish()
-    }
-
-    /// Persist the plan cache's current-epoch entries to `path` (see
-    /// [`PlanCache::save`]); the snapshot header carries this catalog's
-    /// epoch and [`Catalog::fingerprint`]. Returns the entry count
-    /// written.
-    ///
-    /// # Errors
-    /// [`fro_wire::WireError::Io`] on filesystem failure.
-    pub fn save_cache(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<usize, fro_wire::WireError> {
-        self.plan_cache
-            .save(path, &self.interner, self.epoch, self.fingerprint())
-    }
-
-    /// Load a plan-cache snapshot saved by [`Catalog::save_cache`],
-    /// revalidating its header against this catalog's current epoch
-    /// and fingerprint. A stale or foreign snapshot loads nothing and
-    /// reports which check failed — the cache stays cold, which is
-    /// always correct; a matching snapshot installs its entries as
-    /// warm hits.
-    ///
-    /// # Errors
-    /// [`fro_wire::WireError::Io`] when the file cannot be read, or a
-    /// decode error when a fingerprint-matching snapshot is corrupt.
-    pub fn load_cache(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<CacheLoad, fro_wire::WireError> {
-        self.plan_cache
-            .load(path, &self.interner, self.epoch, self.fingerprint())
     }
 
     /// Cumulative plan-cache statistics.

@@ -388,14 +388,6 @@ impl DeltaPlan {
                     residual,
                 )
             }
-            PhysPlan::MergeJoin {
-                kind,
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-            } => self.build_join(storage, *kind, left, right, left_keys, right_keys, residual),
             PhysPlan::NlJoin {
                 kind,
                 left,

@@ -5,8 +5,7 @@
 //! Every plan runs on the pipelined executor (`pipeline.rs`): spines
 //! of scan → filter → probe → project fuse into one pass, and the
 //! kernels here execute the breakers — full-outer hash and
-//! nested-loop joins, merge joins and `GroupCount` — over materialized
-//! inputs.
+//! nested-loop joins and `GroupCount` — over materialized inputs.
 //!
 //! Work is **morsel-driven** ([`drive_morsels`], shared with the
 //! pipeline): the input is split into fixed-size contiguous row ranges
@@ -41,13 +40,12 @@
 
 use crate::config::ExecConfig;
 use crate::index::{row_id, Postings};
-use crate::plan::{JoinKind, PhysPlan};
+use crate::plan::PhysPlan;
 use crate::stats::ExecStats;
 use crate::storage::Storage;
 use fro_algebra::ops::{AttrCols, BoundPred, IPred};
 use fro_algebra::{
     key_hash, AlgebraError, Attr, ColumnSet, FastSet, Interner, Pred, Relation, Schema, Tuple,
-    Value,
 };
 use std::fmt;
 use std::ops::Range;
@@ -156,18 +154,6 @@ pub(crate) fn dedup_rows(rows: &mut Vec<Tuple>) {
     }
     let mut flags = keep.into_iter();
     rows.retain(|_| flags.next().expect("one flag per row"));
-}
-
-fn key_of(row: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(cols.len());
-    for &c in cols {
-        let v = row.get(c);
-        if v.is_null() {
-            return None; // equality on null never matches
-        }
-        key.push(v.clone());
-    }
-    Some(key)
 }
 
 /// [`key_hash`] of the key columns of `row`, or `None` when any is
@@ -468,138 +454,6 @@ pub(crate) fn hash_full_outerjoin(
     Ok(Relation::from_distinct_rows(schema, rows))
 }
 
-/// Sort-merge join: sort row indices of both inputs on their key
-/// columns, then merge equal-key groups. Rows with a null key never
-/// match (SQL equality) and are emitted padded/kept for the outer/anti
-/// flavors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_join(
-    kind: JoinKind,
-    left: &Relation,
-    right: &Relation,
-    left_keys: &[Attr],
-    right_keys: &[Attr],
-    residual: &Pred,
-    it: Option<&Interner>,
-    stats: &mut ExecStats,
-) -> Result<Relation, ExecError> {
-    let lcols = resolve_cols(left.schema(), left_keys)?;
-    let rcols = resolve_cols(right.schema(), right_keys)?;
-    let wide = matches!(
-        kind,
-        JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter
-    );
-    let concat_schema = Arc::new(left.schema().concat(right.schema())?);
-    let out_schema = if wide {
-        concat_schema.clone()
-    } else {
-        left.schema().clone()
-    };
-    let bound = bind_pred(residual, &concat_schema, it)?;
-
-    // Sorted index runs over non-null-keyed rows; null-keyed rows go
-    // straight to the unmatched sets.
-    let key_at = |rel: &Relation, cols: &[usize], i: usize| -> Option<Vec<Value>> {
-        key_of(&rel.rows()[i], cols)
-    };
-    let mut lsorted: Vec<(Vec<Value>, usize)> = Vec::with_capacity(left.len());
-    let mut lnull: Vec<usize> = Vec::new();
-    for i in 0..left.len() {
-        match key_at(left, &lcols, i) {
-            Some(k) => lsorted.push((k, i)),
-            None => lnull.push(i),
-        }
-    }
-    lsorted.sort();
-    let mut rsorted: Vec<(Vec<Value>, usize)> = Vec::with_capacity(right.len());
-    let mut rnull: Vec<usize> = Vec::new();
-    for i in 0..right.len() {
-        match key_at(right, &rcols, i) {
-            Some(k) => rsorted.push((k, i)),
-            None => rnull.push(i),
-        }
-    }
-    rsorted.sort();
-    stats.comparisons += (lsorted.len() + rsorted.len()) as u64; // sort work proxy
-
-    let pad_r = Tuple::nulls(right.schema().len());
-    let pad_l = Tuple::nulls(left.schema().len());
-    let mut left_matched = vec![false; left.len()];
-    let mut right_matched = vec![false; right.len()];
-    let mut rows = Vec::new();
-
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lsorted.len() && j < rsorted.len() {
-        match lsorted[i].0.cmp(&rsorted[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Group boundaries.
-                let key = lsorted[i].0.clone();
-                let i0 = i;
-                while i < lsorted.len() && lsorted[i].0 == key {
-                    i += 1;
-                }
-                let j0 = j;
-                while j < rsorted.len() && rsorted[j].0 == key {
-                    j += 1;
-                }
-                for &(_, li) in &lsorted[i0..i] {
-                    for &(_, rj) in &rsorted[j0..j] {
-                        let cat = left.rows()[li].concat(&right.rows()[rj]);
-                        stats.comparisons += 1;
-                        if bound.eval(&cat).is_true() {
-                            left_matched[li] = true;
-                            right_matched[rj] = true;
-                            if wide {
-                                rows.push(cat);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    match kind {
-        JoinKind::Inner | JoinKind::FullOuter | JoinKind::LeftOuter => {
-            if kind != JoinKind::Inner {
-                for (li, lrow) in left.rows().iter().enumerate() {
-                    if !left_matched[li] {
-                        rows.push(lrow.concat(&pad_r));
-                    }
-                }
-            }
-            if kind == JoinKind::FullOuter {
-                for (rj, rrow) in right.rows().iter().enumerate() {
-                    if !right_matched[rj] {
-                        rows.push(pad_l.concat(rrow));
-                    }
-                }
-            }
-        }
-        JoinKind::Semi => {
-            for (li, lrow) in left.rows().iter().enumerate() {
-                if left_matched[li] {
-                    rows.push(lrow.clone());
-                }
-            }
-        }
-        JoinKind::Anti => {
-            for (li, lrow) in left.rows().iter().enumerate() {
-                if !left_matched[li] {
-                    rows.push(lrow.clone());
-                }
-            }
-        }
-    }
-    let _ = (lnull, rnull); // null-keyed rows are covered by the unmatched passes
-    if kind == JoinKind::FullOuter {
-        dedup_rows(&mut rows);
-    }
-    Ok(Relation::from_distinct_rows(out_schema, rows))
-}
-
 /// The full-outer nested-loop breaker over materialized inputs: every
 /// right row is a candidate for every left row, so `comparisons` ticks
 /// once per pair.
@@ -665,7 +519,8 @@ pub fn explain_analyze_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fro_algebra::ops;
+    use crate::plan::JoinKind;
+    use fro_algebra::{ops, Value};
 
     fn storage() -> Storage {
         let mut s = Storage::new();
@@ -1144,79 +999,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_join_all_kinds_match_hash_join() {
+    fn explain_analyze_covers_merge_and_group_count() {
         let s = storage();
-        for kind in [
-            JoinKind::Inner,
-            JoinKind::LeftOuter,
-            JoinKind::FullOuter,
-            JoinKind::Semi,
-            JoinKind::Anti,
-        ] {
-            let merge = PhysPlan::MergeJoin {
-                kind,
-                left: Box::new(PhysPlan::scan("R2")),
-                right: Box::new(PhysPlan::scan("R3")),
-                left_keys: vec![Attr::parse("R2.k2")],
-                right_keys: vec![Attr::parse("R3.k3")],
-                residual: Pred::always(),
-            };
-            let hash = PhysPlan::HashJoin {
-                kind,
+        let plan = PhysPlan::GroupCount {
+            input: Box::new(PhysPlan::HashJoin {
+                kind: JoinKind::LeftOuter,
                 probe: Box::new(PhysPlan::scan("R2")),
                 build: Box::new(PhysPlan::scan("R3")),
                 probe_keys: vec![Attr::parse("R2.k2")],
                 build_keys: vec![Attr::parse("R3.k3")],
-                residual: Pred::always(),
-            };
-            let mut st1 = ExecStats::new();
-            let a = execute(&merge, &s, &mut st1).unwrap();
-            let mut st2 = ExecStats::new();
-            let b = execute(&hash, &s, &mut st2).unwrap();
-            assert!(a.set_eq(&b), "kind {kind}");
-        }
-    }
-
-    #[test]
-    fn merge_join_with_residual_and_duplicate_keys() {
-        let mut s = Storage::new();
-        s.insert(
-            "L",
-            Relation::from_ints("L", &["k", "v"], &[&[1, 10], &[1, 11], &[2, 20]]),
-        );
-        s.insert(
-            "R",
-            Relation::from_ints("R", &["k", "w"], &[&[1, 10], &[1, 99], &[3, 30]]),
-        );
-        let plan = PhysPlan::MergeJoin {
-            kind: JoinKind::LeftOuter,
-            left: Box::new(PhysPlan::scan("L")),
-            right: Box::new(PhysPlan::scan("R")),
-            left_keys: vec![Attr::parse("L.k")],
-            right_keys: vec![Attr::parse("R.k")],
-            residual: Pred::eq_attr("L.v", "R.w"),
-        };
-        let mut st = ExecStats::new();
-        let out = execute(&plan, &s, &mut st).unwrap();
-        let expect = ops::outerjoin(
-            s.get("L").unwrap().relation(),
-            s.get("R").unwrap().relation(),
-            &Pred::eq_attr("L.k", "R.k").and(Pred::eq_attr("L.v", "R.w")),
-        )
-        .unwrap();
-        assert!(out.set_eq(&expect));
-    }
-
-    #[test]
-    fn explain_analyze_covers_merge_and_group_count() {
-        let s = storage();
-        let plan = PhysPlan::GroupCount {
-            input: Box::new(PhysPlan::MergeJoin {
-                kind: JoinKind::LeftOuter,
-                left: Box::new(PhysPlan::scan("R2")),
-                right: Box::new(PhysPlan::scan("R3")),
-                left_keys: vec![Attr::parse("R2.k2")],
-                right_keys: vec![Attr::parse("R3.k3")],
                 residual: Pred::always(),
             }),
             group_attrs: vec![Attr::parse("R2.k2")],
@@ -1227,7 +1018,7 @@ mod tests {
         let expect = execute(&plan, &s, &mut st).unwrap();
         assert!(rel.set_eq(&expect));
         assert!(report.contains("GroupCount"), "{report}");
-        assert!(report.contains("MergeJoin(left-outer)"), "{report}");
+        assert!(report.contains("HashJoin(left-outer)"), "{report}");
         // Counts: k2 ∈ {1,2,3}, k3 ∈ {2,3,4} ⇒ (1,0), (2,1), (3,1).
         assert_eq!(rel.len(), 3);
     }
@@ -1252,14 +1043,6 @@ mod tests {
                 build: Box::new(PhysPlan::scan("R")),
                 probe_keys: vec![Attr::parse("L.k")],
                 build_keys: vec![Attr::parse("R.k")],
-                residual: Pred::always(),
-            },
-            PhysPlan::MergeJoin {
-                kind: JoinKind::FullOuter,
-                left: Box::new(PhysPlan::scan("L")),
-                right: Box::new(PhysPlan::scan("R")),
-                left_keys: vec![Attr::parse("L.k")],
-                right_keys: vec![Attr::parse("R.k")],
                 residual: Pred::always(),
             },
             PhysPlan::NlJoin {

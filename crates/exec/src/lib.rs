@@ -19,7 +19,7 @@
 //!   intermediate row vector between fused operators, base tables are
 //!   read through their columnar mirrors (vectorized filters, zone
 //!   skipping, column-direct hash builds), and only pipeline breakers
-//!   (non-scan build sides, `GroupCount`, merge sorts, full outerjoins)
+//!   (non-scan build sides, `GroupCount`, full outerjoins, `Goj`)
 //!   materialize. [`execute`] runs sequentially on the calling thread.
 //!   The join probe is also morsel-parallel; the executor suites, all
 //!   built on one harness (`tests/harness`), run it at several thread

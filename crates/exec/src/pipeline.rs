@@ -18,9 +18,8 @@
 //! intermediates go through the row-at-a-time kernels.
 //!
 //! **Pipeline breakers** — hash-join build sides that are themselves
-//! plans, `GroupCount`, merge joins (sort barrier), full outerjoins
-//! (their unmatched-side epilogue needs the whole probe result), `Goj`,
-//! and mid-spine projections — run the morsel-parallel kernels of
+//! plans, `GroupCount`, full outerjoins (their unmatched-side epilogue
+//! needs the whole probe result), `Goj`, and mid-spine projections — run the morsel-parallel kernels of
 //! [`crate::engine`]: the compiler cuts the
 //! spine at each breaker, executes the breaker's pipelines first (build
 //! before probe), and the materialized result becomes the next
@@ -36,8 +35,8 @@
 
 use crate::config::ExecConfig;
 use crate::engine::{
-    bind_pred, dedup_rows, drive_morsels, hash_full_outerjoin, merge_join, nl_full_outerjoin,
-    resolve_cols, ExecError, JoinTable,
+    bind_pred, dedup_rows, drive_morsels, hash_full_outerjoin, nl_full_outerjoin, resolve_cols,
+    ExecError, JoinTable,
 };
 use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
@@ -74,7 +73,6 @@ fn label_of(plan: &PhysPlan) -> String {
         PhysPlan::Project { .. } => "Project".to_owned(),
         PhysPlan::HashJoin { kind, .. } => format!("HashJoin({kind})"),
         PhysPlan::IndexJoin { kind, inner, .. } => format!("IndexJoin({kind}) {inner}"),
-        PhysPlan::MergeJoin { kind, .. } => format!("MergeJoin({kind})"),
         PhysPlan::NlJoin { kind, .. } => format!("NlJoin({kind})"),
         PhysPlan::GroupCount { .. } => "GroupCount".to_owned(),
         PhysPlan::SemiReduce { pass, .. } => format!("SemiReduce({pass})"),
@@ -163,8 +161,7 @@ fn exec_region(
     rs: &mut Rs<'_>,
 ) -> Result<Relation, ExecError> {
     match plan {
-        PhysPlan::MergeJoin { .. }
-        | PhysPlan::GroupCount { .. }
+        PhysPlan::GroupCount { .. }
         | PhysPlan::Goj { .. }
         | PhysPlan::HashJoin {
             kind: JoinKind::FullOuter,
@@ -239,32 +236,6 @@ fn exec_breaker(
             rs.trace
                 .push(format!("breaker: {} (materialized inputs)", label_of(plan)));
             nl_full_outerjoin(&l, &r, pred, Some(cx.storage.interner()), rs.stats, cx.cfg)?
-        }
-        PhysPlan::MergeJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-                return Err(ExecError::KeyArityMismatch);
-            }
-            let l = exec_inter(left, base + 1, cx, rs)?;
-            let r = exec_inter(right, base + 1 + n_nodes(left), cx, rs)?;
-            rs.trace
-                .push(format!("breaker: {} (materialized inputs)", label_of(plan)));
-            merge_join(
-                *kind,
-                &l,
-                &r,
-                left_keys,
-                right_keys,
-                residual,
-                Some(cx.storage.interner()),
-                rs.stats,
-            )?
         }
         PhysPlan::GroupCount {
             input,

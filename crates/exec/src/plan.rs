@@ -114,21 +114,6 @@ pub enum PhysPlan {
         /// Residual predicate applied to candidate pairs.
         residual: Pred,
     },
-    /// Sort-merge join: sort both inputs on the equi-keys and merge.
-    MergeJoin {
-        /// Join flavor (relative to the left side).
-        kind: JoinKind,
-        /// Left input.
-        left: Box<PhysPlan>,
-        /// Right input.
-        right: Box<PhysPlan>,
-        /// Equi-key attributes on the left side.
-        left_keys: Vec<Attr>,
-        /// Equi-key attributes on the right side (same arity).
-        right_keys: Vec<Attr>,
-        /// Residual predicate applied to candidate pairs.
-        residual: Pred,
-    },
     /// Plain nested-loop join (arbitrary predicate).
     NlJoin {
         /// Join flavor (relative to the left side).
@@ -208,9 +193,6 @@ impl PhysPlan {
                 source: b,
                 ..
             }
-            | PhysPlan::MergeJoin {
-                left: a, right: b, ..
-            }
             | PhysPlan::NlJoin {
                 left: a, right: b, ..
             }
@@ -225,8 +207,7 @@ impl PhysPlan {
     /// each `Scan` leaf and each `IndexJoin` inner table. The count of
     /// visits is exactly the number of relation slots the plan
     /// occupies, so a cached plan for a `k`-relation subset makes
-    /// exactly `k` calls — the invariant the wire-format snapshot
-    /// validator checks.
+    /// exactly `k` calls.
     pub fn for_each_base_rel<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
             PhysPlan::Scan { rel } => f(rel),
@@ -241,9 +222,7 @@ impl PhysPlan {
                 outer.for_each_base_rel(f);
                 f(inner);
             }
-            PhysPlan::MergeJoin { left, right, .. }
-            | PhysPlan::NlJoin { left, right, .. }
-            | PhysPlan::Goj { left, right, .. } => {
+            PhysPlan::NlJoin { left, right, .. } | PhysPlan::Goj { left, right, .. } => {
                 left.for_each_base_rel(f);
                 right.for_each_base_rel(f);
             }
@@ -253,15 +232,6 @@ impl PhysPlan {
                 source.for_each_base_rel(f);
             }
         }
-    }
-
-    /// Number of base-relation references in the tree (see
-    /// [`PhysPlan::for_each_base_rel`]).
-    #[must_use]
-    pub fn base_rel_refs(&self) -> usize {
-        let mut n = 0;
-        self.for_each_base_rel(&mut |_| n += 1);
-        n
     }
 
     /// Multi-line indented EXPLAIN-style rendering.
@@ -319,24 +289,6 @@ impl PhysPlan {
                     ik.join(",")
                 ));
                 outer.explain_into(out, depth + 1);
-            }
-            PhysPlan::MergeJoin {
-                kind,
-                left,
-                right,
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                let lk: Vec<String> = left_keys.iter().map(ToString::to_string).collect();
-                let rk: Vec<String> = right_keys.iter().map(ToString::to_string).collect();
-                out.push_str(&format!(
-                    "{pad}MergeJoin({kind}) [{} = {}]\n",
-                    lk.join(","),
-                    rk.join(",")
-                ));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
             }
             PhysPlan::NlJoin {
                 kind,
@@ -437,7 +389,9 @@ mod tests {
         assert!(text.contains("SemiReduce(up) [F.d1 = D1.k]"));
         assert!(text.contains("\n  Scan F"));
         assert!(text.contains("\n  Scan D1"));
-        assert_eq!(plan.base_rel_refs(), 2);
+        let mut rels = Vec::new();
+        plan.for_each_base_rel(&mut |r| rels.push(r));
+        assert_eq!(rels, ["F", "D1"]);
         assert_eq!(ReducePass::Down.to_string(), "down");
     }
 }

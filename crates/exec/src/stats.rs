@@ -28,8 +28,8 @@ pub struct ExecStats {
     pub rows_output: u64,
     /// Rows written into materialized buffers: the results of pipeline
     /// breakers — hash-join build sides that are not bare scans,
-    /// `GroupCount` inputs, merge-join / full-outerjoin / `Goj`
-    /// operands — so a fully-fused pipeline reports **0**.
+    /// `GroupCount` inputs, full-outerjoin and `Goj` operands — so a
+    /// fully-fused pipeline reports **0**.
     pub rows_materialized: u64,
     /// Rows that flowed through fused pipeline stages without an
     /// intermediate buffer (source rows pushed plus every fused

@@ -71,11 +71,6 @@ impl Writer {
         self.put_u64(((v << 1) ^ (v >> 63)) as u64);
     }
 
-    /// IEEE-754 bit pattern, little-endian, fixed 8 bytes.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     /// Length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
@@ -197,14 +192,6 @@ impl<'a> Reader<'a> {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    /// Fixed 8-byte little-endian IEEE-754 bit pattern.
-    pub fn take_f64(&mut self) -> Result<f64, WireError> {
-        let raw = self.take_raw(8)?;
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(raw);
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-
     /// Length-prefixed byte string; the declared length is validated
     /// against the remaining input before anything is sliced, so a
     /// hostile length cannot trigger a huge allocation.
@@ -287,19 +274,6 @@ mod tests {
         let mut r = Reader::new(&bytes);
         for &v in &samples {
             assert_eq!(r.take_i64().unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn f64_is_bit_exact() {
-        let mut w = Writer::new();
-        for v in [0.0f64, -0.0, 1.5, f64::INFINITY, f64::MIN_POSITIVE] {
-            w.put_f64(v);
-        }
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        for v in [0.0f64, -0.0, 1.5, f64::INFINITY, f64::MIN_POSITIVE] {
-            assert_eq!(r.take_f64().unwrap().to_bits(), v.to_bits());
         }
     }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Any way an encode, decode, or snapshot-file operation can fail.
+/// Any way an encode, decode, or framed-stream operation can fail.
 ///
 /// Decoding is **total**: every malformed input maps to one of these
 /// variants — never a panic, never a structurally invalid plan. The
@@ -46,24 +46,17 @@ pub enum WireError {
         /// Byte offset of the tag.
         at: usize,
     },
-    /// The artifact's format version is outside the range this decoder
-    /// speaks (`min_supported..=supported`; today each artifact has one
-    /// version, so the two are equal). Anything older (or newer)
-    /// degrades to re-encoding from source (for plans: re-planning; for
-    /// snapshots: a cold cache).
+    /// The artifact's format version is not the one this build speaks:
+    /// each artifact reads and writes exactly one version. A plan blob
+    /// of any other version degrades to re-planning from source.
     UnsupportedVersion {
         /// Which artifact carried the version byte.
         what: &'static str,
         /// The version found in the input.
         found: u8,
-        /// The oldest version this build still reads.
-        min_supported: u8,
-        /// The newest version this build reads (and the one it
-        /// writes).
+        /// The one version this build reads and writes.
         supported: u8,
     },
-    /// A snapshot did not start with the `FROW` magic.
-    BadMagic,
     /// A relation id with no entry in the decoding interner.
     BadRelId {
         /// The id read from the wire.
@@ -102,15 +95,8 @@ pub enum WireError {
         /// The depth limit that was hit.
         limit: usize,
     },
-    /// A snapshot entry's relation set disagrees with its plan's
-    /// base-relation references.
-    RelSetMismatch {
-        /// Member count of the entry's `RelSet`.
-        set_len: usize,
-        /// Base-relation references counted in the decoded plan.
-        plan_rels: usize,
-    },
-    /// A filesystem error while reading or writing a snapshot file.
+    /// An I/O failure on the stream a frame was read from or written
+    /// to (a socket, for the protocol).
     Io(String),
 }
 
@@ -132,14 +118,11 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion {
                 what,
                 found,
-                min_supported,
                 supported,
             } => write!(
                 f,
-                "unsupported {what} format version {found} \
-                 (this build reads {min_supported}..={supported})"
+                "unsupported {what} format version {found} (this build reads {supported})"
             ),
-            WireError::BadMagic => write!(f, "missing FROW snapshot magic"),
             WireError::BadRelId { id, n_rels } => {
                 write!(f, "relation id {id} out of range (interner has {n_rels})")
             }
@@ -156,11 +139,7 @@ impl fmt::Display for WireError {
             WireError::TooDeep { limit } => {
                 write!(f, "nesting deeper than the {limit}-level decoder cap")
             }
-            WireError::RelSetMismatch { set_len, plan_rels } => write!(
-                f,
-                "entry set has {set_len} member(s) but its plan references {plan_rels} base relation(s)"
-            ),
-            WireError::Io(msg) => write!(f, "snapshot i/o: {msg}"),
+            WireError::Io(msg) => write!(f, "i/o: {msg}"),
         }
     }
 }

@@ -4,9 +4,7 @@
 //! representation, and the plan cache already keys on its stable
 //! signature. This crate gives the cached artifacts themselves a
 //! stable byte form: a **versioned, length-prefixed, varint-based**
-//! binary encoding for [`PhysPlan`] trees and for whole plan-cache
-//! snapshots (signature, relation set, a policy byte, and
-//! cost/cardinality annotations per entry).
+//! binary encoding for [`PhysPlan`] trees.
 //!
 //! ## Ids only, no names
 //!
@@ -17,26 +15,22 @@
 //! has never seen fails with a typed error (such plans exist — derived
 //! attributes like `agg.count` — and are simply not serializable), and
 //! decoding against a *different* interner either fails or produces a
-//! plan over that interner's names, never a misattributed mix: the
-//! snapshot layer above additionally carries a catalog fingerprint so
-//! a foreign mapping is rejected before any entry is decoded.
+//! plan over that interner's names, never a misattributed mix.
 //!
 //! ## Strict decoding
 //!
 //! The decoder is total over hostile bytes: every read is
 //! bounds-checked, varints must be minimal, tags must be known,
-//! recursion depth is capped, join key lists must agree in (nonzero)
-//! arity, and a snapshot entry's relation set must match the plan's
-//! base-relation references. Every failure is a typed [`WireError`] —
+//! recursion depth is capped, and join key lists must agree in
+//! (nonzero) arity. Every failure is a typed [`WireError`] —
 //! decoding never panics and never fabricates a structurally invalid
 //! [`PhysPlan`].
 //!
-//! ## Format grammar (plans version 1, snapshots version 2)
+//! ## Format grammar (plans version 1)
 //!
 //! ```text
 //! varint   := LEB128 unsigned 64-bit, minimal encoding, ≤ 10 bytes
 //! zigzag   := varint of (n << 1) ^ (n >> 63)
-//! f64      := 8 bytes, IEEE-754 bit pattern, little-endian
 //! bytes    := varint(len) len×u8
 //! str      := bytes, valid UTF-8
 //! relid    := varint < n_rels        attrid := varint < n_attrs
@@ -53,17 +47,15 @@
 //!           | 2 plan attrs                         Project
 //!           | 3 kind plan plan attrs attrs pred    HashJoin
 //!           | 4 kind plan relid attrs attrs pred   IndexJoin
-//!           | 5 kind plan plan attrs attrs pred    MergeJoin
 //!           | 6 kind plan plan pred                NlJoin
 //!           | 7 plan attrs (0 | 1 attrid)          GroupCount
 //!           | 8 plan plan pred attrs               Goj
 //! blob     := u8(version = 1) plan                 (fully consumed)
-//! entry    := varint(sig) varint(set) u8(policy ≤ 2)
-//!             f64(cost) f64(rows) (0 | 1 relid)
-//!             varint(recency) bytes(blob)
-//! snapshot := "FROW" u8(version = 2) varint(epoch)
-//!             varint(fingerprint) varint(count) count×entry
 //! ```
+//!
+//! Plan tag 5 is reserved: it was a sort-merge join, which the
+//! optimizer never chose, and the decoder rejects it as
+//! [`WireError::UnknownTag`].
 //!
 //! Tag values deliberately mirror the [`fro_algebra::SigHash`]
 //! discriminants, so the wire format and the signature hash describe
@@ -80,16 +72,14 @@
 //!
 //! ## Versioning and compatibility
 //!
-//! The version byte (per plan blob, per snapshot, and per protocol
-//! message) is bumped on any change to the grammar above. Each build
-//! writes and reads exactly one version of each: plans version 1,
-//! snapshots version 2 (which added the per-entry recency rank) and
-//! protocol messages version 2 (which added the standing-query
-//! `Register`/`Poll` requests and `Registered`/`ViewRows` responses).
-//! Any other version returns [`WireError::UnsupportedVersion`] and
-//! callers degrade to re-planning (a cold cache), which is always
-//! correct. Unknown tags within the version are rejected, never
-//! skipped.
+//! The version byte (per plan blob and per protocol message) is bumped
+//! on any change to the grammar above. Each build writes and reads
+//! exactly one version of each: plans version 1 and protocol messages
+//! version 2 (which added the standing-query `Register`/`Poll`
+//! requests and `Registered`/`ViewRows` responses). Any other version
+//! returns [`WireError::UnsupportedVersion`], and a caller holding an
+//! undecodable plan re-plans from source, which is always correct.
+//! Unknown tags within the version are rejected, never skipped.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,18 +88,13 @@ pub mod codec;
 pub mod error;
 pub mod plan;
 pub mod proto;
-pub mod snapshot;
 
 pub use codec::{Reader, Writer};
 pub use error::WireError;
-pub use plan::{decode_plan, encode_plan, PLAN_FORMAT_VERSION, PLAN_MIN_SUPPORTED_VERSION};
+pub use plan::{decode_plan, encode_plan, PLAN_FORMAT_VERSION};
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     Request, Response, MAX_FRAME_BYTES, PROTO_VERSION, ROWS_PER_BATCH,
-};
-pub use snapshot::{
-    decode_snapshot, encode_snapshot, peek_snapshot_header, SnapshotEntry, SnapshotHeader,
-    POLICY_TAGS, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_MIN_SUPPORTED_VERSION,
 };
 
 // Re-exported so downstream callers name the plan type the codec

@@ -6,15 +6,9 @@ use crate::error::WireError;
 use fro_algebra::{Attr, CmpOp, Interner, Pred, Scalar, Truth, Value};
 use fro_exec::{JoinKind, PhysPlan, ReducePass};
 
-/// The plan-blob format version this build writes (and the newest it
-/// reads).
+/// The plan-blob format version this build writes, and the only one
+/// it reads.
 pub const PLAN_FORMAT_VERSION: u8 = 1;
-
-/// The oldest plan-blob version this build still decodes. Kept one
-/// behind [`PLAN_FORMAT_VERSION`] once the format moves, so rolling
-/// upgrades can read plans written by the previous release instead of
-/// re-planning everything; today the format has a single version.
-pub const PLAN_MIN_SUPPORTED_VERSION: u8 = 1;
 
 /// Encode a plan as a self-contained versioned blob. Relations and
 /// attributes are written as their dense interned ids — no names reach
@@ -45,11 +39,10 @@ pub fn encode_plan(plan: &PhysPlan, it: &Interner) -> Result<Vec<u8>, WireError>
 pub fn decode_plan(bytes: &[u8], it: &Interner) -> Result<PhysPlan, WireError> {
     let mut r = Reader::new(bytes);
     let version = r.take_u8()?;
-    if !(PLAN_MIN_SUPPORTED_VERSION..=PLAN_FORMAT_VERSION).contains(&version) {
+    if version != PLAN_FORMAT_VERSION {
         return Err(WireError::UnsupportedVersion {
             what: "plan",
             found: version,
-            min_supported: PLAN_MIN_SUPPORTED_VERSION,
             supported: PLAN_FORMAT_VERSION,
         });
     }
@@ -249,23 +242,6 @@ fn enc_plan(w: &mut Writer, plan: &PhysPlan, it: &Interner) -> Result<(), WireEr
             enc_rel(w, inner, it)?;
             enc_attrs(w, outer_keys, it)?;
             enc_attrs(w, inner_keys, it)?;
-            enc_pred(w, residual, it)
-        }
-        PhysPlan::MergeJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            check_keys("MergeJoin", left_keys, right_keys)?;
-            w.put_u8(5);
-            w.put_u8(kind_tag(*kind));
-            enc_plan(w, left, it)?;
-            enc_plan(w, right, it)?;
-            enc_attrs(w, left_keys, it)?;
-            enc_attrs(w, right_keys, it)?;
             enc_pred(w, residual, it)
         }
         PhysPlan::NlJoin {
@@ -547,24 +523,6 @@ fn dec_index_join(r: &mut Reader<'_>, it: &Interner) -> Result<PhysPlan, WireErr
     })
 }
 
-fn dec_merge_join(r: &mut Reader<'_>, it: &Interner) -> Result<PhysPlan, WireError> {
-    let kind = dec_kind(r)?;
-    let left = Box::new(dec_plan(r, it)?);
-    let right = Box::new(dec_plan(r, it)?);
-    let left_keys = dec_attrs(r, it)?;
-    let right_keys = dec_attrs(r, it)?;
-    let residual = dec_pred(r, it)?;
-    check_keys("MergeJoin", &left_keys, &right_keys)?;
-    Ok(PhysPlan::MergeJoin {
-        kind,
-        left,
-        right,
-        left_keys,
-        right_keys,
-        residual,
-    })
-}
-
 fn dec_nl_join(r: &mut Reader<'_>, it: &Interner) -> Result<PhysPlan, WireError> {
     Ok(PhysPlan::NlJoin {
         kind: dec_kind(r)?,
@@ -632,7 +590,7 @@ fn dec_goj(r: &mut Reader<'_>, it: &Interner) -> Result<PhysPlan, WireError> {
     })
 }
 
-pub(crate) fn dec_plan(r: &mut Reader<'_>, it: &Interner) -> Result<PhysPlan, WireError> {
+fn dec_plan(r: &mut Reader<'_>, it: &Interner) -> Result<PhysPlan, WireError> {
     r.enter()?;
     let at = r.pos();
     let out = match r.take_u8()? {
@@ -641,7 +599,8 @@ pub(crate) fn dec_plan(r: &mut Reader<'_>, it: &Interner) -> Result<PhysPlan, Wi
         2 => dec_project(r, it),
         3 => dec_hash_join(r, it),
         4 => dec_index_join(r, it),
-        5 => dec_merge_join(r, it),
+        // 5 is reserved (a retired `MergeJoin`): never reuse it, or an
+        // old blob would decode as some other node.
         6 => dec_nl_join(r, it),
         7 => dec_group_count(r, it),
         8 => dec_goj(r, it),
@@ -724,17 +683,6 @@ mod tests {
                 outer_keys: vec![Attr::parse("R.k")],
                 inner_keys: vec![Attr::parse("S.k")],
                 residual: pred.clone(),
-            },
-            &it,
-        );
-        roundtrip(
-            &PhysPlan::MergeJoin {
-                kind: JoinKind::Inner,
-                left: Box::new(PhysPlan::scan("R")),
-                right: Box::new(PhysPlan::scan("S")),
-                left_keys: vec![Attr::parse("R.k")],
-                right_keys: vec![Attr::parse("S.k")],
-                residual: Pred::always(),
             },
             &it,
         );
@@ -840,12 +788,12 @@ mod tests {
             encode_plan(&bad, &it),
             Err(WireError::InvalidNode { .. })
         ));
-        let empty = PhysPlan::MergeJoin {
+        let empty = PhysPlan::HashJoin {
             kind: JoinKind::Inner,
-            left: Box::new(PhysPlan::scan("R")),
-            right: Box::new(PhysPlan::scan("S")),
-            left_keys: vec![],
-            right_keys: vec![],
+            probe: Box::new(PhysPlan::scan("R")),
+            build: Box::new(PhysPlan::scan("S")),
+            probe_keys: vec![],
+            build_keys: vec![],
             residual: Pred::always(),
         };
         assert!(matches!(
@@ -907,6 +855,20 @@ mod tests {
         assert!(matches!(
             decode_plan(&[PLAN_FORMAT_VERSION, 42], &it),
             Err(WireError::UnknownTag { what: "plan", .. })
+        ));
+        // The retired merge-join tag, followed by what used to be its
+        // body (inner, Scan R, Scan S, one key each side, residual TRUE):
+        // rejected at the tag byte.
+        assert!(matches!(
+            decode_plan(
+                &[PLAN_FORMAT_VERSION, 5, 0, 0, 0, 0, 1, 1, 0, 1, 2, 5, 2],
+                &it
+            ),
+            Err(WireError::UnknownTag {
+                what: "plan",
+                tag: 5,
+                at: 1
+            })
         ));
         // Out-of-range relation id.
         assert!(matches!(

@@ -69,11 +69,8 @@ use fro_algebra::Value;
 use fro_exec::ExecStats;
 use std::io::{self, Read, Write};
 
-/// The protocol version this build writes (and the newest it reads).
+/// The protocol version this build writes, and the only one it reads.
 pub const PROTO_VERSION: u8 = 2;
-
-/// The oldest protocol version this build decodes: the current one.
-pub const PROTO_MIN_SUPPORTED_VERSION: u8 = PROTO_VERSION;
 
 /// Hard cap on a single frame's payload. A hostile length prefix
 /// larger than this is rejected before any allocation.
@@ -238,11 +235,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 fn check_version(r: &mut Reader<'_>, what: &'static str) -> Result<(), WireError> {
     let version = r.take_u8()?;
-    if !(PROTO_MIN_SUPPORTED_VERSION..=PROTO_VERSION).contains(&version) {
+    if version != PROTO_VERSION {
         return Err(WireError::UnsupportedVersion {
             what,
             found: version,
-            min_supported: PROTO_MIN_SUPPORTED_VERSION,
             supported: PROTO_VERSION,
         });
     }
@@ -548,7 +544,6 @@ mod tests {
         let refused = |what| WireError::UnsupportedVersion {
             what,
             found: 1,
-            min_supported: PROTO_VERSION,
             supported: PROTO_VERSION,
         };
         assert_eq!(decode_request(&[1, 2]).unwrap_err(), refused("request"));

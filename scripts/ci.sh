@@ -15,59 +15,41 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== tests (every workspace crate) =="
-cargo test -q --workspace
+# --no-fail-fast runs every target and the summary names each one that
+# failed, so no suite needs a second, standalone run to name itself.
+# What the suites guarantee, among others:
+# * wire_property: encode → decode → encode is the identity on every
+#   corpus plan, and the decoder is total on hostile bytes (fro-wire's
+#   own unit tests run here too);
+# * the executor suites (executor_vs_reference, engine_vs_reference,
+#   pipelined_property, columnar_property, parallel_engine_property,
+#   partition_invariance_property, group_partition_property), all on
+#   the harness in tests/harness: the one executor against the
+#   fro-algebra reference on every plan shape, counters against
+#   reference-derived values for filter chains and scan-probing joins,
+#   then rows, order, schema and counters identical at all nine
+#   configurations of threads {1, 2, 8} × morsel rows {1, 5, 1024};
+#   EXPLAIN ANALYZE's per-node counts pinned;
+# * semireduce_property: reduced vs plain plans bit-identical in rows,
+#   order, schema and counters on every join kind; the soundness matrix
+#   (left-outer probe never up-reduced, full outer untouched) pinned;
+#   `Auto` wraps the skewed star and snowflake once each, with exact
+#   intermediate-row counts, and declines the uniform control;
+# * shared_session_property: interleaved queries and mutations on T
+#   threads over one SharedDb equal a single-threaded replay, atomic
+#   multi-table flips are never observed torn, epoch bumps invalidate
+#   across threads, per-handle cache counters sum to the shared totals;
+# * standing_property: random append/delete interleavings on all five
+#   join kinds, writers on 1/2/8 threads, keep every maintained view
+#   bit-identical to cold re-execution; outerjoin null rows retract
+#   exactly when the last match dies; alpha-equivalent registrations
+#   share one view; a skewed snowflake view absorbs 32 single-row
+#   appends without a refresh.
+cargo test -q --workspace --no-fail-fast
 
 echo "== tests (testing-oracles: name-keyed oracle equivalence) =="
 # The one suite the feature gates; the rest ran in the workspace step.
 cargo test -q --features testing-oracles --test interned_equivalence
-
-echo "== wire decoder fuzz + roundtrip properties =="
-# fro-wire's own unit tests ran in the workspace step above.
-cargo test -q --test wire_property
-
-echo "== executor vs reference evaluator =="
-# The one executor against the fro-algebra reference on every plan
-# shape, counters against reference-derived values for filter chains
-# and scan-probing joins, then rows, order, schema and counters
-# identical at all nine configurations of threads {1, 2, 8} × morsel
-# rows {1, 5, 1024}; EXPLAIN ANALYZE's per-node counts pinned. The
-# suites share the harness in tests/harness (also covered by the
-# workspace `cargo test` above; standalone so a failure names itself).
-for suite in executor_vs_reference engine_vs_reference pipelined_property \
-    columnar_property parallel_engine_property partition_invariance_property \
-    group_partition_property; do
-    cargo test -q --test "$suite"
-done
-
-echo "== semijoin-reduction properties =="
-# Reduced vs plain plans: bit-identical rows, order, and schema on
-# every join kind, identical counters across the executor harness's
-# configuration sweep;
-# the soundness matrix (left-outer probe never up-reduced, full outer
-# untouched) pinned by deterministic cases; `Auto` still wraps the
-# skewed star and snowflake once each, with exact intermediate-row
-# counts, and declines the uniform control (also covered by the plain
-# `cargo test` above; standalone so a failure names itself).
-cargo test -q --test semireduce_property
-
-echo "== shared-session concurrency properties =="
-# T threads of interleaved queries + mutations over one SharedDb:
-# results bit-identical to single-threaded replay, atomic multi-table
-# flips never observed torn, epoch bumps invalidate across threads,
-# per-handle cache counters sum to the shared totals (also covered by
-# the plain `cargo test` above; standalone so a failure names itself).
-cargo test -q --test shared_session_property
-
-echo "== standing-query maintenance properties =="
-# Random append/delete interleavings against registered views on all
-# five join kinds, writers on 1/2/8 threads: the
-# maintained view stays bit-identical to cold re-execution, outerjoin
-# null rows retract exactly when the last match dies, alpha-equivalent
-# registrations share one view, maintenance counters sum across
-# handles, and a skewed snowflake view absorbs 32 single-row appends
-# without a refresh (also covered by the plain `cargo test` above;
-# standalone so a failure names itself).
-cargo test -q --test standing_property
 
 # The loadgen gates read counts a traced run takes itself (allocator
 # calls, engine work counters, cache hits): a traced run is a fixed

@@ -32,10 +32,9 @@ pub enum FroError {
     /// [`Session::query`]: crate::Session::query
     /// [`Session::from_entity_db`]: crate::Session::from_entity_db
     NoEntityModel,
-    /// Saving or loading a persistent plan-cache snapshot failed
-    /// (filesystem trouble, or a corrupt snapshot whose header matched
-    /// this catalog). A *mismatched* snapshot is not an error — loading
-    /// one simply leaves the cache cold.
+    /// The wire codec failed: a malformed plan blob or protocol frame
+    /// (`WIRE_FORMAT`), or a socket failure on a client or server
+    /// connection (`WIRE_IO`).
     Wire(WireError),
     /// A standing-query poll named an id no registration ever issued
     /// (or one issued by a *different* shared database).
@@ -181,7 +180,15 @@ mod tests {
             (FroError::NoEntityModel, "SESSION_NO_ENTITY_MODEL"),
             (FroError::UnknownStanding(7), "STANDING_UNKNOWN"),
             (WireError::Io("nope".into()).into(), "WIRE_IO"),
-            (WireError::BadMagic.into(), "WIRE_FORMAT"),
+            (
+                WireError::UnknownTag {
+                    what: "plan",
+                    tag: 5,
+                    at: 1,
+                }
+                .into(),
+                "WIRE_FORMAT",
+            ),
             (
                 FroError::Remote {
                     code: "EXEC_UNKNOWN_TABLE".into(),

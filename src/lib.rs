@@ -89,7 +89,7 @@ pub mod prelude {
         StandingCounters, StandingId, StandingInfo,
     };
     pub use fro_algebra::prelude::*;
-    pub use fro_core::optimizer::{CacheLoad, CacheStats};
+    pub use fro_core::optimizer::CacheStats;
     pub use fro_core::{
         analyze, is_freely_reorderable, optimize, optimize_with_reduce, Catalog, Policy,
         ReducePolicy, ReductionReport,

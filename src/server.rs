@@ -473,6 +473,24 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_plan_tag_is_a_typed_error_and_keeps_the_connection() {
+        let (server, _db) = served_world();
+        let mut client = Client::connect(server.addr()).unwrap();
+        // Plan tag 5 (the retired merge join) over two scans: the frame
+        // decodes, the plan blob inside it does not.
+        let mut blob = vec![fro_wire::PLAN_FORMAT_VERSION];
+        blob.extend([5, 0, 0, 0, 0, 1, 1, 0, 1, 2, 5, 2]);
+        client.request(&Request::Plan(blob)).unwrap();
+        match client.collect_result().unwrap_err() {
+            FroError::Remote { ref code, .. } => assert_eq!(code, "WIRE_FORMAT"),
+            other => panic!("expected remote error, got {other:?}"),
+        }
+        client.ping().unwrap();
+        let (out, _) = client.query(SRC).unwrap();
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
     fn plan_requests_execute_against_shared_tables() {
         use fro_algebra::{Pred, Query};
         use fro_core::optimizer::optimize;

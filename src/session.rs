@@ -29,7 +29,7 @@ use crate::shared::{insert_with_stats, DbState, SharedDb};
 use crate::standing::{Registered, StandingCounters, StandingId};
 use fro_algebra::{Attr, Query, Relation, Tuple};
 use fro_core::optimizer::{
-    optimize_graph, optimize_with_reduce, place_restriction, CacheLoad, CacheStats, Optimized,
+    optimize_graph, optimize_with_reduce, place_restriction, CacheStats, Optimized,
 };
 use fro_core::{Analysis, Catalog, Policy, ReducePolicy};
 use fro_exec::{execute, ExecStats, PhysPlan, Storage};
@@ -169,34 +169,6 @@ impl Session {
         let mut local = self.local_maint.get();
         local.merge(stats);
         self.local_maint.set(local);
-    }
-
-    /// Persist the plan cache to `path` so a future process over the
-    /// same data can start warm ([`Session::load_plan_cache`]).
-    /// Returns the number of entries written.
-    ///
-    /// # Errors
-    /// [`FroError::Wire`] on filesystem failure.
-    pub fn save_plan_cache(&self, path: impl AsRef<std::path::Path>) -> Result<usize, FroError> {
-        Ok(self.db.snapshot().catalog().save_cache(path)?)
-    }
-
-    /// Load a plan-cache snapshot written by
-    /// [`Session::save_plan_cache`]. The snapshot is revalidated
-    /// against the current catalog: if the tables/statistics changed
-    /// since the save (different fingerprint or epoch), nothing is
-    /// loaded and the cache stays cold — a mismatched snapshot can
-    /// never surface a wrong or stale plan. Returns how the snapshot
-    /// related to this catalog ([`CacheLoad`]).
-    ///
-    /// # Errors
-    /// [`FroError::Wire`] when the file cannot be read or a
-    /// matching snapshot is corrupt.
-    pub fn load_plan_cache(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<CacheLoad, FroError> {
-        Ok(self.db.snapshot().catalog().load_cache(path)?)
     }
 
     /// Load (or replace) a table: stores the relation and registers

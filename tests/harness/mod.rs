@@ -281,7 +281,6 @@ pub enum Op {
     Hash,
     /// A hash join over materialized operands (the build hashes rows).
     HashRows,
-    Merge,
     Nl,
     /// An index join probing `R`'s key index; rejects full outerjoins.
     Index,
@@ -301,14 +300,6 @@ pub fn equi_join(op: Op, kind: JoinKind, residual: &Pred) -> PhysPlan {
     match op {
         Op::Hash => hash(PhysPlan::scan("L"), PhysPlan::scan("R")),
         Op::HashRows => hash(materialized("L"), materialized("R")),
-        Op::Merge => PhysPlan::MergeJoin {
-            kind,
-            left: scan("L"),
-            right: scan("R"),
-            left_keys: key("L"),
-            right_keys: key("R"),
-            residual: residual.clone(),
-        },
         Op::Nl => PhysPlan::NlJoin {
             kind,
             left: scan("L"),

@@ -98,20 +98,6 @@ proptest! {
         prop_assert!(execute(&full, &storage, &mut ExecStats::new()).is_err());
     }
 
-    /// Merge joins (pipeline breakers), all five kinds.
-    #[test]
-    fn pipelined_merge_join_all_kinds(
-        rows in 0usize..12,
-        domain in 1i64..5,
-        nulls in 0u32..=100,
-        seed in 0u64..10_000,
-        with_residual in any::<bool>(),
-    ) {
-        let db = kv_db(&["L", "R"], rows, domain, nulls, false, seed);
-        let storage = Storage::from_database(&db);
-        check_equi_join(Op::Merge, &db, &storage, &residual(with_residual));
-    }
-
     /// A filter over the derived `agg.count`, which exists only in the
     /// `GroupCount` output scheme: over a grouped scan, and over a
     /// left-outer join grouped with a counted column.

@@ -5,7 +5,7 @@
 //! non-strong (`IS NULL`) single-relation restriction on every node —
 //! join core, preserved, null-supplied, outerjoin-chain interior — and
 //! a random implementing tree is lowered with every physical join the
-//! DP can emit (hash, index, merge, nested-loop, plus the DP's own
+//! DP can emit (hash, index, nested-loop, plus the DP's own
 //! choice wrapped in every sound `SemiReduce`). The executor runs the
 //! placed and the filter-on-top plan; both must give the reference
 //! evaluator's rows. A restriction pushed below a null-supplied side
@@ -68,9 +68,9 @@ fn walk<'a>(plan: &'a PhysPlan, f: &mut impl FnMut(&'a PhysPlan)) {
     }
 }
 
-/// The same tree with every hash join run as a merge join (`merge`) or
-/// as a nested-loop join over the spelled-out key equalities.
-fn with_joins(plan: PhysPlan, merge: bool) -> PhysPlan {
+/// The same tree with every hash join run as a nested-loop join over
+/// the spelled-out key equalities.
+fn with_joins(plan: PhysPlan) -> PhysPlan {
     match plan {
         PhysPlan::HashJoin {
             kind,
@@ -80,29 +80,16 @@ fn with_joins(plan: PhysPlan, merge: bool) -> PhysPlan {
             build_keys,
             residual,
         } => {
-            let left = Box::new(with_joins(*probe, merge));
-            let right = Box::new(with_joins(*build, merge));
-            if merge {
-                PhysPlan::MergeJoin {
-                    kind,
-                    left,
-                    right,
-                    left_keys: probe_keys,
-                    right_keys: build_keys,
-                    residual,
-                }
-            } else {
-                let pred = probe_keys
-                    .iter()
-                    .zip(&build_keys)
-                    .map(|(a, b)| Pred::eq_attr(&a.to_string(), &b.to_string()))
-                    .fold(residual, Pred::and);
-                PhysPlan::NlJoin {
-                    kind,
-                    left,
-                    right,
-                    pred,
-                }
+            let pred = probe_keys
+                .iter()
+                .zip(&build_keys)
+                .map(|(a, b)| Pred::eq_attr(&a.to_string(), &b.to_string()))
+                .fold(residual, Pred::and);
+            PhysPlan::NlJoin {
+                kind,
+                left: Box::new(with_joins(*probe)),
+                right: Box::new(with_joins(*build)),
+                pred,
             }
         }
         other => other,
@@ -142,8 +129,7 @@ proptest! {
         let dp = optimize_with_reduce(&tree, &indexed_cat, Policy::Paper, ReducePolicy::Always)
             .expect("optimizes");
         let plans = [
-            ("merge", with_joins(hash.clone(), true), &plain),
-            ("nl", with_joins(hash.clone(), false), &plain),
+            ("nl", with_joins(hash.clone()), &plain),
             ("hash", hash, &plain),
             ("index", lower(&tree, &indexed_cat).expect("lowers"), &indexed),
             ("dp+reduce", dp.plan, &indexed),

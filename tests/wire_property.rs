@@ -3,7 +3,7 @@
 //! * encode → decode → encode is the identity on bytes (and the
 //!   decoded plan is structurally equal) for every DP and greedy plan
 //!   over every corpus workload — the canonical-encoding guarantee the
-//!   EXPLAIN corpus and snapshot format rely on;
+//!   EXPLAIN corpus relies on;
 //! * the decoder is total on hostile input: any byte mutation of a
 //!   valid encoding, and any random byte string, yields a typed
 //!   [`WireError`] or a plan that re-encodes cleanly — never a panic
