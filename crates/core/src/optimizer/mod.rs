@@ -333,38 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_every_explicit_config() {
-        use fro_algebra::{Database, Relation};
-        use fro_exec::{execute_with, ExecConfig, ExecStats, Storage};
-
-        let mut db = Database::new();
-        db.insert(Relation::from_ints("R1", &["k1"], &[&[1], &[5]]));
-        db.insert(Relation::from_ints("R2", &["k2"], &[&[1], &[2], &[5]]));
-        db.insert(Relation::from_ints("R3", &["k3"], &[&[2], &[5]]));
-        let mut storage = Storage::from_database(&db);
-        for (t, a) in [("R1", "R1.k1"), ("R2", "R2.k2"), ("R3", "R3.k3")] {
-            storage.create_index(t, &[Attr::parse(a)]);
-        }
-        let cat = Catalog::from_storage(&storage);
-        let q = Query::rel("R1").join(
-            Query::rel("R2").outerjoin(Query::rel("R3"), p("R2.k2", "R3.k3")),
-            p("R1.k1", "R2.k2"),
-        );
-        let opt = optimize(&q, &cat, Policy::Paper).unwrap();
-        let mut run_st = ExecStats::new();
-        let run = opt.run(&storage, &mut run_st).unwrap();
-        for cfg in [
-            ExecConfig::default(),
-            ExecConfig::with_threads(4).morsel_rows(1),
-        ] {
-            let mut st = ExecStats::new();
-            let out = execute_with(&opt.plan, &storage, &mut st, &cfg).unwrap();
-            assert_eq!(out.rows(), run.rows(), "{cfg:?}");
-            assert_eq!(st, run_st, "{cfg:?}");
-        }
-    }
-
-    #[test]
     fn estimates_populated_in_fallback() {
         let q = Query::rel("R1").outerjoin(
             Query::rel("R2").join(Query::rel("R3"), p("R2.k2", "R3.k3")),

@@ -1,22 +1,15 @@
 //! The executor's entry points ([`execute`], [`explain_analyze`]) and
-//! the shared, morsel-driven operator kernels its pipeline breakers
-//! run.
+//! the operator kernels its pipeline breakers run.
 //!
 //! Every plan runs on the pipelined executor (`pipeline.rs`): spines
 //! of scan → filter → probe → project fuse into one pass, and the
 //! kernels here execute the breakers — full-outer hash and
 //! nested-loop joins and `GroupCount` — over materialized inputs.
-//!
-//! Work is **morsel-driven** ([`drive_morsels`], shared with the
-//! pipeline): the input is split into fixed-size contiguous row ranges
-//! (morsels), a pool of scoped `std::thread` workers claims morsels
-//! from a shared atomic counter, and each worker writes into a private
-//! output buffer. Buffers are concatenated in morsel-index order, so
-//! the output rows — order included — are identical to a sequential
-//! pass regardless of scheduling. A hash-join build side is
-//! materialized into a shared immutable [`JoinTable`]: one map from
-//! each key's 64-bit hash to the ids of the build rows carrying it,
-//! built on the calling thread in ascending row order. Only key
+//! There is one executor and it is sequential: a query runs on its
+//! caller's thread, one plain pass over each input, so rows come out
+//! in source order. A hash-join build side is materialized into an
+//! immutable [`JoinTable`]: one map from each key's 64-bit hash to the
+//! ids of the build rows carrying it, in ascending row order. Only key
 //! *hashes* and row ids are stored (no key values are copied);
 //! candidates are re-checked for exact key equality against the pinned
 //! build rows. Probes compute each key hash once.
@@ -38,7 +31,6 @@
 //! `tests/harness`) check every plan shape against the reference
 //! evaluator in `fro-algebra`.
 
-use crate::config::ExecConfig;
 use crate::index::{row_id, Postings};
 use crate::plan::PhysPlan;
 use crate::stats::ExecStats;
@@ -48,8 +40,6 @@ use fro_algebra::{
     key_hash, AlgebraError, Attr, ColumnSet, FastSet, Interner, Pred, Relation, Schema, Tuple,
 };
 use std::fmt;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Execution failures.
@@ -186,8 +176,7 @@ pub(crate) struct JoinTable<'a> {
 }
 
 impl<'a> JoinTable<'a> {
-    /// Build the table on the calling thread; probes are what run
-    /// morsel-parallel.
+    /// Build the table.
     ///
     /// When the build side is a base table, `cols` carries its columnar
     /// mirror and key hashes are computed straight off the typed column
@@ -263,7 +252,7 @@ fn full_outer_probe_row<'t>(
     candidates: impl Iterator<Item = (usize, &'t Tuple)>,
     residual: &BoundPred,
     pad: &Tuple,
-    matched: &[AtomicBool],
+    matched: &mut [bool],
     out: &mut Vec<Tuple>,
     stats: &mut ExecStats,
 ) {
@@ -274,9 +263,7 @@ fn full_outer_probe_row<'t>(
         // tuple is only allocated for rows actually emitted.
         if residual.eval_split(prow, crow).is_true() {
             hit = true;
-            // Relaxed suffices: the flags are only read after the
-            // morsel workers have joined.
-            matched[rid].store(true, Ordering::Relaxed);
+            matched[rid] = true;
             out.push(prow.concat(crow));
         }
     }
@@ -287,96 +274,14 @@ fn full_outer_probe_row<'t>(
 
 /// A full outerjoin's epilogue: append the `right` rows no probe row
 /// matched, padded on the left, and drop duplicate rows.
-fn full_outer_epilogue(
-    left: &Relation,
-    right: &Relation,
-    matched: &[AtomicBool],
-    rows: &mut Vec<Tuple>,
-) {
+fn full_outer_epilogue(left: &Relation, right: &Relation, matched: &[bool], rows: &mut Vec<Tuple>) {
     let left_pad = Tuple::nulls(left.schema().len());
-    for (rid, rrow) in right.rows().iter().enumerate() {
-        if !matched[rid].load(Ordering::Relaxed) {
+    for (rrow, &m) in right.rows().iter().zip(matched) {
+        if !m {
             rows.push(left_pad.concat(rrow));
         }
     }
     dedup_rows(rows);
-}
-
-/// A worker's take-home: output rows tagged with their morsel index,
-/// its private counters, and its private per-plan-node row counts.
-type WorkerOutput = (Vec<(usize, Vec<Tuple>)>, ExecStats, Vec<u64>);
-
-/// The one morsel driver: run `work` over `0..n_rows` split into
-/// fixed-size morsels, fanning out to `cfg`-many scoped worker threads
-/// when it pays, and append the produced rows to `out` **in
-/// morsel-index order**. Each worker gets a private output buffer per
-/// morsel, a private [`ExecStats`] and a private copy of `slots` (the
-/// pipeline's per-node `explain_analyze` row counts; breaker kernels
-/// pass none). Morsels partition the row range in order and every
-/// counter is a plain sum, so the row order and the merged totals are
-/// identical to a sequential run at any thread count and morsel size.
-pub(crate) fn drive_morsels<F>(
-    n_rows: usize,
-    cfg: &ExecConfig,
-    stats: &mut ExecStats,
-    slots: &mut [u64],
-    out: &mut Vec<Tuple>,
-    work: F,
-) where
-    F: Fn(Range<usize>, &mut Vec<Tuple>, &mut ExecStats, &mut [u64]) + Sync,
-{
-    let morsel = cfg.morsel_rows.max(1);
-    let n_morsels = n_rows.div_ceil(morsel);
-    let threads = cfg.effective_threads().min(n_morsels.max(1));
-    if threads <= 1 || n_morsels <= 1 {
-        // Degenerate path (one worker or one morsel): a single pass on
-        // the calling thread, writing straight into the caller's buffer
-        // and counters — no spawn, no scratch allocation at all.
-        work(0..n_rows, out, stats, slots);
-        return;
-    }
-    let n_slots = slots.len();
-    let next = AtomicUsize::new(0);
-    let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut produced: Vec<(usize, Vec<Tuple>)> = Vec::new();
-                    let mut local = ExecStats::new();
-                    let mut local_slots = vec![0u64; n_slots];
-                    loop {
-                        let m = next.fetch_add(1, Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        let lo = m * morsel;
-                        let hi = (lo + morsel).min(n_rows);
-                        // Most operators emit about one row per input row.
-                        let mut buf = Vec::with_capacity(hi - lo);
-                        work(lo..hi, &mut buf, &mut local, &mut local_slots);
-                        produced.push((m, buf));
-                    }
-                    (produced, local, local_slots)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("morsel worker panicked"))
-            .collect()
-    });
-    let mut morsels: Vec<(usize, Vec<Tuple>)> = Vec::with_capacity(n_morsels);
-    for (produced, local, local_slots) in results {
-        stats.merge(&local);
-        for (s, l) in slots.iter_mut().zip(local_slots) {
-            *s += l;
-        }
-        morsels.extend(produced);
-    }
-    morsels.sort_unstable_by_key(|&(m, _)| m);
-    for (_, buf) in morsels {
-        out.extend(buf);
-    }
 }
 
 /// Execute a plan against storage, accumulating counters into `stats`.
@@ -392,32 +297,14 @@ pub fn execute(
     storage: &Storage,
     stats: &mut ExecStats,
 ) -> Result<Relation, ExecError> {
-    execute_with(plan, storage, stats, &ExecConfig::default())
-}
-
-/// [`execute`] with explicit [`ExecConfig`] — thread count and morsel
-/// size — for the executor suites, which hold the
-/// morsel-parallel probe to the sequential run. Rows, order, and every
-/// counter are identical at any configuration.
-///
-/// # Errors
-/// Same failure modes as [`execute`].
-#[doc(hidden)]
-pub fn execute_with(
-    plan: &PhysPlan,
-    storage: &Storage,
-    stats: &mut ExecStats,
-    cfg: &ExecConfig,
-) -> Result<Relation, ExecError> {
-    let out = crate::pipeline::run_pipelined(plan, storage, stats, cfg)?;
+    let out = crate::pipeline::run_pipelined(plan, storage, stats)?;
     stats.rows_output = out.len() as u64;
     Ok(out)
 }
 
 /// The full-outer hash join breaker over materialized inputs: probe
-/// morsels in parallel against a shared [`JoinTable`],
-/// then emit the build rows nothing matched.
-#[allow(clippy::too_many_arguments)]
+/// every row against a [`JoinTable`], then emit the build rows nothing
+/// matched.
 pub(crate) fn hash_full_outerjoin(
     probe: &Relation,
     build: &Relation,
@@ -426,7 +313,6 @@ pub(crate) fn hash_full_outerjoin(
     residual: &Pred,
     it: Option<&Interner>,
     stats: &mut ExecStats,
-    cfg: &ExecConfig,
 ) -> Result<Relation, ExecError> {
     let probe_cols = resolve_cols(probe.schema(), probe_keys)?;
     let build_cols = resolve_cols(build.schema(), build_keys)?;
@@ -434,22 +320,21 @@ pub(crate) fn hash_full_outerjoin(
     let residual = bind_pred(residual, &schema, it)?;
     let table = JoinTable::build(build.rows(), &build_cols, stats, None);
     let pad = Tuple::nulls(build.schema().len());
-    let matched: Vec<AtomicBool> = (0..build.len()).map(|_| AtomicBool::new(false)).collect();
+    let mut matched = vec![false; build.len()];
     let mut rows = Vec::new();
-    drive_morsels(
-        probe.len(),
-        cfg,
-        stats,
-        &mut [],
-        &mut rows,
-        |range, buf, local, _| {
-            for prow in &probe.rows()[range] {
-                let h = hash_key(prow, &probe_cols);
-                let candidates = table.candidates_hashed(h, prow, &probe_cols);
-                full_outer_probe_row(prow, candidates, &residual, &pad, &matched, buf, local);
-            }
-        },
-    );
+    for prow in probe.rows() {
+        let h = hash_key(prow, &probe_cols);
+        let candidates = table.candidates_hashed(h, prow, &probe_cols);
+        full_outer_probe_row(
+            prow,
+            candidates,
+            &residual,
+            &pad,
+            &mut matched,
+            &mut rows,
+            stats,
+        );
+    }
     full_outer_epilogue(probe, build, &matched, &mut rows);
     Ok(Relation::from_distinct_rows(schema, rows))
 }
@@ -463,32 +348,33 @@ pub(crate) fn nl_full_outerjoin(
     pred: &Pred,
     it: Option<&Interner>,
     stats: &mut ExecStats,
-    cfg: &ExecConfig,
 ) -> Result<Relation, ExecError> {
     let schema = Arc::new(left.schema().concat(right.schema())?);
     let bound = bind_pred(pred, &schema, it)?;
     let pad = Tuple::nulls(right.schema().len());
-    let matched: Vec<AtomicBool> = (0..right.len()).map(|_| AtomicBool::new(false)).collect();
+    let mut matched = vec![false; right.len()];
     let mut rows = Vec::new();
-    drive_morsels(
-        left.len(),
-        cfg,
-        stats,
-        &mut [],
-        &mut rows,
-        |range, buf, local, _| {
-            for lrow in &left.rows()[range] {
-                let candidates = right.rows().iter().enumerate();
-                full_outer_probe_row(lrow, candidates, &bound, &pad, &matched, buf, local);
-            }
-        },
-    );
+    for lrow in left.rows() {
+        let candidates = right.rows().iter().enumerate();
+        full_outer_probe_row(
+            lrow,
+            candidates,
+            &bound,
+            &pad,
+            &mut matched,
+            &mut rows,
+            stats,
+        );
+    }
     full_outer_epilogue(left, right, &matched, &mut rows);
     Ok(Relation::from_distinct_rows(schema, rows))
 }
 
 /// Execute a plan and render an `EXPLAIN ANALYZE`-style report: the
-/// plan tree annotated with each operator's *actual* output rows.
+/// plan tree annotated with each operator's *actual* output rows (the
+/// pipeline's per-node counts), the counter totals, and the pipeline
+/// breakdown: which operators fused into each pipeline and where
+/// breakers cut the plan.
 ///
 /// # Errors
 /// Same failure modes as [`execute`].
@@ -496,24 +382,7 @@ pub fn explain_analyze(
     plan: &PhysPlan,
     storage: &Storage,
 ) -> Result<(Relation, String), ExecError> {
-    explain_analyze_with(plan, storage, &ExecConfig::default())
-}
-
-/// [`explain_analyze`] with explicit [`ExecConfig`]. The report lists
-/// every plan node with the rows it produced (the pipeline's per-node
-/// counts), the counter totals, and the pipeline breakdown: which
-/// operators fused into each pipeline and where breakers cut the plan.
-/// It is identical at any thread count and morsel size.
-///
-/// # Errors
-/// Same failure modes as [`execute`].
-#[doc(hidden)]
-pub fn explain_analyze_with(
-    plan: &PhysPlan,
-    storage: &Storage,
-    cfg: &ExecConfig,
-) -> Result<(Relation, String), ExecError> {
-    crate::pipeline::explain_pipelined(plan, storage, cfg)
+    crate::pipeline::explain_pipelined(plan, storage)
 }
 
 #[cfg(test)]
@@ -1097,36 +966,6 @@ mod tests {
         assert_eq!(out.len(), 2); // (null,null-pad) and (1,1)
     }
 
-    /// A probe/build pair with duplicate keys, null keys, and a
-    /// residual — enough structure that any ordering or counting bug in
-    /// the parallel path shows up.
-    fn skewed_storage() -> Storage {
-        let mut s = Storage::new();
-        let probe_rows: Vec<Vec<Value>> = (0..100)
-            .map(|i| {
-                let k = if i % 10 == 9 {
-                    Value::Null
-                } else {
-                    Value::Int(i % 7)
-                };
-                vec![Value::Int(i), k]
-            })
-            .collect();
-        let build_rows: Vec<Vec<Value>> = (0..30)
-            .map(|i| {
-                let k = if i % 6 == 5 {
-                    Value::Null
-                } else {
-                    Value::Int(i % 9)
-                };
-                vec![Value::Int(1000 + i), k]
-            })
-            .collect();
-        s.insert("P", Relation::from_values("P", &["id", "k"], probe_rows));
-        s.insert("B", Relation::from_values("B", &["id", "k"], build_rows));
-        s
-    }
-
     #[test]
     fn dedup_rows_keeps_first_occurrence_without_cloning() {
         let t = |v: i64| Tuple::new(vec![Value::Int(v)]);
@@ -1136,23 +975,5 @@ mod tests {
         let mut empty: Vec<Tuple> = Vec::new();
         dedup_rows(&mut empty);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn explain_analyze_is_thread_invariant() {
-        let s = skewed_storage();
-        let plan = PhysPlan::HashJoin {
-            kind: JoinKind::Inner,
-            probe: Box::new(PhysPlan::scan("P")),
-            build: Box::new(PhysPlan::scan("B")),
-            probe_keys: vec![Attr::parse("P.k")],
-            build_keys: vec![Attr::parse("B.k")],
-            residual: Pred::always(),
-        };
-        let (_, report) = explain_analyze_with(&plan, &s, &ExecConfig::new()).unwrap();
-        assert!(report.contains("HashJoin(inner)"), "{report}");
-        let par_cfg = ExecConfig::with_threads(8).morsel_rows(16);
-        let (_, par_report) = explain_analyze_with(&plan, &s, &par_cfg).unwrap();
-        assert_eq!(report, par_report);
     }
 }

@@ -14,18 +14,15 @@
 //!   counts: `2·10⁷ + 1` versus `3`), plus probe/comparison/output
 //!   counters,
 //! * [`execute`]: the executor front door. There is one executor, a
-//!   push-based **pipelined** one: scan→filter→probe→project spines
-//!   fuse into a single closure-chain pass over morsels with no
-//!   intermediate row vector between fused operators, base tables are
-//!   read through their columnar mirrors (vectorized filters, zone
-//!   skipping, column-direct hash builds), and only pipeline breakers
-//!   (non-scan build sides, `GroupCount`, full outerjoins, `Goj`)
-//!   materialize. [`execute`] runs sequentially on the calling thread.
-//!   The join probe is also morsel-parallel; the executor suites, all
-//!   built on one harness (`tests/harness`), run it at several thread
-//!   counts and morsel sizes and check every run against the reference
-//!   evaluator of `fro-algebra`: no configuration changes a result, its
-//!   order or a counter.
+//!   push-based **pipelined** one, and it is sequential: a query runs on
+//!   its caller's thread. Scan→filter→probe→project spines fuse into a
+//!   single pass over the source rows with no intermediate row vector
+//!   between fused operators, base tables are read through their
+//!   columnar mirrors (vectorized filters, zone skipping, column-direct
+//!   hash builds), and only pipeline breakers (non-scan build sides,
+//!   `GroupCount`, full outerjoins, `Goj`) materialize. The executor
+//!   suites, all built on one harness (`tests/harness`), check every
+//!   plan shape against the reference evaluator of `fro-algebra`.
 
 //! ## Example
 //!
@@ -55,8 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[doc(hidden)]
-pub mod config;
 pub mod delta;
 pub mod engine;
 pub mod index;
@@ -65,10 +60,8 @@ pub mod plan;
 pub mod stats;
 pub mod storage;
 
-#[doc(hidden)]
-pub use config::ExecConfig;
 pub use delta::{BuildSidePool, DeltaPlan, RowDelta, SideIndex, SideKey};
-pub use engine::{execute, execute_with, explain_analyze, explain_analyze_with, ExecError};
+pub use engine::{execute, explain_analyze, ExecError};
 pub use plan::{JoinKind, PhysPlan, ReducePass};
 pub use stats::ExecStats;
 pub use storage::{Storage, Table};

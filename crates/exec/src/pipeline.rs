@@ -3,40 +3,39 @@
 //!
 //! A [`PhysPlan`] is compiled into **pipelines**: maximal
 //! scan → filter → probe → project spines that fuse into a single
-//! closure-chain pass over morsels with *no intermediate `Vec<Tuple>`
-//! between fused operators*. A probe-side row travels the whole spine
-//! as a stack of borrowed **fragments** (`Vec<&Tuple>`: the source row,
-//! then one matched build row or null pad per wide join); residuals are
-//! evaluated on the virtual concatenation
-//! ([`BoundPred::eval_parts`]) and the wide output tuple is allocated
-//! exactly once, at the sink. Hash-join build sides that are bare
+//! pass over the source rows, on the calling thread, with *no
+//! intermediate `Vec<Tuple>` between fused operators*. A probe-side
+//! row travels the whole spine as a stack of borrowed **fragments**
+//! (`Vec<&Tuple>`: the source row, then one matched build row or null
+//! pad per wide join); residuals are evaluated on the virtual
+//! concatenation ([`BoundPred::eval_parts`]) and the wide output tuple
+//! is allocated exactly once, at the sink. Hash-join build sides that are bare
 //! scans are read zero-copy straight out of [`Storage`], their key
 //! hashes computed off the table's columnar mirror — a fully fused plan
 //! therefore reports `rows_materialized = 0`. When the source is a base
 //! table, the leading filters run as vectorized kernels over its
-//! columns (zone metadata skipping whole morsels where it can). Rows of
+//! columns (zone metadata skipping whole zones where it can). Rows of
 //! intermediates go through the row-at-a-time kernels.
 //!
 //! **Pipeline breakers** — hash-join build sides that are themselves
 //! plans, `GroupCount`, full outerjoins (their unmatched-side epilogue
-//! needs the whole probe result), `Goj`, and mid-spine projections — run the morsel-parallel kernels of
-//! [`crate::engine`]: the compiler cuts the
-//! spine at each breaker, executes the breaker's pipelines first (build
-//! before probe), and the materialized result becomes the next
-//! pipeline's source.
+//! needs the whole probe result), `Goj`, and mid-spine projections —
+//! run the kernels of [`crate::engine`]: the compiler cuts the spine at
+//! each breaker, executes the breaker's pipelines first (build before
+//! probe), and the materialized result becomes the next pipeline's
+//! source.
 //!
-//! Rows, row order and every counter are identical at every thread
-//! count and morsel size; `rows_materialized` counts
+//! Rows leave each pipeline in source order, and every counter is a
+//! function of the plan and the data; `rows_materialized` counts
 //! breaker results alone, and `rows_pipelined` / `pipelines` count the
 //! flow that never touched an intermediate buffer. Per-node output
 //! counts (`slots`) are the only source of `explain_analyze`'s
 //! `(rows=N)` lines. The executor suites (one harness, `tests/harness`)
 //! check all of it against the `fro-algebra` reference evaluator.
 
-use crate::config::ExecConfig;
 use crate::engine::{
-    bind_pred, dedup_rows, drive_morsels, hash_full_outerjoin, nl_full_outerjoin, resolve_cols,
-    ExecError, JoinTable,
+    bind_pred, dedup_rows, hash_full_outerjoin, nl_full_outerjoin, resolve_cols, ExecError,
+    JoinTable,
 };
 use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
@@ -44,12 +43,6 @@ use crate::storage::Storage;
 use fro_algebra::ops::BoundPred;
 use fro_algebra::{key_hash, AlgebraError, Attr, Bitmap, ColumnSet, Relation, Schema, Tuple};
 use std::sync::Arc;
-
-/// Immutable per-run context.
-struct Cx<'s> {
-    storage: &'s Storage,
-    cfg: &'s ExecConfig,
-}
 
 /// Mutable per-run state: counters, per-plan-node output-row slots
 /// (pre-order indexed, for `explain_analyze`), and the pipeline trace.
@@ -90,22 +83,20 @@ fn collect_lines(plan: &PhysPlan, depth: usize, lines: &mut Vec<(usize, String)>
 }
 
 /// Execute `plan` with the pipelined engine. Entry point for
-/// [`crate::execute_with`]; the caller sets `rows_output`.
+/// [`crate::execute`]; the caller sets `rows_output`.
 pub(crate) fn run_pipelined(
     plan: &PhysPlan,
     storage: &Storage,
     stats: &mut ExecStats,
-    cfg: &ExecConfig,
 ) -> Result<Relation, ExecError> {
     let mut slots = vec![0u64; n_nodes(plan)];
     let mut trace = Vec::new();
-    let cx = Cx { storage, cfg };
     let mut rs = Rs {
         stats,
         slots: &mut slots,
         trace: &mut trace,
     };
-    exec_region(plan, 0, &cx, &mut rs)
+    exec_region(plan, 0, storage, &mut rs)
 }
 
 /// Execute `plan` and render the `EXPLAIN ANALYZE` report: per-node
@@ -115,19 +106,17 @@ pub(crate) fn run_pipelined(
 pub(crate) fn explain_pipelined(
     plan: &PhysPlan,
     storage: &Storage,
-    cfg: &ExecConfig,
 ) -> Result<(Relation, String), ExecError> {
     let mut stats = ExecStats::new();
     let mut slots = vec![0u64; n_nodes(plan)];
     let mut trace = Vec::new();
-    let cx = Cx { storage, cfg };
     let rel = {
         let mut rs = Rs {
             stats: &mut stats,
             slots: &mut slots,
             trace: &mut trace,
         };
-        exec_region(plan, 0, &cx, &mut rs)?
+        exec_region(plan, 0, storage, &mut rs)?
     };
     stats.rows_output = rel.len() as u64;
     let mut labels = Vec::new();
@@ -157,7 +146,7 @@ pub(crate) fn explain_pipelined(
 fn exec_region(
     plan: &PhysPlan,
     base: usize,
-    cx: &Cx<'_>,
+    storage: &Storage,
     rs: &mut Rs<'_>,
 ) -> Result<Relation, ExecError> {
     match plan {
@@ -170,8 +159,8 @@ fn exec_region(
         | PhysPlan::NlJoin {
             kind: JoinKind::FullOuter,
             ..
-        } => exec_breaker(plan, base, cx, rs),
-        _ => exec_stream(plan, base, cx, rs),
+        } => exec_breaker(plan, base, storage, rs),
+        _ => exec_stream(plan, base, storage, rs),
     }
 }
 
@@ -181,21 +170,20 @@ fn exec_region(
 fn exec_inter(
     plan: &PhysPlan,
     base: usize,
-    cx: &Cx<'_>,
+    storage: &Storage,
     rs: &mut Rs<'_>,
 ) -> Result<Relation, ExecError> {
-    let rel = exec_region(plan, base, cx, rs)?;
+    let rel = exec_region(plan, base, storage, rs)?;
     rs.stats.rows_materialized += rel.len() as u64;
     Ok(rel)
 }
 
 /// Pipeline-breaker nodes: execute the operand subtrees into
-/// materialized relations, then run the engine's deterministic
-/// morsel-parallel kernel.
+/// materialized relations, then run the engine's kernel.
 fn exec_breaker(
     plan: &PhysPlan,
     base: usize,
-    cx: &Cx<'_>,
+    storage: &Storage,
     rs: &mut Rs<'_>,
 ) -> Result<Relation, ExecError> {
     let out = match plan {
@@ -210,8 +198,8 @@ fn exec_breaker(
             if probe_keys.len() != build_keys.len() || probe_keys.is_empty() {
                 return Err(ExecError::KeyArityMismatch);
             }
-            let p = exec_inter(probe, base + 1, cx, rs)?;
-            let b = exec_inter(build, base + 1 + n_nodes(probe), cx, rs)?;
+            let p = exec_inter(probe, base + 1, storage, rs)?;
+            let b = exec_inter(build, base + 1 + n_nodes(probe), storage, rs)?;
             rs.trace
                 .push(format!("breaker: {} (materialized inputs)", label_of(plan)));
             hash_full_outerjoin(
@@ -220,9 +208,8 @@ fn exec_breaker(
                 probe_keys,
                 build_keys,
                 residual,
-                Some(cx.storage.interner()),
+                Some(storage.interner()),
                 rs.stats,
-                cx.cfg,
             )?
         }
         PhysPlan::NlJoin {
@@ -231,18 +218,18 @@ fn exec_breaker(
             right,
             pred,
         } => {
-            let l = exec_inter(left, base + 1, cx, rs)?;
-            let r = exec_inter(right, base + 1 + n_nodes(left), cx, rs)?;
+            let l = exec_inter(left, base + 1, storage, rs)?;
+            let r = exec_inter(right, base + 1 + n_nodes(left), storage, rs)?;
             rs.trace
                 .push(format!("breaker: {} (materialized inputs)", label_of(plan)));
-            nl_full_outerjoin(&l, &r, pred, Some(cx.storage.interner()), rs.stats, cx.cfg)?
+            nl_full_outerjoin(&l, &r, pred, Some(storage.interner()), rs.stats)?
         }
         PhysPlan::GroupCount {
             input,
             group_attrs,
             counted,
         } => {
-            let rel = exec_inter(input, base + 1, cx, rs)?;
+            let rel = exec_inter(input, base + 1, storage, rs)?;
             rs.trace
                 .push(format!("breaker: {} (materialized input)", label_of(plan)));
             fro_algebra::ops::group_count(&rel, group_attrs, counted.as_ref())
@@ -254,8 +241,8 @@ fn exec_breaker(
             pred,
             subset,
         } => {
-            let l = exec_inter(left, base + 1, cx, rs)?;
-            let r = exec_inter(right, base + 1 + n_nodes(left), cx, rs)?;
+            let l = exec_inter(left, base + 1, storage, rs)?;
+            let r = exec_inter(right, base + 1 + n_nodes(left), storage, rs)?;
             rs.stats.comparisons += (l.len() * r.len()) as u64;
             rs.trace
                 .push(format!("breaker: {} (materialized inputs)", label_of(plan)));
@@ -376,7 +363,7 @@ fn keys_eq_parts(parts: &[&Tuple], key_map: &[(u32, u32)], brow: &Tuple, bcols: 
 fn exec_stream(
     plan: &PhysPlan,
     base: usize,
-    cx: &Cx<'_>,
+    storage: &Storage,
     rs: &mut Rs<'_>,
 ) -> Result<Relation, ExecError> {
     // --- Walk: top-down spine discovery (arity checks run before any
@@ -467,7 +454,7 @@ fn exec_stream(
     let mut src_cols: Option<&ColumnSet> = None;
     let (src, src_schema): (RowsSrc<'_>, Arc<Schema>) = match src_plan {
         PhysPlan::Scan { rel } => {
-            let t = cx.storage.lookup_named(rel)?;
+            let t = storage.lookup_named(rel)?;
             rs.stats.tuples_retrieved += t.len() as u64;
             rs.stats.rows_pipelined += t.len() as u64;
             rs.slots[src_slot] += t.len() as u64;
@@ -479,7 +466,7 @@ fn exec_stream(
             )
         }
         breaker => {
-            let rel = exec_inter(breaker, src_slot, cx, rs)?;
+            let rel = exec_inter(breaker, src_slot, storage, rs)?;
             rs.stats.rows_pipelined += rel.len() as u64;
             desc.push_str(&format!("[{}]", label_of(breaker)));
             let schema = rel.schema().clone();
@@ -504,7 +491,7 @@ fn exec_stream(
     for &(stage_plan, stage_slot) in chain.iter().rev() {
         match stage_plan {
             PhysPlan::Filter { pred, .. } => {
-                let bound = bind_pred(pred, &cur_schema, Some(cx.storage.interner()))?;
+                let bound = bind_pred(pred, &cur_schema, Some(storage.interner()))?;
                 specs.push(StageSpec::Filter {
                     pred: bound,
                     slot: stage_slot,
@@ -524,7 +511,7 @@ fn exec_stream(
                 let build_slot = stage_slot + 1 + n_nodes(probe);
                 let (build_schema, side, bcols) = match build.as_ref() {
                     PhysPlan::Scan { rel } => {
-                        let t = cx.storage.lookup_named(rel)?;
+                        let t = storage.lookup_named(rel)?;
                         rs.stats.tuples_retrieved += t.len() as u64;
                         rs.stats.rows_pipelined += t.len() as u64;
                         rs.slots[build_slot] += t.len() as u64;
@@ -536,7 +523,7 @@ fn exec_stream(
                         )
                     }
                     other => {
-                        let rel = exec_inter(other, build_slot, cx, rs)?;
+                        let rel = exec_inter(other, build_slot, storage, rs)?;
                         desc.push_str(&format!(" -> HashJoin({kind}, build=materialized)"));
                         let schema = rel.schema().clone();
                         arena.push(rel);
@@ -546,7 +533,7 @@ fn exec_stream(
                 let probe_cols = resolve_cols(&cur_schema, probe_keys)?;
                 let build_cols = resolve_cols(&build_schema, build_keys)?;
                 let concat = Arc::new(cur_schema.concat(&build_schema)?);
-                let residual_bound = bind_pred(residual, &concat, Some(cx.storage.interner()))?;
+                let residual_bound = bind_pred(residual, &concat, Some(storage.interner()))?;
                 let key_map = probe_cols.iter().map(|&c| map_col(&widths, c)).collect();
                 sides.push(side);
                 side_cols.push(bcols);
@@ -578,7 +565,7 @@ fn exec_stream(
                 let source_slot = stage_slot + 1 + n_nodes(input);
                 let (source_schema, side, scols) = match source.as_ref() {
                     PhysPlan::Scan { rel } => {
-                        let t = cx.storage.lookup_named(rel)?;
+                        let t = storage.lookup_named(rel)?;
                         rs.stats.tuples_retrieved += t.len() as u64;
                         rs.stats.rows_pipelined += t.len() as u64;
                         rs.slots[source_slot] += t.len() as u64;
@@ -590,7 +577,7 @@ fn exec_stream(
                         )
                     }
                     other => {
-                        let rel = exec_inter(other, source_slot, cx, rs)?;
+                        let rel = exec_inter(other, source_slot, storage, rs)?;
                         desc.push_str(&format!(" -> SemiReduce({pass}, src=materialized)"));
                         let schema = rel.schema().clone();
                         arena.push(rel);
@@ -603,9 +590,7 @@ fn exec_stream(
                 sides.push(side);
                 side_cols.push(scols);
                 hash_builds.push(sides.len() - 1);
-                // One reduction pass per compiled stage — ticked here,
-                // on the main thread, so the count is deterministic at
-                // every thread count (workers merge fresh stats).
+                // One reduction pass per compiled stage.
                 rs.stats.reducer_passes += 1;
                 specs.push(StageSpec::Reduce {
                     table_idx: hash_builds.len() - 1,
@@ -622,7 +607,7 @@ fn exec_stream(
                 residual,
                 ..
             } => {
-                let inner_table = cx.storage.lookup_named(inner)?;
+                let inner_table = storage.lookup_named(inner)?;
                 let inner_rel = inner_table.relation();
                 let mut inner_cols = resolve_cols(inner_rel.schema(), inner_keys)?;
                 let mut outer_cols = resolve_cols(&cur_schema, outer_keys)?;
@@ -648,7 +633,7 @@ fn exec_stream(
                                 .join(","),
                         })?;
                 let concat = Arc::new(cur_schema.concat(inner_rel.schema())?);
-                let residual_bound = bind_pred(residual, &concat, Some(cx.storage.interner()))?;
+                let residual_bound = bind_pred(residual, &concat, Some(storage.interner()))?;
                 let key_map = outer_cols.iter().map(|&c| map_col(&widths, c)).collect();
                 specs.push(StageSpec::IndexProbe {
                     kind: *kind,
@@ -674,7 +659,7 @@ fn exec_stream(
                 let right_slot = stage_slot + 1 + n_nodes(left);
                 let (right_schema, side) = match right.as_ref() {
                     PhysPlan::Scan { rel } => {
-                        let t = cx.storage.lookup_named(rel)?;
+                        let t = storage.lookup_named(rel)?;
                         rs.stats.tuples_retrieved += t.len() as u64;
                         rs.stats.rows_pipelined += t.len() as u64;
                         rs.slots[right_slot] += t.len() as u64;
@@ -685,7 +670,7 @@ fn exec_stream(
                         )
                     }
                     other => {
-                        let rel = exec_inter(other, right_slot, cx, rs)?;
+                        let rel = exec_inter(other, right_slot, storage, rs)?;
                         desc.push_str(&format!(" -> NlJoin({kind}, right=materialized)"));
                         let schema = rel.schema().clone();
                         arena.push(rel);
@@ -693,7 +678,7 @@ fn exec_stream(
                     }
                 };
                 let concat = Arc::new(cur_schema.concat(&right_schema)?);
-                let bound = bind_pred(pred, &concat, Some(cx.storage.interner()))?;
+                let bound = bind_pred(pred, &concat, Some(storage.interner()))?;
                 sides.push(side);
                 side_cols.push(None);
                 specs.push(StageSpec::NlProbe {
@@ -757,7 +742,7 @@ fn exec_stream(
         if let (RowsSrc::Storage(_), Tail::Collect { .. }, PhysPlan::Scan { .. }) =
             (&src, &tail, src_plan)
         {
-            let t = cx.storage.lookup_named(match src_plan {
+            let t = storage.lookup_named(match src_plan {
                 PhysPlan::Scan { rel } => rel,
                 _ => unreachable!(),
             })?;
@@ -837,35 +822,26 @@ fn exec_stream(
     // --- Drive: push every (selected) source row through the fused
     // stage chain, entering above any hoisted filters.
     let mut out_rows: Vec<Tuple> = Vec::new();
-    let depth = widths.len() + 1;
-    drive_morsels(
-        src_rows.len(),
-        cx.cfg,
-        rs.stats,
-        rs.slots,
-        &mut out_rows,
-        |range, buf, st, sl| {
-            let mut parts: Vec<&Tuple> = Vec::with_capacity(depth);
-            match &sel {
-                Some(mask) => mask.for_each_one_in(range.start, range.end, |i| {
-                    parts.clear();
-                    parts.push(&src_rows[i]);
-                    push_row(
-                        &specs, &side_rows, &tables, &tail, hoisted, &mut parts, buf, st, sl,
-                    );
-                }),
-                None => {
-                    for row in &src_rows[range] {
-                        parts.clear();
-                        parts.push(row);
-                        push_row(
-                            &specs, &side_rows, &tables, &tail, 0, &mut parts, buf, st, sl,
-                        );
-                    }
-                }
-            }
-        },
-    );
+    let mut parts: Vec<&Tuple> = Vec::with_capacity(widths.len() + 1);
+    let mut drive = |i: usize, entry: usize| {
+        parts.clear();
+        parts.push(&src_rows[i]);
+        push_row(
+            &specs,
+            &side_rows,
+            &tables,
+            &tail,
+            entry,
+            &mut parts,
+            &mut out_rows,
+            rs.stats,
+            rs.slots,
+        );
+    };
+    match &sel {
+        Some(mask) => mask.for_each_one_in(0, src_rows.len(), |i| drive(i, hoisted)),
+        None => (0..src_rows.len()).for_each(|i| drive(i, 0)),
+    }
 
     // A fused projection dedups once, after the drive — first
     // occurrence wins, which is exactly `ops::project`'s output order

@@ -6,10 +6,11 @@
 //! two equivalent orderings of `R1 − (R2 → R3)` cost `2·10⁷ + 1` and
 //! `3` tuples — the asymmetry this library exists to exploit.
 //!
-//! Every counter is a function of the plan and the data alone: the
-//! same at any thread count and morsel size, which is what lets the
-//! executor suites compare whole `ExecStats` values across
-//! configurations.
+//! Every counter is a function of the plan and the data alone: a query
+//! runs sequentially on its caller's thread, so the same plan over the
+//! same tables always reports the same `ExecStats`, which is what lets
+//! the executor suites pin counters against values derived from the
+//! reference.
 
 use std::fmt;
 
@@ -62,7 +63,7 @@ pub struct ExecStats {
     /// that invalidated the maintained state). Always 0 for plain
     /// execution.
     pub views_refreshed: u64,
-    /// Metadata zones ([`fro_algebra::ZONE_ROWS`]-row morsels of a
+    /// Metadata zones ([`fro_algebra::ZONE_ROWS`]-row runs of a
     /// base column) that a vectorized comparison resolved from zone
     /// min/max / null-count metadata as containing no qualifying row,
     /// without touching the column data. The logical work counters
@@ -78,10 +79,9 @@ impl ExecStats {
     }
 
     /// Fold another accumulator into this one. Every counter is a plain
-    /// sum, so merging is commutative and associative: the parallel
-    /// executor gives each worker a private `ExecStats` and merges them
-    /// after the join barrier, and the totals are identical to a
-    /// sequential run regardless of how morsels were interleaved.
+    /// sum, so merging is commutative and associative: a session totals
+    /// the runs of its statements, and a standing view its maintenance
+    /// passes, by merging each run's counters.
     pub fn merge(&mut self, other: &ExecStats) {
         self.tuples_retrieved += other.tuples_retrieved;
         self.index_probes += other.index_probes;

@@ -34,6 +34,9 @@ pub enum GraphError {
     CartesianProduct(String),
     /// Structural edge error (parallel outerjoin edge etc.).
     Edge(String),
+    /// The query has more ground relations than a graph can hold
+    /// ([`QueryGraph::MAX_NODES`]); carries the count.
+    TooManyRelations(usize),
 }
 
 impl fmt::Display for GraphError {
@@ -59,6 +62,11 @@ impl fmt::Display for GraphError {
                 write!(f, "operator with no join predicate (Cartesian product) at {q}")
             }
             GraphError::Edge(e) => write!(f, "edge error: {e}"),
+            GraphError::TooManyRelations(n) => write!(
+                f,
+                "{n} relations; query graphs hold at most {}",
+                QueryGraph::MAX_NODES
+            ),
         }
     }
 }
@@ -83,6 +91,9 @@ pub fn graph_of(q: &Query) -> Result<QueryGraph, GraphError> {
         if !seen.insert(l.clone()) {
             return Err(GraphError::DuplicateRelation(l.clone()));
         }
+    }
+    if leaves.len() > QueryGraph::MAX_NODES {
+        return Err(GraphError::TooManyRelations(leaves.len()));
     }
     let mut g = QueryGraph::new(leaves);
     add_edges(q, &mut g)?;

@@ -1,6 +1,6 @@
 //! The query-graph data structure (§1.2).
 
-use fro_algebra::Pred;
+use fro_algebra::{Pred, RelSet};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -118,15 +118,21 @@ pub struct QueryGraph {
 }
 
 impl QueryGraph {
+    /// The most relations a graph holds: its node sets are
+    /// [`RelSet`]s.
+    pub const MAX_NODES: usize = RelSet::MAX_MEMBERS;
+
     /// Create a graph with the given relation names and no edges.
     ///
     /// # Panics
-    /// If more than 64 nodes or duplicate names are supplied.
+    /// If more than [`QueryGraph::MAX_NODES`] nodes or duplicate names
+    /// are supplied.
     #[must_use]
     pub fn new(nodes: Vec<String>) -> QueryGraph {
         assert!(
-            nodes.len() <= 64,
-            "query graphs are limited to 64 relations"
+            nodes.len() <= QueryGraph::MAX_NODES,
+            "query graphs are limited to {} relations",
+            QueryGraph::MAX_NODES
         );
         let mut name_to_id = BTreeMap::new();
         for (i, n) in nodes.iter().enumerate() {

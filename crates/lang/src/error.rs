@@ -1,5 +1,6 @@
 //! Errors for the language front-end.
 
+use fro_graph::QueryGraph;
 use std::fmt;
 
 /// Anything that can go wrong between source text and a result.
@@ -43,6 +44,9 @@ pub enum LangError {
     UnknownAttr(String),
     /// The block's relations are not connected by join conditions.
     Disconnected,
+    /// The block has more relations (From-items plus UnNest/Link
+    /// steps) than a query graph holds; carries the count.
+    TooManyRelations(usize),
     /// The block failed the Theorem 1 check — per §5.3 this is
     /// unreachable for well-formed blocks; surfaced rather than
     /// asserted so a bug cannot silently reorder a non-reorderable
@@ -79,6 +83,11 @@ impl fmt::Display for LangError {
                     "query block relations are not connected by join conditions"
                 )
             }
+            LangError::TooManyRelations(n) => write!(
+                f,
+                "query block has {n} relations; a block holds at most {}",
+                QueryGraph::MAX_NODES
+            ),
             LangError::NotReorderable(m) => write!(
                 f,
                 "internal: translated block is not freely reorderable ({m}) — this contradicts §5.3"

@@ -232,6 +232,9 @@ pub fn translate(block: &QueryBlock, edb: &EntityDb) -> Result<TranslatedBlock, 
     }
 
     // Assemble the graph.
+    if aliases.len() > QueryGraph::MAX_NODES {
+        return Err(LangError::TooManyRelations(aliases.len()));
+    }
     let mut graph = QueryGraph::new(aliases.clone());
     for (a, b, p) in join_conds {
         let ia = graph.node_id(&a).expect("alias registered");

@@ -25,13 +25,13 @@ echo "== tests (every workspace crate) =="
 #   pipelined_property, columnar_property, parallel_engine_property,
 #   partition_invariance_property, group_partition_property), all on
 #   the harness in tests/harness: the one executor against the
-#   fro-algebra reference on every plan shape, counters against
-#   reference-derived values for filter chains and scan-probing joins,
-#   then rows, order, schema and counters identical at all nine
-#   configurations of threads {1, 2, 8} × morsel rows {1, 5, 1024};
-#   EXPLAIN ANALYZE's per-node counts pinned;
+#   fro-algebra reference on every plan shape, run once on the calling
+#   thread (the executor is sequential and has no settings), counters
+#   against reference-derived values for filter chains and scan-probing
+#   joins; EXPLAIN ANALYZE's per-node counts pinned;
 # * semireduce_property: reduced vs plain plans bit-identical in rows,
-#   order, schema and counters on every join kind; the soundness matrix
+#   order and schema on every join kind, one executed reduction pass
+#   per applied wrap; the soundness matrix
 #   (left-outer probe never up-reduced, full outer untouched) pinned;
 #   `Auto` wraps the skewed star and snowflake once each, with exact
 #   intermediate-row counts, and declines the uniform control;

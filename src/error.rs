@@ -67,6 +67,7 @@ impl FroError {
                 LangError::RestrictionOnDerived(_) => "LANG_RESTRICTION_ON_DERIVED",
                 LangError::UnknownAttr(_) => "LANG_UNKNOWN_ATTR",
                 LangError::Disconnected => "LANG_DISCONNECTED",
+                LangError::TooManyRelations(_) => "LANG_TOO_MANY_RELATIONS",
                 LangError::NotReorderable(_) => "LANG_NOT_REORDERABLE",
                 LangError::Eval(_) => "LANG_EVAL",
             },
@@ -167,6 +168,10 @@ mod tests {
         let cases: Vec<(FroError, &str)> = vec![
             (LangError::Parse("x".into()).into(), "LANG_PARSE"),
             (LangError::Disconnected.into(), "LANG_DISCONNECTED"),
+            (
+                LangError::TooManyRelations(65).into(),
+                "LANG_TOO_MANY_RELATIONS",
+            ),
             (OptError::Disconnected.into(), "OPT_DISCONNECTED"),
             (OptError::Unsupported("n".into()).into(), "OPT_UNSUPPORTED"),
             (

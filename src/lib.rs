@@ -94,7 +94,7 @@ pub mod prelude {
         analyze, is_freely_reorderable, optimize, optimize_with_reduce, Catalog, Policy,
         ReducePolicy, ReductionReport,
     };
-    pub use fro_exec::{execute, execute_with, ExecConfig, ExecStats, PhysPlan, Storage};
+    pub use fro_exec::{execute, ExecStats, PhysPlan, Storage};
     pub use fro_graph::{graph_of, QueryGraph};
     pub use fro_trees::{enumerate_trees, EnumLimit};
 }

@@ -472,6 +472,29 @@ mod tests {
         assert_eq!(out.len(), 3);
     }
 
+    /// A block with more From-items than a query graph holds is a
+    /// typed error on its connection, which goes on answering.
+    #[test]
+    fn a_block_too_large_for_a_query_graph_is_a_typed_error() {
+        let (server, _db) = served_world();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let n = fro_graph::QueryGraph::MAX_NODES + 1;
+        let from: Vec<String> = (0..n).map(|i| format!("DEPARTMENT AS D{i}")).collect();
+        let conds: Vec<String> = (1..n).map(|i| format!("D0.D# = D{i}.D#")).collect();
+        let src = format!(
+            "Select All From {} Where {}",
+            from.join(", "),
+            conds.join(" and ")
+        );
+        match client.query(&src).unwrap_err() {
+            FroError::Remote { ref code, .. } => assert_eq!(code, "LANG_TOO_MANY_RELATIONS"),
+            other => panic!("expected remote error, got {other:?}"),
+        }
+        client.ping().unwrap();
+        let (out, _) = client.query(SRC).unwrap();
+        assert_eq!(out.len(), 3);
+    }
+
     #[test]
     fn a_retired_plan_tag_is_a_typed_error_and_keeps_the_connection() {
         let (server, _db) = served_world();

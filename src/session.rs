@@ -667,6 +667,35 @@ mod tests {
         assert!(again.run().unwrap().set_eq(&out));
     }
 
+    /// A join chain over more relations than a query graph holds is
+    /// planned as written, not refused: the graph is undefined, so the
+    /// optimizer lowers the tree by name.
+    #[test]
+    fn a_chain_longer_than_a_query_graph_runs_as_written() {
+        let n = fro_graph::QueryGraph::MAX_NODES + 1;
+        let s = Session::new();
+        let mut db = fro_algebra::Database::new();
+        for i in 0..n {
+            let rows: &[&[i64]] = if i == 0 {
+                &[&[1], &[2]]
+            } else {
+                &[&[1], &[2], &[3]]
+            };
+            let r = Relation::from_ints(&format!("R{i}"), &["k"], rows);
+            db.insert(r.clone());
+            s.insert_table(format!("R{i}"), r);
+        }
+        let q = (1..n).fold(Query::rel("R0"), |q, i| {
+            q.join(
+                Query::rel(format!("R{i}")),
+                Pred::eq_attr(&format!("R{}.k", i - 1), &format!("R{i}.k")),
+            )
+        });
+        let out = s.prepare(&q).unwrap().run().unwrap();
+        assert_eq!(out.len(), 2);
+        assert!(out.set_eq(&q.eval(&db).unwrap()));
+    }
+
     #[test]
     fn lang_query_surfaces_parse_errors_with_codes() {
         let s = Session::from_entity_db(paper_world());

@@ -4,9 +4,8 @@
 //! whose build is a bare scan hashes the key column directly, and
 //! leading filters over a scan hoist into vectorized masks whose
 //! `comparisons` come from popcounts. Every plan goes through the
-//! harness in `tests/harness`: set-equal to `fro-algebra`, then
-//! bit-identical in rows, order, schema and `ExecStats` at every
-//! configuration of threads × morsel rows.
+//! harness in `tests/harness`: set-equal to `fro-algebra`, with its
+//! counters pinned where the work is known in closed form.
 //!
 //! Data sweeps empty relations, all-null keys, dictionary string
 //! columns under SQL-null three-valued predicates, a clustered

@@ -6,8 +6,7 @@
 //! `Query::eval`. A `Goj` plan, hand-built and lowered from a query, must be set-equal
 //! to `ops::goj` / `Query::eval`; on the Example 1 family the reordered
 //! plan must never retrieve more tuples than the syntactic one. Every
-//! plan then runs bit-identically at every configuration of threads ×
-//! morsel rows through the harness in `tests/harness`.
+//! plan goes through the harness in `tests/harness`.
 
 mod harness;
 
@@ -100,7 +99,7 @@ proptest! {
 /// Example 1: the reordered plan never costs more than the syntactic
 /// one under the executor's own counters — `3` against `2n + 1` tuples
 /// retrieved — and both, and the good association, match the
-/// reference at every configuration.
+/// reference.
 #[test]
 fn dp_never_loses_to_syntactic_on_example1_family() {
     for n in [10usize, 100, 1000] {

@@ -2,18 +2,17 @@
 //! and EXPLAIN ANALYZE's per-node row counts.
 //!
 //! Every executor suite goes through the one harness in `tests/harness`:
-//! a plan runs sequentially and must be set-equal to `fro-algebra`'s
-//! answer (`ops::*` for hand-built plans, `Query::eval` for lowered and
-//! optimized trees), its counters must match the values derived from
-//! the reference where those are known in closed form, and it then
-//! runs bit-identically across all nine configurations of threads ×
-//! morsel rows. The suites are named after
+//! a plan runs once, on the calling thread, and must be set-equal to
+//! `fro-algebra`'s answer (`ops::*` for hand-built plans, `Query::eval`
+//! for lowered and optimized trees), and its counters must match the
+//! values derived from the reference where those are known in closed
+//! form. The suites are named after
 //! what they exercise: `pipelined_property` (every join operator and
 //! kind, spines, derived attributes, deep left-outer chains),
 //! `columnar_property` (column-hashed builds, hoisted filters, string
 //! dictionaries, zones, degenerate layouts), `parallel_engine_property`
 //! (multi-operator probes, Example 1), `partition_invariance_property`
-//! (hash joins, hot keys, the machine's parallelism), `group_partition_property`
+//! (hash joins, hot keys), `group_partition_property`
 //! (`GroupCount`) and `engine_vs_reference` (lowered and optimized
 //! implementing trees, `Goj`, Example 1 costs).
 //!
@@ -83,8 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// EXPLAIN ANALYZE's per-node `(rows=N)` lines on random lowered
-    /// and optimized plans: each equals its subtree's result size, and
-    /// the report does not depend on the thread count.
+    /// and optimized plans: each equals its subtree's result size.
     #[test]
     fn explain_analyze_counts_every_node(
         n in 2usize..6,

@@ -1,11 +1,9 @@
-//! `GroupCount` across thread counts and morsel sizes, against the
-//! reference.
+//! `GroupCount` against the reference.
 //!
-//! For random null-bearing inputs, every configuration of threads ×
-//! morsel rows must reproduce `ops::group_count` row for row — same
-//! groups, same counts, same first-seen emission order — with and
-//! without a counted column. Every plan goes through the harness in
-//! `tests/harness`.
+//! For random null-bearing inputs, the executor must reproduce
+//! `ops::group_count` row for row — same groups, same counts, same
+//! first-seen emission order — with and without a counted column.
+//! Every plan goes through the harness in `tests/harness`.
 
 mod harness;
 
@@ -14,8 +12,8 @@ use fro_exec::{PhysPlan, Storage};
 use harness::*;
 use proptest::prelude::*;
 
-/// Check `GroupCount(R)` and that the sequential run equals the
-/// reference row for row.
+/// Check `GroupCount(R)` and that the run equals the reference row
+/// for row.
 fn check_group_count(
     rows: usize,
     domain: i64,
@@ -53,8 +51,7 @@ proptest! {
     }
 
     /// Both columns as the group key with a counted column: many
-    /// distinct groups, first seen in an order the scan's morsels
-    /// split (the sweep reaches morsels of one row).
+    /// distinct groups, each first seen at a different scan row.
     #[test]
     fn wide_keys_under_max_partitioning(
         rows in 1usize..120,

@@ -1,28 +1,23 @@
 //! The reference-checked executor harness (`mod harness;`).
 //!
-//! There is one executor (`fro_exec::execute_with`). The suites that
-//! include this module check it against `fro-algebra` over a plain
-//! `Database`: the reference operators (`ops::{join, outerjoin,
+//! There is one executor (`fro_exec::execute`), sequential on the
+//! calling thread. The suites that include this module check it
+//! against `fro-algebra` over a plain `Database`: the reference operators (`ops::{join, outerjoin,
 //! full_outerjoin, semijoin, antijoin, goj, group_count}`) for
 //! hand-built plans, `Query::eval` for lowered and optimized
 //! implementing trees.
 //!
-//! [`check`] runs a plan once sequentially (`ExecConfig::default()`),
-//! and its result must be set-equal to the reference. For the shapes
-//! whose work is known in closed form — a filter chain over a scan, and
-//! a hash or index join probing one — the counters must equal the
-//! values derived from the reference ([`pinned`]). It then runs the
-//! plan at all nine configurations of threads {1, 2, 8} × morsel rows
-//! {1, 5, 1024}; at each, rows, row order, schema and `ExecStats` must
-//! equal the sequential run's. [`check_explain`] pins every `(rows=N)`
-//! line of `explain_analyze` to the size of its executed subtree.
+//! [`check`] runs a plan once, and its result must be set-equal to the
+//! reference. For the shapes whose work is known in closed form — a
+//! filter chain over a scan, and a hash or index join probing one — the
+//! counters must equal the values derived from the reference
+//! ([`pinned`]). [`check_explain`] pins every `(rows=N)` line of
+//! `explain_analyze` to the size of its executed subtree.
 
 #![allow(dead_code)]
 
 use fro_algebra::{ops, Attr, CmpOp, Database, Pred, Relation, Value};
-use fro_exec::{
-    execute, execute_with, explain_analyze_with, ExecConfig, ExecStats, JoinKind, PhysPlan, Storage,
-};
+use fro_exec::{execute, explain_analyze, ExecStats, JoinKind, PhysPlan, Storage};
 use fro_testkit::{random_database, DbSpec};
 
 pub const KINDS: [JoinKind; 5] = [
@@ -33,68 +28,36 @@ pub const KINDS: [JoinKind; 5] = [
     JoinKind::Anti,
 ];
 
-pub const THREADS: [usize; 3] = [1, 2, 8];
-/// Morsel sizes on both sides of the probe cardinality: 1 and 5 split
-/// the small inputs into many morsels, 1024 leaves them one.
-pub const MORSELS: [usize; 3] = [1, 5, 1024];
-
-/// Run `plan` sequentially and check it against `want` (and its
-/// counters against [`pinned`]), then at every configuration of
-/// [`THREADS`] × [`MORSELS`] against the sequential run. Returns the
-/// sequential result and stats.
+/// Run `plan` and check it against `want` (and its counters against
+/// [`pinned`]). Returns the result and stats.
 pub fn check(
     plan: &PhysPlan,
     storage: &Storage,
     want: &Relation,
     label: &str,
 ) -> (Relation, ExecStats) {
-    let mut seq_st = ExecStats::new();
-    let seq = execute_with(plan, storage, &mut seq_st, &ExecConfig::default())
-        .unwrap_or_else(|e| panic!("{label}: {e}\n{plan}"));
+    let mut st = ExecStats::new();
+    let out = execute(plan, storage, &mut st).unwrap_or_else(|e| panic!("{label}: {e}\n{plan}"));
     assert!(
-        seq.set_eq(want),
+        out.set_eq(want),
         "{label}: executor disagrees with the reference ({} vs {} rows)\n{plan}",
-        seq.len(),
+        out.len(),
         want.len()
     );
     assert!(
-        seq.is_empty() || seq_st.rows_pipelined + seq_st.rows_materialized > 0,
+        out.is_empty() || st.rows_pipelined + st.rows_materialized > 0,
         "{label}: rows produced but no flow counted"
     );
     if let Some(p) = pinned(plan, storage) {
         let got = Pinned {
-            tuples_retrieved: seq_st.tuples_retrieved,
-            comparisons: p.comparisons.map(|_| seq_st.comparisons),
-            hash_build_rows: seq_st.hash_build_rows,
-            index_probes: seq_st.index_probes,
+            tuples_retrieved: st.tuples_retrieved,
+            comparisons: p.comparisons.map(|_| st.comparisons),
+            hash_build_rows: st.hash_build_rows,
+            index_probes: st.index_probes,
         };
         assert_eq!(got, p, "{label}: counters\n{plan}");
     }
-    for threads in THREADS {
-        for morsel in MORSELS {
-            let cfg = ExecConfig::with_threads(threads).morsel_rows(morsel);
-            check_config(plan, storage, &cfg, &seq, &seq_st, label);
-        }
-    }
-    (seq, seq_st)
-}
-
-/// Run `plan` at `cfg` and check it is bit-identical to the
-/// sequential run `seq`: rows, order, schema and `ExecStats`.
-pub fn check_config(
-    plan: &PhysPlan,
-    storage: &Storage,
-    cfg: &ExecConfig,
-    seq: &Relation,
-    seq_st: &ExecStats,
-    label: &str,
-) {
-    let at = format!("{label} at {cfg:?}");
-    let mut st = ExecStats::new();
-    let out = execute_with(plan, storage, &mut st, cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-    assert_eq!(out.rows(), seq.rows(), "{at}: rows");
-    assert_eq!(out.schema(), seq.schema(), "{at}: schema");
-    assert_eq!(st, *seq_st, "{at}: stats");
+    (out, st)
 }
 
 /// The counters a plan must report, for the shapes whose work is known
@@ -323,7 +286,7 @@ pub fn index_join(kind: JoinKind, outer: PhysPlan, residual: &Pred) -> PhysPlan 
 }
 
 /// Check `op` against the reference on every kind it accepts, over the
-/// `L`/`R` relations of `db`. Returns each kind's sequential stats.
+/// `L`/`R` relations of `db`. Returns each kind's stats.
 pub fn check_equi_join(
     op: Op,
     db: &Database,
@@ -347,10 +310,9 @@ pub fn check_equi_join(
 }
 
 /// `explain_analyze` lists every plan node in pre-order with the rows
-/// its subtree produces when executed on its own, and the report is
-/// identical at every thread count and morsel size.
+/// its subtree produces when executed on its own.
 pub fn check_explain(plan: &PhysPlan, storage: &Storage, label: &str) {
-    let (_, report) = explain_analyze_with(plan, storage, &ExecConfig::new()).expect("explains");
+    let (_, report) = explain_analyze(plan, storage).expect("explains");
     let mut nodes = Vec::new();
     preorder(plan, &mut nodes);
     let counts: Vec<u64> = report
@@ -373,14 +335,6 @@ pub fn check_explain(plan: &PhysPlan, storage: &Storage, label: &str) {
             rows.len() as u64,
             n,
             "{label}: rows of\n{node}\nin\n{report}"
-        );
-    }
-    for (threads, morsel) in [(2, 1), (8, 5), (8, 1024)] {
-        let cfg = ExecConfig::with_threads(threads).morsel_rows(morsel);
-        let (_, r) = explain_analyze_with(plan, storage, &cfg).expect("explains");
-        assert_eq!(
-            r, report,
-            "{label}: report at threads={threads} morsel={morsel}"
         );
     }
 }
