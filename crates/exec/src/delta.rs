@@ -4,11 +4,10 @@
 //! scans, filters, and joins (every physical join flavor collapses to
 //! one delta join node; [`PhysPlan::SemiReduce`] wrappers are dropped
 //! because reduction is semantically transparent). Each join node keeps
-//! the state a delta needs — both inputs indexed by their equi-keys,
-//! per-row match counts for the preserving/filtering kinds, and a
-//! derivation refcount on its output so null-pad collisions (the
-//! all-null full-outer pad meeting a real all-null row) resolve exactly
-//! as the execution engine resolves them.
+//! the state a delta needs: both inputs indexed by their equi-keys,
+//! each row held once, next to its match count. Predicates are bound
+//! to column offsets once, when the plan is built, and decide a match
+//! without building the pair.
 //!
 //! The delta algebra per join kind, writing `Δ` for a signed row set
 //! and `pad(t)` for the null-extension of `t`:
@@ -28,6 +27,20 @@
 //! A null equi-key never matches (3VL, like every join in the engine),
 //! so null-keyed rows only ever contribute pads or anti rows.
 //!
+//! **A join node stores no copy of its output.** Over set inputs, every
+//! kind but full outer derives each output row at most once: a real
+//! row `l∘r` fixes its pair `(l, r)`, the pad `l∘null` exists only while
+//! `m(l) = 0` (so never beside a real `l∘r` whose `r` is all-null), and
+//! a semi or anti row is a left row, present or not. So a node pushes
+//! each derivation change straight into its delta; when one step emits
+//! and retracts the same tuple (an all-null right row turning a pad into
+//! an identical real row), [`RowDelta::normalize`] cancels the two. Only
+//! a full outerjoin derives one row twice: an unmatched all-null left
+//! row and an unmatched all-null right row both pad to the all-null row.
+//! A full outerjoin node counts that row's derivations and reports it
+//! only when the count crosses `0 ↔ 1`, as the execution engine dedups
+//! the two pads.
+//!
 //! Views are registered and owned one level up (the `fro` facade);
 //! this module is pure mechanism: build a [`DeltaPlan`] from a
 //! physical plan, [`DeltaPlan::initialize`] it against storage (with
@@ -36,10 +49,11 @@
 //! graphs overlap), then [`DeltaPlan::apply`] base-relation deltas and
 //! fold the returned root delta into the maintained result.
 
-use crate::engine::ExecError;
+use crate::engine::{bind_pred, ExecError};
 use crate::plan::{JoinKind, PhysPlan};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
+use fro_algebra::ops::BoundPred;
 use fro_algebra::schema::SchemaRef;
 use fro_algebra::{FastMap, Pred, Tuple, Value};
 use std::collections::BTreeSet;
@@ -132,59 +146,106 @@ fn key_of(t: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// One side of a delta join, indexed by its equi-key. Null-keyed rows
-/// are held apart: they never match, but full-outer pads and deletions
-/// still need to find them.
+/// A row held by one side of a delta join, and how many rows of the
+/// other side it currently joins with.
+#[derive(Debug, Clone)]
+struct Held {
+    row: Tuple,
+    matches: u32,
+}
+
+/// One side of a delta join, indexed by its equi-key. Each row is held
+/// once, in its key's bucket next to its match count; the order inside
+/// a bucket never reaches a result, because [`RowDelta::normalize`]
+/// sorts. Null-keyed rows are held apart: they never match (their count
+/// is always 0), but full-outer pads and deletions still need to find
+/// them.
 #[derive(Debug, Clone, Default)]
-pub struct SideIndex {
-    by_key: FastMap<Vec<Value>, BTreeSet<Tuple>>,
+pub(crate) struct SideIndex {
+    by_key: FastMap<Vec<Value>, Vec<Held>>,
     null_keyed: BTreeSet<Tuple>,
 }
 
 impl SideIndex {
-    fn insert(&mut self, key: Option<Vec<Value>>, t: Tuple) {
-        let fresh = match key {
-            Some(k) => self.by_key.entry(k).or_default().insert(t),
-            None => self.null_keyed.insert(t),
-        };
-        debug_assert!(fresh, "side rows are sets; duplicate insert");
-    }
-
-    fn remove(&mut self, key: &Option<Vec<Value>>, t: &Tuple) {
+    /// Add `row`, absent until now, with `matches` current matches.
+    fn insert(&mut self, key: Option<Vec<Value>>, row: Tuple, matches: u32) {
         match key {
             Some(k) => {
-                if let Some(set) = self.by_key.get_mut(k) {
-                    set.remove(t);
-                    if set.is_empty() {
-                        self.by_key.remove(k);
-                    }
-                }
+                // Most buckets of a key side hold one row: start them
+                // at that size, not at `Vec`'s first growth of four.
+                let bucket = self
+                    .by_key
+                    .entry(k)
+                    .or_insert_with(|| Vec::with_capacity(1));
+                debug_assert!(
+                    bucket.iter().all(|h| h.row != row),
+                    "side rows are sets; duplicate insert"
+                );
+                bucket.push(Held { row, matches });
             }
             None => {
-                self.null_keyed.remove(t);
+                let fresh = self.null_keyed.insert(row);
+                debug_assert!(fresh, "side rows are sets; duplicate insert");
             }
         }
     }
 
-    fn bucket(&self, key: &[Value]) -> impl Iterator<Item = &Tuple> {
-        self.by_key.get(key).into_iter().flatten()
+    /// Remove `row` and return its match count (`None` if it was absent).
+    fn remove(&mut self, key: Option<&[Value]>, row: &Tuple) -> Option<u32> {
+        let Some(k) = key else {
+            return self.null_keyed.remove(row).then_some(0);
+        };
+        let bucket = self.by_key.get_mut(k)?;
+        let held = bucket.swap_remove(bucket.iter().position(|h| h.row == *row)?);
+        if bucket.is_empty() {
+            self.by_key.remove(k);
+        }
+        Some(held.matches)
     }
 
-    /// Every row of this side, null-keyed rows included.
-    pub fn rows(&self) -> impl Iterator<Item = &Tuple> {
-        self.by_key.values().flatten().chain(self.null_keyed.iter())
+    /// Pass `f` each row of `key`'s bucket that `residual` accepts when
+    /// paired with `probe` (`probe_is_left` fixes the pair's order), and
+    /// return how many there were. A null key matches nothing.
+    fn for_each_match(
+        &mut self,
+        key: Option<&[Value]>,
+        probe: &Tuple,
+        probe_is_left: bool,
+        residual: &BoundPred,
+        mut f: impl FnMut(&mut Held),
+    ) -> u32 {
+        let Some(bucket) = key.and_then(|k| self.by_key.get_mut(k)) else {
+            return 0;
+        };
+        let mut matched = 0;
+        for cand in bucket {
+            let truth = if probe_is_left {
+                residual.eval_split(probe, &cand.row)
+            } else {
+                residual.eval_split(&cand.row, probe)
+            };
+            if truth.is_true() {
+                matched += 1;
+                f(cand);
+            }
+        }
+        matched
+    }
+
+    /// The rows without a current match, null-keyed rows included.
+    fn unmatched(&self) -> impl Iterator<Item = &Tuple> {
+        self.by_key
+            .values()
+            .flatten()
+            .filter(|h| h.matches == 0)
+            .map(|h| &h.row)
+            .chain(&self.null_keyed)
     }
 
     /// Number of rows held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.by_key.values().map(BTreeSet::len).sum::<usize>() + self.null_keyed.len()
-    }
-
-    /// True when the side holds no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty() && self.null_keyed.is_empty()
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.by_key.values().map(Vec::len).sum::<usize>() + self.null_keyed.len()
     }
 }
 
@@ -193,7 +254,7 @@ impl SideIndex {
 /// the scan (rendered — predicate display is injective enough for a
 /// cache key, and a miss only costs a rebuild).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SideKey {
+pub(crate) struct SideKey {
     rel: String,
     cols: Vec<usize>,
     pred: String,
@@ -249,37 +310,43 @@ impl BuildSidePool {
     }
 }
 
-/// Per-node state of a delta join.
+/// Per-node state of a delta join: its two inputs, each row held once,
+/// and no copy of its output. Every output row has at most one
+/// derivation, bar a full outerjoin's all-null row, which
+/// [`JoinOutput`] counts (see the module doc).
 #[derive(Debug)]
 struct JoinNode {
-    kind: JoinKind,
     left: usize,
     right: usize,
     left_cols: Vec<usize>,
     right_cols: Vec<usize>,
-    residual: Pred,
-    /// `left ++ right` — the schema residuals evaluate against.
-    pair_schema: SchemaRef,
-    left_width: usize,
-    right_width: usize,
+    /// The residual, bound to `left ++ right`.
+    residual: BoundPred,
     left_index: SideIndex,
     right_index: SideIndex,
-    /// Current match count per left row (all kinds except `Inner`).
-    match_left: FastMap<Tuple, i64>,
-    /// Current match count per right row (`FullOuter` only).
-    match_right: FastMap<Tuple, i64>,
-    /// Derivation refcount per output tuple: pads and real rows can
-    /// collide on all-null tuples, exactly like in the engine.
-    out: FastMap<Tuple, i64>,
+    out: JoinOutput,
     /// Set when the right subtree is a bare or filtered scan — the
     /// shapes eligible for cross-view build-side pooling.
     right_leaf: Option<SideKey>,
 }
 
+/// What a join emits for its held rows. A derivation change goes
+/// straight into the step's delta; only the all-null row of a full
+/// outerjoin has its derivations counted.
+#[derive(Debug)]
+struct JoinOutput {
+    kind: JoinKind,
+    left_nulls: Tuple,
+    right_nulls: Tuple,
+    /// `FullOuter` only: how many derivations the all-null output row
+    /// has (both pads can derive it).
+    all_null: Option<u32>,
+}
+
 #[derive(Debug)]
 enum DeltaNode {
     Scan { rel: String },
-    Filter { input: usize, pred: Pred },
+    Filter { input: usize, pred: BoundPred },
     Join(Box<JoinNode>),
 }
 
@@ -295,10 +362,11 @@ pub struct DeltaPlan {
 
 impl DeltaPlan {
     /// Mirror `plan` into delta operators, resolving key attributes to
-    /// column offsets against `storage`'s schemas. Returns `None` when
-    /// the plan contains an operator with no delta form (`Project`,
-    /// `GroupCount`, `Goj`) or references an unknown table/attribute —
-    /// the caller then falls back to refresh-on-poll maintenance.
+    /// column offsets and binding predicates against `storage`'s
+    /// schemas. Returns `None` when the plan contains an operator with
+    /// no delta form (`Project`, `GroupCount`, `Goj`) or references an
+    /// unknown table/attribute — the caller then falls back to
+    /// refresh-on-poll maintenance.
     #[must_use]
     pub fn try_build(plan: &PhysPlan, storage: &Storage) -> Option<DeltaPlan> {
         let mut dp = DeltaPlan {
@@ -347,13 +415,8 @@ impl DeltaPlan {
             PhysPlan::Filter { input, pred } => {
                 let child = self.build(input, storage)?;
                 let schema = self.schemas[child].clone();
-                Some(self.push(
-                    DeltaNode::Filter {
-                        input: child,
-                        pred: pred.clone(),
-                    },
-                    schema,
-                ))
+                let pred = bind_pred(pred, &schema, Some(storage.interner())).ok()?;
+                Some(self.push(DeltaNode::Filter { input: child, pred }, schema))
             }
             // Reduction is semantically transparent: the reduced plan
             // computes the same relation, so the delta mirror simply
@@ -420,26 +483,26 @@ impl DeltaPlan {
             return None;
         }
         let pair_schema: SchemaRef = Arc::new(ls.concat(&rs).ok()?);
+        let residual = bind_pred(residual, &pair_schema, Some(storage.interner())).ok()?;
         let right_leaf = leaf_side_key(right, &right_cols);
         let out_schema = match kind {
             JoinKind::Semi | JoinKind::Anti => ls.clone(),
-            _ => pair_schema.clone(),
+            _ => pair_schema,
         };
         let node = JoinNode {
-            kind,
             left: l,
             right: r,
             left_cols,
             right_cols,
-            residual: residual.clone(),
-            pair_schema,
-            left_width: ls.len(),
-            right_width: rs.len(),
+            residual,
             left_index: SideIndex::default(),
             right_index: SideIndex::default(),
-            match_left: FastMap::default(),
-            match_right: FastMap::default(),
-            out: FastMap::default(),
+            out: JoinOutput {
+                kind,
+                left_nulls: Tuple::nulls(ls.len()),
+                right_nulls: Tuple::nulls(rs.len()),
+                all_null: (kind == JoinKind::FullOuter).then_some(0),
+            },
             right_leaf,
         };
         Some(self.push(DeltaNode::Join(Box::new(node)), out_schema))
@@ -452,9 +515,9 @@ impl DeltaPlan {
             if let DeltaNode::Join(jn) = node {
                 jn.left_index = SideIndex::default();
                 jn.right_index = SideIndex::default();
-                jn.match_left.clear();
-                jn.match_right.clear();
-                jn.out.clear();
+                if let Some(c) = &mut jn.out.all_null {
+                    *c = 0;
+                }
             }
         }
     }
@@ -490,22 +553,15 @@ impl DeltaPlan {
                 outs.push(Vec::new());
                 continue;
             }
-            let mut node =
-                std::mem::replace(&mut self.nodes[id], DeltaNode::Scan { rel: String::new() });
-            let rows = match &mut node {
+            let rows = match &mut self.nodes[id] {
                 DeltaNode::Scan { rel } => {
                     let rows = storage.lookup_named(rel)?.relation().rows().to_vec();
                     stats.tuples_retrieved += rows.len() as u64;
                     rows
                 }
                 DeltaNode::Filter { input, pred } => {
-                    let schema = &self.schemas[*input];
-                    let mut kept = Vec::new();
-                    for t in std::mem::take(&mut outs[*input]) {
-                        if pred.eval(&t, schema).map_err(ExecError::Algebra)?.is_true() {
-                            kept.push(t);
-                        }
-                    }
+                    let mut kept = std::mem::take(&mut outs[*input]);
+                    kept.retain(|t| pred.eval(t).is_true());
                     kept
                 }
                 DeltaNode::Join(jn) => {
@@ -516,7 +572,7 @@ impl DeltaPlan {
                             let mut side = SideIndex::default();
                             for t in std::mem::take(&mut outs[jn.right]) {
                                 let key = key_of(&t, &jn.right_cols);
-                                side.insert(key, t);
+                                side.insert(key, t, 0);
                                 stats.hash_build_rows += 1;
                             }
                             if let Some(key) = &jn.right_leaf {
@@ -525,10 +581,9 @@ impl DeltaPlan {
                             side
                         }
                     };
-                    init_join(jn, left_rows, right, stats)?
+                    init_join(jn, left_rows, right, stats)
                 }
             };
-            self.nodes[id] = node;
             outs.push(rows);
         }
         Ok(outs.pop().expect("plan has at least one node"))
@@ -545,10 +600,8 @@ impl DeltaPlan {
         stats: &mut ExecStats,
     ) -> Result<RowDelta, ExecError> {
         let mut deltas: Vec<RowDelta> = Vec::with_capacity(self.nodes.len());
-        for id in 0..self.nodes.len() {
-            let mut node =
-                std::mem::replace(&mut self.nodes[id], DeltaNode::Scan { rel: String::new() });
-            let d = match &mut node {
+        for node in &mut self.nodes {
+            let d = match node {
                 DeltaNode::Scan { rel } => {
                     if rel.as_str() == base {
                         stats.delta_rows_in += delta.len() as u64;
@@ -558,36 +611,37 @@ impl DeltaPlan {
                     }
                 }
                 DeltaNode::Filter { input, pred } => {
-                    let schema = &self.schemas[*input];
-                    let child = std::mem::take(&mut deltas[*input]);
-                    stats.delta_rows_in += child.len() as u64;
-                    let mut d = RowDelta::default();
-                    for t in child.inserts {
-                        if pred.eval(&t, schema).map_err(ExecError::Algebra)?.is_true() {
-                            d.inserts.push(t);
-                        }
-                    }
-                    for t in child.deletes {
-                        if pred.eval(&t, schema).map_err(ExecError::Algebra)?.is_true() {
-                            d.deletes.push(t);
-                        }
-                    }
+                    let mut d = std::mem::take(&mut deltas[*input]);
+                    stats.delta_rows_in += d.len() as u64;
+                    d.inserts.retain(|t| pred.eval(t).is_true());
+                    d.deletes.retain(|t| pred.eval(t).is_true());
                     d
                 }
                 DeltaNode::Join(jn) => {
                     let dl = std::mem::take(&mut deltas[jn.left]);
                     let dr = std::mem::take(&mut deltas[jn.right]);
                     stats.delta_rows_in += (dl.len() + dr.len()) as u64;
-                    apply_join(jn, dl, dr)?
+                    apply_join(jn, dl, dr)
                 }
             };
-            self.nodes[id] = node;
             deltas.push(d);
         }
         Ok(deltas
             .pop()
             .expect("plan has at least one node")
             .normalize())
+    }
+
+    /// Rows held across every join node: each side's rows, once.
+    #[cfg(test)]
+    fn retained_rows(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|node| match node {
+                DeltaNode::Join(jn) => jn.left_index.len() + jn.right_index.len(),
+                DeltaNode::Scan { .. } | DeltaNode::Filter { .. } => 0,
+            })
+            .sum()
     }
 }
 
@@ -624,310 +678,171 @@ fn mark_subtree(nodes: &[DeltaNode], root: usize, skip: &mut [bool]) {
     }
 }
 
-/// Matching rows of `index` for probe row `probe`: equi-key bucket
-/// filtered by the residual over the concatenated pair. `probe_is_left`
-/// fixes the concatenation order.
-fn matching_rows(
-    index: &SideIndex,
-    key: &Option<Vec<Value>>,
-    probe: &Tuple,
-    probe_is_left: bool,
-    residual: &Pred,
-    pair_schema: &SchemaRef,
-) -> Result<Vec<Tuple>, ExecError> {
-    let Some(key) = key else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::new();
-    for cand in index.bucket(key) {
-        let pair = if probe_is_left {
-            probe.concat(cand)
-        } else {
-            cand.concat(probe)
-        };
-        if residual
-            .eval(&pair, pair_schema)
-            .map_err(ExecError::Algebra)?
-            .is_true()
-        {
-            out.push(cand.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Bump the derivation refcount of `t`, recording a set-level insert
-/// on the `0 → 1` transition.
-fn emit(out: &mut FastMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
-    let c = out.entry(t.clone()).or_insert(0);
-    *c += 1;
-    if *c == 1 {
-        d.inserts.push(t);
-    }
-}
-
-/// Drop one derivation of `t`, recording a set-level delete on the
-/// `1 → 0` transition.
-fn retract(out: &mut FastMap<Tuple, i64>, t: Tuple, d: &mut RowDelta) {
-    match out.get_mut(&t) {
-        Some(c) => {
-            *c -= 1;
-            if *c == 0 {
-                out.remove(&t);
-                d.deletes.push(t);
+impl JoinOutput {
+    /// One derivation of `t` more (`on`) or fewer: a set-level insert or
+    /// delete in `delta`, unless the counted all-null row keeps another
+    /// derivation.
+    fn change(&mut self, t: Tuple, on: bool, delta: &mut RowDelta) {
+        let counted = self
+            .all_null
+            .as_mut()
+            .filter(|_| t.values().iter().all(Value::is_null));
+        if let Some(c) = counted {
+            if on {
+                *c += 1;
+                if *c > 1 {
+                    return;
+                }
+            } else {
+                debug_assert!(*c > 0, "retract of underived tuple");
+                *c -= 1;
+                if *c > 0 {
+                    return;
+                }
             }
         }
-        None => debug_assert!(false, "retract of underived tuple"),
+        if on {
+            delta.inserts.push(t);
+        } else {
+            delta.deletes.push(t);
+        }
+    }
+
+    /// The pair `l∘r` began (`on`) or ceased to join.
+    fn pair(&mut self, l: &Tuple, r: &Tuple, on: bool, delta: &mut RowDelta) {
+        if matches!(
+            self.kind,
+            JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter
+        ) {
+            self.change(l.concat(r), on, delta);
+        }
+    }
+
+    /// The output row a held row contributes by itself, apart from its
+    /// pairs, while it is `matched` or not: a preserved row's pad while
+    /// unmatched, and a semi (anti) join's left row while matched
+    /// (unmatched).
+    fn own(&self, row: &Tuple, is_left: bool, matched: bool) -> Option<Tuple> {
+        match (self.kind, is_left, matched) {
+            (JoinKind::LeftOuter | JoinKind::FullOuter, true, false) => {
+                Some(row.concat(&self.right_nulls))
+            }
+            (JoinKind::FullOuter, false, false) => Some(self.left_nulls.concat(row)),
+            (JoinKind::Semi, true, true) | (JoinKind::Anti, true, false) => Some(row.clone()),
+            _ => None,
+        }
+    }
+
+    /// A held row joined (`on`) or left its side while `matched`.
+    fn own_change(
+        &mut self,
+        row: &Tuple,
+        is_left: bool,
+        matched: bool,
+        on: bool,
+        delta: &mut RowDelta,
+    ) {
+        if let Some(t) = self.own(row, is_left, matched) {
+            self.change(t, on, delta);
+        }
+    }
+}
+
+impl JoinNode {
+    /// Add (`on`) or remove `row` on the left (`is_left`) or right side,
+    /// against the other side as it stands, recording in `delta` every
+    /// pair it makes or breaks, the other side's rows whose match count
+    /// crosses 0, and its own pad or semi/anti row.
+    fn side_row(&mut self, row: Tuple, is_left: bool, on: bool, delta: &mut RowDelta) {
+        let (this, other, cols) = if is_left {
+            (&mut self.left_index, &mut self.right_index, &self.left_cols)
+        } else {
+            (
+                &mut self.right_index,
+                &mut self.left_index,
+                &self.right_cols,
+            )
+        };
+        let out = &mut self.out;
+        let key = key_of(&row, cols);
+        let removed = (!on).then(|| this.remove(key.as_deref(), &row));
+        let matched = other.for_each_match(key.as_deref(), &row, is_left, &self.residual, |o| {
+            let (l, r) = if is_left {
+                (&row, &o.row)
+            } else {
+                (&o.row, &row)
+            };
+            out.pair(l, r, on, delta);
+            if on {
+                o.matches += 1;
+            } else {
+                o.matches -= 1;
+            }
+            if o.matches == u32::from(on) {
+                // `o` gained its first match or lost its last.
+                out.own_change(&o.row, !is_left, !on, false, delta);
+                out.own_change(&o.row, !is_left, on, true, delta);
+            }
+        });
+        debug_assert!(
+            removed.is_none_or(|held| held == Some(matched)),
+            "absent side row, or its match count drifted"
+        );
+        out.own_change(&row, is_left, matched > 0, on, delta);
+        if on {
+            this.insert(key, row, matched);
+        }
     }
 }
 
 /// Initial join materialization: `right` is already indexed (built or
-/// pooled); insert every left row against it, then complete the
-/// full-outer right pads. Populates `jn`'s indexes, match counts, and
-/// output refcounts; returns the join's full output.
+/// pooled, every count 0). The node starts as `∅ ⟗ right` and takes
+/// every left row as an insert. Returns the join's full output.
 fn init_join(
     jn: &mut JoinNode,
     left_rows: Vec<Tuple>,
     right: SideIndex,
     stats: &mut ExecStats,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Vec<Tuple> {
     jn.right_index = right;
-    let mut sink = RowDelta::default();
+    let mut delta = RowDelta::default();
+    // With no left rows yet, every right row is unmatched.
+    for r in jn.right_index.unmatched() {
+        jn.out.own_change(r, false, false, true, &mut delta);
+    }
     for l in left_rows {
-        let key = key_of(&l, &jn.left_cols);
-        let ms = matching_rows(
-            &jn.right_index,
-            &key,
-            &l,
-            true,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind != JoinKind::Inner {
-            jn.match_left.insert(l.clone(), ms.len() as i64);
-        }
-        match jn.kind {
-            JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                for r in &ms {
-                    if jn.kind == JoinKind::FullOuter {
-                        *jn.match_right.entry(r.clone()).or_insert(0) += 1;
-                    }
-                    emit(&mut jn.out, l.concat(r), &mut sink);
-                }
-                if ms.is_empty() && jn.kind != JoinKind::Inner {
-                    emit(
-                        &mut jn.out,
-                        l.concat(&Tuple::nulls(jn.right_width)),
-                        &mut sink,
-                    );
-                }
-            }
-            JoinKind::Semi => {
-                if !ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut sink);
-                }
-            }
-            JoinKind::Anti => {
-                if ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut sink);
-                }
-            }
-        }
-        jn.left_index.insert(key, l);
+        jn.side_row(l, true, true, &mut delta);
         stats.hash_build_rows += 1;
     }
-    if jn.kind == JoinKind::FullOuter {
-        let pads: Vec<Tuple> = jn
-            .right_index
-            .rows()
-            .filter(|r| jn.match_right.get(*r).copied().unwrap_or(0) == 0)
-            .map(|r| Tuple::nulls(jn.left_width).concat(r))
-            .collect();
-        for pad in pads {
-            emit(&mut jn.out, pad, &mut sink);
-        }
+    // Only a full outerjoin retracts here (the pad of a right row that
+    // finds its first match); every other kind emits its output once.
+    if jn.out.kind == JoinKind::FullOuter {
+        delta.normalize().inserts
+    } else {
+        delta.inserts
     }
-    Ok(jn.out.keys().cloned().collect())
 }
 
 /// One incremental step of a delta join: apply the left delta against
 /// the old right state, then the right delta against the updated left
 /// state. Returns the set-level output delta.
-fn apply_join(jn: &mut JoinNode, dl: RowDelta, dr: RowDelta) -> Result<RowDelta, ExecError> {
-    let mut d = RowDelta::default();
-    let (lw, rw) = (jn.left_width, jn.right_width);
-
+fn apply_join(jn: &mut JoinNode, dl: RowDelta, dr: RowDelta) -> RowDelta {
+    let mut delta = RowDelta::default();
     // Phase A: left deletes, then left inserts, against R as it stands.
-    for l in &dl.deletes {
-        let key = key_of(l, &jn.left_cols);
-        jn.left_index.remove(&key, l);
-        let ms = matching_rows(
-            &jn.right_index,
-            &key,
-            l,
-            true,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind != JoinKind::Inner {
-            let mc = jn.match_left.remove(l).unwrap_or(0);
-            debug_assert_eq!(mc as usize, ms.len(), "match count drifted");
-        }
-        match jn.kind {
-            JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                for r in &ms {
-                    retract(&mut jn.out, l.concat(r), &mut d);
-                    if jn.kind == JoinKind::FullOuter {
-                        let rc = jn.match_right.entry(r.clone()).or_insert(0);
-                        *rc -= 1;
-                        if *rc == 0 {
-                            emit(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-                        }
-                    }
-                }
-                if ms.is_empty() && jn.kind != JoinKind::Inner {
-                    retract(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                }
-            }
-            JoinKind::Semi => {
-                if !ms.is_empty() {
-                    retract(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-            JoinKind::Anti => {
-                if ms.is_empty() {
-                    retract(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-        }
+    for l in dl.deletes {
+        jn.side_row(l, true, false, &mut delta);
     }
-    for l in &dl.inserts {
-        let key = key_of(l, &jn.left_cols);
-        let ms = matching_rows(
-            &jn.right_index,
-            &key,
-            l,
-            true,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind != JoinKind::Inner {
-            jn.match_left.insert(l.clone(), ms.len() as i64);
-        }
-        match jn.kind {
-            JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                for r in &ms {
-                    emit(&mut jn.out, l.concat(r), &mut d);
-                    if jn.kind == JoinKind::FullOuter {
-                        let rc = jn.match_right.entry(r.clone()).or_insert(0);
-                        *rc += 1;
-                        if *rc == 1 {
-                            retract(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-                        }
-                    }
-                }
-                if ms.is_empty() && jn.kind != JoinKind::Inner {
-                    emit(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                }
-            }
-            JoinKind::Semi => {
-                if !ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-            JoinKind::Anti => {
-                if ms.is_empty() {
-                    emit(&mut jn.out, l.clone(), &mut d);
-                }
-            }
-        }
-        jn.left_index.insert(key, l.clone());
+    for l in dl.inserts {
+        jn.side_row(l, true, true, &mut delta);
     }
-
     // Phase B: right deletes, then right inserts, against updated L.
-    for r in &dr.deletes {
-        let key = key_of(r, &jn.right_cols);
-        jn.right_index.remove(&key, r);
-        let rc = if jn.kind == JoinKind::FullOuter {
-            jn.match_right.remove(r).unwrap_or(0)
-        } else {
-            0
-        };
-        let ms = matching_rows(
-            &jn.left_index,
-            &key,
-            r,
-            false,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        for l in &ms {
-            match jn.kind {
-                JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                    retract(&mut jn.out, l.concat(r), &mut d);
-                }
-                JoinKind::Semi | JoinKind::Anti => {}
-            }
-            if jn.kind != JoinKind::Inner {
-                let mc = jn.match_left.entry(l.clone()).or_insert(0);
-                *mc -= 1;
-                if *mc == 0 {
-                    match jn.kind {
-                        JoinKind::LeftOuter | JoinKind::FullOuter => {
-                            emit(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                        }
-                        JoinKind::Semi => retract(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Anti => emit(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Inner => unreachable!(),
-                    }
-                }
-            }
-        }
-        if jn.kind == JoinKind::FullOuter && rc == 0 {
-            retract(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-        }
+    for r in dr.deletes {
+        jn.side_row(r, false, false, &mut delta);
     }
-    for r in &dr.inserts {
-        let key = key_of(r, &jn.right_cols);
-        let ms = matching_rows(
-            &jn.left_index,
-            &key,
-            r,
-            false,
-            &jn.residual,
-            &jn.pair_schema,
-        )?;
-        if jn.kind == JoinKind::FullOuter {
-            jn.match_right.insert(r.clone(), ms.len() as i64);
-            if ms.is_empty() {
-                emit(&mut jn.out, Tuple::nulls(lw).concat(r), &mut d);
-            }
-        }
-        for l in &ms {
-            match jn.kind {
-                JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter => {
-                    emit(&mut jn.out, l.concat(r), &mut d);
-                }
-                JoinKind::Semi | JoinKind::Anti => {}
-            }
-            if jn.kind != JoinKind::Inner {
-                let mc = jn.match_left.entry(l.clone()).or_insert(0);
-                *mc += 1;
-                if *mc == 1 {
-                    match jn.kind {
-                        JoinKind::LeftOuter | JoinKind::FullOuter => {
-                            retract(&mut jn.out, l.concat(&Tuple::nulls(rw)), &mut d);
-                        }
-                        JoinKind::Semi => emit(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Anti => retract(&mut jn.out, l.clone(), &mut d),
-                        JoinKind::Inner => unreachable!(),
-                    }
-                }
-            }
-        }
-        jn.right_index.insert(key, r.clone());
+    for r in dr.inserts {
+        jn.side_row(r, false, true, &mut delta);
     }
-    Ok(d.normalize())
+    delta.normalize()
 }
 
 #[cfg(test)]
@@ -1081,6 +996,224 @@ mod tests {
         assert!(d.is_empty(), "refcount absorbs the collision: {d:?}");
         apply_to_view(&mut view, &d);
         assert_eq!(view.len(), 1);
+    }
+
+    /// The one-column table over `attr` holding the values of `vals`
+    /// whose bit is set in `mask`.
+    fn one_column(attr: &str, vals: &[Value], mask: u8) -> Relation {
+        let schema = fro_algebra::Schema::new(vec![Attr::parse(attr)]).unwrap();
+        let rows = (0..vals.len())
+            .filter(|i| mask >> i & 1 == 1)
+            .map(|i| Tuple::new(vec![vals[i].clone()]))
+            .collect();
+        Relation::new(Arc::new(schema), rows).unwrap()
+    }
+
+    /// Every join kind, keyed and keyless, over every small world: `L(x)`
+    /// and `R(y)` hold any subset of `{1, 2, null}` (the null row is
+    /// all-null), and every sequence of up to three single-row appends
+    /// or deletes runs from each of the 64 starting states (each step
+    /// undone afterwards, and the undo checked too). After every step the
+    /// maintained view equals `execute` of the plan, and the step's delta
+    /// inserts no row already present and deletes none absent. Each plan
+    /// has one join node, so its output delta is the view's delta.
+    #[test]
+    fn every_small_world_sequence_keeps_every_join_kind_exact() {
+        const VALS: [Value; 3] = [Value::Int(1), Value::Int(2), Value::Null];
+        // State bits 0..3 are L's rows, bits 3..6 R's.
+        let world = |mask: u8| {
+            let mut storage = Storage::new();
+            storage.insert("L", one_column("L.x", &VALS, mask));
+            storage.insert("R", one_column("R.y", &VALS, mask >> 3));
+            storage
+        };
+
+        /// Toggle state bit `bit`: append the row if absent, else delete
+        /// it, and check the view against the next state's result.
+        fn toggle(
+            dp: &mut DeltaPlan,
+            view: &mut BTreeSet<Tuple>,
+            mask: u8,
+            bit: u8,
+            expected: &[BTreeSet<Tuple>],
+        ) -> u8 {
+            let (rel, i) = if bit < 3 { ("L", bit) } else { ("R", bit - 3) };
+            let row = vec![Tuple::new(vec![VALS[usize::from(i)].clone()])];
+            let delta = if mask >> bit & 1 == 1 {
+                RowDelta::from_deletes(row)
+            } else {
+                RowDelta::from_inserts(row)
+            };
+            let d = dp.apply(rel, &delta, &mut ExecStats::new()).unwrap();
+            apply_to_view(view, &d);
+            let next = mask ^ (1 << bit);
+            assert_eq!(
+                *view,
+                expected[usize::from(next)],
+                "{mask:#08b} -> {next:#08b}"
+            );
+            next
+        }
+
+        fn walk(
+            dp: &mut DeltaPlan,
+            view: &mut BTreeSet<Tuple>,
+            mask: u8,
+            depth: usize,
+            expected: &[BTreeSet<Tuple>],
+        ) {
+            if depth == 0 {
+                return;
+            }
+            for bit in 0..6 {
+                let next = toggle(dp, view, mask, bit, expected);
+                walk(dp, view, next, depth - 1, expected);
+                toggle(dp, view, next, bit, expected);
+            }
+        }
+
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::FullOuter,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ] {
+            let keyed = PhysPlan::HashJoin {
+                kind,
+                probe: Box::new(PhysPlan::scan("L")),
+                build: Box::new(PhysPlan::scan("R")),
+                probe_keys: vec![Attr::parse("L.x")],
+                build_keys: vec![Attr::parse("R.y")],
+                residual: Pred::always(),
+            };
+            let keyless = PhysPlan::NlJoin {
+                kind,
+                left: Box::new(PhysPlan::scan("L")),
+                right: Box::new(PhysPlan::scan("R")),
+                pred: Pred::always(),
+            };
+            for plan in [keyed, keyless] {
+                let expected: Vec<BTreeSet<Tuple>> = (0..64)
+                    .map(|mask| {
+                        let out = execute(&plan, &world(mask), &mut ExecStats::new()).unwrap();
+                        out.rows().iter().cloned().collect()
+                    })
+                    .collect();
+                for start in 0..64u8 {
+                    let storage = world(start);
+                    let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
+                    let init = dp
+                        .initialize(&storage, &mut BuildSidePool::new(), &mut ExecStats::new())
+                        .unwrap();
+                    let mut view: BTreeSet<Tuple> = init.iter().cloned().collect();
+                    assert_eq!(view.len(), init.len(), "{kind:?}: duplicate initial row");
+                    assert_eq!(
+                        view,
+                        expected[usize::from(start)],
+                        "{kind:?} at {start:#08b}"
+                    );
+                    walk(&mut dp, &mut view, start, 3, &expected);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn left_outer_all_null_right_row_turns_a_pad_into_an_identical_real_row() {
+        // L = {1}, R = {}: the view is the pad (1, null). Appending R's
+        // all-null row under an always-true residual makes the real row
+        // (1, null): the pad's retraction and the real row's emission
+        // cancel, so the view does not change; deleting it undoes both.
+        let vals = [Value::Int(1), Value::Null];
+        let mut storage = Storage::new();
+        storage.insert("L", one_column("L.x", &vals, 0b01));
+        storage.insert("R", one_column("R.y", &vals, 0b00));
+        let plan = PhysPlan::NlJoin {
+            kind: JoinKind::LeftOuter,
+            left: Box::new(PhysPlan::scan("L")),
+            right: Box::new(PhysPlan::scan("R")),
+            pred: Pred::always(),
+        };
+        let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
+        let mut stats = ExecStats::new();
+        let init = dp
+            .initialize(&storage, &mut BuildSidePool::new(), &mut stats)
+            .unwrap();
+        let pad = Tuple::new(vec![Value::Int(1), Value::Null]);
+        assert_eq!(init, vec![pad.clone()]);
+        let view: BTreeSet<Tuple> = init.into_iter().collect();
+        let null_row = vec![Tuple::new(vec![Value::Null])];
+        storage.insert("R", one_column("R.y", &vals, 0b10));
+        let d = dp
+            .apply("R", &RowDelta::from_inserts(null_row.clone()), &mut stats)
+            .unwrap();
+        assert!(d.is_empty(), "pad and real row cancel: {d:?}");
+        check_against_engine(&plan, &storage, &dp, &view);
+        storage.insert("R", one_column("R.y", &vals, 0b00));
+        let d = dp
+            .apply("R", &RowDelta::from_deletes(null_row), &mut stats)
+            .unwrap();
+        assert!(d.is_empty(), "real row and pad cancel: {d:?}");
+        check_against_engine(&plan, &storage, &dp, &view);
+    }
+
+    #[test]
+    fn inner_chain_holds_each_input_row_once() {
+        // (A ⋈ B) ⋈ C: the lower join holds A's and B's rows, the upper
+        // one A ⋈ B's and C's; neither holds a copy of its output.
+        let mut storage = Storage::new();
+        storage.insert("A", Relation::from_ints("A", &["k"], &[&[1], &[2], &[3]]));
+        storage.insert(
+            "B",
+            Relation::from_ints("B", &["k", "j"], &[&[1, 10], &[1, 11], &[2, 10], &[4, 12]]),
+        );
+        storage.insert("C", Relation::from_ints("C", &["j"], &[&[10], &[11]]));
+        let ab = PhysPlan::HashJoin {
+            kind: JoinKind::Inner,
+            probe: Box::new(PhysPlan::scan("A")),
+            build: Box::new(PhysPlan::scan("B")),
+            probe_keys: vec![Attr::parse("A.k")],
+            build_keys: vec![Attr::parse("B.k")],
+            residual: Pred::always(),
+        };
+        let plan = PhysPlan::HashJoin {
+            kind: JoinKind::Inner,
+            probe: Box::new(ab.clone()),
+            build: Box::new(PhysPlan::scan("C")),
+            probe_keys: vec![Attr::parse("B.j")],
+            build_keys: vec![Attr::parse("C.j")],
+            residual: Pred::always(),
+        };
+        let inputs = |storage: &Storage| {
+            let ab_rows = execute(&ab, storage, &mut ExecStats::new()).unwrap().len();
+            ["A", "B", "C"]
+                .iter()
+                .map(|rel| storage.get(rel).unwrap().relation().len())
+                .sum::<usize>()
+                + ab_rows
+        };
+        let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
+        let mut stats = ExecStats::new();
+        let init = dp
+            .initialize(&storage, &mut BuildSidePool::new(), &mut stats)
+            .unwrap();
+        assert_eq!(init.len(), 3);
+        assert_eq!(dp.retained_rows(), 12);
+        assert_eq!(dp.retained_rows(), inputs(&storage));
+
+        // An appended B row joins A and C: both joins grow by one input row.
+        let add = vec![Tuple::new(vec![Value::Int(3), Value::Int(11)])];
+        let rel = storage.get("B").unwrap().relation().clone();
+        let mut rows = rel.rows().to_vec();
+        rows.extend(add.clone());
+        storage.insert("B", Relation::new(rel.schema().clone(), rows).unwrap());
+        let d = dp
+            .apply("B", &RowDelta::from_inserts(add), &mut stats)
+            .unwrap();
+        assert_eq!(d.inserts.len(), 1);
+        assert_eq!(dp.retained_rows(), 14);
+        assert_eq!(dp.retained_rows(), inputs(&storage));
     }
 
     #[test]

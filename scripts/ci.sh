@@ -77,14 +77,19 @@ gate_count() { # <run> <metric> <unit> <max|min> <bound>
 echo "== write-path allocation gates (loadgen: ingest_pinned, traced) =="
 # Neither a pinned append, nor a poll, nor a delete may copy a table or
 # a view: each count is gated at a fixed ceiling just above what the
-# cycle legitimately allocates — bytes per pinned append (84 130 B: the
+# cycle legitimately allocates — bytes per pinned append (35 709 B: the
 # O(delta) view maintenance and the O(#tables) generation; a table copy
-# per cycle reads 347 KB, a database copy per append 2.9 MB) and
-# allocations per op (615; a per-poll view copy or a per-delete table
-# rebuild reads 5 299).
+# per cycle reads 347 KB, a database copy per append 2.9 MB, and delta
+# join nodes that copy every output row into a refcount map 84 503 B)
+# and allocations per op (299; a per-poll view copy or a per-delete
+# table rebuild reads 5 299, the refcount maps 620).
 pinned_run="$(traced_run ingest_pinned)"
-gate_count "$pinned_run" shared.pinned_alloc_bytes_per_append B max 95000
-gate_count "$pinned_run" proc.allocs_per_op allocations max 700
+gate_count "$pinned_run" shared.pinned_alloc_bytes_per_append B max 40000
+gate_count "$pinned_run" proc.allocs_per_op allocations max 335
+# Standing-view state is most of this workload's heap: each delta join
+# holds its two inputs once (3 672 B per stored row, base tables and
+# both views). A node that keeps a copy of its output reads 6 349 B.
+gate_count "$pinned_run" storage.bytes_per_row B max 4000
 # Every append and delete reaches both standing views as a delta; a
 # fall-back to re-running a view counts here.
 gate_count "$pinned_run" standing.views_refreshed views max 0
