@@ -1,6 +1,6 @@
 //! The EXPLAIN regression corpus: every deterministic testkit workload
-//! optimized (both DP and greedy), rendered to a stable text form, and
-//! compared against the files under `corpus/plans/`.
+//! optimized, rendered to a stable text form, and compared against the
+//! files under `corpus/plans/`.
 //!
 //! Each corpus file captures everything a plan regression would move:
 //! the query-graph signature, the estimated cost/cardinality, the
@@ -15,17 +15,20 @@
 //! * default: (re)write the corpus files under `--out`
 //!   (`corpus/plans/`);
 //! * `--check`: write nothing; regenerate in memory and fail (exit 1)
-//!   with a diff excerpt if any file disagrees — the CI gate;
+//!   with a diff excerpt if any file disagrees, or if a `.txt` file in
+//!   the directory is one no case generates (a deleted case's or
+//!   algorithm's leftover) — the CI gate;
 //! * `--perturb`: deterministically perturb every catalog's statistics
 //!   first. `--check --perturb` must fail on a healthy corpus; CI runs
 //!   it to prove the gate actually detects cost-model drift.
 
-use fro_core::optimizer::{graph_signature, greedy_optimize, optimize};
+use fro_core::optimizer::{graph_signature, optimize};
 use fro_core::{analyze, Catalog, Policy};
 use fro_exec::PhysPlan;
 use fro_testkit::corpus_suite;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn hex(bytes: &[u8]) -> String {
@@ -48,7 +51,6 @@ fn perturb(catalog: &mut Catalog, storage: &fro_exec::Storage) {
 
 fn render(
     case_name: &str,
-    algo: &str,
     sig: u64,
     cost: f64,
     rows: f64,
@@ -56,14 +58,16 @@ fn render(
     catalog: &Catalog,
 ) -> String {
     let wire = fro_wire::encode_plan(plan, catalog.interner())
-        .unwrap_or_else(|e| panic!("corpus plan for {case_name}/{algo} must encode: {e}"));
+        .unwrap_or_else(|e| panic!("corpus plan for {case_name} must encode: {e}"));
     let mut s = String::new();
     let _ = writeln!(
         s,
         "# fro EXPLAIN corpus. Regenerate with scripts/explain_corpus.sh; do not edit by hand."
     );
     let _ = writeln!(s, "case: {case_name}");
-    let _ = writeln!(s, "algo: {algo}");
+    // Kept from when a second search had files of its own, so that
+    // every plan file stays byte-identical.
+    let _ = writeln!(s, "algo: dp");
     let _ = writeln!(s, "policy: Paper");
     let _ = writeln!(s, "signature: {sig:016x}");
     let _ = writeln!(s, "est_cost: {cost:.3}");
@@ -96,6 +100,19 @@ fn diff_excerpt(expected: &str, actual: &str) -> String {
     "  contents differ only in trailing whitespace\n".to_owned()
 }
 
+/// The `.txt` files in `dir` that are not in `generated`, sorted.
+fn orphans(dir: &Path, generated: &BTreeSet<String>) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut out: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".txt") && !generated.contains(name))
+        .collect();
+    out.sort();
+    out
+}
+
 fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("corpus/plans");
     let mut check = false;
@@ -118,12 +135,13 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     let mut written = 0usize;
+    let mut generated = BTreeSet::new();
     for case in corpus_suite() {
         let mut catalog = case.catalog;
         if do_perturb {
             perturb(&mut catalog, &case.storage);
         }
-        // The optimizer plans the canonical graph; greedy runs on it too.
+        // The optimizer plans the canonical graph.
         let graph = analyze(&case.query, Policy::Paper)
             .graph
             .unwrap_or_else(|| panic!("corpus workload {} must be reorderable", case.name))
@@ -131,60 +149,48 @@ fn main() -> ExitCode {
         let sig = graph_signature(&graph);
 
         let dp = optimize(&case.query, &catalog, Policy::Paper)
-            .unwrap_or_else(|e| panic!("dp optimize {} failed: {e}", case.name));
-        let greedy = greedy_optimize(&graph, &catalog)
-            .unwrap_or_else(|e| panic!("greedy optimize {} failed: {e}", case.name));
-
-        let outputs = [
-            (
-                "dp",
-                render(
-                    case.name,
-                    "dp",
-                    sig.as_u64(),
-                    dp.est_cost,
-                    dp.est_rows,
-                    &dp.plan,
-                    &catalog,
-                ),
-            ),
-            (
-                "greedy",
-                render(
-                    case.name,
-                    "greedy",
-                    sig.as_u64(),
-                    greedy.cost,
-                    greedy.rows,
-                    &greedy.plan,
-                    &catalog,
-                ),
-            ),
-        ];
-        for (algo, content) in outputs {
-            let path = out_dir.join(format!("{}.{algo}.txt", case.name));
-            if check {
-                match std::fs::read_to_string(&path) {
-                    Ok(on_disk) if on_disk == content => {}
-                    Ok(on_disk) => {
-                        eprintln!("corpus drift in {}:", path.display());
-                        eprint!("{}", diff_excerpt(&on_disk, &content));
-                        failures += 1;
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "corpus file {} unreadable ({e}); regenerate with \
-                             scripts/explain_corpus.sh",
-                            path.display()
-                        );
-                        failures += 1;
-                    }
+            .unwrap_or_else(|e| panic!("optimize {} failed: {e}", case.name));
+        let content = render(
+            case.name,
+            sig.as_u64(),
+            dp.est_cost,
+            dp.est_rows,
+            &dp.plan,
+            &catalog,
+        );
+        let file = format!("{}.dp.txt", case.name);
+        let path = out_dir.join(&file);
+        generated.insert(file);
+        if check {
+            match std::fs::read_to_string(&path) {
+                Ok(on_disk) if on_disk == content => {}
+                Ok(on_disk) => {
+                    eprintln!("corpus drift in {}:", path.display());
+                    eprint!("{}", diff_excerpt(&on_disk, &content));
+                    failures += 1;
                 }
-            } else {
-                std::fs::write(&path, &content).expect("write corpus file");
-                written += 1;
+                Err(e) => {
+                    eprintln!(
+                        "corpus file {} unreadable ({e}); regenerate with \
+                         scripts/explain_corpus.sh",
+                        path.display()
+                    );
+                    failures += 1;
+                }
             }
+        } else {
+            std::fs::write(&path, &content).expect("write corpus file");
+            written += 1;
         }
+    }
+
+    // A plan file no case generates is checked by nothing.
+    for orphan in orphans(&out_dir, &generated) {
+        eprintln!(
+            "corpus file {} matches no case; delete it",
+            out_dir.join(orphan).display()
+        );
+        failures += usize::from(check);
     }
 
     if check {

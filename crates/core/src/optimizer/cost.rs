@@ -22,7 +22,7 @@ pub struct Estimate {
 /// Join-output cardinality for `kind`, given input cards and the
 /// match selectivity.
 #[must_use]
-pub fn join_rows(kind: JoinKind, probe_rows: f64, build_rows: f64, sel: f64) -> f64 {
+pub(crate) fn join_rows(kind: JoinKind, probe_rows: f64, build_rows: f64, sel: f64) -> f64 {
     let inner = probe_rows * build_rows * sel;
     let match_prob = (build_rows * sel).min(1.0);
     match kind {

@@ -16,7 +16,6 @@ pub mod containment;
 pub mod cost;
 pub mod cuts;
 pub mod dp;
-pub mod greedy;
 pub mod lower;
 pub mod place;
 pub mod plancache;
@@ -31,14 +30,13 @@ use std::fmt;
 pub use containment::{graph_containment, GraphReuse};
 pub use cost::{estimate_plan, Estimate};
 pub use cuts::{split_equi, RelMap};
-pub use dp::{dp_optimize, dp_optimize_with, DpResult};
-pub use greedy::{greedy_optimize, greedy_optimize_with, GreedyResult};
+pub use dp::{dp_optimize, DpResult, SPLIT_BUDGET};
 pub use lower::lower;
 #[cfg(feature = "testing-oracles")]
 #[doc(hidden)]
 pub use lower::{lower_by_name, split_equi_by_name};
 pub use place::place_restriction;
-pub use plancache::{graph_signature, CacheStats, CachedEntry, GraphSignature, PlanCache};
+pub use plancache::{graph_signature, CacheStats, GraphSignature};
 pub use reduce::{reduce_plan, ReducePolicy, ReductionReport, WrapDesc};
 pub use stats::{Catalog, TableInfo};
 
@@ -46,7 +44,7 @@ pub use stats::{Catalog, TableInfo};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OptError {
     /// The query uses an operator the physical engine cannot run, or
-    /// exceeds the exhaustive-DP size cap.
+    /// has no implementable association.
     Unsupported(String),
     /// The query graph is disconnected (no implementing tree).
     Disconnected,
@@ -77,8 +75,8 @@ pub struct Optimized {
     /// Whether the plan came from the reordering DP (`true`) or the
     /// syntactic fallback (`false`).
     pub reordered: bool,
-    /// csg–cmp pairs (DP) or candidate merges (greedy) enumerated.
-    /// Zero when the whole plan came out of the cache.
+    /// csg–cmp pairs the plan search examined, at most
+    /// [`SPLIT_BUDGET`]. Zero when the whole plan came out of the cache.
     pub pairs_examined: u64,
     /// Plan-cache accounting for this optimization (all zero on the
     /// non-reordering fallback path, which never consults the cache).
@@ -130,7 +128,7 @@ impl Optimized {
 /// [`ReducePolicy::Auto`]; use [`optimize_with_reduce`] to force it.
 ///
 /// # Errors
-/// [`OptError`] for unsupported operators or oversized DP inputs.
+/// [`OptError`] for unsupported operators or disconnected graphs.
 pub fn optimize(q: &Query, catalog: &Catalog, policy: Policy) -> Result<Optimized, OptError> {
     optimize_with_reduce(q, catalog, policy, ReducePolicy::Auto)
 }
@@ -173,13 +171,13 @@ pub fn optimize_with_reduce(
 /// Plan an analyzed query graph — the optimizer entry both front doors
 /// reach. `analysis.graph` must be canonical
 /// ([`fro_graph::QueryGraph::canonical`]) and freely reorderable. The
-/// DP — or, beyond its size cap, the greedy heuristic — enumerates the
-/// canonical numbering through the plan cache, so the plan is a
-/// function of the graph and the catalog. The semijoin reducer then
-/// runs as a post-pass — after the plan cache (cached plans stay
-/// plain), never altering join order or shape, only wrapping operands
-/// in [`PhysPlan::SemiReduce`] where the wrap is sound and (under
-/// `Auto`) estimated to pay. When a wrap is applied,
+/// DP ([`dp`]: exhaustive within [`SPLIT_BUDGET`], IDP-1 rounds past
+/// it) enumerates the canonical numbering through the plan cache, so
+/// the plan is a function of the graph and the catalog. The semijoin
+/// reducer then runs as a post-pass — after the plan cache (cached
+/// plans stay plain), never altering join order or shape, only wrapping
+/// operands in [`PhysPlan::SemiReduce`] where the wrap is sound and
+/// (under `Auto`) estimated to pay. When a wrap is applied,
 /// `est_cost`/`est_rows` reflect the reduced plan; the plain estimate
 /// is preserved in [`Optimized::reduction`].
 ///
@@ -197,21 +195,7 @@ pub fn optimize_graph(
         _ => return Err(OptError::Unsupported(analysis.to_string())),
     };
     debug_assert!(*g == g.canonical(), "optimize_graph plans canonical graphs");
-    let sig = graph_signature(g);
-    let r = match dp_optimize_with(g, catalog, Some(sig)) {
-        // Too large for exhaustive DP: reorder greedily.
-        Err(OptError::Unsupported(_)) => {
-            let r = greedy_optimize_with(g, catalog, Some(sig))?;
-            DpResult {
-                plan: r.plan,
-                cost: r.cost,
-                rows: r.rows,
-                pairs_examined: r.merges_examined,
-                cache: r.cache,
-            }
-        }
-        r => r?,
-    };
+    let r = dp::search(g, catalog, Some(graph_signature(g)), SPLIT_BUDGET)?;
     let planned = Optimized {
         plan: r.plan,
         est_cost: r.cost,

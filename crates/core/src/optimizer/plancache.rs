@@ -23,13 +23,13 @@
 //! not part of the key: it decides only whether the DP runs, never what
 //! it returns.
 
-use super::dp::Entry;
+use super::dp::{Entry, Plan};
 use fro_algebra::{RelId, RelSet, SigHash, StableHasher};
 use fro_exec::PhysPlan;
 use fro_graph::{EdgeKind, QueryGraph};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A stable structural hash of a canonical query graph: relation names,
@@ -77,7 +77,7 @@ pub fn graph_signature(g: &QueryGraph) -> GraphSignature {
 /// A memoized per-subset winner: the materialized plan subtree and the
 /// arithmetic the DP needs to splice it back in.
 #[derive(Debug, Clone)]
-pub struct CachedEntry {
+pub(crate) struct CachedEntry {
     /// The winning physical subplan for the subset.
     pub plan: PhysPlan,
     /// Its estimated cost (tuples touched).
@@ -92,19 +92,25 @@ pub struct CachedEntry {
 }
 
 impl CachedEntry {
-    pub(crate) fn from_entry(e: &Entry, epoch: u64) -> CachedEntry {
+    pub(crate) fn new(
+        plan: PhysPlan,
+        cost: f64,
+        rows: f64,
+        base: Option<RelId>,
+        epoch: u64,
+    ) -> CachedEntry {
         CachedEntry {
-            plan: e.plan.clone(),
-            cost: e.cost,
-            rows: e.rows,
-            base: e.base,
+            plan,
+            cost,
+            rows,
+            base,
             epoch,
         }
     }
 
     pub(crate) fn to_entry(&self) -> Entry {
         Entry {
-            plan: self.plan.clone(),
+            plan: Plan::Built(self.plan.clone()),
             cost: self.cost,
             rows: self.rows,
             base: self.base,
@@ -176,7 +182,7 @@ struct Shard {
 
 /// Default capacity: plenty for thousands of distinct subplans while
 /// bounding a long-lived session's footprint.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
 
 /// Most shards a cache will spread across.
 const MAX_SHARDS: usize = 16;
@@ -195,10 +201,10 @@ const MIN_ENTRIES_PER_SHARD: usize = 64;
 /// one shard's read lock. Write locks are taken only for inserts and
 /// stale-entry removal, and never held across user code.
 #[derive(Debug)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     shards: Box<[RwLock<Shard>]>,
     /// Per-shard entry bound (total capacity ÷ shard count).
-    shard_capacity: AtomicUsize,
+    shard_capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -216,7 +222,7 @@ impl PlanCache {
     /// An empty cache holding at most `capacity` entries, spread over
     /// `min(16, capacity/64)` (next power of two, at least 1) shards.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> PlanCache {
+    pub(crate) fn with_capacity(capacity: usize) -> PlanCache {
         let capacity = capacity.max(1);
         let n_shards = (capacity / MIN_ENTRIES_PER_SHARD)
             .next_power_of_two()
@@ -224,7 +230,7 @@ impl PlanCache {
         let shards: Vec<RwLock<Shard>> = (0..n_shards).map(|_| RwLock::default()).collect();
         PlanCache {
             shards: shards.into_boxed_slice(),
-            shard_capacity: AtomicUsize::new(capacity.div_ceil(n_shards).max(1)),
+            shard_capacity: capacity.div_ceil(n_shards).max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -346,7 +352,7 @@ impl PlanCache {
             set: set.bits(),
         };
         let tick = self.next_tick();
-        let capacity = self.shard_capacity.load(Ordering::Relaxed);
+        let capacity = self.shard_capacity;
         let mut guard = self.write_shard(self.shard_of(&key));
         if guard
             .map
@@ -389,20 +395,6 @@ impl PlanCache {
         }
     }
 
-    /// Number of live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.read_shard(i).map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drop every entry and reset the statistics.
     pub fn clear(&self) {
         for i in 0..self.shards.len() {
@@ -413,15 +405,6 @@ impl PlanCache {
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.stale.store(0, Ordering::Relaxed);
-    }
-
-    /// Change the capacity bound (evicting nothing until an insert
-    /// presses against a shard's share of it). The shard count is
-    /// fixed at construction; the new capacity redistributes evenly
-    /// across the existing shards.
-    pub fn set_capacity(&self, capacity: usize) {
-        let per_shard = capacity.max(1).div_ceil(self.shards.len()).max(1);
-        self.shard_capacity.store(per_shard, Ordering::Relaxed);
     }
 }
 
@@ -439,7 +422,7 @@ impl Clone for PlanCache {
             .collect();
         PlanCache {
             shards: shards.into_boxed_slice(),
-            shard_capacity: AtomicUsize::new(self.shard_capacity.load(Ordering::Relaxed)),
+            shard_capacity: self.shard_capacity,
             tick: AtomicU64::new(self.tick.load(Ordering::Relaxed)),
             hits: AtomicU64::new(stats.hits),
             misses: AtomicU64::new(stats.misses),
@@ -522,7 +505,10 @@ mod tests {
         assert_eq!(local.hits, 1);
         assert_eq!(local.misses, 2);
         assert_eq!(local.stale, 1);
-        assert!(cache.is_empty());
+        let live: usize = (0..cache.shards.len())
+            .map(|i| cache.read_shard(i).map.len())
+            .sum();
+        assert_eq!(live, 0, "the stale entry was dropped");
         let global = cache.stats();
         assert_eq!(global.hits, 1);
         assert_eq!(global.stale, 1);

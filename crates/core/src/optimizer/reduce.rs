@@ -37,7 +37,7 @@
 //! The reducer costs under **containment** throughout: its survivor
 //! fraction `min(1, d_src/d_in)` and, for the plain and the wrapped
 //! plan alike, the join arms' `1/max(d_a, d_b)`
-//! ([`estimate_contained`]) — not the measured key overlap that picked
+//! (`estimate_contained`) — not the measured key overlap that picked
 //! the plan. A wrap is insurance against a blow-up the statistics
 //! cannot see: hot keys duplicated in a dimension whose never-matched
 //! keys dilute its rows per key, so the measured overlap prices the

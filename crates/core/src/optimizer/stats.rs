@@ -4,10 +4,10 @@
 //! The catalog owns an [`Interner`]: table names are interned exactly
 //! once when a table is registered, and [`TableInfo`] records live in
 //! a `Vec` dense by [`RelId`]. Statistics are stored by *column
-//! offset*, so an id-keyed lookup ([`Catalog::distinct_of_id`],
-//! [`Catalog::rows_of_id`], [`Catalog::has_index_cols`]) is pure array
-//! arithmetic. The name-keyed API survives as a thin shim over the
-//! interner for construction-time and display-time callers.
+//! offset*, so an id-keyed lookup (`Catalog::distinct_of_id`,
+//! `Catalog::has_index_cols`) is pure array arithmetic. The name-keyed
+//! API survives as a thin shim over the interner for construction-time
+//! and display-time callers.
 
 use super::plancache::{CacheStats, PlanCache};
 use fro_algebra::{Attr, AttrId, CmpOp, Interner, KeySketch, Pred, RelId, Scalar, Schema};
@@ -83,7 +83,7 @@ impl TableInfo {
 
     /// Distinct count of a column offset (defaults to the row count).
     #[must_use]
-    pub fn distinct_col(&self, col: usize) -> u64 {
+    pub(crate) fn distinct_col(&self, col: usize) -> u64 {
         self.distinct
             .get(col)
             .copied()
@@ -93,7 +93,7 @@ impl TableInfo {
 
     /// Whether the attributes (in any order) carry an index.
     #[must_use]
-    pub fn has_index(&self, attrs: &[Attr]) -> bool {
+    pub(crate) fn has_index(&self, attrs: &[Attr]) -> bool {
         let mut cols = Vec::with_capacity(attrs.len());
         for a in attrs {
             match self.schema.index_of(a) {
@@ -107,14 +107,14 @@ impl TableInfo {
 
     /// Whether the column offsets (pre-sorted) carry an index.
     #[must_use]
-    pub fn has_index_cols(&self, cols: &[u32]) -> bool {
+    pub(crate) fn has_index_cols(&self, cols: &[u32]) -> bool {
         self.indexes.contains(cols)
     }
 }
 
 /// The optimizer catalog: an interner plus [`TableInfo`] records dense
 /// by [`RelId`], an epoch counter that versions the statistics, and the
-/// catalog-owned cross-query [`PlanCache`].
+/// catalog-owned cross-query `PlanCache`.
 ///
 /// Every statistics mutation ([`Catalog::add_table`],
 /// [`Catalog::set_distinct`], [`Catalog::add_index`]) bumps the epoch;
@@ -219,20 +219,6 @@ impl Catalog {
         id
     }
 
-    /// Refresh one table's row count *quietly*: no epoch bump, no
-    /// schema/index change. Pair with [`Catalog::bump_row_epoch`] so
-    /// only plans reading this relation are invalidated. Returns
-    /// `false` when the table is unknown.
-    pub fn set_rows_quiet(&mut self, name: &str, rows: u64) -> bool {
-        match self.table_mut(name) {
-            Some(t) => {
-                t.rows = rows;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Refresh a registered table's row count, distinct counts and key
     /// sketches from its stored form *quietly* (no epoch bump; pair
     /// with [`Catalog::bump_row_epoch`]). O(columns): the sketches are
@@ -249,7 +235,7 @@ impl Catalog {
 
     /// Bump one relation's row-content version: its rows changed but
     /// the catalog's structure did not. Plans are invalidated at
-    /// per-relation granularity through [`Catalog::epoch_for_rels`].
+    /// per-relation granularity through `Catalog::epoch_for_rels`.
     pub fn bump_row_epoch(&mut self, name: &str) {
         if let Some(id) = self.interner.rel_id(name) {
             if let Some(e) = self.row_epochs.get_mut(id.index()) {
@@ -270,7 +256,7 @@ impl Catalog {
     /// invalidated by any structural change (epoch) or by a row change
     /// to a relation it actually reads — and by nothing else.
     #[must_use]
-    pub fn epoch_for_rels(&self, rels: impl IntoIterator<Item = RelId>) -> u64 {
+    pub(crate) fn epoch_for_rels(&self, rels: impl IntoIterator<Item = RelId>) -> u64 {
         let mut e = self.epoch;
         for id in rels {
             e += self.row_epoch(id);
@@ -281,7 +267,7 @@ impl Catalog {
     /// [`Catalog::epoch_for_rels`] over the relations of a query graph
     /// — the epoch the optimizer keys this graph's cached plans under.
     #[must_use]
-    pub fn epoch_for_graph(&self, g: &fro_graph::QueryGraph) -> u64 {
+    pub(crate) fn epoch_for_graph(&self, g: &fro_graph::QueryGraph) -> u64 {
         self.epoch_for_rels((0..g.n_nodes()).filter_map(|i| self.rel_id(g.node_name(i))))
     }
 
@@ -327,7 +313,7 @@ impl Catalog {
 
     /// The catalog-owned cross-query plan cache.
     #[must_use]
-    pub fn plan_cache(&self) -> &PlanCache {
+    pub(crate) fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
 
@@ -373,13 +359,16 @@ impl Catalog {
 
     /// Look up a table by dense id — one bounds-checked array read.
     #[must_use]
-    pub fn table_by_id(&self, id: RelId) -> Option<&TableInfo> {
+    pub(crate) fn table_by_id(&self, id: RelId) -> Option<&TableInfo> {
         self.tables.get(id.index())
     }
 
     /// All attributes of the given ground relations, in catalog order.
     #[must_use]
-    pub fn attrs_of_rels<'a>(&self, rels: impl IntoIterator<Item = &'a String>) -> Vec<Attr> {
+    pub(crate) fn attrs_of_rels<'a>(
+        &self,
+        rels: impl IntoIterator<Item = &'a String>,
+    ) -> Vec<Attr> {
         let mut out = Vec::new();
         for r in rels {
             if let Some(t) = self.table(r) {
@@ -399,7 +388,7 @@ impl Catalog {
     /// Distinct count for an interned attribute: two array reads via
     /// its precomputed `(relation, column)` resolution.
     #[must_use]
-    pub fn distinct_of_id(&self, id: AttrId) -> u64 {
+    pub(crate) fn distinct_of_id(&self, id: AttrId) -> u64 {
         let rel = self.interner.attr_rel(id);
         let col = self.interner.attr_col(id) as usize;
         self.table_by_id(rel).map_or(1000, |t| t.distinct_col(col))
@@ -456,16 +445,10 @@ impl Catalog {
         self.table(rel).map_or(1000, |t| t.rows)
     }
 
-    /// Row count of a table by dense id (1000 when unknown).
-    #[must_use]
-    pub fn rows_of_id(&self, id: RelId) -> u64 {
-        self.table_by_id(id).map_or(1000, |t| t.rows)
-    }
-
     /// Whether a table carries an index on exactly the given column
     /// offsets (pre-sorted).
     #[must_use]
-    pub fn has_index_cols(&self, id: RelId, cols: &[u32]) -> bool {
+    pub(crate) fn has_index_cols(&self, id: RelId, cols: &[u32]) -> bool {
         self.table_by_id(id).is_some_and(|t| t.has_index_cols(cols))
     }
 
@@ -521,6 +504,17 @@ mod tests {
         s
     }
 
+    /// Refresh one table's row count without bumping the epoch.
+    fn set_rows_quiet(cat: &mut Catalog, name: &str, rows: u64) -> bool {
+        match cat.table_mut(name) {
+            Some(t) => {
+                t.rows = rows;
+                true
+            }
+            None => false,
+        }
+    }
+
     #[test]
     fn from_storage_captures_stats() {
         let cat = Catalog::from_storage(&storage());
@@ -536,7 +530,6 @@ mod tests {
     fn id_keyed_lookups_agree_with_names() {
         let cat = Catalog::from_storage(&storage());
         let rid = cat.rel_id("R").unwrap();
-        assert_eq!(cat.rows_of_id(rid), cat.rows_of("R"));
         for a in ["R.k", "R.v"] {
             let attr = Attr::parse(a);
             let aid = cat.attr_id(&attr).unwrap();
@@ -637,7 +630,7 @@ mod tests {
         let r = cat.rel_id("R").unwrap();
         let s = cat.rel_id("S").unwrap();
         // Quiet stats refresh + row-epoch bump: catalog epoch untouched.
-        assert!(cat.set_rows_quiet("R", 12));
+        assert!(set_rows_quiet(&mut cat, "R", 12));
         cat.bump_row_epoch("R");
         assert_eq!(cat.epoch(), e, "row changes never bump the epoch");
         assert_eq!(cat.rows_of("R"), 12);
@@ -648,7 +641,7 @@ mod tests {
         assert_eq!(cat.epoch_for_rels([r]), e + 1);
         assert_eq!(cat.epoch_for_rels([r, s]), e + 1);
         // Unknown names are no-ops.
-        assert!(!cat.set_rows_quiet("missing", 1));
+        assert!(!set_rows_quiet(&mut cat, "missing", 1));
         cat.bump_row_epoch("missing");
         assert_eq!(cat.epoch(), e);
     }
@@ -676,7 +669,7 @@ mod tests {
         // A clone may diverge: same epoch number, different statistics,
         // so it must not see (or feed) the original's cache.
         let mut fork = cat.clone();
-        fork.set_rows_quiet("R", 1_000_000);
+        set_rows_quiet(&mut fork, "R", 1_000_000);
         let shared_before = cat.cache_stats();
         let _ = plan(&fork);
         assert_eq!(cat.cache_stats(), shared_before);

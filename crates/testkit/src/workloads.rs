@@ -144,6 +144,35 @@ pub fn chain(k: usize, base_rows: usize, seed: u64) -> (Storage, Catalog, Query)
     (storage, catalog, q)
 }
 
+/// A long join chain `C0 − C1 − … − C{k-1}` over tables of 2–24 rows
+/// with keys drawn from `0..32`, indexed: join order matters, yet
+/// every table stays small and the chain's fan-out stays below one.
+/// Sized to run the plan search past its work budget, not to test
+/// execution at scale.
+#[must_use]
+pub fn small_chain(k: usize, seed: u64) -> (Storage, Catalog, Query) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut storage = Storage::new();
+    for i in 0..k {
+        let name = format!("C{i}");
+        let rows = rng.gen_range(2..25usize);
+        let data: Vec<Vec<Value>> = (0..rows)
+            .map(|j| vec![Value::Int(rng.gen_range(0..32)), Value::Int(j as i64)])
+            .collect();
+        storage.insert(&name, Relation::from_values(&name, &["k", "v"], data));
+        storage.create_index(&name, &[Attr::new(&name, "k")]);
+    }
+    let catalog = Catalog::from_storage(&storage);
+    let mut q = Query::rel("C0");
+    for i in 1..k {
+        q = q.join(
+            Query::rel(format!("C{i}")),
+            Pred::eq_attr(&format!("C{}.k", i - 1), &format!("C{i}.k")),
+        );
+    }
+    (storage, catalog, q)
+}
+
 /// A deep left-outerjoin chain `L0 ⟕ L1 ⟕ … ⟕ L{k-1}`, each link on
 /// `L{i-1}.k = L{i}.k` with keys drawn from a domain 1.5× the row
 /// count, so roughly a third of every probe side falls out unmatched
@@ -489,6 +518,7 @@ pub fn corpus_suite() -> Vec<CorpusCase> {
         ("star5_skew", star5_skew()),
         ("snowflake7", snowflake7_uniform()),
         ("snowflake7_skew", snowflake7_skew()),
+        ("star24", star24_skew()),
     ] {
         let (storage, catalog, query) = star(&params);
         cases.push(CorpusCase {
@@ -498,6 +528,13 @@ pub fn corpus_suite() -> Vec<CorpusCase> {
             query,
         });
     }
+    let (storage, catalog, query) = small_chain(40, 23);
+    cases.push(CorpusCase {
+        name: "chain40",
+        storage,
+        catalog,
+        query,
+    });
     cases
 }
 
@@ -530,6 +567,24 @@ pub fn star5_skew() -> StarParams {
         hot_dup: 8,
         junk_rows: 64,
         wide_keys: 48,
+        snowflake: false,
+    }
+}
+
+/// A 24-relation skewed star (`F` plus 23 dimensions) with small
+/// tables: its exhaustive DP needs far more splits than the plan
+/// search's budget, so the corpus locks down the plan the rounds past
+/// it choose.
+#[must_use]
+pub fn star24_skew() -> StarParams {
+    StarParams {
+        dims: 23,
+        match_keys: 8,
+        good_rows: 24,
+        hot_keys: 2,
+        hot_dup: 3,
+        junk_rows: 2,
+        wide_keys: 6,
         snowflake: false,
     }
 }

@@ -128,7 +128,7 @@ gate_count "$exec_run" storage.bytes_per_row B max 130
 echo "== planning gates (loadgen: embed_plan, traced) =="
 # 60 warm and 4 cold prepares per cycle over a >=1e5-row catalog. A cold
 # prepare enumerates 86.25 csg-cmp pairs; a warm one allocates little
-# beside the plan it hands out (1 296 allocations and 120 173 B per op);
+# beside the plan it hands out (1 207 allocations and 114 904 B per op);
 # the catalog's tables cost 128.54 B per row. A DP that enumerates more,
 # a warm path that replans or copies, or a wider stored row reads here.
 plan_run="$(traced_run embed_plan)"

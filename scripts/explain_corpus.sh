@@ -2,11 +2,12 @@
 # Regenerate (default) or verify (--check) the EXPLAIN regression
 # corpus under corpus/plans/.
 #
-# Every deterministic testkit workload is optimized twice (DP and
-# greedy), rendered to a stable text form (graph signature, cost
-# estimates, EXPLAIN tree, wire-encoding hex) and stored one file per
-# (case, algorithm). CI runs `--check`, which fails with a diff excerpt
-# when an optimizer change alters any plan — intentional changes are
+# Every deterministic testkit workload is optimized, rendered to a
+# stable text form (graph signature, cost estimates, EXPLAIN tree,
+# wire-encoding hex) and stored one file per case. CI runs `--check`,
+# which fails with a diff excerpt when an optimizer change alters any
+# plan, and also when a `.txt` file there matches no case (a deleted
+# case's leftover, which nothing would check) — intentional changes are
 # committed by rerunning this script with no flags.
 #
 # `--check --perturb` inverts the gate: it perturbs catalog statistics

@@ -458,3 +458,39 @@ fn concurrent_clients_share_one_plan_across_phrasings() {
     let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
     assert!(hit_rate > 0.9, "hit rate {hit_rate:.3} ({stats})");
 }
+
+/// `Select All From DEPARTMENT AS D0, …, D{n-1}`, every alias joined to
+/// `D0` on `D#`: a star of `n` copies of one ground table.
+fn department_star(n: usize) -> String {
+    let from: Vec<String> = (0..n).map(|i| format!("DEPARTMENT AS D{i}")).collect();
+    let conds: Vec<String> = (1..n).map(|i| format!("D0.D# = D{i}.D#")).collect();
+    format!(
+        "Select All From {} Where {}",
+        from.join(", "),
+        conds.join(" and ")
+    )
+}
+
+/// An 18-item star sent as text is planned within the plan search's
+/// work budget rather than by enumerating its 2^17 connected subsets,
+/// and answers what the reference does: one row per department, as
+/// the two-item star.
+#[test]
+fn an_eighteen_item_star_plans_within_the_split_budget() {
+    let world = synthetic_entity_world(8, 4, 5);
+    let db = SharedDb::new();
+    let session = db.session().with_entity_db(world.clone());
+    let two = run(&session, &department_star(2));
+    let src = department_star(18);
+    let prepared = session.query(&src).expect("plans");
+    let pairs = prepared.optimized().pairs_examined;
+    assert!(
+        pairs > 0 && pairs <= fro::core::optimizer::SPLIT_BUDGET,
+        "{pairs} pairs"
+    );
+    let got = prepared.run().expect("runs");
+    assert_eq!(got.len(), two.len());
+    assert_eq!(got.len(), 8, "one row per department");
+    let want = reference(&src, &world).expect("translates");
+    assert!(got.set_eq(&want) && got.len() == want.len());
+}

@@ -1,40 +1,34 @@
 //! Wire-format properties over real optimizer output:
 //!
 //! * encode → decode → encode is the identity on bytes (and the
-//!   decoded plan is structurally equal) for every DP and greedy plan
-//!   over every corpus workload — the canonical-encoding guarantee the
-//!   EXPLAIN corpus relies on;
+//!   decoded plan is structurally equal) for every corpus workload's
+//!   plan — the canonical-encoding guarantee the EXPLAIN corpus relies
+//!   on;
 //! * the decoder is total on hostile input: any byte mutation of a
 //!   valid encoding, and any random byte string, yields a typed
 //!   [`WireError`] or a plan that re-encodes cleanly — never a panic
 //!   and never a structurally-invalid plan.
 
-use fro_core::optimizer::greedy_optimize;
-use fro_core::{analyze, optimize, Catalog, Policy};
+use fro_core::{optimize, Catalog, Policy};
 use fro_testkit::corpus_suite;
 use fro_wire::{decode_plan, encode_plan};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// Every corpus plan (DP and greedy), with the catalog whose interner
-/// is its symbol table. Built once: optimizing six workloads per
-/// proptest case would dominate the suite's runtime.
+/// Every corpus plan, with the catalog whose interner is its symbol
+/// table. Built once: optimizing every workload per proptest case
+/// would dominate the suite's runtime.
 fn corpus_encodings() -> &'static Vec<(String, Catalog, Vec<u8>)> {
     static CELL: OnceLock<Vec<(String, Catalog, Vec<u8>)>> = OnceLock::new();
     CELL.get_or_init(|| {
-        let mut out = Vec::new();
-        for case in corpus_suite() {
-            let dp = optimize(&case.query, &case.catalog, Policy::Paper).expect("dp optimizes");
-            let graph = analyze(&case.query, Policy::Paper)
-                .graph
-                .expect("corpus workloads are reorderable");
-            let greedy = greedy_optimize(&graph, &case.catalog).expect("greedy optimizes");
-            for (algo, plan) in [("dp", &dp.plan), ("greedy", &greedy.plan)] {
-                let bytes = encode_plan(plan, case.catalog.interner()).expect("encodes");
-                out.push((format!("{}/{algo}", case.name), case.catalog.clone(), bytes));
-            }
-        }
-        out
+        corpus_suite()
+            .into_iter()
+            .map(|case| {
+                let opt = optimize(&case.query, &case.catalog, Policy::Paper).expect("optimizes");
+                let bytes = encode_plan(&opt.plan, case.catalog.interner()).expect("encodes");
+                (case.name.to_owned(), case.catalog, bytes)
+            })
+            .collect()
     })
 }
 
@@ -42,21 +36,16 @@ fn corpus_encodings() -> &'static Vec<(String, Catalog, Vec<u8>)> {
 #[test]
 fn corpus_plans_roundtrip_bytewise() {
     for case in corpus_suite() {
-        let dp = optimize(&case.query, &case.catalog, Policy::Paper).expect("dp optimizes");
-        let graph = analyze(&case.query, Policy::Paper)
-            .graph
-            .expect("corpus workloads are reorderable");
-        let greedy = greedy_optimize(&graph, &case.catalog).expect("greedy optimizes");
+        let plan = optimize(&case.query, &case.catalog, Policy::Paper)
+            .expect("optimizes")
+            .plan;
         let it = case.catalog.interner();
-        for (algo, plan) in [("dp", &dp.plan), ("greedy", &greedy.plan)] {
-            let bytes = encode_plan(plan, it)
-                .unwrap_or_else(|e| panic!("{}/{algo} must encode: {e}", case.name));
-            let back = decode_plan(&bytes, it)
-                .unwrap_or_else(|e| panic!("{}/{algo} must decode: {e}", case.name));
-            assert_eq!(&back, plan, "{}/{algo}: decoded plan differs", case.name);
-            let again = encode_plan(&back, it).expect("re-encodes");
-            assert_eq!(again, bytes, "{}/{algo}: re-encode not bytewise", case.name);
-        }
+        let name = case.name;
+        let bytes = encode_plan(&plan, it).unwrap_or_else(|e| panic!("{name} must encode: {e}"));
+        let back = decode_plan(&bytes, it).unwrap_or_else(|e| panic!("{name} must decode: {e}"));
+        assert_eq!(back, plan, "{name}: decoded plan differs");
+        let again = encode_plan(&back, it).expect("re-encodes");
+        assert_eq!(again, bytes, "{name}: re-encode not bytewise");
     }
 }
 
