@@ -8,7 +8,7 @@
 //! There is one executor and it is sequential: a query runs on its
 //! caller's thread, one plain pass over each input, so rows come out
 //! in source order. A hash-join build side is materialized into an
-//! immutable [`JoinTable`]: one map from each key's 64-bit hash to the
+//! immutable `JoinTable`: one map from each key's 64-bit hash to the
 //! ids of the build rows carrying it, in ascending row order. Only key
 //! *hashes* and row ids are stored (no key values are copied);
 //! candidates are re-checked for exact key equality against the pinned

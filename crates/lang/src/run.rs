@@ -16,7 +16,7 @@ use fro_trees::some_implementing_tree;
 /// block's restrictions) for a translated block.
 ///
 /// This is the reference-evaluation building block: compose it with
-/// [`parse`](crate::parse) + [`translate`](crate::translate) and
+/// [`parse`](crate::parse) + [`translate`](fn@crate::translate) and
 /// [`Query::eval`] for an oracle, or hand the result to the optimizer.
 /// The old one-call `run`/`run_parsed` wrappers were removed — the
 /// `fro::Session` front door (`Session::from_entity_db(..).query(..)`)

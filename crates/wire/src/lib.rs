@@ -65,10 +65,17 @@
 //!
 //! The [`proto`] module layers a client/server conversation on the
 //! same codec: length-prefixed frames carrying a versioned
-//! [`Request`](proto::Request) (§5 source text, an encoded plan blob,
-//! or a ping) and a stream of [`Response`](proto::Response) frames
-//! (result scheme, row batches, final work counters — or a typed
-//! error). See its module docs for the grammar.
+//! [`Request`] (§5 source text, an encoded plan blob, or a ping) and a
+//! stream of [`Response`] frames (result scheme, row batches, final
+//! work counters — or a typed error). See its module docs for the
+//! grammar.
+//!
+//! [`encode_response`] is the codec of every owned [`Response`]. Row
+//! batches have a second entry, [`encode_rows`], which writes the same
+//! `Rows`/`ViewRows` bytes straight from a result's borrowed
+//! [`Tuple`](fro_algebra::Tuple)s; both go through one body encoder,
+//! and the server streams results with it so no row is copied on its
+//! way out.
 //!
 //! ## Versioning and compatibility
 //!
@@ -93,8 +100,8 @@ pub use codec::{Reader, Writer};
 pub use error::WireError;
 pub use plan::{decode_plan, encode_plan, PLAN_FORMAT_VERSION};
 pub use proto::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    Request, Response, MAX_FRAME_BYTES, PROTO_VERSION, ROWS_PER_BATCH,
+    decode_request, decode_response, encode_request, encode_response, encode_rows, read_frame,
+    write_frame, Request, Response, MAX_FRAME_BYTES, PROTO_VERSION, ROWS_PER_BATCH,
 };
 
 // Re-exported so downstream callers name the plan type the codec

@@ -58,14 +58,13 @@
 //! The `Done` counters are, in order: `tuples_retrieved`,
 //! `index_probes`, `comparisons`, `hash_build_rows`, `rows_output`,
 //! `rows_materialized`, `rows_pipelined`, `pipelines` — the
-//! bit-identical logical counters of
-//! [`ExecStats`](fro_exec::ExecStats); per-partition and zone-skip
-//! diagnostics stay server-side.
+//! bit-identical logical counters of [`ExecStats`]; per-partition and
+//! zone-skip diagnostics stay server-side.
 
 use crate::codec::{Reader, Writer};
 use crate::error::WireError;
 use crate::plan::{dec_value, enc_value};
-use fro_algebra::Value;
+use fro_algebra::{Tuple, Value};
 use fro_exec::ExecStats;
 use std::io::{self, Read, Write};
 
@@ -286,7 +285,8 @@ fn stats_counters(s: &ExecStats) -> [u64; STATS_FIELDS] {
     ]
 }
 
-/// Encode a response payload.
+/// Encode a response payload. A `Rows`/`ViewRows` batch goes through
+/// the same body encoder as [`encode_rows`].
 ///
 /// # Errors
 /// [`WireError::InvalidNode`] when a `Rows` batch has ragged rows or
@@ -304,10 +304,7 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
                 w.put_str(name);
             }
         }
-        Response::Rows(rows) => {
-            w.put_u8(1);
-            enc_row_batch(&mut w, rows)?;
-        }
+        Response::Rows(rows) => enc_row_batch(&mut w, false, rows, Vec::as_slice)?,
         Response::Done(stats) => {
             w.put_u8(2);
             w.put_u64(STATS_FIELDS as u64);
@@ -326,19 +323,37 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
             w.put_u64(*id);
             w.put_u8(u8::from(*shared));
         }
-        Response::ViewRows(rows) => {
-            w.put_u8(6);
-            enc_row_batch(&mut w, rows)?;
-        }
+        Response::ViewRows(rows) => enc_row_batch(&mut w, true, rows, Vec::as_slice)?,
     }
     Ok(w.into_bytes())
 }
 
-/// The shared `varint(ncols) varint(nrows) nrows×ncols×value` body of
-/// `Rows` and `ViewRows`.
-fn enc_row_batch(w: &mut Writer, rows: &[Vec<Value>]) -> Result<(), WireError> {
-    let ncols = rows.first().map_or(0, Vec::len);
-    if rows.iter().any(|row| row.len() != ncols) {
+/// Encode one `Rows` payload (`ViewRows` when `as_view`) straight from
+/// borrowed result tuples — the bytes [`encode_response`] writes for
+/// the same rows as an owned batch, without copying a row first. This
+/// is what the server streams a result with.
+///
+/// # Errors
+/// [`WireError::InvalidNode`] on ragged rows or more columns than the
+/// protocol allows, as for [`encode_response`].
+pub fn encode_rows(rows: &[Tuple], as_view: bool) -> Result<Vec<u8>, WireError> {
+    let mut w = Writer::new();
+    w.put_u8(PROTO_VERSION);
+    enc_row_batch(&mut w, as_view, rows, Tuple::values)?;
+    Ok(w.into_bytes())
+}
+
+/// The one encoder of the `Rows` (tag 1) and `ViewRows` (tag 6) body,
+/// `varint(ncols) varint(nrows) nrows×ncols×value`, over any row type
+/// `cells` can read as a slice.
+fn enc_row_batch<R>(
+    w: &mut Writer,
+    as_view: bool,
+    rows: &[R],
+    cells: impl Fn(&R) -> &[Value],
+) -> Result<(), WireError> {
+    let ncols = rows.first().map_or(0, |row| cells(row).len());
+    if rows.iter().any(|row| cells(row).len() != ncols) {
         return Err(WireError::InvalidNode {
             node: "Rows",
             reason: "ragged row arity in a batch",
@@ -350,10 +365,11 @@ fn enc_row_batch(w: &mut Writer, rows: &[Vec<Value>]) -> Result<(), WireError> {
             reason: "column count exceeds the protocol cap",
         });
     }
+    w.put_u8(if as_view { 6 } else { 1 });
     w.put_u64(ncols as u64);
     w.put_u64(rows.len() as u64);
     for row in rows {
-        for v in row {
+        for v in cells(row) {
             enc_value(w, v);
         }
     }
@@ -596,6 +612,48 @@ mod tests {
             encode_response(&ragged),
             Err(WireError::InvalidNode { node: "Rows", .. })
         ));
+        let ragged = [Tuple::new(vec![Value::Int(1)]), Tuple::new(vec![])];
+        for as_view in [false, true] {
+            assert!(matches!(
+                encode_rows(&ragged, as_view),
+                Err(WireError::InvalidNode { node: "Rows", .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn borrowed_rows_encode_byte_identical_to_owned_batches() {
+        let batches: [Vec<Vec<Value>>; 3] = [
+            vec![
+                vec![
+                    Value::Int(1),
+                    Value::str("Luz"),
+                    Value::Null,
+                    Value::Bool(true),
+                ],
+                vec![
+                    Value::Null,
+                    Value::str(""),
+                    Value::Int(i64::MIN),
+                    Value::Bool(false),
+                ],
+                vec![
+                    Value::Int(-7),
+                    Value::Null,
+                    Value::str("Querétaro"),
+                    Value::Null,
+                ],
+            ],
+            vec![vec![Value::str("one"), Value::Int(1)]],
+            vec![],
+        ];
+        for owned in batches {
+            let tuples: Vec<Tuple> = owned.iter().cloned().map(Tuple::new).collect();
+            let rows = encode_response(&Response::Rows(owned.clone())).unwrap();
+            assert_eq!(encode_rows(&tuples, false).unwrap(), rows);
+            let view_rows = encode_response(&Response::ViewRows(owned)).unwrap();
+            assert_eq!(encode_rows(&tuples, true).unwrap(), view_rows);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use fro_exec::{execute, ExecStats, PhysPlan};
 use fro_lang::EntityDb;
 use fro_wire::{
     decode_plan, decode_request, decode_response, encode_plan, encode_request, encode_response,
-    read_frame, write_frame, Interner, Request, Response, WireError, ROWS_PER_BATCH,
+    encode_rows, read_frame, write_frame, Interner, Request, Response, WireError, ROWS_PER_BATCH,
 };
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -204,9 +204,12 @@ fn run_plan(session: &Session, blob: &[u8]) -> Result<(Relation, ExecStats), Fro
 }
 
 fn send(writer: &mut BufWriter<TcpStream>, resp: &Response) -> io::Result<()> {
-    let payload = encode_response(resp)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let payload = encode_response(resp).map_err(invalid_input)?;
     write_frame(writer, &payload)
+}
+
+fn invalid_input(e: WireError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
 }
 
 fn send_error(writer: &mut BufWriter<TcpStream>, e: &FroError) -> io::Result<()> {
@@ -239,6 +242,10 @@ fn stream_view(
     stream_batches(writer, rel, stats, true)
 }
 
+/// The one result stream behind [`stream_result`] and [`stream_view`]:
+/// each chunk of at most [`ROWS_PER_BATCH`] of the relation's rows is
+/// encoded by [`encode_rows`] straight from the borrowed tuples and
+/// written as one frame, so no row is copied on its way out.
 fn stream_batches(
     writer: &mut BufWriter<TcpStream>,
     rel: &Relation,
@@ -252,15 +259,9 @@ fn stream_batches(
         .map(|a| (a.rel().to_string(), a.name().to_string()))
         .collect();
     send(writer, &Response::Schema(cols))?;
-    for chunk in rel.rows().chunks(ROWS_PER_BATCH.max(1)) {
-        let batch: Vec<Vec<fro_algebra::Value>> =
-            chunk.iter().map(|t| t.values().to_vec()).collect();
-        let resp = if as_view {
-            Response::ViewRows(batch)
-        } else {
-            Response::Rows(batch)
-        };
-        send(writer, &resp)?;
+    for chunk in rel.rows().chunks(ROWS_PER_BATCH) {
+        let payload = encode_rows(chunk, as_view).map_err(invalid_input)?;
+        write_frame(writer, &payload)?;
     }
     send(writer, &Response::Done(Box::new(stats)))
 }
@@ -573,6 +574,109 @@ mod tests {
             other => panic!("expected remote error, got {other:?}"),
         }
         a.ping().unwrap();
+    }
+
+    /// Send `req` and return the lengths of the row batches of its
+    /// reply, checking each batch's tag against `as_view`.
+    fn batch_lengths(client: &mut Client, req: &Request, as_view: bool) -> Vec<usize> {
+        client.request(req).unwrap();
+        assert!(matches!(client.receive().unwrap(), Response::Schema(_)));
+        let mut lengths = Vec::new();
+        loop {
+            match client.receive().unwrap() {
+                Response::Rows(batch) if !as_view => lengths.push(batch.len()),
+                Response::ViewRows(batch) if as_view => lengths.push(batch.len()),
+                Response::Done(_) => return lengths,
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn results_of_several_batches_reassemble_exactly() {
+        use fro_algebra::{Pred, Query, Value};
+        use fro_core::optimizer::optimize;
+        use fro_core::Policy;
+        use fro_lang::{FieldType, FieldValue};
+
+        // Every third row finds a partner; the others come back padded
+        // with nulls, beside a string and an integer column.
+        let n = 2 * ROWS_PER_BATCH + 1;
+        let rows = (0..n as i64)
+            .map(|k| vec![Value::Int(k), Value::str(format!("name{k}"))])
+            .collect();
+        let tags = (0..n as i64)
+            .step_by(3)
+            .map(|k| vec![Value::Int(k), Value::str(format!("tag{k}"))])
+            .collect();
+        let mut world = EntityDb::new();
+        world.declare(
+            "EMPLOYEE",
+            vec![
+                ("Name", FieldType::Scalar),
+                ("Rank", FieldType::Scalar),
+                ("ChildName", FieldType::SetValued),
+            ],
+        );
+        for k in 0..n as i64 {
+            let children = if k % 3 == 0 {
+                vec![Value::str(format!("child{k}"))]
+            } else {
+                vec![]
+            };
+            world.insert(
+                "EMPLOYEE",
+                vec![
+                    ("Name", FieldValue::Scalar(Value::str(format!("emp{k}")))),
+                    ("Rank", FieldValue::Scalar(Value::Int(k % 20))),
+                    ("ChildName", FieldValue::Set(children)),
+                ],
+            );
+        }
+        let db = SharedDb::new();
+        let session = db.session().with_entity_db(world.clone());
+        session.insert_table("R", Relation::from_values("R", &["k", "name"], rows));
+        session.insert_table("S", Relation::from_values("S", &["k", "tag"], tags));
+        let server = Server::start(
+            "127.0.0.1:0",
+            Arc::clone(&db),
+            ServerOptions { edb: Some(world) },
+        )
+        .expect("bind loopback");
+        let mut client = Client::connect(server.addr()).unwrap();
+        let three_batches = vec![ROWS_PER_BATCH, ROWS_PER_BATCH, 1];
+
+        // An ad-hoc plan: three `Rows` frames, equal to local execution.
+        let q = Query::rel("R").outerjoin(Query::rel("S"), Pred::eq_attr("R.k", "S.k"));
+        let state = db.snapshot();
+        let plan = optimize(&q, state.catalog(), Policy::Paper).unwrap().plan;
+        let it = state.storage().interner();
+        let (remote, _) = client.query_plan(&plan, it).unwrap();
+        let local = execute(&plan, state.storage(), &mut ExecStats::new()).unwrap();
+        assert_eq!(remote, local);
+        assert_eq!(remote.len(), n);
+        assert!(remote.iter().any(|t| t.values().contains(&Value::Null)));
+        let blob = encode_plan(&plan, it).unwrap();
+        assert_eq!(
+            batch_lengths(&mut client, &Request::Plan(blob), false),
+            three_batches
+        );
+
+        // A standing view: three `ViewRows` frames, equal to a local
+        // poll and, as a set, to a fresh local execution.
+        let src = "Select All From EMPLOYEE*ChildName";
+        let id = client.register(src).unwrap().id;
+        let (view, _) = client.poll(id).unwrap();
+        let (local_view, _) = session.poll_standing(id).unwrap();
+        assert_eq!(view, local_view);
+        assert_eq!(view.len(), n);
+        assert!(view.iter().any(|t| t.values().contains(&Value::Null)));
+        let fresh = session.query(src).unwrap().run().unwrap();
+        assert_eq!(view.row_set(), fresh.row_set());
+        assert_eq!(
+            batch_lengths(&mut client, &Request::Poll(id.as_u64()), true),
+            three_batches
+        );
     }
 
     #[test]
