@@ -12,7 +12,6 @@
 //! reorderable it falls back to the syntactic association of the input
 //! tree ([`lower::lower`]), which is always correct.
 
-pub mod containment;
 pub mod cost;
 pub mod cuts;
 pub mod dp;
@@ -27,7 +26,6 @@ use fro_algebra::{Query, Relation};
 use fro_exec::{ExecError, ExecStats, PhysPlan, Storage};
 use std::fmt;
 
-pub use containment::{graph_containment, GraphReuse};
 pub use cost::{estimate_plan, Estimate};
 pub use cuts::{split_equi, RelMap};
 pub use dp::{dp_optimize, DpResult, SPLIT_BUDGET};

@@ -43,11 +43,9 @@
 //!
 //! Views are registered and owned one level up (the `fro` facade);
 //! this module is pure mechanism: build a [`DeltaPlan`] from a
-//! physical plan, [`DeltaPlan::initialize`] it against storage (with
-//! leaf build sides optionally cloned from a [`BuildSidePool`] instead
-//! of rebuilt — Finkelstein-style reuse between standing queries whose
-//! graphs overlap), then [`DeltaPlan::apply`] base-relation deltas and
-//! fold the returned root delta into the maintained result.
+//! physical plan, [`DeltaPlan::initialize`] it against storage, then
+//! [`DeltaPlan::apply`] base-relation deltas and fold the returned root
+//! delta into the maintained result.
 
 use crate::engine::{bind_pred, ExecError};
 use crate::plan::{JoinKind, PhysPlan};
@@ -148,7 +146,7 @@ fn key_of(t: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
 
 /// A row held by one side of a delta join, and how many rows of the
 /// other side it currently joins with.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Held {
     row: Tuple,
     matches: u32,
@@ -160,8 +158,8 @@ struct Held {
 /// sorts. Null-keyed rows are held apart: they never match (their count
 /// is always 0), but full-outer pads and deletions still need to find
 /// them.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SideIndex {
+#[derive(Debug, Default)]
+struct SideIndex {
     by_key: FastMap<Vec<Value>, Vec<Held>>,
     null_keyed: BTreeSet<Tuple>,
 }
@@ -249,67 +247,6 @@ impl SideIndex {
     }
 }
 
-/// Identity of a poolable leaf build side: the base relation, the
-/// resolved key columns, and the filter predicate applied on top of
-/// the scan (rendered — predicate display is injective enough for a
-/// cache key, and a miss only costs a rebuild).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct SideKey {
-    rel: String,
-    cols: Vec<usize>,
-    pred: String,
-}
-
-/// A cross-view pool of finished leaf build sides. When two standing
-/// queries' graphs overlap (one a prefix or extension of the other, in
-/// Finkelstein's sense), the shared base relations produce identical
-/// `(rel, keys, filter)` leaf sides — the second registration clones
-/// the pooled index instead of re-scanning, re-filtering and
-/// re-hashing the base table. The owner invalidates pooled entries
-/// whenever their base relation mutates.
-#[derive(Debug, Default)]
-pub struct BuildSidePool {
-    sides: FastMap<SideKey, Arc<SideIndex>>,
-    hits: u64,
-}
-
-impl BuildSidePool {
-    /// An empty pool.
-    #[must_use]
-    pub fn new() -> BuildSidePool {
-        BuildSidePool::default()
-    }
-
-    /// Number of pooled sides.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sides.len()
-    }
-
-    /// True when nothing is pooled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sides.is_empty()
-    }
-
-    /// How many registrations reused a pooled side instead of
-    /// rebuilding it.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Drop every pooled side built over `rel` (its contents changed).
-    pub fn invalidate_rel(&mut self, rel: &str) {
-        self.sides.retain(|k, _| k.rel != rel);
-    }
-
-    /// Drop everything (a structural change of unknown scope).
-    pub fn clear(&mut self) {
-        self.sides.clear();
-    }
-}
-
 /// Per-node state of a delta join: its two inputs, each row held once,
 /// and no copy of its output. Every output row has at most one
 /// derivation, bar a full outerjoin's all-null row, which
@@ -325,9 +262,6 @@ struct JoinNode {
     left_index: SideIndex,
     right_index: SideIndex,
     out: JoinOutput,
-    /// Set when the right subtree is a bare or filtered scan — the
-    /// shapes eligible for cross-view build-side pooling.
-    right_leaf: Option<SideKey>,
 }
 
 /// What a join emits for its held rows. A derivation change goes
@@ -357,7 +291,6 @@ enum DeltaNode {
 pub struct DeltaPlan {
     nodes: Vec<DeltaNode>,
     schemas: Vec<SchemaRef>,
-    rels: Vec<String>,
 }
 
 impl DeltaPlan {
@@ -372,18 +305,9 @@ impl DeltaPlan {
         let mut dp = DeltaPlan {
             nodes: Vec::new(),
             schemas: Vec::new(),
-            rels: Vec::new(),
         };
         dp.build(plan, storage)?;
-        dp.rels.sort();
-        dp.rels.dedup();
         Some(dp)
-    }
-
-    /// The distinct base relations the plan reads (sorted).
-    #[must_use]
-    pub fn rels(&self) -> &[String] {
-        &self.rels
     }
 
     /// The output schema of the maintained result.
@@ -400,7 +324,6 @@ impl DeltaPlan {
 
     fn build_scan(&mut self, rel: &str, storage: &Storage) -> Option<usize> {
         let schema = storage.get_named(rel)?.relation().schema().clone();
-        self.rels.push(rel.to_string());
         Some(self.push(
             DeltaNode::Scan {
                 rel: rel.to_string(),
@@ -484,7 +407,6 @@ impl DeltaPlan {
         }
         let pair_schema: SchemaRef = Arc::new(ls.concat(&rs).ok()?);
         let residual = bind_pred(residual, &pair_schema, Some(storage.interner())).ok()?;
-        let right_leaf = leaf_side_key(right, &right_cols);
         let out_schema = match kind {
             JoinKind::Semi | JoinKind::Anti => ls.clone(),
             _ => pair_schema,
@@ -503,7 +425,6 @@ impl DeltaPlan {
                 right_nulls: Tuple::nulls(rs.len()),
                 all_null: (kind == JoinKind::FullOuter).then_some(0),
             },
-            right_leaf,
         };
         Some(self.push(DeltaNode::Join(Box::new(node)), out_schema))
     }
@@ -523,37 +444,17 @@ impl DeltaPlan {
     }
 
     /// Materialize the view from scratch against `storage`, building
-    /// every join's side indexes and match counts along the way. Leaf
-    /// build sides found in `pool` are cloned instead of rebuilt (and
-    /// freshly built ones are contributed back). Returns the full
-    /// result rows (deduplicated, unordered).
+    /// every join's side indexes and match counts along the way. Returns
+    /// the full result rows (deduplicated, unordered).
     pub fn initialize(
         &mut self,
         storage: &Storage,
-        pool: &mut BuildSidePool,
         stats: &mut ExecStats,
     ) -> Result<Vec<Tuple>, ExecError> {
         self.reset();
-        // Resolve pool hits up front: a hit lets the join skip
-        // computing its (leaf) right subtree entirely.
-        let mut pooled: FastMap<usize, SideIndex> = FastMap::default();
-        let mut skip: Vec<bool> = vec![false; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            let DeltaNode::Join(jn) = node else { continue };
-            let Some(key) = &jn.right_leaf else { continue };
-            if let Some(side) = pool.sides.get(key) {
-                pool.hits += 1;
-                pooled.insert(id, (**side).clone());
-                mark_subtree(&self.nodes, jn.right, &mut skip);
-            }
-        }
         let mut outs: Vec<Vec<Tuple>> = Vec::with_capacity(self.nodes.len());
-        for (id, &skipped) in skip.iter().enumerate() {
-            if skipped {
-                outs.push(Vec::new());
-                continue;
-            }
-            let rows = match &mut self.nodes[id] {
+        for node in &mut self.nodes {
+            let rows = match node {
                 DeltaNode::Scan { rel } => {
                     let rows = storage.lookup_named(rel)?.relation().rows().to_vec();
                     stats.tuples_retrieved += rows.len() as u64;
@@ -566,22 +467,8 @@ impl DeltaPlan {
                 }
                 DeltaNode::Join(jn) => {
                     let left_rows = std::mem::take(&mut outs[jn.left]);
-                    let right = match pooled.remove(&id) {
-                        Some(side) => side,
-                        None => {
-                            let mut side = SideIndex::default();
-                            for t in std::mem::take(&mut outs[jn.right]) {
-                                let key = key_of(&t, &jn.right_cols);
-                                side.insert(key, t, 0);
-                                stats.hash_build_rows += 1;
-                            }
-                            if let Some(key) = &jn.right_leaf {
-                                pool.sides.insert(key.clone(), Arc::new(side.clone()));
-                            }
-                            side
-                        }
-                    };
-                    init_join(jn, left_rows, right, stats)
+                    let right_rows = std::mem::take(&mut outs[jn.right]);
+                    init_join(jn, left_rows, right_rows, stats)
                 }
             };
             outs.push(rows);
@@ -642,39 +529,6 @@ impl DeltaPlan {
                 DeltaNode::Scan { .. } | DeltaNode::Filter { .. } => 0,
             })
             .sum()
-    }
-}
-
-/// The pool key of a right subtree that is a bare or filtered scan.
-fn leaf_side_key(plan: &PhysPlan, cols: &[usize]) -> Option<SideKey> {
-    match plan {
-        PhysPlan::Scan { rel } => Some(SideKey {
-            rel: rel.clone(),
-            cols: cols.to_vec(),
-            pred: String::new(),
-        }),
-        PhysPlan::Filter { input, pred } => match input.as_ref() {
-            PhysPlan::Scan { rel } => Some(SideKey {
-                rel: rel.clone(),
-                cols: cols.to_vec(),
-                pred: pred.to_string(),
-            }),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Mark `root` and its descendants in `skip`.
-fn mark_subtree(nodes: &[DeltaNode], root: usize, skip: &mut [bool]) {
-    skip[root] = true;
-    match &nodes[root] {
-        DeltaNode::Scan { .. } => {}
-        DeltaNode::Filter { input, .. } => mark_subtree(nodes, *input, skip),
-        DeltaNode::Join(jn) => {
-            mark_subtree(nodes, jn.left, skip);
-            mark_subtree(nodes, jn.right, skip);
-        }
     }
 }
 
@@ -795,16 +649,20 @@ impl JoinNode {
     }
 }
 
-/// Initial join materialization: `right` is already indexed (built or
-/// pooled, every count 0). The node starts as `∅ ⟗ right` and takes
-/// every left row as an insert. Returns the join's full output.
+/// Initial join materialization: index `right_rows` (every count 0),
+/// so the node starts as `∅ ⟗ right`, then take every left row as an
+/// insert. Returns the join's full output.
 fn init_join(
     jn: &mut JoinNode,
     left_rows: Vec<Tuple>,
-    right: SideIndex,
+    right_rows: Vec<Tuple>,
     stats: &mut ExecStats,
 ) -> Vec<Tuple> {
-    jn.right_index = right;
+    for t in right_rows {
+        let key = key_of(&t, &jn.right_cols);
+        jn.right_index.insert(key, t, 0);
+        stats.hash_build_rows += 1;
+    }
     let mut delta = RowDelta::default();
     // With no left rows yet, every right row is unmatched.
     for r in jn.right_index.unmatched() {
@@ -877,18 +735,13 @@ mod tests {
     }
 
     /// Maintained rows after a mutation must equal a fresh engine run.
-    fn check_against_engine(
-        plan: &PhysPlan,
-        storage: &Storage,
-        dp: &DeltaPlan,
-        view: &BTreeSet<Tuple>,
-    ) {
+    fn check_against_engine(plan: &PhysPlan, storage: &Storage, view: &BTreeSet<Tuple>) {
         let mut stats = ExecStats::new();
         let expect = execute(plan, storage, &mut stats).unwrap();
         let mut rows: Vec<Tuple> = expect.rows().to_vec();
         rows.sort_unstable();
         let got: Vec<Tuple> = view.iter().cloned().collect();
-        assert_eq!(got, rows, "maintained view diverged for {:?}", dp.rels());
+        assert_eq!(got, rows, "maintained view diverged for {plan:?}");
     }
 
     fn apply_to_view(view: &mut BTreeSet<Tuple>, d: &RowDelta) {
@@ -912,11 +765,10 @@ mod tests {
             let mut storage = storage_rs();
             let plan = join_plan(kind);
             let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
-            let mut pool = BuildSidePool::new();
             let mut stats = ExecStats::new();
-            let init = dp.initialize(&storage, &mut pool, &mut stats).unwrap();
+            let init = dp.initialize(&storage, &mut stats).unwrap();
             let mut view: BTreeSet<Tuple> = init.into_iter().collect();
-            check_against_engine(&plan, &storage, &dp, &view);
+            check_against_engine(&plan, &storage, &view);
 
             // Append a matching and a non-matching S row.
             let add = vec![
@@ -932,7 +784,7 @@ mod tests {
                 .apply("S", &RowDelta::from_inserts(add), &mut stats)
                 .unwrap();
             apply_to_view(&mut view, &d);
-            check_against_engine(&plan, &storage, &dp, &view);
+            check_against_engine(&plan, &storage, &view);
             assert!(stats.delta_rows_in > 0);
 
             // Delete the last match of R.k=2 — the outerjoin pad must
@@ -950,7 +802,7 @@ mod tests {
                 .apply("S", &RowDelta::from_deletes(del), &mut stats)
                 .unwrap();
             apply_to_view(&mut view, &d);
-            check_against_engine(&plan, &storage, &dp, &view);
+            check_against_engine(&plan, &storage, &view);
         }
     }
 
@@ -980,9 +832,8 @@ mod tests {
             residual: Pred::always(),
         };
         let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
-        let mut pool = BuildSidePool::new();
         let mut stats = ExecStats::new();
-        let init = dp.initialize(&storage, &mut pool, &mut stats).unwrap();
+        let init = dp.initialize(&storage, &mut stats).unwrap();
         assert_eq!(init.len(), 1, "two pads collide into one all-null row");
         let mut view: BTreeSet<Tuple> = init.into_iter().collect();
         // Deleting the L row drops one derivation; the row survives.
@@ -1103,9 +954,7 @@ mod tests {
                 for start in 0..64u8 {
                     let storage = world(start);
                     let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
-                    let init = dp
-                        .initialize(&storage, &mut BuildSidePool::new(), &mut ExecStats::new())
-                        .unwrap();
+                    let init = dp.initialize(&storage, &mut ExecStats::new()).unwrap();
                     let mut view: BTreeSet<Tuple> = init.iter().cloned().collect();
                     assert_eq!(view.len(), init.len(), "{kind:?}: duplicate initial row");
                     assert_eq!(
@@ -1137,9 +986,7 @@ mod tests {
         };
         let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
         let mut stats = ExecStats::new();
-        let init = dp
-            .initialize(&storage, &mut BuildSidePool::new(), &mut stats)
-            .unwrap();
+        let init = dp.initialize(&storage, &mut stats).unwrap();
         let pad = Tuple::new(vec![Value::Int(1), Value::Null]);
         assert_eq!(init, vec![pad.clone()]);
         let view: BTreeSet<Tuple> = init.into_iter().collect();
@@ -1149,13 +996,13 @@ mod tests {
             .apply("R", &RowDelta::from_inserts(null_row.clone()), &mut stats)
             .unwrap();
         assert!(d.is_empty(), "pad and real row cancel: {d:?}");
-        check_against_engine(&plan, &storage, &dp, &view);
+        check_against_engine(&plan, &storage, &view);
         storage.insert("R", one_column("R.y", &vals, 0b00));
         let d = dp
             .apply("R", &RowDelta::from_deletes(null_row), &mut stats)
             .unwrap();
         assert!(d.is_empty(), "real row and pad cancel: {d:?}");
-        check_against_engine(&plan, &storage, &dp, &view);
+        check_against_engine(&plan, &storage, &view);
     }
 
     #[test]
@@ -1195,9 +1042,7 @@ mod tests {
         };
         let mut dp = DeltaPlan::try_build(&plan, &storage).unwrap();
         let mut stats = ExecStats::new();
-        let init = dp
-            .initialize(&storage, &mut BuildSidePool::new(), &mut stats)
-            .unwrap();
+        let init = dp.initialize(&storage, &mut stats).unwrap();
         assert_eq!(init.len(), 3);
         assert_eq!(dp.retained_rows(), 12);
         assert_eq!(dp.retained_rows(), inputs(&storage));
@@ -1226,26 +1071,6 @@ mod tests {
         };
         assert!(DeltaPlan::try_build(&plan, &storage).is_none());
         assert!(DeltaPlan::try_build(&PhysPlan::scan("missing"), &storage).is_none());
-    }
-
-    #[test]
-    fn pool_reuses_leaf_build_sides() {
-        let storage = storage_rs();
-        let plan = join_plan(JoinKind::Inner);
-        let mut pool = BuildSidePool::new();
-        let mut stats = ExecStats::new();
-        let mut dp1 = DeltaPlan::try_build(&plan, &storage).unwrap();
-        dp1.initialize(&storage, &mut pool, &mut stats).unwrap();
-        assert_eq!(pool.hits(), 0);
-        assert_eq!(pool.len(), 1);
-        let built_before = stats.hash_build_rows;
-        let mut dp2 = DeltaPlan::try_build(&plan, &storage).unwrap();
-        dp2.initialize(&storage, &mut pool, &mut stats).unwrap();
-        assert_eq!(pool.hits(), 1, "second registration reuses the side");
-        // The pooled side's rows were not re-hashed; only left rows were.
-        assert_eq!(stats.hash_build_rows - built_before, 3);
-        pool.invalidate_rel("S");
-        assert!(pool.is_empty());
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod plan;
 pub mod stats;
 pub mod storage;
 
-pub use delta::{BuildSidePool, DeltaPlan, RowDelta};
+pub use delta::{DeltaPlan, RowDelta};
 pub use engine::{execute, explain_analyze, ExecError};
 pub use plan::{JoinKind, PhysPlan, ReducePass};
 pub use stats::ExecStats;

@@ -39,16 +39,14 @@
 //! after an unrelated table changed the catalog in between: one
 //! materialization, one maintained state, another subscriber.
 //!
-//! ## Finkelstein prefix/extension reuse
+//! ## Materialization
 //!
-//! Following the readyset lineage (SNIPPETS.md §1,
-//! `ReuseConfigType::Finkelstein`), a new registration whose graph is
-//! contained in — or contains — an existing view's graph (a subgraph
-//! test over the two canonical graphs,
-//! [`fro_core::optimizer::graph_containment`]) shares the pooled leaf
-//! build sides of the views already materialized instead of rebuilding
-//! them; [`StandingCounters::build_sides_reused`] counts every such
-//! reuse.
+//! A registration that no view answers materializes from the base
+//! tables exactly as a stale poll refreshes: one function initializes
+//! the view's delta state or, for a plan outside the delta algebra,
+//! executes the plan. Views share no state with each other — a view's
+//! state is its own join state with match counts — so only
+//! alpha-equivalent phrasings share, by landing on one view.
 //!
 //! ## Staleness
 //!
@@ -62,16 +60,16 @@
 
 use crate::error::FroError;
 use crate::shared::{DbState, SharedDb};
-use fro_algebra::schema::SchemaRef;
+use fro_algebra::schema::{Schema, SchemaRef};
 use fro_algebra::{Relation, Tuple};
-use fro_core::optimizer::{graph_containment, graph_signature, GraphReuse, Optimized};
+use fro_core::optimizer::{graph_signature, Optimized};
 use fro_core::Catalog;
-use fro_exec::{execute, BuildSidePool, DeltaPlan, ExecStats, PhysPlan, RowDelta};
-use fro_graph::QueryGraph;
+use fro_exec::{execute, DeltaPlan, ExecStats, PhysPlan, RowDelta};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Handle to a registered standing query. Stable for the lifetime of
 /// the [`SharedDb`] that issued it; alpha-equivalent registrations
@@ -129,21 +127,14 @@ pub struct StandingInfo {
 }
 
 /// Cumulative registry counters (all sessions, since the
-/// [`SharedDb`] was built).
+/// [`SharedDb`] was built): how registrations were answered and how
+/// polls were served.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StandingCounters {
-    /// Distinct views materialized.
+    /// Distinct views materialized, each from the base tables.
     pub registered: u64,
     /// Registrations answered by an existing alpha-equivalent view.
     pub shared_hits: u64,
-    /// Registrations whose graph was contained in an already-registered
-    /// view's graph (Finkelstein prefix reuse).
-    pub prefix_reuses: u64,
-    /// Registrations whose graph contained an already-registered view's
-    /// graph (Finkelstein direct extension).
-    pub extension_reuses: u64,
-    /// Leaf build sides cloned from the shared pool instead of rebuilt.
-    pub build_sides_reused: u64,
     /// Polls that found nothing to merge into the rendering: served as
     /// it stood, O(1). (A poll that
     /// had to refresh the view is counted in none of the three; it is
@@ -163,7 +154,6 @@ pub struct StandingCounters {
 /// has accounted for.
 #[derive(Debug)]
 struct View {
-    graph: Option<QueryGraph>,
     plan: PhysPlan,
     delta: Option<DeltaPlan>,
     /// The view's rows in [`Tuple`] order, as of the last poll or
@@ -190,11 +180,11 @@ enum Merged {
 
 impl View {
     /// Replace the rendering with `rows` (any order, as an execution
-    /// returns them); nothing is pending afterwards.
-    fn render(&mut self, mut rows: Vec<Tuple>) {
+    /// returns them) under `schema`; nothing is pending afterwards.
+    fn render(&mut self, schema: SchemaRef, mut rows: Vec<Tuple>) {
         rows.sort_unstable();
         rows.dedup();
-        self.rendering = Relation::from_distinct_rows(self.rendering.schema().clone(), rows);
+        self.rendering = Relation::from_distinct_rows(schema, rows);
         self.pending = RowDelta::default();
     }
 
@@ -226,33 +216,15 @@ impl View {
 /// the module docs for why the plan fingerprint is part of it.
 type ViewKey = (u64, BTreeSet<String>, u64);
 
-/// The standing-query registry of one [`SharedDb`]: all views, the
-/// shared leaf build-side pool, and the cumulative counters.
+/// The standing-query registry of one [`SharedDb`]: all views and the
+/// cumulative counters.
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
     views: BTreeMap<u64, View>,
     by_key: HashMap<ViewKey, u64>,
-    pool: BuildSidePool,
-    /// Catalog epoch the pool's entries were built under. Quiet row
-    /// mutations invalidate per relation; an epoch move (table
-    /// replacement, statistics change) clears the pool wholesale at
-    /// its next use.
-    pool_epoch: u64,
     next_id: u64,
     totals: ExecStats,
     counters: StandingCounters,
-}
-
-impl Registry {
-    /// Drop pool entries that predate the current catalog epoch, then
-    /// hand the pool out for an initialize.
-    fn fresh_pool(&mut self, catalog: &Catalog) -> &mut BuildSidePool {
-        if self.pool_epoch != catalog.epoch() {
-            self.pool.clear();
-            self.pool_epoch = catalog.epoch();
-        }
-        &mut self.pool
-    }
 }
 
 fn plan_fingerprint(plan: &PhysPlan) -> u64 {
@@ -289,21 +261,20 @@ fn is_current(view: &View, catalog: &Catalog) -> bool {
             .all(|r| view.row_epochs.get(r).copied().unwrap_or(0) == row_epoch_of(catalog, r))
 }
 
-/// Rebuild `view` from scratch against `state` (counted in
-/// `views_refreshed`), re-deriving all join state and re-stamping the
-/// accounted epochs.
-fn refresh_view(
-    view: &mut View,
-    pool: &mut BuildSidePool,
-    state: &DbState,
-    stats: &mut ExecStats,
-) -> Result<(), FroError> {
+/// Materialize `view` from the base tables of `state` (counted in
+/// `views_refreshed`): re-derive all join state, or execute a plan
+/// outside the delta algebra, and re-stamp the accounted epochs. A new
+/// registration and a stale poll both come through here.
+fn refresh_view(view: &mut View, state: &DbState, stats: &mut ExecStats) -> Result<(), FroError> {
     stats.views_refreshed += 1;
-    let rows: Vec<Tuple> = match view.delta.as_mut() {
-        Some(dp) => dp.initialize(state.storage(), pool, stats)?,
-        None => execute(&view.plan, state.storage(), stats)?.rows().to_vec(),
+    let (schema, rows) = match view.delta.as_mut() {
+        Some(dp) => (dp.schema().clone(), dp.initialize(state.storage(), stats)?),
+        None => {
+            let rel = execute(&view.plan, state.storage(), stats)?;
+            (rel.schema().clone(), rel.rows().to_vec())
+        }
     };
-    view.render(rows);
+    view.render(schema, rows);
     view.base_epoch = state.catalog().epoch();
     view.row_epochs = current_epochs(state.catalog(), &view.rels);
     Ok(())
@@ -331,7 +302,6 @@ pub(crate) fn apply_base_delta(
     if delta.is_empty() {
         return done;
     }
-    reg.pool.invalidate_rel(rel);
     let catalog = state.catalog();
     let now = row_epoch_of(catalog, rel);
     for view in reg.views.values_mut() {
@@ -396,79 +366,40 @@ impl SharedDb {
         let reg = &mut *guard;
         let state = self.snapshot();
         let rels = plan_rels(&optimized.plan);
-        let graph = optimized.analysis.graph.clone();
-        let key: Option<ViewKey> = graph.as_ref().map(|g| {
+        let key: Option<ViewKey> = optimized.analysis.graph.as_ref().map(|g| {
             (
                 graph_signature(g).as_u64(),
                 rels.clone(),
                 plan_fingerprint(&optimized.plan),
             )
         });
-        if let Some(k) = &key {
-            if let Some(&id) = reg.by_key.get(k) {
-                let view = reg.views.get_mut(&id).expect("keyed view exists");
-                view.subscribers += 1;
-                reg.counters.shared_hits += 1;
-                return Ok((
-                    Registered {
-                        id: StandingId(id),
-                        shared: true,
-                    },
-                    ExecStats::new(),
-                ));
-            }
-            if let Some(g) = &graph {
-                // Finkelstein classification against the registered
-                // population: one counted relationship is enough to
-                // route this registration at the shared pool.
-                let reuse = reg
-                    .views
-                    .values()
-                    .filter_map(|v| v.graph.as_ref())
-                    .find_map(|old| match graph_containment(g, old) {
-                        Some(GraphReuse::PrefixOf) => Some(GraphReuse::PrefixOf),
-                        Some(GraphReuse::ExtensionOf) => Some(GraphReuse::ExtensionOf),
-                        _ => None,
-                    });
-                match reuse {
-                    Some(GraphReuse::PrefixOf) => reg.counters.prefix_reuses += 1,
-                    Some(GraphReuse::ExtensionOf) => reg.counters.extension_reuses += 1,
-                    _ => {}
-                }
-            }
+        if let Some(&id) = key.as_ref().and_then(|k| reg.by_key.get(k)) {
+            let view = reg.views.get_mut(&id).expect("keyed view exists");
+            view.subscribers += 1;
+            reg.counters.shared_hits += 1;
+            return Ok((
+                Registered {
+                    id: StandingId(id),
+                    shared: true,
+                },
+                ExecStats::new(),
+            ));
         }
-        let mut stats = ExecStats::new();
-        let mut delta = DeltaPlan::try_build(&optimized.plan, state.storage());
-        let pool = reg.fresh_pool(state.catalog());
-        let hits_before = pool.hits();
-        let (rows, schema): (Vec<Tuple>, SchemaRef) = match delta.as_mut() {
-            Some(dp) => {
-                let rows = dp.initialize(state.storage(), pool, &mut stats)?;
-                (rows, dp.schema().clone())
-            }
-            None => {
-                let rel = execute(&optimized.plan, state.storage(), &mut stats)?;
-                let schema = rel.schema().clone();
-                (rel.rows().to_vec(), schema)
-            }
+        // `refresh_view` sets the rendering and the epochs.
+        let mut view = View {
+            plan: optimized.plan.clone(),
+            delta: DeltaPlan::try_build(&optimized.plan, state.storage()),
+            rendering: Relation::empty(Arc::new(Schema::empty())),
+            pending: RowDelta::default(),
+            rels,
+            subscribers: 1,
+            base_epoch: 0,
+            row_epochs: HashMap::new(),
         };
-        reg.counters.build_sides_reused += reg.pool.hits() - hits_before;
-        stats.views_refreshed += 1;
-        let catalog = state.catalog();
+        let mut stats = ExecStats::new();
+        refresh_view(&mut view, &state, &mut stats)?;
         let id = reg.next_id;
         reg.next_id += 1;
-        let mut view = View {
-            graph,
-            plan: optimized.plan.clone(),
-            delta,
-            rendering: Relation::empty(schema),
-            pending: RowDelta::default(),
-            rels: rels.clone(),
-            subscribers: 1,
-            base_epoch: catalog.epoch(),
-            row_epochs: current_epochs(catalog, &rels),
-        };
-        view.render(rows);
         reg.views.insert(id, view);
         if let Some(k) = key {
             reg.by_key.insert(k, id);
@@ -511,11 +442,7 @@ impl SharedDb {
                 Merged::AfterCopy => reg.counters.polls_copied += 1,
             }
         } else {
-            if reg.pool_epoch != state.catalog().epoch() {
-                reg.pool.clear();
-                reg.pool_epoch = state.catalog().epoch();
-            }
-            refresh_view(view, &mut reg.pool, &state, &mut stats)?;
+            refresh_view(view, &state, &mut stats)?;
         }
         let rel = view.rendering.clone();
         reg.totals.merge(&stats);
@@ -534,8 +461,9 @@ impl SharedDb {
         })
     }
 
-    /// Cumulative registry counters (registrations, sharing, build-side
-    /// reuse) across all sessions.
+    /// Cumulative registry counters (views materialized, registrations
+    /// answered by an alpha-equivalent view, how polls were served)
+    /// across all sessions.
     #[must_use]
     pub fn standing_counters(&self) -> StandingCounters {
         self.standing_lock().counters
@@ -717,21 +645,62 @@ mod tests {
             .is_none());
     }
 
+    /// Poll `id` and check it equals a cold re-execution of `q`; returns
+    /// the poll's work. A re-plan under new statistics may order the
+    /// columns differently from the view's plan, so both sides are
+    /// compared in canonical column order.
+    fn poll_equals_cold(s: &Session, id: StandingId, q: &Query) -> ExecStats {
+        let (out, stats) = s.poll_standing(id).unwrap();
+        let cold = s.prepare(q).unwrap().run().unwrap();
+        assert_eq!(out.canonical(), cold.canonical());
+        stats
+    }
+
     #[test]
-    fn prefix_registration_reuses_pooled_build_sides() {
+    fn a_view_and_its_prefix_each_follow_every_write() {
         let s = star_session();
-        let _ = s.register_standing(&star_query()).unwrap();
-        // A prefix of the star: joins a subset of its relations on the
-        // same predicate, so the D1 leaf build side is already pooled.
+        let star = star_query();
         let prefix = Query::rel("F").join(Query::rel("D1"), Pred::eq_attr("F.d1", "D1.k"));
-        let reg = s.register_standing(&prefix).unwrap();
-        assert!(!reg.shared, "different graph, its own view");
-        let c = s.shared().standing_counters();
-        assert_eq!(c.registered, 2);
-        assert_eq!(c.prefix_reuses, 1, "containment detected");
-        assert!(
-            c.build_sides_reused >= 1,
-            "leaf build side cloned from pool"
-        );
+        let whole = s.register_standing(&star).unwrap();
+        // A prefix of the star joins a subset of its relations on the
+        // same predicate: a different graph, so its own view, built from
+        // the base tables.
+        let part = s.register_standing(&prefix).unwrap();
+        assert!(!part.shared);
+        assert_ne!(whole.id, part.id);
+        assert_eq!(s.shared().standing_counters().registered, 2);
+        let int = |v: &[i64]| Tuple::new(v.iter().map(|&x| Value::Int(x)).collect());
+        let polls = |refreshes: u64| {
+            for (id, q) in [(whole.id, &star), (part.id, &prefix)] {
+                assert_eq!(poll_equals_cold(&s, id, q).views_refreshed, refreshes);
+            }
+        };
+        polls(0);
+        // Quiet writes to a dimension and to the fact table fold in.
+        assert!(s.append_rows("D1", vec![int(&[3])]));
+        polls(0);
+        assert!(s.append_rows("F", vec![int(&[2, 30]), int(&[3, 10])]));
+        polls(0);
+        assert!(s.delete_rows("D1", &[int(&[1])]));
+        polls(0);
+        assert!(s.delete_rows("F", &[int(&[3, 30])]));
+        polls(0);
+        // Replacing a table bumps the catalog epoch: each view refreshes
+        // once, then serves its maintained rows again.
+        s.insert_table("D1", Relation::from_ints("D1", &["k"], &[&[1], &[3]]));
+        polls(1);
+        polls(0);
+    }
+
+    #[test]
+    fn a_view_outside_the_delta_algebra_refreshes_on_a_stale_poll() {
+        let s = star_session();
+        let q = star_query().project(vec!["F.d1".into(), "D2.k".into()]);
+        let reg = s.register_standing(&q).unwrap();
+        assert!(!s.shared().standing_info(reg.id).unwrap().incremental);
+        assert_eq!(poll_equals_cold(&s, reg.id, &q).views_refreshed, 0);
+        assert!(s.append_rows("D2", vec![Tuple::new(vec![Value::Int(20)])]));
+        assert_eq!(poll_equals_cold(&s, reg.id, &q).views_refreshed, 1);
+        assert_eq!(s.shared().standing_info(reg.id).unwrap().rows, 2);
     }
 }
