@@ -3,7 +3,7 @@
 //!
 //! A [`ColumnSet`] decomposes a row-major [`Relation`] into one typed
 //! vector per attribute — `i64`s, dict-encoded strings (`u32` codes
-//! into a per-table [`Dictionary`]), bools, or a generic `Value`
+//! into a per-table string dictionary), bools, or a generic `Value`
 //! fallback for heterogeneous columns — each with a validity [`Bitmap`]
 //! for nulls, a null count, an exact distinct count, a bottom-k
 //! [`KeySketch`] of the distinct values (the optimizer's join-overlap
@@ -22,9 +22,9 @@
 //!   touching the data.
 //! * [`ColumnSet::hash_key_at`] hashes a key-column combination for
 //!   one row exactly as the row-major engine hashes assembled tuple
-//!   keys (both call [`key_hash`]), without materializing a
-//!   row — string keys hash their dictionary entry, so no `String` is
-//!   cloned or assembled on the build path.
+//!   keys with [`key_hash`](crate::key_hash), without materializing a
+//!   row — string keys hash their dictionary entry in place, so no
+//!   `String` is cloned or assembled on the build path.
 //!
 //! The layout is a *mirror*: the row-major `Relation` remains the
 //! source of truth for output assembly (engines still emit `Tuple`s),
@@ -32,14 +32,14 @@
 //! row-at-a-time paths while the scan/filter/build inner loops run
 //! over flat vectors.
 
-use crate::fasthash::{key_hash, FastMap, FastSet};
+use crate::fasthash::{key_hash_refs, FastMap, FastSet};
 use crate::ops::{BoundPred, BoundScalar};
 use crate::predicate::CmpOp;
 use crate::relation::{remove_at, survivors_behind, Relation};
 use crate::truth::Truth;
-use crate::value::Value;
-use std::borrow::Cow;
+use crate::value::{Value, ValueRef};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Rows per metadata zone: each column keeps min/max and a null count
@@ -279,29 +279,89 @@ impl Zone {
 /// through the sealed rank permutation (`rank[code]` = position of the
 /// code's string in sorted order), so `rank` comparisons agree with
 /// `String` order.
+///
+/// Each string is kept once, in one buffer: `text` holds them end to
+/// end in code order and `ends[code]` is where the code's string ends.
+/// The code lookup stores no string either. It files a code under its
+/// string's hash, as the row-id postings of an index do, and every hit
+/// is rechecked against the stored string; a string whose hash an
+/// earlier one holds goes to the short `collided` list.
 #[derive(Debug, Clone, Default)]
-pub struct Dictionary {
-    values: Vec<Value>,
-    codes: FastMap<String, u32>,
+pub(crate) struct Dictionary {
+    text: String,
+    ends: Vec<u32>,
+    codes: FastMap<u64, u32>,
+    /// `(hash, code)` of the strings whose hash `codes` files another
+    /// string under.
+    collided: Vec<(u64, u32)>,
     rank: Vec<u32>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The bits of a string hash the dictionary files under; see
+    /// [`colliding`].
+    static DICT_HASH_BITS: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+}
+
+/// Run `f` with every dictionary string filed under one hash — on this
+/// thread — so that every lookup past the first string goes through
+/// the collision list.
+#[cfg(test)]
+fn colliding<R>(f: impl FnOnce() -> R) -> R {
+    DICT_HASH_BITS.with(|bits| bits.set(0));
+    let out = f();
+    DICT_HASH_BITS.with(|bits| bits.set(u64::MAX));
+    out
+}
+
+/// The hash the dictionary files `s` under.
+fn str_slot(s: &str) -> u64 {
+    use std::hash::BuildHasher;
+    let h = std::hash::BuildHasherDefault::<crate::fasthash::FastHasher>::default().hash_one(s);
+    #[cfg(test)]
+    let h = h & DICT_HASH_BITS.with(std::cell::Cell::get);
+    h
 }
 
 impl Dictionary {
     fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&c) = self.codes.get(s) {
+        let h = str_slot(s);
+        if let Some(c) = self.find(h, s) {
             return c;
         }
-        let c = u32::try_from(self.values.len()).expect("dictionary codes fit in u32");
-        self.codes.insert(s.to_owned(), c);
-        self.values.push(Value::Str(s.to_owned()));
+        let c = u32::try_from(self.ends.len()).expect("dictionary codes fit in u32");
+        self.text.push_str(s);
+        self.ends
+            .push(u32::try_from(self.text.len()).expect("dictionary text fits u32 offsets"));
+        match self.codes.entry(h) {
+            Entry::Vacant(e) => {
+                e.insert(c);
+            }
+            Entry::Occupied(_) => self.collided.push((h, c)),
+        }
         c
     }
 
+    /// The code of `s`, filed under hash `h`.
+    fn find(&self, h: u64, s: &str) -> Option<u32> {
+        let &first = self.codes.get(&h)?;
+        if self.str(first) == s {
+            return Some(first);
+        }
+        self.collided
+            .iter()
+            .find(|&&(ch, c)| ch == h && self.str(c) == s)
+            .map(|&(_, c)| c)
+    }
+
     /// Freeze the dictionary: compute the rank permutation used for
-    /// order comparisons on codes.
+    /// order comparisons on codes, and give back the buffers' slack.
     fn seal(&mut self) {
-        let mut order: Vec<u32> = (0..self.values.len() as u32).collect();
-        order.sort_by(|&a, &b| self.values[a as usize].cmp(&self.values[b as usize]));
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        let mut order: Vec<u32> = (0..self.ends.len() as u32).collect();
+        order.sort_by(|&a, &b| self.str(a).cmp(self.str(b)));
         self.rank = vec![0; order.len()];
         for (pos, &code) in order.iter().enumerate() {
             self.rank[code as usize] = u32::try_from(pos).expect("rank fits in u32");
@@ -309,32 +369,26 @@ impl Dictionary {
     }
 
     /// Number of distinct strings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
     }
 
-    /// Whether the dictionary holds no strings.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The interned [`Value::Str`] for `code`.
-    #[must_use]
-    pub fn value(&self, code: u32) -> &Value {
-        &self.values[code as usize]
+    /// The interned string of `code`.
+    pub(crate) fn str(&self, code: u32) -> &str {
+        let code = code as usize;
+        let start = code
+            .checked_sub(1)
+            .map_or(0, |prev| self.ends[prev] as usize);
+        &self.text[start..self.ends[code] as usize]
     }
 
     /// The code of `s`, if interned.
-    #[must_use]
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.codes.get(s).copied()
+    pub(crate) fn code_of(&self, s: &str) -> Option<u32> {
+        self.find(str_slot(s), s)
     }
 
     /// The sort rank of `code` among all interned strings.
-    #[must_use]
-    pub fn rank(&self, code: u32) -> u32 {
+    pub(crate) fn rank(&self, code: u32) -> u32 {
         self.rank[code as usize]
     }
 }
@@ -381,7 +435,12 @@ impl KeySketch {
     /// [`SigHash`]: crate::SigHash
     #[must_use]
     pub fn hash_value(v: &Value) -> u64 {
-        let mut h = crate::sig::sig_hash_of(v);
+        KeySketch::hash_ref(ValueRef::from(v))
+    }
+
+    /// [`KeySketch::hash_value`] of a value read in place.
+    fn hash_ref(v: ValueRef<'_>) -> u64 {
+        let mut h = crate::sig::sig_hash_of(&v);
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= h >> 33;
@@ -573,7 +632,7 @@ impl Column {
                     .map(|(a, b)| (Value::Bool(a), Value::Bool(b))),
                 ColData::Str(xs) => self
                     .min_max_by(lo, hi, |i| (dict.rank(xs[i]), xs[i]))
-                    .map(|((_, a), (_, b))| (dict.value(a).clone(), dict.value(b).clone())),
+                    .map(|((_, a), (_, b))| (Value::from(dict.str(a)), Value::from(dict.str(b)))),
                 ColData::Mixed(xs) => self
                     .min_max_by(lo, hi, |i| &xs[i])
                     .map(|(a, b)| (a.clone(), b.clone())),
@@ -589,18 +648,20 @@ impl Column {
     fn resketch(&self, dict: &Dictionary) -> KeySketch {
         let mut sketch = KeySketch::default();
         let rows = self.validity.len();
-        let mut offer = |v: &Value| sketch.insert(KeySketch::hash_value(v));
+        let mut offer = |v: ValueRef<'_>| sketch.insert(KeySketch::hash_ref(v));
         match &self.data {
             ColData::Int(xs) => self
                 .validity
-                .for_each_one_in(0, rows, |i| offer(&Value::Int(xs[i]))),
+                .for_each_one_in(0, rows, |i| offer(ValueRef::Int(xs[i]))),
             ColData::Bool(xs) => self
                 .validity
-                .for_each_one_in(0, rows, |i| offer(&Value::Bool(xs[i]))),
+                .for_each_one_in(0, rows, |i| offer(ValueRef::Bool(xs[i]))),
             ColData::Str(xs) => self
                 .validity
-                .for_each_one_in(0, rows, |i| offer(dict.value(xs[i]))),
-            ColData::Mixed(xs) => self.validity.for_each_one_in(0, rows, |i| offer(&xs[i])),
+                .for_each_one_in(0, rows, |i| offer(ValueRef::Str(dict.str(xs[i])))),
+            ColData::Mixed(xs) => self
+                .validity
+                .for_each_one_in(0, rows, |i| offer(ValueRef::from(&xs[i]))),
         }
         sketch
     }
@@ -735,36 +796,8 @@ impl SelMask {
     }
 }
 
-/// The per-row view of a typed non-null cell, ordered exactly like the
-/// non-null [`Value`] variants (`Int < Str < Bool`, payload order
-/// within a variant).
-enum TypedRef<'a> {
-    Int(i64),
-    Str(&'a Value),
-    Bool(bool),
-}
-
-impl TypedRef<'_> {
-    fn tag(&self) -> u8 {
-        match self {
-            TypedRef::Int(_) => 0,
-            TypedRef::Str(_) => 1,
-            TypedRef::Bool(_) => 2,
-        }
-    }
-
-    fn cmp_ref(&self, other: &TypedRef<'_>) -> Ordering {
-        match (self, other) {
-            (TypedRef::Int(a), TypedRef::Int(b)) => a.cmp(b),
-            (TypedRef::Str(a), TypedRef::Str(b)) => a.cmp(b),
-            (TypedRef::Bool(a), TypedRef::Bool(b)) => a.cmp(b),
-            _ => self.tag().cmp(&other.tag()),
-        }
-    }
-}
-
 /// The columnar mirror of one relation: a typed [`Column`] per
-/// attribute plus the shared per-table string [`Dictionary`].
+/// attribute plus the shared per-table string dictionary.
 #[derive(Debug, Clone)]
 pub struct ColumnSet {
     rows: usize,
@@ -994,43 +1027,25 @@ impl ColumnSet {
         &self.cols[c]
     }
 
-    /// The shared per-table string dictionary.
-    #[must_use]
-    pub fn dict(&self) -> &Dictionary {
-        &self.dict
-    }
-
     /// The cell at `(row, col)`, reassembled as an owned [`Value`]
     /// (oracle/testing convenience — engines read columns directly).
     #[must_use]
     pub fn value_at(&self, row: usize, col: usize) -> Value {
-        let c = &self.cols[col];
-        if !c.validity.get(row) {
-            return Value::Null;
-        }
-        match &c.data {
-            ColData::Int(xs) => Value::Int(xs[row]),
-            ColData::Bool(xs) => Value::Bool(xs[row]),
-            ColData::Str(xs) => self.dict.value(xs[row]).clone(),
-            ColData::Mixed(xs) => xs[row].clone(),
-        }
+        self.value_ref(&self.cols[col], row).to_value()
     }
 
-    fn typed_at<'a>(&'a self, col: &'a Column, row: usize) -> Option<TypedRef<'a>> {
+    /// The cell of `col` at `row`, read in place (`Null` where the
+    /// validity bit is clear).
+    fn value_ref<'a>(&'a self, col: &'a Column, row: usize) -> ValueRef<'a> {
         if !col.validity.get(row) {
-            return None;
+            return ValueRef::Null;
         }
-        Some(match &col.data {
-            ColData::Int(xs) => TypedRef::Int(xs[row]),
-            ColData::Bool(xs) => TypedRef::Bool(xs[row]),
-            ColData::Str(xs) => TypedRef::Str(self.dict.value(xs[row])),
-            ColData::Mixed(xs) => match &xs[row] {
-                Value::Int(v) => TypedRef::Int(*v),
-                Value::Bool(v) => TypedRef::Bool(*v),
-                s @ Value::Str(_) => TypedRef::Str(s),
-                Value::Null => unreachable!("validity bit set on a null slot"),
-            },
-        })
+        match &col.data {
+            ColData::Int(xs) => ValueRef::Int(xs[row]),
+            ColData::Bool(xs) => ValueRef::Bool(xs[row]),
+            ColData::Str(xs) => ValueRef::Str(self.dict.str(xs[row])),
+            ColData::Mixed(xs) => ValueRef::from(&xs[row]),
+        }
     }
 
     /// Vectorized [`BoundPred`] evaluation (`pred` bound against this
@@ -1183,12 +1198,10 @@ impl ColumnSet {
                     }
                 }
             }
-            (ColData::Str(xs), Value::Str(_)) => {
+            (ColData::Str(xs), Value::Str(ls)) => {
                 let table = code_table.get_or_insert_with(|| {
-                    self.dict
-                        .values
-                        .iter()
-                        .map(|v| op.test(v.cmp(lit)))
+                    (0..self.dict.len() as u32)
+                        .map(|c| op.test(self.dict.str(c).cmp(ls)))
                         .collect()
                 });
                 for (i, code) in xs.iter().enumerate().take(hi).skip(lo) {
@@ -1310,8 +1323,9 @@ impl ColumnSet {
             }
             _ => {
                 for i in lo..hi {
-                    if let (Some(va), Some(vb)) = (self.typed_at(a, i), self.typed_at(b, i)) {
-                        if op.test(va.cmp_ref(&vb)) {
+                    let (va, vb) = (self.value_ref(a, i), self.value_ref(b, i));
+                    if !va.is_null() && !vb.is_null() {
+                        if op.test(va.cmp(&vb)) {
                             t.set(i);
                         } else {
                             f.set(i);
@@ -1324,29 +1338,20 @@ impl ColumnSet {
 
     /// Hash the key columns of one row exactly as the row-major engine
     /// hashes an assembled tuple key: each key [`Value`], in column
-    /// order, through [`key_hash`]. Returns `None` when any key value
+    /// order, through [`key_hash`](crate::key_hash). Returns `None` when any key value
     /// is null (null keys never match). String keys hash their
-    /// interned dictionary entry — no row assembly, no `String` clone.
+    /// interned dictionary entry in place — no row assembly, no
+    /// `String` clone.
     #[must_use]
     pub fn hash_key_at(&self, key_cols: &[usize], row: usize) -> Option<u64> {
-        key_hash(key_cols.iter().map(|&c| {
-            let col = &self.cols[c];
-            if !col.validity.get(row) {
-                return Cow::Owned(Value::Null);
-            }
-            match &col.data {
-                ColData::Int(xs) => Cow::Owned(Value::Int(xs[row])),
-                ColData::Bool(xs) => Cow::Owned(Value::Bool(xs[row])),
-                ColData::Str(xs) => Cow::Borrowed(self.dict.value(xs[row])),
-                ColData::Mixed(xs) => Cow::Borrowed(&xs[row]),
-            }
-        }))
+        key_hash_refs(key_cols.iter().map(|&c| self.value_ref(&self.cols[c], row)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fasthash::key_hash;
     use crate::tuple::Tuple;
 
     /// Deterministic xorshift generator (no external deps, no clock).
@@ -1555,7 +1560,7 @@ mod tests {
         for c in 0..cs.width() {
             let col = cs.column(c);
             assert!(!col.sketch().hashes.is_empty(), "col {c}");
-            assert_eq!(col.resketch(cs.dict()), **col.sketch(), "col {c}");
+            assert_eq!(col.resketch(&cs.dict), **col.sketch(), "col {c}");
         }
     }
 
@@ -1787,12 +1792,12 @@ mod tests {
             }
         }
         // Dictionary: shared codes, rank order = string order.
-        let d = cs.dict();
+        let d = &cs.dict;
         assert_eq!(d.len(), 2);
         let (cb, ca) = (d.code_of("b").unwrap(), d.code_of("a").unwrap());
         assert!(d.rank(ca) < d.rank(cb));
         assert_eq!(d.code_of("zzz"), None);
-        assert_eq!(d.value(ca), &Value::str("a"));
+        assert_eq!(d.str(ca), "a");
     }
 
     #[test]
@@ -1899,6 +1904,216 @@ mod tests {
                     "key {cols:?} row {i}"
                 );
             }
+        }
+        // Two string columns sharing the dictionary, strings of every
+        // length around the hasher's 8-byte words, built whole and grown
+        // by appends (whose strings the sealed dictionary already has).
+        let rel = string_pairs(600, 11);
+        let split = rel.len() / 2;
+        let mut grown = ColumnSet::build(&Relation::from_distinct_rows(
+            rel.schema().clone(),
+            rel.rows()[..split].to_vec(),
+        ));
+        let suffix: Vec<Tuple> = rel.rows()[split..]
+            .iter()
+            .filter(|t| {
+                (0..2)
+                    .all(|c| !matches!(t.get(c), Value::Str(s) if grown.dict.code_of(s).is_none()))
+            })
+            .cloned()
+            .collect();
+        let prefix_and_suffix = Relation::from_distinct_rows(
+            rel.schema().clone(),
+            rel.rows()[..split].iter().chain(&suffix).cloned().collect(),
+        );
+        assert!(suffix.len() > 100, "{} rows appended", suffix.len());
+        assert!(grown.append_rows(&suffix, &distinct_counts(&prefix_and_suffix)));
+        for (rel, cs) in [(&rel, ColumnSet::build(&rel)), (&prefix_and_suffix, grown)] {
+            for cols in [vec![0], vec![1], vec![0, 1], vec![1, 2, 0]] {
+                for (i, t) in rel.rows().iter().enumerate() {
+                    assert_eq!(
+                        cs.hash_key_at(&cols, i),
+                        hash_row(t, &cols),
+                        "string key {cols:?} row {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Rows of two nullable string columns, `a` drawn from `x0…` to
+    /// `x` plus 15 characters and `b` from a few cities, plus an int.
+    fn string_pairs(rows: usize, seed: u64) -> Relation {
+        let mut rng = Rng(seed | 1);
+        let data = (0..rows)
+            .map(|i| {
+                let a = match rng.below(9) {
+                    0 => Value::Null,
+                    _ => {
+                        let len = rng.below(17) as usize;
+                        Value::str(format!(
+                            "x{}",
+                            "é0123456789abcdef".chars().take(len).collect::<String>()
+                        ))
+                    }
+                };
+                let b = match rng.below(7) {
+                    0 => Value::Null,
+                    _ => Value::str(format!("city-{}", rng.below(12))),
+                };
+                vec![a, b, Value::Int(i as i64)]
+            })
+            .collect();
+        Relation::from_values("P", &["a", "b", "n"], data)
+    }
+
+    /// The string relation of the engine's string-dictionary property
+    /// suite: string key `k`, string `s` and int `v` over `domain`
+    /// values, each null with probability `null_pct` %.
+    fn string_relation(rows: usize, domain: u64, null_pct: u64, seed: u64) -> Relation {
+        let mut rng = Rng(seed | 1);
+        let mut cell = |mk: fn(u64) -> Value| {
+            if rng.below(100) < null_pct {
+                Value::Null
+            } else {
+                mk(rng.below(domain))
+            }
+        };
+        let rows = (0..rows)
+            .map(|_| {
+                vec![
+                    cell(|x| Value::Str(format!("k{x}"))),
+                    cell(|x| Value::Str(format!("city-{x}"))),
+                    cell(|x| Value::Int(x as i64)),
+                ]
+            })
+            .collect();
+        Relation::from_values("L", &["k", "s", "v"], rows)
+    }
+
+    /// The matching row pairs of a string-keyed equi-join `l.k = r.k`
+    /// as a hash join finds them: `r`'s rows bucketed by
+    /// [`ColumnSet::hash_key_at`], each candidate rechecked by value.
+    fn string_join(l: &ColumnSet, r: &ColumnSet) -> Vec<(usize, usize)> {
+        let mut buckets: FastMap<u64, Vec<usize>> = FastMap::default();
+        for j in 0..r.rows() {
+            if let Some(h) = r.hash_key_at(&[0], j) {
+                buckets.entry(h).or_default().push(j);
+            }
+        }
+        let mut pairs = Vec::new();
+        for i in 0..l.rows() {
+            let Some(h) = l.hash_key_at(&[0], i) else {
+                continue;
+            };
+            for &j in buckets.get(&h).map_or(&[][..], Vec::as_slice) {
+                if l.value_at(i, 0) == r.value_at(j, 0) {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn dictionary_answers_alike_when_every_string_collides() {
+        // `intern` and `code_of` directly: first-appearance codes, one
+        // per distinct string, found again through the collision list.
+        let words = ["b", "", "a", "b", "longer than a word", "a", "ü", ""];
+        let intern_all = || {
+            let mut d = Dictionary::default();
+            let codes: Vec<u32> = words.iter().map(|w| d.intern(w)).collect();
+            d.seal();
+            (d, codes)
+        };
+        let (plain, codes) = intern_all();
+        let (collided, collided_codes) = colliding(intern_all);
+        assert_eq!(codes, [0, 1, 2, 0, 3, 2, 4, 1]);
+        assert_eq!(collided_codes, codes);
+        assert!(plain.collided.is_empty());
+        assert_eq!(collided.codes.len(), 1);
+        assert_eq!(collided.collided.len(), 4);
+        for w in words.iter().chain(&["c", "b ", "ü\0"]) {
+            let want = plain.code_of(w);
+            assert_eq!(colliding(|| collided.code_of(w)), want, "{w:?}");
+            assert_eq!(want.map(|c| plain.str(c)), want.is_some().then_some(*w));
+        }
+        assert_eq!(
+            (0..5).map(|c| collided.rank(c)).collect::<Vec<_>>(),
+            (0..5).map(|c| plain.rank(c)).collect::<Vec<_>>()
+        );
+
+        // The string-keyed joins, filters and reads of the engine's
+        // string-dictionary suite, on mirrors built and grown with
+        // every string under one hash, against mirrors built without.
+        use BoundPred as P;
+        use BoundScalar as S;
+        let lit = |s: &str| S::Lit(Value::str(s));
+        let preds = [
+            P::Cmp(CmpOp::Eq, S::Col(0), lit("k1")),
+            P::Cmp(CmpOp::Ne, S::Col(0), lit("k1")),
+            P::Cmp(CmpOp::Lt, S::Col(0), lit("k2")),
+            P::Cmp(CmpOp::Ge, S::Col(0), lit("city-0")),
+            P::IsNull(S::Col(1)),
+            P::Not(Box::new(P::IsNull(S::Col(1)))),
+            P::Or(
+                Box::new(P::Cmp(CmpOp::Gt, S::Col(1), lit("city-1"))),
+                Box::new(P::IsNull(S::Col(0))),
+            ),
+        ];
+        // What a reader sees of `cs`, a mirror of `rel`, equals what it
+        // sees of `plain`, one built without the hook.
+        let reads_alike = |cs: &ColumnSet, plain: &ColumnSet, rel: &Relation| {
+            for p in &preds {
+                assert_mask_matches(rel, cs, p);
+            }
+            for c in 0..3 {
+                let (zones, plain_zones) = (cs.column(c).zones(), plain.column(c).zones());
+                assert_eq!(zones.len(), plain_zones.len());
+                for (z, pz) in zones.iter().zip(plain_zones) {
+                    assert_eq!(z.min_max(), pz.min_max(), "col {c}");
+                }
+                assert_eq!(cs.column(c).sketch(), plain.column(c).sketch(), "col {c}");
+                for row in 0..rel.len() {
+                    assert_eq!(cs.value_at(row, c), plain.value_at(row, c));
+                    assert_eq!(cs.hash_key_at(&[c], row), plain.hash_key_at(&[c], row));
+                }
+            }
+        };
+        for seed in 0..60 {
+            let rows = (seed * 7 % 24) as usize;
+            let (domain, null_pct) = (1 + seed % 5, seed * 13 % 101);
+            let l = string_relation(rows, domain, null_pct, seed);
+            let r = string_relation(rows, domain, null_pct, seed ^ 0xabcd);
+            let (lp, rp) = (ColumnSet::build(&l), ColumnSet::build(&r));
+            let (lc, rc) = colliding(|| (ColumnSet::build(&l), ColumnSet::build(&r)));
+            let joined = string_join(&lp, &rp);
+            assert_eq!(colliding(|| string_join(&lc, &rc)), joined, "seed {seed}");
+            colliding(|| {
+                reads_alike(&lc, &lp, &l);
+                reads_alike(&rc, &rp, &r);
+            });
+            // Grown by appends: the tail's strings are found through
+            // the collision list.
+            let (head, tail) = l.rows().split_at(l.len() / 2);
+            let mut grown = Relation::from_distinct_rows(l.schema().clone(), head.to_vec());
+            let mut cs = colliding(|| ColumnSet::build(&grown));
+            let fits: Vec<Tuple> = tail
+                .iter()
+                .filter(|t| {
+                    (0..2).all(|c| match t.get(c) {
+                        Value::Str(s) => colliding(|| cs.dict.code_of(s)).is_some(),
+                        _ => true,
+                    })
+                })
+                .cloned()
+                .collect();
+            grown.extend_distinct(fits.clone());
+            colliding(|| {
+                assert!(cs.append_rows(&fits, &distinct_counts(&grown)));
+            });
+            let plain = ColumnSet::build(&grown);
+            colliding(|| reads_alike(&cs, &plain, &grown));
         }
     }
 }

@@ -18,7 +18,7 @@
 //! call it, so a build row lands in the same bucket whichever path
 //! hashed it.
 
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -95,6 +95,19 @@ pub fn key_hash<V: Borrow<Value>>(key: impl IntoIterator<Item = V>) -> Option<u6
     let mut h = FastHasher::default();
     for v in key {
         let v = v.borrow();
+        if v.is_null() {
+            return None;
+        }
+        v.hash(&mut h);
+    }
+    Some(h.finish())
+}
+
+/// [`key_hash`] of a key whose values are read in place: the same hash
+/// as over the owned values, since a [`ValueRef`] hashes as its value.
+pub(crate) fn key_hash_refs<'a>(key: impl IntoIterator<Item = ValueRef<'a>>) -> Option<u64> {
+    let mut h = FastHasher::default();
+    for v in key {
         if v.is_null() {
             return None;
         }

@@ -61,7 +61,7 @@ pub mod truth;
 pub mod tuple;
 pub mod value;
 
-pub use column::{Bitmap, ColumnSet, Dictionary, KeySketch, SelMask, ZONE_ROWS};
+pub use column::{Bitmap, ColumnSet, KeySketch, SelMask, ZONE_ROWS};
 pub use database::Database;
 pub use error::AlgebraError;
 pub use expr::Query;

@@ -22,7 +22,7 @@ use crate::intern::{AttrId, RelId, RelSet};
 use crate::predicate::{CmpOp, Pred, Scalar};
 use crate::schema::Attr;
 use crate::truth::Truth;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// FNV-1a, 64-bit: deterministic across processes and platforms.
 #[derive(Debug, Clone)]
@@ -125,19 +125,25 @@ impl SigHash for Attr {
 
 impl SigHash for Value {
     fn sig_hash(&self, h: &mut StableHasher) {
-        match self {
-            Value::Null => h.write_u8(0),
-            Value::Int(i) => {
+        ValueRef::from(self).sig_hash(h);
+    }
+}
+
+impl SigHash for ValueRef<'_> {
+    fn sig_hash(&self, h: &mut StableHasher) {
+        match *self {
+            ValueRef::Null => h.write_u8(0),
+            ValueRef::Int(i) => {
                 h.write_u8(1);
-                h.write_u64(*i as u64);
+                h.write_u64(i as u64);
             }
-            Value::Str(s) => {
+            ValueRef::Str(s) => {
                 h.write_u8(2);
                 h.write_str(s);
             }
-            Value::Bool(b) => {
+            ValueRef::Bool(b) => {
                 h.write_u8(3);
-                h.write_u8(u8::from(*b));
+                h.write_u8(u8::from(b));
             }
         }
     }

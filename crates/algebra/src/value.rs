@@ -69,6 +69,46 @@ impl Value {
     }
 }
 
+/// A [`Value`] read in place: a string is a `&str` into wherever it is
+/// stored (a column dictionary's buffer), so nothing is cloned to hash
+/// or compare it. Its variants are [`Value`]'s, in the same order, so
+/// the derived `Hash` and `Ord` hash and order it exactly as the owned
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Str(&'a str),
+    Bool(bool),
+}
+
+impl ValueRef<'_> {
+    pub(crate) fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// The owned value.
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bool(v) => Value::Bool(v),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(v) => ValueRef::Bool(*v),
+        }
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)
@@ -160,6 +200,33 @@ mod tests {
         assert_eq!(Value::from("s"), Value::Str("s".into()));
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(String::from("t")), Value::Str("t".into()));
+    }
+
+    #[test]
+    fn a_value_ref_hashes_and_orders_as_its_value() {
+        use crate::fasthash::FastHasher;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let b = BuildHasherDefault::<FastHasher>::default();
+        let values = [
+            Value::Null,
+            Value::Int(-3),
+            Value::Int(7),
+            Value::str(""),
+            Value::str("a"),
+            Value::str("city-1"),
+            Value::str("ü-longer-than-eight-bytes"),
+            Value::Bool(false),
+            Value::Bool(true),
+        ];
+        for v in &values {
+            let r = ValueRef::from(v);
+            assert_eq!(b.hash_one(r), b.hash_one(v), "{v:?}");
+            assert_eq!(r.to_value(), *v);
+            assert_eq!(r.is_null(), v.is_null());
+            for w in &values {
+                assert_eq!(r.cmp(&ValueRef::from(w)), v.cmp(w), "{v:?} vs {w:?}");
+            }
+        }
     }
 
     #[test]

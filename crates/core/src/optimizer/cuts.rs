@@ -272,22 +272,38 @@ impl<'a> CutCtx<'a> {
         }
     }
 
-    /// The edges crossing `{lo, hi}`, in edge order. When a side is one
-    /// node only its incident edges (kept in edge order) are tested.
+    /// The edges crossing `{lo, hi}`, in edge order. Each one has an
+    /// endpoint on the side with fewer nodes, so only that side's
+    /// incident edges are tested: one list, already in edge order, for
+    /// a one-node side. A larger side's lists hold its crossing edges
+    /// out of order, and sorting them back pays only when the lists are
+    /// [`WALK_SAVING`] edges shorter than the graph's; otherwise every
+    /// edge is tested.
     fn crossing(&self, lo: RelSet, hi: RelSet) -> impl Iterator<Item = usize> + '_ {
-        let incident = single_node(lo)
-            .or(single_node(hi))
-            .map(|v| self.g.incident_edges(v).iter().copied());
-        let all = incident.is_none().then(|| 0..self.g.edges().len());
-        incident
-            .into_iter()
+        let edges = self.g.edges();
+        let crosses = move |&i: &usize| {
+            let e = &edges[i];
+            (lo.contains(e.a()) && hi.contains(e.b())) || (lo.contains(e.b()) && hi.contains(e.a()))
+        };
+        let small = if lo.len() <= hi.len() { lo } else { hi };
+        let one = single_node(small).map(|v| self.g.incident_edges(v).iter().copied());
+        let degrees: usize = small.iter().map(|v| self.g.incident_edges(v).len()).sum();
+        let walk = one.is_none() && degrees + WALK_SAVING < edges.len();
+        let walked = walk.then(|| {
+            let mut ids: Vec<usize> = small
+                .iter()
+                .flat_map(|v| self.g.incident_edges(v).iter().copied())
+                .filter(crosses)
+                .collect();
+            ids.sort_unstable();
+            ids
+        });
+        let all = (one.is_none() && !walk).then_some(0..edges.len());
+        one.into_iter()
             .flatten()
             .chain(all.into_iter().flatten())
-            .filter(move |&i| {
-                let e = &self.g.edges()[i];
-                (lo.contains(e.a()) && hi.contains(e.b()))
-                    || (lo.contains(e.b()) && hi.contains(e.a()))
-            })
+            .filter(crosses)
+            .chain(walked.into_iter().flatten())
     }
 
     /// The equi conjunct of `c` when it crosses `{lo, hi}`.
@@ -411,6 +427,11 @@ impl<'a> CutCtx<'a> {
         }
     }
 }
+
+/// The edges a many-node side's incident lists must fall short of the
+/// graph's for [`CutCtx::crossing`] to walk them: about what testing
+/// edges saves to pay for the walk's list and its sort.
+const WALK_SAVING: usize = 64;
 
 fn single_node(s: RelSet) -> Option<usize> {
     if s.len() == 1 {
@@ -617,6 +638,70 @@ mod tests {
         let b = RelSet::singleton(1);
         let ac = RelSet::empty().with(0).with(2);
         assert_eq!(ctx.info(b, ac).class, CutClass::None);
+    }
+
+    /// The crossing edges of random cuts of seeded random graphs, from
+    /// one- and many-node sides, dense and sparse, equal a scan of
+    /// every edge, in edge order.
+    #[test]
+    fn crossing_walk_matches_a_full_scan() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let cat = Catalog::new();
+        let (mut walks, mut scans) = (0, 0);
+        for round in 0..200 {
+            let n = 2 + next(30) as usize;
+            let density = 1 + next(100);
+            let mut g = QueryGraph::new((0..n).map(|i| format!("N{i}")).collect());
+            for a in 0..n {
+                for b in a + 1..n {
+                    if next(100) < density {
+                        let pred = Pred::eq_attr(&format!("N{a}.k"), &format!("N{b}.k"));
+                        if next(4) == 0 {
+                            g.add_outerjoin_edge(b, a, pred).unwrap();
+                        } else {
+                            g.add_join_edge(b, a, pred).unwrap();
+                        }
+                    }
+                }
+            }
+            let ctx = CutCtx::new(&g, &cat);
+            for _ in 0..20 {
+                let (mut lo, mut hi) = (RelSet::empty(), RelSet::empty());
+                for v in 0..n {
+                    match next(3) {
+                        0 => lo = lo.with(v),
+                        1 => hi = hi.with(v),
+                        _ => {}
+                    }
+                }
+                let scan: Vec<usize> = (0..g.edges().len())
+                    .filter(|&i| {
+                        let e = &g.edges()[i];
+                        (lo.contains(e.a()) && hi.contains(e.b()))
+                            || (lo.contains(e.b()) && hi.contains(e.a()))
+                    })
+                    .collect();
+                assert_eq!(
+                    ctx.crossing(lo, hi).collect::<Vec<_>>(),
+                    scan,
+                    "round {round}"
+                );
+                let small = if lo.len() <= hi.len() { lo } else { hi };
+                let degrees: usize = small.iter().map(|v| g.incident_edges(v).len()).sum();
+                if small.len() > 1 && degrees + WALK_SAVING < g.edges().len() {
+                    walks += 1;
+                } else {
+                    scans += 1;
+                }
+            }
+        }
+        assert!(walks > 200 && scans > 200, "{walks} walks, {scans} scans");
     }
 
     #[test]

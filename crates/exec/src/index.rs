@@ -24,29 +24,26 @@ pub(crate) fn renumbered(id: usize, gone: &[usize]) -> usize {
     }
 }
 
-/// The row ids filed under one key hash, ascending. A key usually has
-/// one row, which is stored inline; only a shared key spills to a list.
-#[derive(Debug, Clone)]
-enum Posting {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl Posting {
-    fn ids(&self) -> &[u32] {
-        match self {
-            Posting::One(id) => std::slice::from_ref(id),
-            Posting::Many(ids) => ids,
-        }
-    }
-}
+/// A map value with this bit set names a list in [`Postings`]' side
+/// table; without it, the value is the one row id filed.
+const LIST: u32 = 1 << 31;
 
 /// Row ids by key hash: the one layout behind a stored [`HashIndex`]
-/// and a join's build side (`JoinTable`). Ids are added in ascending
+/// and a join's build side (`JoinTable`). Each key hash takes one
+/// 16-byte map slot. A key usually has one row, whose id is the slot's
+/// value; a shared key's value is instead [`LIST`] plus the index of
+/// its id list in `lists`. A list that falls back to one id frees its
+/// place in `lists` for the next shared key. Ids are added in ascending
 /// row order and stay ascending under removal, so candidates come out
 /// in row order and so does everything a probe emits.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Postings(FastMap<u64, Posting>);
+pub(crate) struct Postings {
+    slots: FastMap<u64, u32>,
+    /// The id lists of shared keys (two ids or more, ascending); an
+    /// index in `free` names an empty one.
+    lists: Vec<Vec<u32>>,
+    free: Vec<u32>,
+}
 
 #[cfg(test)]
 thread_local! {
@@ -76,17 +73,26 @@ fn slot(h: u64) -> u64 {
 impl Postings {
     /// File row `id`, which is past every row already filed under `h`.
     pub(crate) fn push(&mut self, h: u64, id: u32) {
-        match self.0.entry(slot(h)) {
+        debug_assert!(id < LIST, "row ids stay below the list bit");
+        match self.slots.entry(slot(h)) {
             Entry::Vacant(e) => {
-                e.insert(Posting::One(id));
+                e.insert(id);
             }
-            Entry::Occupied(mut e) => match e.get_mut() {
-                Posting::One(first) => {
-                    let first = *first;
-                    e.insert(Posting::Many(vec![first, id]));
+            Entry::Occupied(mut e) => {
+                let v = *e.get();
+                if v & LIST != 0 {
+                    self.lists[(v & !LIST) as usize].push(id);
+                    return;
                 }
-                Posting::Many(ids) => ids.push(id),
-            },
+                // A list index stays below the list bit as a row id does:
+                // there are fewer lists than rows.
+                let at = self.free.pop().unwrap_or_else(|| {
+                    self.lists.push(Vec::new());
+                    row_id(self.lists.len() - 1)
+                });
+                self.lists[at as usize] = vec![v, id];
+                e.insert(LIST | at);
+            }
         }
     }
 
@@ -94,30 +100,34 @@ impl Postings {
     /// for `None`, a null key's hash).
     #[inline]
     pub(crate) fn get(&self, h: Option<u64>) -> &[u32] {
-        h.and_then(|h| self.0.get(&slot(h)))
-            .map_or(&[], Posting::ids)
+        match h.and_then(|h| self.slots.get(&slot(h))) {
+            None => &[],
+            Some(v) if v & LIST != 0 => &self.lists[(v & !LIST) as usize],
+            Some(id) => std::slice::from_ref(id),
+        }
     }
 
     /// Take row `id` out of the posting of `h`; a hash with no row left
     /// is dropped, and a list down to one id goes back inline.
     fn remove(&mut self, h: u64, id: u32) {
-        let Entry::Occupied(mut e) = self.0.entry(slot(h)) else {
+        let Entry::Occupied(mut e) = self.slots.entry(slot(h)) else {
             return;
         };
-        match e.get_mut() {
-            Posting::One(only) => {
-                if *only == id {
-                    e.remove();
-                }
+        let v = *e.get();
+        if v & LIST == 0 {
+            if v == id {
+                e.remove();
             }
-            Posting::Many(ids) => {
-                if let Ok(at) = ids.binary_search(&id) {
-                    ids.remove(at);
-                }
-                if let [only] = ids[..] {
-                    e.insert(Posting::One(only));
-                }
-            }
+            return;
+        }
+        let ids = &mut self.lists[(v & !LIST) as usize];
+        if let Ok(at) = ids.binary_search(&id) {
+            ids.remove(at);
+        }
+        if let [only] = ids[..] {
+            *ids = Vec::new();
+            self.free.push(v & !LIST);
+            e.insert(only);
         }
     }
 
@@ -129,23 +139,29 @@ impl Postings {
             let moved = renumbered(*id as usize, gone) as u32;
             *id = moved;
         };
-        for posting in self.0.values_mut() {
-            match posting {
-                Posting::One(id) => renumber(id),
-                Posting::Many(ids) => ids.iter_mut().for_each(renumber),
+        for v in self.slots.values_mut() {
+            if *v & LIST == 0 {
+                renumber(v);
             }
+        }
+        for ids in &mut self.lists {
+            ids.iter_mut().for_each(renumber);
         }
     }
 
     /// Number of distinct hashes filed.
     fn len(&self) -> usize {
-        self.0.len()
+        self.slots.len()
     }
 }
 
-/// Fail loudly where a row id would not fit a posting.
+/// Fail loudly where a row id would not fit a posting: ids stay below
+/// 2³¹, the bit above them marks a list.
 pub(crate) fn row_id(id: usize) -> u32 {
-    u32::try_from(id).expect("table exceeds u32 row ids")
+    u32::try_from(id)
+        .ok()
+        .filter(|&id| id < LIST)
+        .expect("table exceeds 2^31 row ids")
 }
 
 /// A hash index on one or more columns of a base table: the ids of the
@@ -161,7 +177,7 @@ impl HashIndex {
     /// Build an index over the given column positions of a table, from
     /// its columnar mirror ([`ColumnSet::hash_key_at`]).
     #[must_use]
-    pub fn build(columns: &ColumnSet, key_cols: Vec<usize>) -> HashIndex {
+    pub(crate) fn build(columns: &ColumnSet, key_cols: Vec<usize>) -> HashIndex {
         let mut idx = HashIndex {
             key_cols,
             postings: Postings::default(),
@@ -174,7 +190,7 @@ impl HashIndex {
     /// O(|delta|) maintenance path behind base-table appends. Row ids
     /// already indexed stay untouched, so `from` must be the length
     /// the table had when the index last saw it.
-    pub fn insert_rows(&mut self, columns: &ColumnSet, from: usize) {
+    pub(crate) fn insert_rows(&mut self, columns: &ColumnSet, from: usize) {
         let end = row_id(columns.rows());
         for id in row_id(from)..end {
             if let Some(h) = columns.hash_key_at(&self.key_cols, id as usize) {
@@ -190,7 +206,7 @@ impl HashIndex {
     /// dropped, so lookups read as from an index built over the
     /// survivors. Costs the postings, not the rows: O(|table|) id
     /// adjustments, no key rebuilt.
-    pub fn remove_rows(&mut self, ids: &[usize], removed: &[Tuple]) {
+    pub(crate) fn remove_rows(&mut self, ids: &[usize], removed: &[Tuple]) {
         for (&id, row) in ids.iter().zip(removed) {
             if let Some(h) = key_hash(self.key_cols.iter().map(|&c| row.get(c))) {
                 self.postings.remove(h, row_id(id));
@@ -240,6 +256,7 @@ impl HashIndex {
 mod tests {
     use super::*;
     use fro_algebra::Relation;
+    use std::collections::BTreeMap;
 
     fn rel() -> Relation {
         Relation::from_values(
@@ -323,10 +340,110 @@ mod tests {
         assert_eq!(p.get(Some(5)), [0, 6]);
         assert_eq!(p.get(Some(9)), [3]);
         p.remove(5, 0);
-        assert!(matches!(p.0[&5], Posting::One(6)));
+        assert_eq!(p.slots[&5], 6, "back inline");
+        assert_eq!(p.free, [0], "its list slot is free again");
         p.remove(9, 3);
         assert!(p.get(Some(9)).is_empty());
         assert_eq!(p.len(), 1);
+    }
+
+    /// Random `push`/`remove`/`renumber` runs against a
+    /// `BTreeMap<u64, Vec<u32>>` model keyed the way the postings file
+    /// (so under [`colliding`] every key shares one entry): every `get`
+    /// agrees after every step, keys move inline → list → inline, and
+    /// freed lists are reused rather than appended.
+    fn postings_follow_the_model(seed: u64) -> (usize, usize) {
+        let mut state = seed | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let hashes: Vec<u64> = (0..6u64)
+            .map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 1)
+            .collect();
+        let mut p = Postings::default();
+        let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let (mut next_id, mut spills, mut shrinks, mut most_lists) = (0u32, 0, 0, 0);
+        for _ in 0..600 {
+            match next(3) {
+                0 => {
+                    let h = hashes[next(6) as usize];
+                    p.push(h, next_id);
+                    let ids = model.entry(slot(h)).or_default();
+                    ids.push(next_id);
+                    spills += usize::from(ids.len() == 2);
+                    next_id += 1 + next(3) as u32;
+                }
+                1 => {
+                    // A filed id (or, now and then, one that is not).
+                    let h = hashes[next(6) as usize];
+                    let ids = model.entry(slot(h)).or_default();
+                    let id = match ids.len() {
+                        0 => next_id,
+                        n => ids[next(n as u64) as usize],
+                    };
+                    p.remove(h, id);
+                    ids.retain(|&x| x != id);
+                    shrinks += usize::from(ids.len() == 1);
+                }
+                _ => {
+                    // Rows go from the table: each leaves its posting,
+                    // then every id behind them moves down.
+                    let mut gone: Vec<(u64, u32)> = Vec::new();
+                    for &h in &hashes {
+                        if let Some(&id) = model.get(&slot(h)).and_then(|ids| ids.first()) {
+                            if next(2) == 0 && !gone.iter().any(|&(_, g)| g == id) {
+                                gone.push((h, id));
+                            }
+                        }
+                    }
+                    gone.sort_by_key(|&(_, id)| id);
+                    for &(h, id) in &gone {
+                        p.remove(h, id);
+                        let ids = model.get_mut(&slot(h)).expect("filed above");
+                        ids.retain(|&x| x != id);
+                        shrinks += usize::from(ids.len() == 1);
+                    }
+                    let gone: Vec<usize> = gone.iter().map(|&(_, id)| id as usize).collect();
+                    p.renumber(&gone);
+                    for ids in model.values_mut() {
+                        for id in ids.iter_mut() {
+                            *id = renumbered(*id as usize, &gone) as u32;
+                        }
+                    }
+                }
+            }
+            model.retain(|_, ids| !ids.is_empty());
+            for &h in &hashes {
+                let want = model.get(&slot(h)).map_or(&[][..], Vec::as_slice);
+                assert_eq!(p.get(Some(h)), want, "seed {seed} hash {h:#x}");
+            }
+            assert!(p.get(None).is_empty());
+            assert_eq!(p.len(), model.len());
+            let shared = model.values().filter(|ids| ids.len() > 1).count();
+            assert_eq!(p.lists.len() - p.free.len(), shared, "seed {seed}");
+            assert!(p.free.iter().all(|&at| p.lists[at as usize].is_empty()));
+            most_lists = most_lists.max(shared);
+            assert!(p.lists.len() <= most_lists, "a freed list was not reused");
+        }
+        (spills, shrinks)
+    }
+
+    #[test]
+    fn postings_match_a_model_under_random_edits() {
+        let (mut spills, mut shrinks) = ((0, 0), (0, 0));
+        for seed in 1..=40 {
+            let (s, r) = postings_follow_the_model(seed);
+            let (cs, cr) = colliding(|| postings_follow_the_model(seed));
+            (spills.0, spills.1, shrinks.0, shrinks.1) =
+                (spills.0 + s, spills.1 + cs, shrinks.0 + r, shrinks.1 + cr);
+        }
+        assert!(
+            spills.0 > 40 && spills.1 > 40 && shrinks.0 > 40 && shrinks.1 > 40,
+            "lists opened {spills:?}, closed {shrinks:?} (plain, colliding)"
+        );
     }
 
     #[test]

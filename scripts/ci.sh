@@ -87,7 +87,7 @@ pinned_run="$(traced_run ingest_pinned)"
 gate_count "$pinned_run" shared.pinned_alloc_bytes_per_append B max 40000
 gate_count "$pinned_run" proc.allocs_per_op allocations max 335
 # Standing-view state is most of this workload's heap: each delta join
-# holds its two inputs once (3 501 B per stored row, base tables and
+# holds its two inputs once (3 495 B per stored row, base tables and
 # both views). A registry that also keeps a second copy of every leaf
 # build side (a cross-view pool) reads 3 672 B; a node that keeps a copy
 # of its output reads 6 349 B.
@@ -100,7 +100,7 @@ echo "== text front door gates (loadgen: wire_text_point, traced) =="
 # A warm §5 text query builds no ground relation, starts from its
 # restricted base and follows identifiers through their indexes. Putting
 # a per-query materialization back reads 8 012 allocations and 646 KB
-# per op (now 989 and 93 KB, since results are encoded from borrowed
+# per op (now 989 and 92 KB, since results are encoded from borrowed
 # rows; 1 145 and 107 KB while each row was copied into an owned
 # batch first); a filter on top of the joined world
 # 1 492 tuples retrieved (654); a hash build over a whole derived
@@ -119,41 +119,45 @@ echo "== join-estimate gates (loadgen: embed_exec, traced) =="
 # containment again (or a sketch hash that varies per process) replans
 # it bushy over hash-joined intermediates: 17 422 rows materialized,
 # 15 572 hash build rows and 42 415 allocations per op (now 0, 650 and
-# 15 714). The snowflake's reduction must keep cutting 3 000 rows. Its
-# tables cost 122.69 B per stored row (157.54 while an index kept an
-# owned copy of every key); an index that stores keys again reads here.
+# 15 716). The snowflake's reduction must keep cutting 3 000 rows. Its
+# tables cost 115.26 B per stored row (122.69 with 32-byte posting slots
+# and a dictionary that kept each string twice; 157.54 while an index
+# kept an owned copy of every key); an index that stores keys again, or
+# a dictionary that copies its strings, reads here.
 exec_run="$(traced_run embed_exec)"
 gate_count "$exec_run" exec.rows_materialized_per_op rows max 3000
 gate_count "$exec_run" exec.hash_build_rows_per_op rows max 1000
 gate_count "$exec_run" exec.rows_reduced_per_op rows min 3000
 gate_count "$exec_run" proc.allocs_per_op allocations max 22000
-gate_count "$exec_run" storage.bytes_per_row B max 130
+gate_count "$exec_run" storage.bytes_per_row B max 122
 
 echo "== planning gates (loadgen: embed_plan, traced) =="
 # 60 warm and 4 cold prepares per cycle over a >=1e5-row catalog. A cold
 # prepare enumerates 86.25 csg-cmp pairs; a warm one allocates little
 # beside the plan it hands out (1 207 allocations and 114 904 B per op);
-# the catalog's tables cost 128.54 B per row. A DP that enumerates more,
+# the catalog's tables cost 126.40 B per row (128.54 with 32-byte
+# posting slots and strings kept twice). A DP that enumerates more,
 # a warm path that replans or copies, or a wider stored row reads here.
 plan_run="$(traced_run embed_plan)"
 gate_count "$plan_run" core.dp.pairs_per_cold_op pairs max 100
 gate_count "$plan_run" proc.allocs_per_op allocations max 1500
 gate_count "$plan_run" proc.alloc_bytes_per_op B max 140000
-gate_count "$plan_run" storage.bytes_per_row B max 135
+gate_count "$plan_run" storage.bytes_per_row B max 132
 
 echo "== bulk result gates (loadgen: wire_bulk, traced) =="
 # 12-14k rows x 5 columns streamed per op: 14.75 frames, 31.59 B per row
-# on the wire, 99 288 allocations, 20 250 tuples retrieved and 217.86 B
-# per stored row. Smaller batches, a fatter row encoding, a per-row copy
-# more (copying each row into an owned batch before encoding it read
-# 137 551 allocations), or a scan that reads more than it returns reads
-# here.
+# on the wire, 99 288 allocations, 20 250 tuples retrieved and 170.99 B
+# per stored row (217.86 with 32-byte posting slots and a dictionary
+# that kept each string twice). Smaller batches, a fatter row encoding,
+# a per-row copy more (copying each row into an owned batch before
+# encoding it read 137 551 allocations), a scan that reads more than it
+# returns, or a wider stored key reads here.
 bulk_run="$(traced_run wire_bulk)"
 gate_count "$bulk_run" wire.frames_per_op frames max 17
 gate_count "$bulk_run" wire.bytes_per_row B max 36
 gate_count "$bulk_run" proc.allocs_per_op allocations max 110000
 gate_count "$bulk_run" exec.tuples_retrieved_per_op tuples max 23000
-gate_count "$bulk_run" storage.bytes_per_row B max 230
+gate_count "$bulk_run" storage.bytes_per_row B max 180
 
 echo "== EXPLAIN corpus gate =="
 scripts/explain_corpus.sh --check
